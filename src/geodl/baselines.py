@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from .model import read_model_file, row_norms
 from .normalize import NF1, NF3, NF4, NormalizedOntology
 
 SUBCLASS_RELATION = "__subClassOf__"
@@ -123,38 +124,42 @@ def score(h: int, r: int, t: int, state: BaselineState) -> float:
 # --- vectorized scoring (training and ranking) ----------------------------
 
 
-def scores_heads(state: BaselineState, heads: np.ndarray, r: int, t: int) -> np.ndarray:
-    """Score (X, r, t) for every candidate head X at once."""
-    H = state.entity_embeddings[heads]
+def candidate_scores(
+    state: BaselineState, r: int, candidates: np.ndarray, as_head: bool
+) -> Callable[[int], np.ndarray]:
+    """Source -> scores of (X, r, source) for every candidate X when *as_head*,
+    else of (source, r, X).
+
+    Work that does not depend on the source is done once here: gathering the
+    candidates and, for TransH, projecting them onto the relation's
+    hyperplane.  Each call of the returned function makes one pass over the
+    candidates and returns a new array.
+    """
+    e = state.entity_embeddings
     rel = state.relation_embeddings[r]
-    tail = state.entity_embeddings[t]
-    if state.model == "transe":
-        return -np.linalg.norm(H + rel - tail, axis=1)
+    moving = e
+    fixed = lambda s: e[s]
     if state.model == "transh":
         w = state.normals[r]
-        Hp = H - (H @ w)[:, None] * w
-        tp = tail - (tail @ w) * w
-        return -np.linalg.norm(Hp + rel - tp, axis=1)
+        # Project every entity, not just the candidates: a matrix-vector
+        # product may round a row differently depending on the rows around
+        # it, and a score must not depend on which candidates are asked for.
+        moving = e - (e @ w)[:, None] * w
+        fixed = lambda s: e[s] - (e[s] @ w) * w
+    elif state.model not in MODELS:
+        raise ValueError(f"unknown baseline model {state.model!r}")
+    moving = moving[candidates]
+    buf = np.empty_like(moving)
     if state.model == "distmult":
-        return (H * (rel * tail)).sum(axis=1)
-    raise ValueError(f"unknown baseline model {state.model!r}")
-
-
-def scores_tails(state: BaselineState, h: int, r: int, tails: np.ndarray) -> np.ndarray:
-    """Score (h, r, X) for every candidate tail X at once."""
-    head = state.entity_embeddings[h]
-    rel = state.relation_embeddings[r]
-    T = state.entity_embeddings[tails]
-    if state.model == "transe":
-        return -np.linalg.norm(head + rel - T, axis=1)
-    if state.model == "transh":
-        w = state.normals[r]
-        hp = head - (head @ w) * w
-        Tp = T - (T @ w)[:, None] * w
-        return -np.linalg.norm(hp + rel - Tp, axis=1)
-    if state.model == "distmult":
-        return (T * (head * rel)).sum(axis=1)
-    raise ValueError(f"unknown baseline model {state.model!r}")
+        if as_head:
+            return lambda s: np.add.reduce(
+                np.multiply(moving, rel * e[s], out=buf), axis=1)
+        return lambda s: np.add.reduce(
+            np.multiply(moving, e[s] * rel, out=buf), axis=1)
+    if as_head:
+        np.add(moving, rel, out=moving)
+        return lambda s: -row_norms(np.subtract(moving, fixed(s), out=buf))
+    return lambda s: -row_norms(np.subtract(fixed(s) + rel, moving, out=buf))
 
 
 def _scores_batch(state: BaselineState, H, R, T) -> np.ndarray:
@@ -336,50 +341,33 @@ class SavedBaseline:
     relation_names: list
 
 
+def _model_name(text: str) -> str:
+    if text not in MODELS:
+        raise ValueError(f"unknown baseline model {text!r}")
+    return text
+
+
 def load_baseline(path) -> SavedBaseline:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(BASELINE_HEADER_PREFIX):
-            raise ValueError(f"{path}: not a geodl baseline file")
-        fields = dict(
-            part.split("=", 1)
-            for part in header[len(BASELINE_HEADER_PREFIX):].split()
-        )
-        model = fields["model"]
-        dim = int(fields["dim"])
-        entity_names: list = []
-        relation_names: list = []
-        ent_rows: list = []
-        rel_rows: list = []
-        normal_rows: dict = {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 + dim:
-                raise ValueError(f"{path}:{lineno}: expected {2 + dim} columns")
-            kind, name = parts[0], parts[1]
-            vec = [float(v) for v in parts[2:]]
-            if kind == "E":
-                entity_names.append(name)
-                ent_rows.append(vec)
-            elif kind == "R":
-                relation_names.append(name)
-                rel_rows.append(vec)
-            elif kind == "W":
-                normal_rows[name] = vec
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown row kind {kind!r}")
+    fields, rows = read_model_file(
+        path, BASELINE_HEADER_PREFIX, {"model": _model_name, "dim": int},
+        {"E": 0, "R": 0, "W": 0},
+    )
+    model = fields["model"]
+    relations, normal_rows = rows["R"], rows["W"]
     normals = None
     if model == "transh":
-        normals = np.array(
-            [normal_rows[name] for name in relation_names], dtype=float
-        ).reshape(len(relation_names), dim)
-    state = BaselineState(
-        model,
-        np.array(ent_rows, dtype=float).reshape(len(entity_names), dim),
-        np.array(rel_rows, dtype=float).reshape(len(relation_names), dim),
-        normals,
-    )
-    return SavedBaseline(state, entity_names, relation_names)
+        named = set(relations.names)
+        for name, lineno in zip(normal_rows.names, normal_rows.lines):
+            if name not in named:
+                raise ValueError(f"{path}:{lineno}: W row for unknown relation {name!r}")
+        at = {name: i for i, name in enumerate(normal_rows.names)}
+        for name, lineno in zip(relations.names, relations.lines):
+            if name not in at:
+                raise ValueError(f"{path}:{lineno}: relation {name!r} has no W row")
+        normals = normal_rows.values[[at[name] for name in relations.names]]
+    elif normal_rows.names:
+        raise ValueError(
+            f"{path}:{normal_rows.lines[0]}: W rows belong to transh models only"
+        )
+    state = BaselineState(model, rows["E"].values, relations.values, normals)
+    return SavedBaseline(state, rows["E"].names, relations.names)

@@ -14,9 +14,10 @@ import sys
 from typing import Optional
 
 from . import baselines, model as gm, ranking, training
+from .model import NumericalError
 from .normalize import NF1, NormalizedOntology, normal_axiom_to_text, normalize
 from .parser import ParseError, parse_ontology
-from .training import NumericalError, SplitSpec, TrainConfig
+from .training import SplitSpec, TrainConfig
 
 
 class _CliError(Exception):

@@ -15,8 +15,9 @@ slack regularizer) so results are bit-reproducible.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,6 +25,10 @@ CLASS_CENTER = "class_center"
 CLASS_RADIUS = "class_radius"
 RELATION_VECTOR = "relation_vector"
 RELATION_SIGMA = "relation_sigma"
+
+
+class NumericalError(Exception):
+    """A computation produced a non-finite loss, parameter or ranking score."""
 
 
 class Variant(enum.Enum):
@@ -38,6 +43,16 @@ def parse_variant(text: str) -> Variant:
     if key in ("emel-var", "emelvar", "var"):
         return Variant.EMEL_VAR
     raise ValueError(f"unknown variant {text!r} (expected emel or emel-var)")
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of *x*, overwriting *x* with its squares.
+
+    The arithmetic of ``np.linalg.norm(x, axis=1)``, bit for bit, without its
+    two full-size temporaries.
+    """
+    np.multiply(x, x, out=x)
+    return np.sqrt(np.add.reduce(x, axis=1))
 
 
 @dataclass
@@ -596,46 +611,105 @@ def save_model(
             fh.write("\t".join(row) + "\n")
 
 
-def load_model(path) -> SavedModel:
+class ModelRows(NamedTuple):
+    """The rows of one kind in a model file, in file order."""
+
+    names: list
+    lines: list  # 1-based line number of each row
+    values: np.ndarray  # [rows, scalars + dim]
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
+    """Strict reader shared by the ball and the baseline model files.
+
+    Line 1 is *prefix* followed by exactly the ``key=value`` fields named in
+    *fields*, each converted by its function; ``dim`` must be at least 1.
+    Every other non-empty line is ``kind name v_1 ... v_m`` with tab
+    separators, where *kinds* maps each allowed kind to its count of scalars
+    before the dim-wide vector.  Values must be finite and names distinct
+    within a kind.  Returns the converted header fields and a ``ModelRows``
+    per kind; any violation raises ``ValueError`` naming ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        if not header.startswith(MODEL_HEADER_PREFIX):
-            raise ValueError(f"{path}: not a geodl model file")
-        fields = dict(
-            part.split("=", 1) for part in header[len(MODEL_HEADER_PREFIX):].split()
-        )
-        dim = int(fields["dim"])
-        variant = Variant(fields["variant"])
-        margin = float(fields["margin"])
-        class_names: list = []
-        relation_names: list = []
-        centers: list = []
-        radii: list = []
-        rel_vecs: list = []
-        sigmas: list = []
+        if not header.startswith(prefix):
+            raise ValueError(f"{path}:1: header does not start with {prefix!r}")
+        found: dict = {}
+        for part in header[len(prefix):].split():
+            key, eq, value = part.partition("=")
+            if not eq or key not in fields:
+                raise ValueError(f"{path}:1: unknown header field {part!r}")
+            if key in found:
+                raise ValueError(f"{path}:1: header field {key!r} repeated")
+            try:
+                found[key] = fields[key](value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:1: bad header value {part!r}"
+                ) from None
+        missing = [key for key in fields if key not in found]
+        if missing:
+            raise ValueError(f"{path}:1: header lacks {', '.join(missing)}")
+        dim = found["dim"]
+        if dim < 1:
+            raise ValueError(f"{path}:1: dim must be at least 1, got {dim}")
+        rows: dict = {kind: [] for kind in kinds}
+        seen: dict = {kind: {} for kind in kinds}  # name -> line, in file order
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 3 + dim:
-                raise ValueError(f"{path}:{lineno}: expected {3 + dim} columns")
-            kind, name, scalar = parts[0], parts[1], float(parts[2])
-            vec = [float(v) for v in parts[3:]]
-            if kind == "C":
-                class_names.append(name)
-                radii.append(scalar)
-                centers.append(vec)
-            elif kind == "R":
-                relation_names.append(name)
-                sigmas.append(scalar)
-                rel_vecs.append(vec)
-            else:
+            kind = parts[0]
+            if kind not in kinds:
                 raise ValueError(f"{path}:{lineno}: unknown row kind {kind!r}")
-    state = EmbeddingState(
-        np.array(centers, dtype=float).reshape(len(class_names), dim),
-        np.array(radii, dtype=float),
-        np.array(rel_vecs, dtype=float).reshape(len(relation_names), dim),
-        np.array(sigmas, dtype=float),
+            width = 2 + kinds[kind] + dim
+            if len(parts) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} columns")
+            name = parts[1]
+            if name in seen[kind]:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate {kind} row {name!r} "
+                    f"(first on line {seen[kind][name]})"
+                )
+            seen[kind][name] = lineno
+            try:
+                rows[kind].append([float(v) for v in parts[2:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    parsed = {}
+    for kind, scalars in kinds.items():
+        values = np.array(rows[kind], dtype=float).reshape(
+            len(rows[kind]), scalars + dim)
+        lines = list(seen[kind].values())
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{path}:{lines[finite.argmin()]}: non-finite value")
+        parsed[kind] = ModelRows(list(seen[kind]), lines, values)
+    return found, parsed
+
+
+def load_model(path) -> SavedModel:
+    fields, rows = read_model_file(
+        path, MODEL_HEADER_PREFIX,
+        {"dim": int, "variant": Variant, "margin": _finite_float},
+        {"C": 1, "R": 1},
     )
-    return SavedModel(state, class_names, relation_names, variant, margin)
+    classes, relations = rows["C"].values, rows["R"].values
+    state = EmbeddingState(
+        np.ascontiguousarray(classes[:, 1:]),
+        np.ascontiguousarray(classes[:, 0]),
+        np.ascontiguousarray(relations[:, 1:]),
+        np.ascontiguousarray(relations[:, 0]),
+    )
+    return SavedModel(
+        state, rows["C"].names, rows["R"].names, fields["variant"],
+        fields["margin"],
+    )

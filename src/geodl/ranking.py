@@ -2,9 +2,17 @@
 
 For a test pair C <= D the superclass D is the source: every candidate class
 is ordered by distance of its center from D's center, and the rank of C is
-reported (``--direction`` swaps the roles).  Ranks use deterministic
-tie-breaking by class index.  Candidates exclude normalization helpers and
-nominal point classes, identified by their reserved name shapes.
+reported (``--direction`` swaps the roles).  Baseline models order the
+candidates by descending subclass score instead.  Candidates exclude
+normalization helpers and nominal point classes, identified by their reserved
+name shapes, and the test's own source.
+
+One core ranks every model.  It groups the tests by source and computes one
+score row per distinct source over the whole candidate universe, then ranks
+all of that source's targets from that row: rank = 1 + #better + #tied with a
+smaller class index, so ties break deterministically by class index.  A score
+row holding a non-finite value raises ``NumericalError`` (exit 2 in the CLI)
+instead of being ranked.
 """
 
 from __future__ import annotations
@@ -12,12 +20,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import baselines
-from .model import EmbeddingState
+from .model import EmbeddingState, NumericalError, row_norms
 from .normalize import NF1, FRESH_PREFIX
 
 _NOMINAL_NAME = re.compile(r"^nominal\([^(),#\s]+\)$")
@@ -82,23 +90,29 @@ def rank_from_scores(
     return 1 + better + tied_before
 
 
-def _distances(
+def _ball_rows(
     state: EmbeddingState,
     candidate_ids: np.ndarray,
-    source: int,
-    target_role: str,
+    direction: str,
     adjust_radius: bool,
-) -> np.ndarray:
-    diffs = state.class_centers[candidate_ids] - state.class_centers[source]
-    dist = np.linalg.norm(diffs, axis=1)
-    if adjust_radius:
-        cand_r = np.abs(state.class_radii_raw[candidate_ids])
-        src_r = abs(float(state.class_radii_raw[source]))
-        if target_role == "sub":
-            dist = dist + cand_r - src_r  # candidate ball must fit inside source
-        else:
-            dist = dist + src_r - cand_r  # source ball must fit inside candidate
-    return dist
+) -> Callable[[int], np.ndarray]:
+    """Source -> distance of every candidate's center from the source's center,
+    plus the radius slack when *adjust_radius*."""
+    centers = state.class_centers[candidate_ids]
+    cand_r = np.abs(state.class_radii_raw[candidate_ids]) if adjust_radius else None
+    buf = np.empty_like(centers)
+
+    def row(source: int) -> np.ndarray:
+        dist = row_norms(np.subtract(centers, state.class_centers[source], out=buf))
+        if adjust_radius:
+            src_r = abs(float(state.class_radii_raw[source]))
+            if direction == "sub":
+                dist = dist + cand_r - src_r  # candidate ball must fit inside source
+            else:
+                dist = dist + src_r - cand_r  # source ball must fit inside candidate
+        return dist
+
+    return row
 
 
 def rank_one(
@@ -112,7 +126,7 @@ def rank_one(
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
     target, source = (test.c, test.d) if direction == "sub" else (test.d, test.c)
-    dist = _distances(state, candidates, source, direction, adjust_radius)
+    dist = _ball_rows(state, candidates, direction, adjust_radius)(source)
     return rank_from_scores(dist, candidates, target, ascending=True)
 
 
@@ -139,29 +153,66 @@ def _aggregate(
     )
 
 
-def _known_map(known: Optional[Iterable[NF1]], direction: str) -> Optional[dict]:
-    """source id -> set of known target ids to filter out of candidates."""
-    if known is None:
-        return None
-    mapping: dict = {}
-    for ax in known:
-        if direction == "sub":
-            mapping.setdefault(ax.d, set()).add(ax.c)
-        else:
-            mapping.setdefault(ax.c, set()).add(ax.d)
-    return mapping
+def _rank_by_source(
+    tests: Sequence[NF1],
+    candidate_universe: np.ndarray,
+    direction: str,
+    filter_known: Optional[Iterable[NF1]],
+    score_rows: Callable[[np.ndarray], Callable[[int], np.ndarray]],
+    ascending: bool,
+) -> list[int]:
+    """Rank of every test's target, scoring each distinct source once.
 
+    ``score_rows(ids)`` does the work that does not depend on the source and
+    returns a function from a source class to a new score row over the sorted
+    class ids *ids*.  A test's candidates are the universe minus its source
+    and, when *filter_known* is given, minus the source's other known
+    targets.  They are never materialized: the excluded entries of the shared
+    row are set to the worst score after the targets' own scores are read, so
+    they can be neither better than nor tied with any target.
+    """
+    if len(tests) == 0:
+        raise ValueError("cannot evaluate an empty test list")
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}")
+    ids = np.sort(candidate_universe)
+    if np.any(ids[1:] == ids[:-1]):
+        raise ValueError("the candidate universe lists a class more than once")
 
-def _test_candidates(
-    universe: np.ndarray, source: int, target: int, known_map: Optional[dict]
-) -> np.ndarray:
-    mask = universe != source
-    if known_map is not None:
-        drop = known_map.get(source)
-        if drop:
-            exclude = np.isin(universe, list(drop - {target}))
-            mask &= ~exclude
-    return universe[mask]
+    def roles(ax: NF1) -> tuple:
+        return (ax.c, ax.d) if direction == "sub" else (ax.d, ax.c)
+
+    by_source: dict = {}
+    for i, test in enumerate(tests):
+        target, source = roles(test)
+        by_source.setdefault(source, []).append((i, target))
+    known: dict = {}
+    for ax in filter_known or ():
+        target, source = roles(ax)
+        known.setdefault(source, set()).add(target)
+
+    beats = np.less if ascending else np.greater
+    worst = np.inf if ascending else -np.inf
+    row_of = score_rows(ids)
+    ranks = [0] * len(tests)
+    for source, group in by_source.items():
+        order, targets = zip(*group)
+        pos = np.searchsorted(ids, targets)
+        for p, target in zip(pos, targets):
+            if p == len(ids) or ids[p] != target or target == source:
+                raise ValueError(f"target class {target} is not among the candidates")
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            row = row_of(source)
+        if not np.isfinite(row).all():
+            raise NumericalError(f"non-finite ranking score for source class {source}")
+        own = row[pos]
+        dropped = np.array([source, *known.get(source, ())])
+        at = np.minimum(np.searchsorted(ids, dropped), len(ids) - 1)
+        row[at[ids[at] == dropped]] = worst
+        for i, p, s in zip(order, pos, own):
+            better = np.count_nonzero(beats(row, s))
+            ranks[i] = 1 + int(better + np.count_nonzero(row[:p] == s))
+    return ranks
 
 
 def evaluate(
@@ -173,17 +224,11 @@ def evaluate(
     filter_known: Optional[Iterable[NF1]] = None,
 ) -> RankReport:
     """Rank every test axiom against the candidate universe minus its source."""
-    if len(tests) == 0:
-        raise ValueError("cannot evaluate an empty test list")
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
-    known_map = _known_map(filter_known, direction)
-    ranks = []
-    for test in tests:
-        target, source = (test.c, test.d) if direction == "sub" else (test.d, test.c)
-        cands = _test_candidates(candidate_universe, source, target, known_map)
-        dist = _distances(state, cands, source, direction, adjust_radius)
-        ranks.append(rank_from_scores(dist, cands, target, ascending=True))
+    ranks = _rank_by_source(
+        tests, candidate_universe, direction, filter_known,
+        lambda ids: _ball_rows(state, ids, direction, adjust_radius),
+        ascending=True,
+    )
     return _aggregate(
         ranks, len(candidate_universe), direction, filter_known is not None
     )
@@ -198,25 +243,18 @@ def baseline_evaluate(
     sub_relation: Optional[int] = None,
 ) -> RankReport:
     """As evaluate, but candidates are ordered by descending subclass score."""
-    if len(tests) == 0:
-        raise ValueError("cannot evaluate an empty test list")
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
     sub_rel = (
         sub_relation
         if sub_relation is not None
         else state.relation_embeddings.shape[0] - 1
     )
-    known_map = _known_map(filter_known, direction)
-    ranks = []
-    for test in tests:
-        target, source = (test.c, test.d) if direction == "sub" else (test.d, test.c)
-        cands = _test_candidates(candidate_universe, source, target, known_map)
-        if direction == "sub":
-            scores = baselines.scores_heads(state, cands, sub_rel, source)
-        else:
-            scores = baselines.scores_tails(state, source, sub_rel, cands)
-        ranks.append(rank_from_scores(scores, cands, target, ascending=False))
+    ranks = _rank_by_source(
+        tests, candidate_universe, direction, filter_known,
+        lambda ids: baselines.candidate_scores(
+            state, sub_rel, ids, as_head=direction == "sub"
+        ),
+        ascending=False,
+    )
     return _aggregate(
         ranks, len(candidate_universe), direction, filter_known is not None
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model as gm
 from . import ranking
-from .model import EmbeddingState, GradientAccumulator, Variant
+from .model import EmbeddingState, GradientAccumulator, NumericalError, Variant
 from .normalize import (
     NF1,
     NF2,
@@ -28,10 +28,6 @@ from .normalize import (
     NormalAxiom,
     NormalizedOntology,
 )
-
-
-class NumericalError(Exception):
-    """Training produced a non-finite loss or parameter."""
 
 
 CONFIG_KEYS = (

@@ -8,6 +8,7 @@ from geodl.baselines import (
     Triple,
     _scores_batch,
     baseline_relation_names,
+    candidate_scores,
     extract_triples,
     initialize_baseline,
     load_baseline,
@@ -16,8 +17,6 @@ from geodl.baselines import (
     score_distmult,
     score_transe,
     score_transh,
-    scores_heads,
-    scores_tails,
     train_baseline,
 )
 from geodl.normalize import normalize
@@ -163,11 +162,11 @@ def test_scores_match_independent_oracle(model, rng):
 def test_vectorized_scoring_matches_scalar(model, rng):
     state = make_baseline(rng, model, n_ent=8)
     heads = np.arange(8)
-    got = scores_heads(state, heads, 1, 3)
+    got = candidate_scores(state, 1, heads, as_head=True)(3)
     for i, h in enumerate(heads):
         assert got[i] == pytest.approx(score(int(h), 1, 3, state), rel=1e-12)
     tails = np.arange(8)
-    got = scores_tails(state, 2, 1, tails)
+    got = candidate_scores(state, 1, tails, as_head=False)(2)
     for i, t in enumerate(tails):
         assert got[i] == pytest.approx(score(2, 1, int(t), state), rel=1e-12)
     got = _scores_batch(state, np.array([0, 1]), np.array([1, 2]),

@@ -228,3 +228,92 @@ def test_sibling_valid_file_enables_early_stopping(tmp_path, fixture_file):
     log = open(model + ".log.tsv").read().splitlines()
     hits_cells = [line.split("\t")[-1] for line in log[1:]]
     assert any(cell != "nan" for cell in hits_cells)
+
+
+# --- model readers and eval exit codes --------------------------------------
+
+ZOO = ["Cat", "Mammal", "Dog", "Animal"]
+
+
+def write_eval_inputs(tmp_path, kind, scale=1.0):
+    """A hand-made 4-class model of *kind* ("ball" or a baseline name) and a
+    one-pair test file; returns (model lines, test path)."""
+    from geodl import baselines
+    from geodl.model import EmbeddingState, Variant, save_model
+
+    path = tmp_path / "m.tsv"
+    points = scale * np.arange(8.0).reshape(4, 2)
+    if kind == "ball":
+        state = EmbeddingState(points, np.full(4, 0.1), np.ones((1, 2)),
+                               np.zeros(1))
+        save_model(path, state, ZOO, ["eats"], Variant.EMEL, 0.1)
+    else:
+        normals = np.array([[1.0, 0.0]] * 2) if kind == "transh" else None
+        state = baselines.BaselineState(kind, points, np.ones((2, 2)), normals)
+        baselines.save_baseline(path, state, ZOO,
+                                ["eats", baselines.SUBCLASS_RELATION])
+    test = tmp_path / "t.el"
+    test.write_text("subClassOf(Cat,Mammal)\n")
+    return path.read_text().splitlines(), str(test)
+
+
+def eval_edited(tmp_path, kind, edit):
+    lines, test = write_eval_inputs(tmp_path, kind)
+    lines = edit(lines)
+    model = tmp_path / "m.tsv"
+    model.write_text("\n".join(lines) + "\n")
+    return run(["eval", str(model), test, str(tmp_path / "r.tsv")])
+
+
+def test_eval_hand_made_models_exit_0(tmp_path):
+    for kind in ("ball", "transe", "transh", "distmult"):
+        assert eval_edited(tmp_path, kind, lambda lines: lines) == 0
+
+
+MALFORMED = {
+    # name: (model kind, edit of the model file's lines, 1-based bad line)
+    "ball_header_without_variant": (
+        "ball", lambda l: ["#geodl v1 dim=2 margin=0.1"] + l[1:], 1),
+    "ball_unknown_header_field": (
+        "ball", lambda l: [l[0] + " seed=3"] + l[1:], 1),
+    "ball_malformed_header_field": (
+        "ball", lambda l: [l[0] + " dim"] + l[1:], 1),
+    "ball_dim_zero": (
+        "ball", lambda l: ["#geodl v1 dim=0 variant=EmEl margin=0.1"], 1),
+    "ball_duplicate_class": ("ball", lambda l: l[:2] + l[1:], 3),
+    "ball_duplicate_relation": ("ball", lambda l: l + l[-1:], 7),
+    "ball_nan_parameter": (
+        "ball", lambda l: l[:2] + [l[2].rsplit("\t", 1)[0] + "\tnan"] + l[3:], 3),
+    "baseline_without_model": (
+        "transe", lambda l: ["#geodl-baseline v1 dim=2"] + l[1:], 1),
+    "baseline_without_dim": (
+        "transe", lambda l: ["#geodl-baseline v1 model=transe"] + l[1:], 1),
+    "baseline_unknown_model": (
+        "transe", lambda l: ["#geodl-baseline v1 model=rotate dim=2"] + l[1:], 1),
+    "baseline_duplicate_entity": ("distmult", lambda l: l[:3] + l[2:], 4),
+    "baseline_inf_parameter": (
+        "transe", lambda l: l[:1] + [l[1].rsplit("\t", 1)[0] + "\tinf"] + l[2:], 2),
+    "transh_missing_w_row": ("transh", lambda l: l[:-1], 7),
+    "transe_with_w_row": (
+        "transe", lambda l: l + ["W\teats\t1\t0"], 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_eval_malformed_model_exits_1_with_line(tmp_path, capsys, case):
+    kind, edit, line = MALFORMED[case]
+    assert eval_edited(tmp_path, kind, edit) == 1
+    err = capsys.readouterr().err
+    assert f"m.tsv:{line}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["ball", "transe", "transh", "distmult"])
+def test_eval_non_finite_scores_exit_2(tmp_path, capsys, kind):
+    # finite parameters whose squared distances overflow: a NaN or infinite
+    # score used to rank its test 1 and report Hits@1 = 1.0
+    lines, test = write_eval_inputs(tmp_path, kind, scale=1e300)
+    assert run(["eval", str(tmp_path / "m.tsv"), test,
+                str(tmp_path / "r.tsv")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.tsv").exists()

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_state
+from geodl import baselines
 from geodl.baselines import SUBCLASS_RELATION, BaselineState
-from geodl.model import EmbeddingState
+from geodl.model import EmbeddingState, NumericalError
 from geodl.normalize import NF1
 from geodl.ranking import (
+    DIRECTIONS,
     baseline_evaluate,
     eligible_candidates,
     evaluate,
@@ -254,7 +258,7 @@ def test_baseline_random_embedding_median_near_half():
 
 
 def test_baseline_brute_force_equivalence(rng):
-    from geodl.baselines import scores_heads
+    from geodl.baselines import candidate_scores
 
     for _ in range(100):
         n = int(rng.integers(2, 25))
@@ -266,7 +270,7 @@ def test_baseline_brute_force_equivalence(rng):
         got = baseline_evaluate(
             [NF1(target, n)], state, cands, sub_relation=0
         ).ranks[0]
-        scores = scores_heads(state, cands, 0, n)
+        scores = candidate_scores(state, 0, cands, as_head=True)(n)
         assert got == brute_force_rank(scores, cands, target, ascending=False)
 
 
@@ -288,3 +292,164 @@ def test_write_report_seven_rows_and_sidecar(tmp_path):
                      "p90_rank", "candidate_count", "test_count"]
     ranks = (tmp_path / "report.tsv.ranks").read_text().splitlines()
     assert ranks == ["1", "5", "200"]
+
+
+# --- the shared ranking core ------------------------------------------------
+
+GRID = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def ranking_cases(draw):
+    """Few classes on a coarse grid, so equal scores are common: duplicated
+    points and points at equal distance from a source.  Grid values keep
+    every score exact, so the scalar and vectorized paths agree bit for bit."""
+    n = draw(st.integers(2, 10))
+    dim = draw(st.integers(1, 3))
+    points = draw(arrays(float, (n, dim), elements=GRID))
+    ids = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    universe = draw(st.permutations(ids))
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        target = draw(st.sampled_from(ids))
+        source = draw(st.integers(0, n - 1).filter(lambda s: s != target))
+        pairs.append((target, source))
+    known = None
+    if draw(st.booleans()):
+        ints = st.integers(0, n - 1)
+        known = draw(st.lists(st.tuples(ints, ints), max_size=12))
+        known += [p for p in pairs if draw(st.booleans())]  # targets themselves
+        known += [(s, s) for _, s in pairs if draw(st.booleans())]  # sources
+    return points, np.array(universe), pairs, known, draw(st.sampled_from(DIRECTIONS))
+
+
+def as_axioms(pairs, direction):
+    """(target, source) pairs as test axioms of the given direction."""
+    if direction == "sub":
+        return [NF1(t, s) for t, s in pairs]
+    return [NF1(s, t) for t, s in pairs]
+
+
+def brute_force_ranks(pairs, universe, known, score_of, ascending):
+    """Build each test's candidate list explicitly and rank within it."""
+    ranks = []
+    for target, source in pairs:
+        dropped = {source} | {t for t, s in known or () if s == source} - {target}
+        cands = np.array([c for c in universe if c not in dropped])
+        scores = np.array([score_of(source, c) for c in cands])
+        ranks.append(rank_from_scores(scores, cands, target, ascending))
+    return ranks
+
+
+@given(ranking_cases(), arrays(float, 10, elements=GRID), st.booleans())
+def test_core_matches_brute_force_ball(case, radii, adjust_radius):
+    points, universe, pairs, known, direction = case
+    n = len(points)
+    state = point_state(points, radii[:n])
+
+    def score_of(source, cand):
+        dist = float(np.linalg.norm(points[cand] - points[source]))
+        if adjust_radius:
+            slack = abs(radii[cand]) - abs(radii[source])
+            dist = dist + (slack if direction == "sub" else -slack)
+        return dist
+
+    report = evaluate(
+        as_axioms(pairs, direction), state, universe, direction=direction,
+        adjust_radius=adjust_radius,
+        filter_known=None if known is None else as_axioms(known, direction),
+    )
+    assert report.ranks == brute_force_ranks(
+        pairs, universe, known, score_of, ascending=True)
+
+
+@given(ranking_cases(), st.sampled_from(baselines.MODELS),
+       arrays(float, (1, 3), elements=GRID), st.integers(0, 2),
+       st.sampled_from([-1.0, 1.0]))
+def test_core_matches_brute_force_baselines(case, model, rel, axis, sign):
+    points, universe, pairs, known, direction = case
+    dim = points.shape[1]
+    normals = None
+    if model == "transh":  # an axis-aligned unit normal keeps projections exact
+        normals = np.zeros((1, dim))
+        normals[0, axis % dim] = sign
+    state = baselines.BaselineState(model, points, rel[:, :dim], normals)
+
+    def score_of(source, cand):
+        if direction == "sub":
+            return baselines.score(int(cand), 0, source, state)
+        return baselines.score(source, 0, int(cand), state)
+
+    report = baseline_evaluate(
+        as_axioms(pairs, direction), state, universe, direction=direction,
+        filter_known=None if known is None else as_axioms(known, direction),
+        sub_relation=0,
+    )
+    assert report.ranks == brute_force_ranks(
+        pairs, universe, known, score_of, ascending=False)
+
+
+def test_core_rejects_target_outside_candidates():
+    state = point_state([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="not among the candidates"):
+        evaluate([NF1(2, 0)], state, np.array([0, 1]))
+    with pytest.raises(ValueError, match="not among the candidates"):
+        evaluate([NF1(1, 1)], state, np.array([0, 1, 2]))
+
+
+def test_evaluate_non_finite_score_raises():
+    # a NaN center used to rank its test 1 because nothing compares below NaN
+    state = point_state([[0.0, 0.0], [np.nan, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(NumericalError):
+        evaluate([NF1(1, 0)], state, np.array([1, 2, 3]))
+    huge = point_state([[0.0, 0.0], [1e300, 0.0], [2.0, 0.0]])  # overflows
+    with pytest.raises(NumericalError):
+        evaluate([NF1(2, 0)], huge, np.array([1, 2]))
+
+
+@pytest.mark.parametrize("model", baselines.MODELS)
+def test_baseline_evaluate_non_finite_score_raises(model):
+    ents = np.array([[0.0, 1.0], [np.nan, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    normals = np.array([[1.0, 0.0]]) if model == "transh" else None
+    state = baselines.BaselineState(model, ents, np.ones((1, 2)), normals)
+    for direction in DIRECTIONS:
+        with pytest.raises(NumericalError):
+            baseline_evaluate([NF1(2, 0)], state, np.arange(4),
+                              direction=direction, sub_relation=0)
+
+
+# --- ranking time, shown in the benchmark table of every test run --------------
+
+
+def _bench_case(n_classes=2000, dim=50, n_tests=494, n_sources=260):
+    """A seeded random 2000-class state with tests sharing sources the way
+    held-out subclass pairs do, and a known set for filtered ranking."""
+    rng = np.random.default_rng(0)
+    sources = rng.choice(n_classes, size=n_sources, replace=False)
+    tests = []
+    for _ in range(n_tests):
+        d = int(rng.choice(sources))
+        c = int(rng.integers(0, n_classes - 1))
+        tests.append(NF1(c + (c >= d), d))
+    known = [NF1(int(c), int(d)) for c, d in rng.integers(0, n_classes, (5000, 2))]
+    return rng, tests, known, np.arange(n_classes)
+
+
+def test_bench_evaluate_2k(benchmark):
+    rng, tests, known, universe = _bench_case()
+    state = make_state(rng, num_classes=len(universe), num_relations=1, dim=50)
+    report = benchmark.pedantic(
+        evaluate, args=(tests, state, universe),
+        kwargs={"filter_known": known}, rounds=3, iterations=1,
+    )
+    assert len(report.ranks) == len(tests)
+
+
+def test_bench_baseline_evaluate_2k(benchmark):
+    rng, tests, known, universe = _bench_case()
+    state = baselines.initialize_baseline("transh", len(universe), 2, 50, rng)
+    report = benchmark.pedantic(
+        baseline_evaluate, args=(tests, state, universe),
+        kwargs={"filter_known": known}, rounds=3, iterations=1,
+    )
+    assert len(report.ranks) == len(tests)
