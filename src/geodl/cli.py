@@ -1,9 +1,9 @@
 """Command-line pipeline: normalize, split, train, eval, stats.
 
 Exit codes: 0 success, 1 input/validation error, 2 numerical failure.
-All randomness flows from ``--seed`` (default 42); single-threaded runs of
-any subcommand are replayable bit for bit.  No subcommand writes over its
-inputs.
+All randomness flows from ``--seed`` (default 42); two runs of any
+subcommand with the same inputs write byte-identical outputs.  No subcommand
+writes over its inputs.
 """
 
 from __future__ import annotations
@@ -141,8 +141,6 @@ def _build_config(args) -> TrainConfig:
         cfg.variant = gm.parse_variant(args.variant)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     cfg.validate()
     return cfg
 
@@ -208,9 +206,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_tests(path: str, name_to_id: dict) -> list:
+def _load_tests(path: str, name_to_id: dict, candidates, direction: str) -> list:
     axioms, _ = parse_ontology(_read_lines(path))
     test_onto = normalize(axioms)
+    eligible = set(candidates.tolist())
     tests = []
     for ax in test_onto.axioms:
         if not isinstance(ax, NF1):
@@ -222,6 +221,14 @@ def _load_tests(path: str, name_to_id: dict) -> list:
                 raise _CliError(
                     f"test class {name!r} has no embedding in the model"
                 )
+        held_out = name_c if direction == "sub" else name_d
+        if name_c == name_d or name_to_id[held_out] not in eligible:
+            why = ("a class is never ranked against itself" if name_c == name_d
+                   else f"held-out class {held_out!r} is a normalization "
+                        f"helper or a nominal, never a candidate")
+            raise _CliError(
+                f"test pair subClassOf({name_c},{name_d}) cannot be ranked: {why}"
+            )
         tests.append(NF1(name_to_id[name_c], name_to_id[name_d]))
     if not tests:
         raise _CliError(f"no subclass test axioms found in {path}")
@@ -254,10 +261,22 @@ def cmd_eval(args) -> int:
         header = fh.readline()
     if header.startswith(baselines.BASELINE_HEADER_PREFIX):
         saved = baselines.load_baseline(args.model_in)
-        name_to_id = {name: i for i, name in enumerate(saved.entity_names)}
-        tests = _load_tests(args.test_file, name_to_id)
-        known = _load_known(args.filtered, name_to_id) if args.filtered else None
-        candidates = ranking.eligible_candidates(saved.entity_names)
+        names = saved.entity_names
+    elif header.startswith(gm.MODEL_HEADER_PREFIX):
+        saved = gm.load_model(args.model_in)
+        names = saved.class_names
+    else:
+        raise _CliError(f"{args.model_in}: not a geodl model or baseline file")
+    name_to_id = {name: i for i, name in enumerate(names)}
+    candidates = ranking.eligible_candidates(names)
+    tests = _load_tests(args.test_file, name_to_id, candidates, direction)
+    known = _load_known(args.filtered, name_to_id) if args.filtered else None
+    if isinstance(saved, gm.SavedModel):
+        report = ranking.evaluate(
+            tests, saved.state, candidates, direction=direction,
+            adjust_radius=args.radius_adjusted, filter_known=known,
+        )
+    else:
         try:
             sub_rel = saved.relation_names.index(baselines.SUBCLASS_RELATION)
         except ValueError:
@@ -268,18 +287,6 @@ def cmd_eval(args) -> int:
             tests, saved.state, candidates, direction=direction,
             filter_known=known, sub_relation=sub_rel,
         )
-    elif header.startswith(gm.MODEL_HEADER_PREFIX):
-        saved = gm.load_model(args.model_in)
-        name_to_id = {name: i for i, name in enumerate(saved.class_names)}
-        tests = _load_tests(args.test_file, name_to_id)
-        known = _load_known(args.filtered, name_to_id) if args.filtered else None
-        candidates = ranking.eligible_candidates(saved.class_names)
-        report = ranking.evaluate(
-            tests, saved.state, candidates, direction=direction,
-            adjust_radius=args.radius_adjusted, filter_known=known,
-        )
-    else:
-        raise _CliError(f"{args.model_in}: not a geodl model or baseline file")
     ranking.write_report(args.report_out, report)
     print(f"wrote {args.report_out} ({len(report.ranks)} tests, "
           f"{report.candidate_count} candidates)")
@@ -313,7 +320,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--variant", default=None, help="emel or emel-var")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--model", default=None,
                    help="train a baseline instead: transe, transh or distmult")
     p.set_defaults(func=cmd_train)

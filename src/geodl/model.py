@@ -9,7 +9,8 @@ value is the absolute value, which keeps them non-negative without projection.
 Loss terms are hinges on ball containment/overlap plus a soft unit-sphere
 penalty P(x) = | ||center(x)|| - 1 | on every class mentioned.  Components are
 summed in a fixed order (hinges, then penalties in argument order, then the
-slack regularizer) so results are bit-reproducible.
+slack regularizer) so results are bit-reproducible.  ``term_batch`` runs the
+kernel of a shape key; ``loss`` and ``gradients`` are built on it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+from .normalize import (
+    NF1, NF2, NF3, NF4, BottomSub, Disjoint, NormalAxiom, class_ids, shape_of,
+)
 
 CLASS_CENTER = "class_center"
 CLASS_RADIUS = "class_radius"
@@ -127,12 +132,6 @@ class GradientAccumulator:
             np.zeros_like(state.relation_vectors),
             np.zeros_like(state.relation_sigmas_raw),
         )
-
-    def add(self, other: "GradientAccumulator") -> None:
-        self.class_centers += other.class_centers
-        self.class_radii_raw += other.class_radii_raw
-        self.relation_vectors += other.relation_vectors
-        self.relation_sigmas_raw += other.relation_sigmas_raw
 
     def scale(self, factor: float) -> None:
         self.class_centers *= factor
@@ -445,83 +444,106 @@ def _collect_grads(
     return grads
 
 
-def _single(batch_fn, state, rows, relation_rows=()):
+# Arguments each kernel takes after its id columns, besides ``acc``.
+_KERNEL_ARGS = {
+    "nf1": ("gamma",),
+    "nf2": ("gamma",),
+    "nf3": ("gamma", "variant", "sigma_reg"),
+    "nf4": ("gamma", "variant", "sigma_reg"),
+    "disjoint": ("gamma",),
+    "bottom": (),
+    "nf3_negative": ("gamma", "variant"),
+}
+
+
+def term_batch(
+    key: str,
+    state: EmbeddingState,
+    columns,
+    gamma: float,
+    variant: Variant,
+    acc: Optional[GradientAccumulator] = None,
+    sigma_reg: float = 1.0,
+):
+    """Run the kernel ``<key>_batch`` over id *columns* given in its argument
+    order, passing it the arguments it takes; returns ``(values, hinges)``.
+
+    The kernel is looked up on the module at each call, so a wrapper set on
+    the module attribute sees every call.
+    """
+    given = {"gamma": gamma, "variant": variant, "sigma_reg": sigma_reg}
+    kernel = globals()[f"{key}_batch"]
+    return kernel(state, *columns, acc=acc,
+                  **{name: given[name] for name in _KERNEL_ARGS[key]})
+
+
+def _term(ax: NormalAxiom, sign: int):
+    """Kernel key and one-row id columns of a (normal axiom, sign) term.
+
+    Sign +1 is a positive term; sign -1 marks a corrupted role axiom and is
+    valid only for the C <= some R. D shape.
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    if sign == -1 and not isinstance(ax, NF3):
+        raise ValueError("negative terms exist only for the C <= some R. D shape")
+    shape = shape_of(ax)
+    key = shape.key if sign == 1 else "nf3_negative"
+    return key, [np.array([getattr(ax, f)]) for f in shape.fields]
+
+
+def loss(
+    ax: NormalAxiom,
+    state: EmbeddingState,
+    gamma: float,
+    variant: Variant = Variant.EMEL,
+    sigma_reg: float = 1.0,
+    sign: int = 1,
+) -> LossTerm:
+    """The loss term of one normal axiom, signed as in ``gradients``."""
+    key, columns = _term(ax, sign)
     acc = GradientAccumulator.zeros_like(state)
-    values, hinges = batch_fn(acc)
-    grads = _collect_grads(acc, rows, relation_rows)
+    values, hinges = term_batch(key, state, columns, gamma, variant, acc,
+                                sigma_reg)
+    relation_ids = [getattr(ax, f) for f in shape_of(ax).relations]
+    grads = _collect_grads(acc, class_ids(ax), relation_ids)
     return LossTerm(float(values[0]), float(hinges[0]), grads)
 
 
 def loss_nf1(state: EmbeddingState, c: int, d: int, gamma: float) -> LossTerm:
-    arr = lambda x: np.array([x])
-    return _single(
-        lambda acc: nf1_batch(state, arr(c), arr(d), gamma, acc), state, (c, d)
-    )
+    return loss(NF1(c, d), state, gamma)
 
 
 def loss_nf2(state: EmbeddingState, c: int, d: int, e: int, gamma: float) -> LossTerm:
-    arr = lambda x: np.array([x])
-    return _single(
-        lambda acc: nf2_batch(state, arr(c), arr(d), arr(e), gamma, acc),
-        state,
-        (c, d, e),
-    )
+    return loss(NF2(c, d, e), state, gamma)
 
 
 def loss_nf3(
     state: EmbeddingState, c: int, r: int, d: int, gamma: float,
     variant: Variant, sigma_reg: float = 1.0,
 ) -> LossTerm:
-    arr = lambda x: np.array([x])
-    return _single(
-        lambda acc: nf3_batch(
-            state, arr(c), arr(r), arr(d), gamma, variant, acc, sigma_reg
-        ),
-        state,
-        (c, d),
-        (r,),
-    )
+    return loss(NF3(c, r, d), state, gamma, variant, sigma_reg)
 
 
 def loss_nf4(
     state: EmbeddingState, c: int, r: int, d: int, gamma: float,
     variant: Variant, sigma_reg: float = 1.0,
 ) -> LossTerm:
-    arr = lambda x: np.array([x])
-    return _single(
-        lambda acc: nf4_batch(
-            state, arr(r), arr(c), arr(d), gamma, variant, acc, sigma_reg
-        ),
-        state,
-        (c, d),
-        (r,),
-    )
+    return loss(NF4(r, c, d), state, gamma, variant, sigma_reg)
 
 
 def loss_disjoint(state: EmbeddingState, c: int, d: int, gamma: float) -> LossTerm:
-    arr = lambda x: np.array([x])
-    return _single(
-        lambda acc: disjoint_batch(state, arr(c), arr(d), gamma, acc), state, (c, d)
-    )
+    return loss(Disjoint(c, d), state, gamma)
 
 
 def loss_bottom(state: EmbeddingState, c: int) -> LossTerm:
-    arr = lambda x: np.array([x])
-    return _single(lambda acc: bottom_batch(state, arr(c), acc), state, (c,))
+    return loss(BottomSub(c), state, 0.0)  # the bottom term has no margin
 
 
 def loss_nf3_negative(
     state: EmbeddingState, c: int, r: int, d_neg: int, gamma: float, variant: Variant
 ) -> LossTerm:
-    arr = lambda x: np.array([x])
-    return _single(
-        lambda acc: nf3_negative_batch(
-            state, arr(c), arr(r), arr(d_neg), gamma, variant, acc
-        ),
-        state,
-        (c, d_neg),
-        (r,),
-    )
+    return loss(NF3(c, r, d_neg), state, gamma, variant, sign=-1)
 
 
 def gradients(
@@ -534,39 +556,12 @@ def gradients(
     """Summed analytic gradients for a batch of (normal axiom, sign) pairs.
 
     Sign +1 is a positive term; sign -1 marks a corrupted role axiom and is
-    valid only for the C <= some R. D shape.  Import stays local to avoid a
-    module cycle with the axiom types.
+    valid only for the C <= some R. D shape.
     """
-    from .normalize import NF1, NF2, NF3, NF4, BottomSub, Disjoint
-
     acc = GradientAccumulator.zeros_like(state)
-    one = lambda x: np.array([x])
     for ax, sign in batch:
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-        if sign == -1:
-            if not isinstance(ax, NF3):
-                raise ValueError("negative terms exist only for the "
-                                 "C <= some R. D shape")
-            nf3_negative_batch(
-                state, one(ax.c), one(ax.r), one(ax.d), gamma, variant, acc
-            )
-        elif isinstance(ax, NF1):
-            nf1_batch(state, one(ax.c), one(ax.d), gamma, acc)
-        elif isinstance(ax, NF2):
-            nf2_batch(state, one(ax.c), one(ax.d), one(ax.e), gamma, acc)
-        elif isinstance(ax, NF3):
-            nf3_batch(state, one(ax.c), one(ax.r), one(ax.d), gamma, variant,
-                      acc, sigma_reg)
-        elif isinstance(ax, NF4):
-            nf4_batch(state, one(ax.r), one(ax.c), one(ax.d), gamma, variant,
-                      acc, sigma_reg)
-        elif isinstance(ax, Disjoint):
-            disjoint_batch(state, one(ax.c), one(ax.d), gamma, acc)
-        elif isinstance(ax, BottomSub):
-            bottom_batch(state, one(ax.c), acc)
-        else:
-            raise TypeError(f"not a normal axiom: {ax!r}")
+        key, columns = _term(ax, sign)
+        term_batch(key, state, columns, gamma, variant, acc, sigma_reg)
     return acc
 
 

@@ -15,12 +15,15 @@ classes (``__nf_<k>``) for complex sub-expressions:
 round-tripping through the axiom format keeps the flag).  Identical complex
 sub-expressions share one fresh class, memoized by canonical text.
 Tautologies with an empty left-hand side are dropped.
+
+``SHAPES`` is the one table of the six shapes; every per-shape rule in the
+package (printing, checking, training buckets, kernel dispatch) reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .parser import (
     Atomic,
@@ -78,6 +81,39 @@ class BottomSub:
 
 
 NormalAxiom = Union[NF1, NF2, NF3, NF4, Disjoint, BottomSub]
+
+
+class Shape(NamedTuple):
+    """What every per-shape rule needs to know about one normal form."""
+
+    key: str  # names the training bucket and the kernel model.<key>_batch
+    fields: tuple  # id fields, in the kernel's argument order
+    relations: tuple  # the fields among them that hold relation ids
+    template: str  # text form in the axiom grammar, over the fields' names
+
+
+# The six shapes, in the order training accumulates their terms.
+SHAPES = {
+    NF1: Shape("nf1", ("c", "d"), (), "subClassOf({c},{d})"),
+    NF2: Shape("nf2", ("c", "d", "e"), (), "subClassOf(and({c},{d}),{e})"),
+    NF3: Shape("nf3", ("c", "r", "d"), ("r",), "subClassOf({c},some({r},{d}))"),
+    NF4: Shape("nf4", ("r", "c", "d"), ("r",), "subClassOf(some({r},{c}),{d})"),
+    Disjoint: Shape("disjoint", ("c", "d"), (), "disjointWith({c},{d})"),
+    BottomSub: Shape("bottom", ("c",), (), "subClassOf({c},bottom)"),
+}
+
+
+def shape_of(ax: NormalAxiom) -> Shape:
+    shape = SHAPES.get(type(ax))
+    if shape is None:
+        raise TypeError(f"not a normal axiom: {ax!r}")
+    return shape
+
+
+def class_ids(ax: NormalAxiom) -> tuple:
+    """The class ids an axiom mentions, in field order."""
+    shape = shape_of(ax)
+    return tuple(getattr(ax, f) for f in shape.fields if f not in shape.relations)
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,39 +328,21 @@ def verify_normal(onto: NormalizedOntology) -> bool:
     nc = len(onto.classes)
     nr = len(onto.relations)
     for ax in onto.axioms:
-        if isinstance(ax, NF1):
-            ok = _valid_id(ax.c, nc) and _valid_id(ax.d, nc)
-        elif isinstance(ax, NF2):
-            ok = _valid_id(ax.c, nc) and _valid_id(ax.d, nc) and _valid_id(ax.e, nc)
-        elif isinstance(ax, NF3):
-            ok = _valid_id(ax.c, nc) and _valid_id(ax.r, nr) and _valid_id(ax.d, nc)
-        elif isinstance(ax, NF4):
-            ok = _valid_id(ax.r, nr) and _valid_id(ax.c, nc) and _valid_id(ax.d, nc)
-        elif isinstance(ax, Disjoint):
-            ok = _valid_id(ax.c, nc) and _valid_id(ax.d, nc)
-        elif isinstance(ax, BottomSub):
-            ok = _valid_id(ax.c, nc)
-        else:
-            ok = False
-        if not ok:
+        shape = SHAPES.get(type(ax))
+        if shape is None:
             return False
+        for f in shape.fields:
+            if not _valid_id(getattr(ax, f), nr if f in shape.relations else nc):
+                return False
     return True
 
 
 def normal_axiom_to_text(ax: NormalAxiom, onto: NormalizedOntology) -> str:
     """Print a normal axiom back into the line-based grammar."""
-    cn = onto.class_name
-    rn = onto.relation_name
-    if isinstance(ax, NF1):
-        return f"subClassOf({cn(ax.c)},{cn(ax.d)})"
-    if isinstance(ax, NF2):
-        return f"subClassOf(and({cn(ax.c)},{cn(ax.d)}),{cn(ax.e)})"
-    if isinstance(ax, NF3):
-        return f"subClassOf({cn(ax.c)},some({rn(ax.r)},{cn(ax.d)}))"
-    if isinstance(ax, NF4):
-        return f"subClassOf(some({rn(ax.r)},{cn(ax.c)}),{cn(ax.d)})"
-    if isinstance(ax, Disjoint):
-        return f"disjointWith({cn(ax.c)},{cn(ax.d)})"
-    if isinstance(ax, BottomSub):
-        return f"subClassOf({cn(ax.c)},bottom)"
-    raise TypeError(f"not a normal axiom: {ax!r}")
+    shape = shape_of(ax)
+    names = {
+        f: (onto.relation_name if f in shape.relations else onto.class_name)(
+            getattr(ax, f))
+        for f in shape.fields
+    }
+    return shape.template.format(**names)

@@ -1,15 +1,14 @@
 """Dataset splitting, mini-batch optimization, checkpointing, early stopping.
 
-All randomness flows from the config seed through one generator, so a
-single-threaded run is bit-reproducible.  With ``threads > 1`` the per-batch
-gradient is computed over contiguous chunks in a thread pool and merged in
-chunk order; only single-threaded runs are the reproducibility reference.
+All randomness flows from the config seed through one generator, and every
+batch accumulates its terms in one fixed order (the shapes in
+``normalize.SHAPES`` order, then the negatives, then the nominal term), so a
+run is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,29 +19,38 @@ from . import ranking
 from .model import EmbeddingState, GradientAccumulator, NumericalError, Variant
 from .normalize import (
     NF1,
-    NF2,
     NF3,
-    NF4,
-    BottomSub,
-    Disjoint,
+    SHAPES,
     NormalAxiom,
     NormalizedOntology,
+    class_ids,
+    shape_of,
 )
 
 
-CONFIG_KEYS = (
-    "dim",
-    "margin",
-    "variant",
-    "lr",
-    "optimizer",
-    "epochs",
-    "batch_size",
-    "negatives",
-    "seed",
-    "threads",
-    "patience",
-)
+def _parse_switch(value: str) -> bool:
+    lowered = value.lower()
+    if lowered in ("on", "true", "1", "yes"):
+        return True
+    if lowered in ("off", "false", "0", "no"):
+        return False
+    raise ValueError(f"negatives must be on or off, got {value!r}")
+
+
+# Config-file keys, each with the parser of its value.
+_CONFIG_PARSERS = {
+    "dim": int,
+    "margin": float,
+    "variant": gm.parse_variant,
+    "lr": float,
+    "optimizer": str.lower,
+    "epochs": int,
+    "batch_size": int,
+    "negatives": _parse_switch,
+    "seed": int,
+    "patience": int,
+}
+CONFIG_KEYS = tuple(_CONFIG_PARSERS)
 
 VALIDATION_INTERVAL = 25  # epochs between validation rankings
 
@@ -58,7 +66,6 @@ class TrainConfig:
     batch_size: int = 512
     negatives: bool = True
     seed: int = 42
-    threads: int = 1
     patience: int = 10
     # weight on the per-term slack regularizer; not a config-file key.
     # At 1.0 (the formulas as written) slack cannot grow, so experiments
@@ -68,22 +75,20 @@ class TrainConfig:
     def validate(self) -> None:
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError("lr must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be sgd or adam")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-        if self.margin < 0.0:
-            raise ValueError("margin must be non-negative")
-        if self.sigma_reg < 0.0:
-            raise ValueError("sigma_reg must be non-negative")
+        if not (math.isfinite(self.margin) and self.margin >= 0.0):
+            raise ValueError("margin must be non-negative and finite")
+        if not (math.isfinite(self.sigma_reg) and self.sigma_reg >= 0.0):
+            raise ValueError("sigma_reg must be non-negative and finite")
 
 
 def parse_config(text: str) -> TrainConfig:
@@ -99,34 +104,7 @@ def parse_config(text: str) -> TrainConfig:
         if key not in CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
-            if key == "dim":
-                cfg.dim = int(value)
-            elif key == "margin":
-                cfg.margin = float(value)
-            elif key == "variant":
-                cfg.variant = gm.parse_variant(value)
-            elif key == "lr":
-                cfg.lr = float(value)
-            elif key == "optimizer":
-                cfg.optimizer = value.lower()
-            elif key == "epochs":
-                cfg.epochs = int(value)
-            elif key == "batch_size":
-                cfg.batch_size = int(value)
-            elif key == "negatives":
-                lowered = value.lower()
-                if lowered in ("on", "true", "1", "yes"):
-                    cfg.negatives = True
-                elif lowered in ("off", "false", "0", "no"):
-                    cfg.negatives = False
-                else:
-                    raise ValueError(f"negatives must be on or off, got {value!r}")
-            elif key == "seed":
-                cfg.seed = int(value)
-            elif key == "threads":
-                cfg.threads = int(value)
-            elif key == "patience":
-                cfg.patience = int(value)
+            setattr(cfg, key, _CONFIG_PARSERS[key](value))
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
     cfg.validate()
@@ -145,7 +123,6 @@ def config_to_text(cfg: TrainConfig) -> str:
         f"batch_size={cfg.batch_size}",
         f"negatives={'on' if cfg.negatives else 'off'}",
         f"seed={cfg.seed}",
-        f"threads={cfg.threads}",
         f"patience={cfg.patience}",
     ]
     return "\n".join(lines) + "\n"
@@ -193,18 +170,6 @@ def _is_eligible_nf1(ax: NormalAxiom, onto: NormalizedOntology) -> bool:
     return True
 
 
-def _mentioned_classes(ax: NormalAxiom) -> tuple:
-    if isinstance(ax, NF1):
-        return (ax.c, ax.d)
-    if isinstance(ax, NF2):
-        return (ax.c, ax.d, ax.e)
-    if isinstance(ax, (NF3, NF4)):
-        return (ax.c, ax.d)
-    if isinstance(ax, Disjoint):
-        return (ax.c, ax.d)
-    return (ax.c,)
-
-
 def split(onto: NormalizedOntology, spec: SplitSpec) -> SplitResult:
     """Hold out subclass pairs for validation/testing, everything else trains.
 
@@ -231,7 +196,7 @@ def split(onto: NormalizedOntology, spec: SplitSpec) -> SplitResult:
 
     coverage: dict = {}
     for ax in rest + train_eligible:
-        for cid in _mentioned_classes(ax):
+        for cid in class_ids(ax):
             coverage[cid] = coverage.get(cid, 0) + 1
 
     def covered(ax: NF1) -> bool:
@@ -370,62 +335,33 @@ def write_log(path, rows: Sequence[LogRow]) -> None:
 class _AxiomArrays:
     """Training axioms regrouped as index arrays, one bucket per shape."""
 
-    nf1: np.ndarray  # [k, 2] columns c, d
-    nf2: np.ndarray  # [k, 3] columns c, d, e
-    nf3: np.ndarray  # [k, 3] columns c, r, d
-    nf4: np.ndarray  # [k, 3] columns r, c, d
-    disjoint: np.ndarray  # [k, 2]
-    bottom: np.ndarray  # [k]
-    offsets: dict
+    rows: dict  # shape key -> int array [k, len(fields)], columns in field order
+    offsets: dict  # shape key -> (lo, hi) in the global index, SHAPES order
 
     @staticmethod
     def build(axioms: Sequence[NormalAxiom]) -> "_AxiomArrays":
-        buckets: dict = {"nf1": [], "nf2": [], "nf3": [], "nf4": [],
-                         "disjoint": [], "bottom": []}
+        buckets: dict = {shape: [] for shape in SHAPES.values()}
         for ax in axioms:
-            if isinstance(ax, NF1):
-                buckets["nf1"].append((ax.c, ax.d))
-            elif isinstance(ax, NF2):
-                buckets["nf2"].append((ax.c, ax.d, ax.e))
-            elif isinstance(ax, NF3):
-                buckets["nf3"].append((ax.c, ax.r, ax.d))
-            elif isinstance(ax, NF4):
-                buckets["nf4"].append((ax.r, ax.c, ax.d))
-            elif isinstance(ax, Disjoint):
-                buckets["disjoint"].append((ax.c, ax.d))
-            elif isinstance(ax, BottomSub):
-                buckets["bottom"].append(ax.c)
-            else:
-                raise TypeError(f"not a normal axiom: {ax!r}")
-        widths = {"nf1": 2, "nf2": 3, "nf3": 3, "nf4": 3, "disjoint": 2,
-                  "bottom": 1}
-        as_array = {
-            key: np.array(rows, dtype=int).reshape(len(rows), widths[key])
-            for key, rows in buckets.items()
+            shape = shape_of(ax)
+            buckets[shape].append([getattr(ax, f) for f in shape.fields])
+        rows = {
+            shape.key: np.array(ids, dtype=int).reshape(len(ids), len(shape.fields))
+            for shape, ids in buckets.items()
         }
-        as_array["bottom"] = as_array["bottom"].reshape(-1)
         offsets = {}
         start = 0
-        for key in ("nf1", "nf2", "nf3", "nf4", "disjoint", "bottom"):
-            count = len(as_array[key])
-            offsets[key] = (start, start + count)
-            start += count
-        return _AxiomArrays(
-            nf1=as_array["nf1"],
-            nf2=as_array["nf2"],
-            nf3=as_array["nf3"],
-            nf4=as_array["nf4"],
-            disjoint=as_array["disjoint"],
-            bottom=as_array["bottom"],
-            offsets=offsets,
-        )
+        for key, block in rows.items():
+            offsets[key] = (start, start + len(block))
+            start += len(block)
+        return _AxiomArrays(rows, offsets)
 
     @property
     def total(self) -> int:
-        return self.offsets["bottom"][1]
+        return sum(len(block) for block in self.rows.values())
 
     def bucket_of(self, global_idx: np.ndarray):
-        """Map shuffled global indices to per-bucket local index arrays."""
+        """Map shuffled global indices to per-bucket local index arrays, in
+        SHAPES order."""
         out = {}
         for key, (lo, hi) in self.offsets.items():
             mask = (global_idx >= lo) & (global_idx < hi)
@@ -452,7 +388,7 @@ def _batch_gradient(
     acc: GradientAccumulator,
     sigma_reg: float = 1.0,
 ):
-    """Gradient and per-bucket loss sums/counts for one mini-batch slice."""
+    """Gradient and per-bucket loss sums/counts for one mini-batch."""
     sums: dict = {}
     counts: dict = {}
 
@@ -466,39 +402,14 @@ def _batch_gradient(
         sums[key] = float(values.sum())
         counts[key] = len(values)
 
-    if "nf1" in buckets:
-        rows = arrays.nf1[buckets["nf1"]]
-        values, _ = gm.nf1_batch(state, rows[:, 0], rows[:, 1], gamma, acc)
-        record("nf1", rows, values)
-    if "nf2" in buckets:
-        rows = arrays.nf2[buckets["nf2"]]
-        values, _ = gm.nf2_batch(
-            state, rows[:, 0], rows[:, 1], rows[:, 2], gamma, acc)
-        record("nf2", rows, values)
-    if "nf3" in buckets:
-        rows = arrays.nf3[buckets["nf3"]]
-        values, _ = gm.nf3_batch(
-            state, rows[:, 0], rows[:, 1], rows[:, 2], gamma, variant, acc,
-            sigma_reg)
-        record("nf3", rows, values)
-    if "nf4" in buckets:
-        rows = arrays.nf4[buckets["nf4"]]
-        values, _ = gm.nf4_batch(
-            state, rows[:, 0], rows[:, 1], rows[:, 2], gamma, variant, acc,
-            sigma_reg)
-        record("nf4", rows, values)
-    if "disjoint" in buckets:
-        rows = arrays.disjoint[buckets["disjoint"]]
-        values, _ = gm.disjoint_batch(state, rows[:, 0], rows[:, 1], gamma, acc)
-        record("disjoint", rows, values)
-    if "bottom" in buckets:
-        rows = arrays.bottom[buckets["bottom"]]
-        values, _ = gm.bottom_batch(state, rows, acc)
-        record("bottom", rows, values)
+    for key, local in buckets.items():
+        rows = arrays.rows[key][local]
+        values, _ = gm.term_batch(
+            key, state, rows.T, gamma, variant, acc, sigma_reg)
+        record(key, rows, values)
     if negatives is not None and len(negatives):
-        values, _ = gm.nf3_negative_batch(
-            state, negatives[:, 0], negatives[:, 1], negatives[:, 2],
-            gamma, variant, acc)
+        values, _ = gm.term_batch(
+            "nf3_negative", state, negatives.T, gamma, variant, acc)
         record("neg", negatives, values)
     return sums, counts
 
@@ -536,117 +447,84 @@ def train(
             [info.name for info in onto.classes]
         )
 
-    pool = None
-    if config.threads > 1:
-        pool = ThreadPoolExecutor(max_workers=config.threads)
-
     log: list[LogRow] = []
     best_state = state.copy()
     best_hits = -1.0
     evals_since_best = 0
     stopped_epoch = 0
     num_classes = len(onto.classes)
-    try:
-        for epoch in range(config.epochs):
-            order = rng.permutation(arrays.total)
-            epoch_sums: dict = {}
-            epoch_counts: dict = {}
-            n_batches = math.ceil(arrays.total / config.batch_size)
-            for b in range(n_batches):
-                batch_idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-                buckets = arrays.bucket_of(batch_idx)
-                negatives = None
-                if config.negatives and "nf3" in buckets and num_classes > 1:
-                    rows = arrays.nf3[buckets["nf3"]]
-                    # uniform over all classes except the true tail
-                    repl = rng.integers(0, num_classes - 1, size=len(rows))
-                    corrupted = repl + (repl >= rows[:, 2])
-                    negatives = np.column_stack(
-                        (rows[:, 0], rows[:, 1], corrupted)
-                    )
-                include_nominals = b == n_batches - 1 and len(nominal_ids) > 0
-                acc = GradientAccumulator.zeros_like(state)
-                term_count = len(batch_idx) + (
-                    len(negatives) if negatives is not None else 0
+    for epoch in range(config.epochs):
+        order = rng.permutation(arrays.total)
+        epoch_sums: dict = {}
+        epoch_counts: dict = {}
+        n_batches = math.ceil(arrays.total / config.batch_size)
+        for b in range(n_batches):
+            batch_idx = order[b * config.batch_size:(b + 1) * config.batch_size]
+            buckets = arrays.bucket_of(batch_idx)
+            negatives = None
+            if config.negatives and "nf3" in buckets and num_classes > 1:
+                rows = arrays.rows["nf3"][buckets["nf3"]]
+                # uniform over all classes except the true tail
+                repl = rng.integers(0, num_classes - 1, size=len(rows))
+                corrupted = repl + (repl >= rows[:, 2])
+                negatives = np.column_stack(
+                    (rows[:, 0], rows[:, 1], corrupted)
                 )
-                if pool is None or len(batch_idx) < 2 * config.threads:
-                    sums, counts = _batch_gradient(
-                        state, arrays, buckets, negatives,
-                        config.margin, config.variant, acc, config.sigma_reg,
-                    )
-                else:
-                    sums, counts = {}, {}
-                    chunks = np.array_split(batch_idx, config.threads)
-                    neg_chunks = (
-                        np.array_split(negatives, config.threads)
-                        if negatives is not None else [None] * config.threads
-                    )
-                    accs = [GradientAccumulator.zeros_like(state)
-                            for _ in chunks]
-                    futures = [
-                        pool.submit(
-                            _batch_gradient, state, arrays,
-                            arrays.bucket_of(chunk), neg,
-                            config.margin, config.variant, accs[i],
-                            config.sigma_reg,
-                        )
-                        for i, (chunk, neg) in enumerate(zip(chunks, neg_chunks))
-                    ]
-                    for i, fut in enumerate(futures):
-                        part_sums, part_counts = fut.result()
-                        acc.add(accs[i])
-                        for key, val in part_sums.items():
-                            sums[key] = sums.get(key, 0.0) + val
-                            counts[key] = counts.get(key, 0) + part_counts[key]
-                if include_nominals:
-                    values, _ = gm.bottom_batch(state, nominal_ids, acc)
-                    sums["nominal"] = float(values.sum())
-                    counts["nominal"] = len(values)
-                    term_count += len(nominal_ids)
-                acc.scale(1.0 / term_count)
-                optimizer.step(state, acc)
-                if not state.all_finite():
-                    raise NumericalError(
-                        f"non-finite parameter after epoch {epoch} batch {b}; "
-                        f"try a smaller learning rate"
-                    )
-                for key, val in sums.items():
-                    epoch_sums[key] = epoch_sums.get(key, 0.0) + val
-                    epoch_counts[key] = epoch_counts.get(key, 0) + counts[key]
+            include_nominals = b == n_batches - 1 and len(nominal_ids) > 0
+            acc = GradientAccumulator.zeros_like(state)
+            term_count = len(batch_idx) + (
+                len(negatives) if negatives is not None else 0
+            )
+            sums, counts = _batch_gradient(
+                state, arrays, buckets, negatives,
+                config.margin, config.variant, acc, config.sigma_reg,
+            )
+            if include_nominals:
+                values, _ = gm.bottom_batch(state, nominal_ids, acc)
+                sums["nominal"] = float(values.sum())
+                counts["nominal"] = len(values)
+                term_count += len(nominal_ids)
+            acc.scale(1.0 / term_count)
+            optimizer.step(state, acc)
+            if not state.all_finite():
+                raise NumericalError(
+                    f"non-finite parameter after epoch {epoch} batch {b}; "
+                    f"try a smaller learning rate"
+                )
+            for key, val in sums.items():
+                epoch_sums[key] = epoch_sums.get(key, 0.0) + val
+                epoch_counts[key] = epoch_counts.get(key, 0) + counts[key]
 
-            def mean_of(key):
-                cnt = epoch_counts.get(key, 0)
-                return epoch_sums.get(key, 0.0) / cnt if cnt else 0.0
+        def mean_of(key):
+            cnt = epoch_counts.get(key, 0)
+            return epoch_sums.get(key, 0.0) / cnt if cnt else 0.0
 
-            total_terms = sum(epoch_counts.values())
-            total_loss = sum(epoch_sums.values()) / total_terms if total_terms else 0.0
-            hits = float("nan")
-            if candidates is not None and (epoch + 1) % VALIDATION_INTERVAL == 0:
-                report = ranking.evaluate(list(valid_nf1), state, candidates)
-                hits = report.hits10
-                if hits > best_hits:
-                    best_hits = hits
-                    best_state = state.copy()
-                    evals_since_best = 0
-                else:
-                    evals_since_best += 1
-            log.append(LogRow(
-                epoch=epoch,
-                total_loss=total_loss,
-                nf1_loss=mean_of("nf1"),
-                nf2_loss=mean_of("nf2"),
-                nf3_loss=mean_of("nf3"),
-                nf4_loss=mean_of("nf4"),
-                disjoint_loss=mean_of("disjoint"),
-                neg_loss=mean_of("neg"),
-                valid_hits10=hits,
-            ))
-            stopped_epoch = epoch + 1
-            if candidates is not None and evals_since_best >= config.patience:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+        total_terms = sum(epoch_counts.values())
+        total_loss = sum(epoch_sums.values()) / total_terms if total_terms else 0.0
+        hits = float("nan")
+        if candidates is not None and (epoch + 1) % VALIDATION_INTERVAL == 0:
+            report = ranking.evaluate(list(valid_nf1), state, candidates)
+            hits = report.hits10
+            if hits > best_hits:
+                best_hits = hits
+                best_state = state.copy()
+                evals_since_best = 0
+            else:
+                evals_since_best += 1
+        log.append(LogRow(
+            epoch=epoch,
+            total_loss=total_loss,
+            nf1_loss=mean_of("nf1"),
+            nf2_loss=mean_of("nf2"),
+            nf3_loss=mean_of("nf3"),
+            nf4_loss=mean_of("nf4"),
+            disjoint_loss=mean_of("disjoint"),
+            neg_loss=mean_of("neg"),
+            valid_hits10=hits,
+        ))
+        stopped_epoch = epoch + 1
+        if candidates is not None and evals_since_best >= config.patience:
+            break
 
     if candidates is not None and best_hits >= 0.0:
         final_state = best_state
@@ -667,21 +545,12 @@ def mean_hinge(
     variant: Variant,
     kind=NF3,
 ) -> float:
-    """Mean hinge component over axioms of one shape, for diagnostics."""
-    arrays = _AxiomArrays.build([ax for ax in axioms if isinstance(ax, kind)])
-    if kind is NF3:
-        if not len(arrays.nf3):
-            return 0.0
-        _, hinges = gm.nf3_batch(
-            state, arrays.nf3[:, 0], arrays.nf3[:, 1], arrays.nf3[:, 2],
-            gamma, variant,
-        )
-    elif kind is NF1:
-        if not len(arrays.nf1):
-            return 0.0
-        _, hinges = gm.nf1_batch(
-            state, arrays.nf1[:, 0], arrays.nf1[:, 1], gamma
-        )
-    else:
-        raise ValueError("mean_hinge supports NF1 and NF3 shapes")
+    """Mean hinge component over the axioms of one shape, for diagnostics."""
+    if kind not in SHAPES:
+        raise ValueError(f"not a normal-form shape: {kind!r}")
+    key = SHAPES[kind].key
+    rows = _AxiomArrays.build(axioms).rows[key]
+    if not len(rows):
+        return 0.0
+    _, hinges = gm.term_batch(key, state, rows.T, gamma, variant)
     return float(hinges.mean())

@@ -235,22 +235,22 @@ def test_sibling_valid_file_enables_early_stopping(tmp_path, fixture_file):
 ZOO = ["Cat", "Mammal", "Dog", "Animal"]
 
 
-def write_eval_inputs(tmp_path, kind, scale=1.0):
-    """A hand-made 4-class model of *kind* ("ball" or a baseline name) and a
-    one-pair test file; returns (model lines, test path)."""
+def write_eval_inputs(tmp_path, kind, scale=1.0, names=ZOO):
+    """A hand-made model of *kind* ("ball" or a baseline name) over *names*
+    and a one-pair test file; returns (model lines, test path)."""
     from geodl import baselines
     from geodl.model import EmbeddingState, Variant, save_model
 
     path = tmp_path / "m.tsv"
-    points = scale * np.arange(8.0).reshape(4, 2)
+    points = scale * np.arange(2.0 * len(names)).reshape(len(names), 2)
     if kind == "ball":
-        state = EmbeddingState(points, np.full(4, 0.1), np.ones((1, 2)),
-                               np.zeros(1))
-        save_model(path, state, ZOO, ["eats"], Variant.EMEL, 0.1)
+        state = EmbeddingState(points, np.full(len(names), 0.1),
+                               np.ones((1, 2)), np.zeros(1))
+        save_model(path, state, names, ["eats"], Variant.EMEL, 0.1)
     else:
         normals = np.array([[1.0, 0.0]] * 2) if kind == "transh" else None
         state = baselines.BaselineState(kind, points, np.ones((2, 2)), normals)
-        baselines.save_baseline(path, state, ZOO,
+        baselines.save_baseline(path, state, names,
                                 ["eats", baselines.SUBCLASS_RELATION])
     test = tmp_path / "t.el"
     test.write_text("subClassOf(Cat,Mammal)\n")
@@ -317,3 +317,109 @@ def test_eval_non_finite_scores_exit_2(tmp_path, capsys, kind):
                 str(tmp_path / "r.tsv")]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "r.tsv").exists()
+
+
+NAMED = ["Cat", "Mammal", "__nf_0", "nominal(tom)", "Dog"]
+UNRANKABLE = {
+    # name: (test pair, direction); the held-out class is never a candidate
+    "same_class": ("subClassOf(Cat,Cat)", "sub"),
+    "helper_held_out": ("subClassOf(__nf_0,Mammal)", "sub"),
+    "nominal_held_out": ("subClassOf(Cat,nominal(tom))", "sup"),
+}
+
+
+@pytest.mark.parametrize("kind", ["ball", "transe"])
+@pytest.mark.parametrize("case", sorted(UNRANKABLE))
+def test_eval_unrankable_pair_names_its_classes(tmp_path, capsys, kind, case):
+    pair, direction = UNRANKABLE[case]
+    _, test = write_eval_inputs(tmp_path, kind, names=NAMED)
+    with open(test, "a") as fh:
+        fh.write(pair + "\n")
+    report = tmp_path / "r.tsv"
+    assert run(["eval", str(tmp_path / "m.tsv"), test, str(report),
+                "--direction", direction]) == 1
+    err = capsys.readouterr().err
+    assert pair in err
+    assert len(err.strip().splitlines()) == 1
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("kind", ["ball", "transe"])
+@pytest.mark.parametrize("pair, direction", [
+    ("subClassOf(Cat,__nf_0)", "sub"), ("subClassOf(nominal(tom),Dog)", "sup"),
+])
+def test_eval_helper_or_nominal_source_is_ranked(tmp_path, kind, pair,
+                                                 direction):
+    # only the held-out class must be a candidate; the source need not be
+    _, test = write_eval_inputs(tmp_path, kind, names=NAMED)
+    with open(test, "w") as fh:
+        fh.write(pair + "\n")
+    assert run(["eval", str(tmp_path / "m.tsv"), test, str(tmp_path / "r.tsv"),
+                "--direction", direction]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("line", [
+    "lr=nan", "lr=inf", "lr=1e400", "margin=nan", "margin=inf", "threads=2",
+])
+def test_rejected_config_value_exits_1(tmp_path, fixture_file, capsys, line):
+    # a non-finite lr or margin used to train and exit 2 (or leak warnings);
+    # threads is no longer a config key
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"dim=4\nepochs=2\n{line}\n")
+    model = tmp_path / "m.tsv"
+    assert run(["train", "--config", str(cfg), fixture_file, str(model)]) == 1
+    err = capsys.readouterr().err
+    assert line.split("=")[0] in err
+    assert len(err.strip().splitlines()) == 1
+    assert not model.exists()
+
+
+def test_threads_flag_is_gone(tmp_path, fixture_file, capsys):
+    assert run(["train", "--threads", "2", fixture_file,
+                str(tmp_path / "m.tsv")]) == 1
+    assert "--threads" in capsys.readouterr().err
+
+
+# sha256 of the model file and the log of the fixed-seed run below, per
+# variant.  Recorded with numpy 2.4 on x86-64; another numpy or BLAS build may
+# round differently.
+GOLDEN = {
+    "emel": (
+        "6a4919e4827e8bdf04ce66b00c36cf2e464463fd1b8a6ade3645520f456e4a99",
+        "363a0fd7d73f8ad32be4137626d27ed97a2921520e385835ac5fd0c6526f439f",
+    ),
+    "emel-var": (
+        "3f8c25758ffff1fd5c35be22164894e65a9d9a9e39bc97c6a91005340b86cfbe",
+        "a4c2188ba18b94ec858ab49f4ec284ca175a136907486fa112dd8f455825563d",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN))
+def test_train_output_bytes_are_pinned(tmp_path, variant):
+    """Every normal form and a nominal, trained with a fixed seed, write
+    exactly the recorded bytes: a change to training that alters the
+    accumulation order or the arithmetic fails here."""
+    import hashlib
+
+    from geodl.synthetic import hub_spoke_lines
+
+    lines = hub_spoke_lines(8) + [
+        "subClassOf(and(T1,T2),T3)",
+        "subClassOf(some(linksTo,T4),T5)",
+        "subClassOf(nominal(x),Hub)",
+        "subClassOf(T6,bottom)",
+    ]
+    src = tmp_path / "in.el"
+    src.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=6\nepochs=20\nbatch_size=8\nseed=3\n")
+    model = tmp_path / "m.tsv"
+    assert run(["train", "--config", str(cfg), "--variant", variant,
+                str(src), str(model)]) == 0
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (model, tmp_path / "m.tsv.log.tsv")
+    )
+    assert digests == GOLDEN[variant]

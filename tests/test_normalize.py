@@ -7,6 +7,7 @@ from geodl.normalize import (
     NF2,
     NF3,
     NF4,
+    SHAPES,
     BottomSub,
     Disjoint,
     normal_axiom_to_text,
@@ -137,6 +138,16 @@ def test_verify_normal_accepts_normalize_output():
          "disjointWith(A,nominal(x))"]
     )
     assert verify_normal(onto)
+
+
+def test_shape_table_matches_axiom_types():
+    # kernels take ids in dataclass field order; "r" is the one relation field
+    from dataclasses import fields
+
+    assert list(SHAPES) == [NF1, NF2, NF3, NF4, Disjoint, BottomSub]
+    for cls, shape in SHAPES.items():
+        assert shape.fields == tuple(f.name for f in fields(cls))
+        assert shape.relations == tuple(f for f in shape.fields if f == "r")
 
 
 def test_verify_normal_rejects_compound_payload():
