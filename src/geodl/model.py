@@ -11,6 +11,15 @@ penalty P(x) = | ||center(x)|| - 1 | on every class mentioned.  Components are
 summed in a fixed order (hinges, then penalties in argument order, then the
 slack regularizer) so results are bit-reproducible.  ``term_batch`` runs the
 kernel of a shape key; ``loss`` and ``gradients`` are built on it.
+
+Parameters and gradients live in one contiguous float64 buffer each, with
+the four named blocks as views into it (``_FlatBlocks``), so zeroing,
+scaling, copying, the finiteness check and the optimizer step are each one
+pass over the buffer.  The kernels add their row contributions into the
+gradient buffer with ``_add_rows``, one ``np.add.at`` call per contribution
+in the same order as before the flat layout, onto a zeroed buffer: every
+cell sees the same additions in the same sequence, so outputs are
+byte-identical to per-block storage.
 """
 
 from __future__ import annotations
@@ -60,12 +69,52 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x, axis=1))
 
 
-@dataclass
-class EmbeddingState:
-    class_centers: np.ndarray  # [num_classes, dim]
-    class_radii_raw: np.ndarray  # [num_classes]
-    relation_vectors: np.ndarray  # [num_relations, dim]
-    relation_sigmas_raw: np.ndarray  # [num_relations]
+class _FlatBlocks:
+    """The four parameter blocks as views into one contiguous float64 buffer.
+
+    ``flat`` holds, in this order, the class centers (row-major), the raw
+    class radii, the relation vectors (row-major) and the raw relation
+    slacks.  Each named block is a view of its slice, so writing a block
+    writes ``flat``, and an elementwise operation over ``flat`` does per
+    element exactly what the same operation over each block does.
+    """
+
+    def __init__(self, class_centers, class_radii_raw, relation_vectors,
+                 relation_sigmas_raw):
+        num_classes, dim = np.shape(class_centers)
+        num_relations = len(relation_vectors)
+        self._bind(np.empty((num_classes + num_relations) * (dim + 1)),
+                   num_classes, num_relations, dim)
+        self.class_centers[...] = class_centers
+        self.class_radii_raw[...] = class_radii_raw
+        self.relation_vectors[...] = relation_vectors
+        self.relation_sigmas_raw[...] = relation_sigmas_raw
+
+    def _bind(self, flat: np.ndarray, num_classes: int, num_relations: int,
+              dim: int) -> None:
+        radii = num_classes * dim
+        relations = radii + num_classes
+        sigmas = relations + num_relations * dim
+        self.flat = flat
+        self.centers_base = 0
+        self.relations_base = relations
+        self.class_centers = flat[:radii].reshape(num_classes, dim)
+        self.class_radii_raw = flat[radii:relations]
+        self.relation_vectors = flat[relations:sigmas].reshape(num_relations, dim)
+        self.relation_sigmas_raw = flat[sigmas:]
+
+    @classmethod
+    def _on(cls, flat: np.ndarray, like: "_FlatBlocks"):
+        """An instance whose blocks are views of *flat*, laid out as *like*."""
+        num_classes, dim = like.class_centers.shape
+        out = cls.__new__(cls)
+        out._bind(flat, num_classes, len(like.relation_vectors), dim)
+        return out
+
+
+class EmbeddingState(_FlatBlocks):
+    """Model parameters; see ``_FlatBlocks`` for the layout.  The four
+    arrays given are copied into a new buffer."""
 
     @property
     def dim(self) -> int:
@@ -86,20 +135,10 @@ class EmbeddingState:
         return abs(float(self.relation_sigmas_raw[r]))
 
     def copy(self) -> "EmbeddingState":
-        return EmbeddingState(
-            self.class_centers.copy(),
-            self.class_radii_raw.copy(),
-            self.relation_vectors.copy(),
-            self.relation_sigmas_raw.copy(),
-        )
+        return EmbeddingState._on(self.flat.copy(), self)
 
     def all_finite(self) -> bool:
-        return bool(
-            np.isfinite(self.class_centers).all()
-            and np.isfinite(self.class_radii_raw).all()
-            and np.isfinite(self.relation_vectors).all()
-            and np.isfinite(self.relation_sigmas_raw).all()
-        )
+        return bool(np.isfinite(self.flat).all())
 
     @staticmethod
     def initialize(
@@ -117,27 +156,32 @@ class EmbeddingState:
         return EmbeddingState(centers, radii, rel, sigmas)
 
 
-@dataclass
-class GradientAccumulator:
-    class_centers: np.ndarray
-    class_radii_raw: np.ndarray
-    relation_vectors: np.ndarray
-    relation_sigmas_raw: np.ndarray
+class GradientAccumulator(_FlatBlocks):
+    """Summed gradients, laid out as the state they belong to."""
 
     @staticmethod
     def zeros_like(state: EmbeddingState) -> "GradientAccumulator":
-        return GradientAccumulator(
-            np.zeros_like(state.class_centers),
-            np.zeros_like(state.class_radii_raw),
-            np.zeros_like(state.relation_vectors),
-            np.zeros_like(state.relation_sigmas_raw),
-        )
+        return GradientAccumulator._on(np.zeros_like(state.flat), state)
 
     def scale(self, factor: float) -> None:
-        self.class_centers *= factor
-        self.class_radii_raw *= factor
-        self.relation_vectors *= factor
-        self.relation_sigmas_raw *= factor
+        self.flat *= factor
+
+
+def _add_rows(acc: GradientAccumulator, base: int, rows: np.ndarray,
+              values: np.ndarray) -> None:
+    """``np.add.at(block, rows, values)`` for the row block starting at
+    ``acc.flat[base]``, through numpy's faster 1-D indexed loop.
+
+    Cell ``(rows[i], j)`` of the block is ``flat[base + rows[i]*dim + j]``,
+    and the flattened indices run i-major, so each cell receives its
+    contributions in the order ``np.add.at`` on the block adds them and the
+    sums are bit-identical.  *rows* must lie in ``[0, block rows)``, or the
+    sum lands in another block: ids are class and relation indices, and the
+    kernels gather the same rows first, which rejects ids past the end.
+    """
+    dim = values.shape[1]
+    index = rows[:, None] * dim + (base + np.arange(dim))
+    np.add.at(acc.flat, index.ravel(), values.ravel())
 
 
 @dataclass
@@ -188,8 +232,8 @@ def nf1_batch(
     if acc is not None:
         active = (h > 0.0).astype(float)
         uhat = _safe_unit(u, dist)
-        np.add.at(acc.class_centers, C, active[:, None] * uhat + pc_grad)
-        np.add.at(acc.class_centers, D, -active[:, None] * uhat + pd_grad)
+        _add_rows(acc, acc.centers_base, C, active[:, None] * uhat + pc_grad)
+        _add_rows(acc, acc.centers_base, D, -active[:, None] * uhat + pd_grad)
         np.add.at(acc.class_radii_raw, C, active * np.sign(raw_rc))
         np.add.at(acc.class_radii_raw, D, -active * np.sign(raw_rd))
     return values, hinge
@@ -232,15 +276,12 @@ def nf2_batch(
         u1h = _safe_unit(u1, d1)
         u2h = _safe_unit(u2, d2)
         u3h = _safe_unit(u3, d3)
-        np.add.at(
-            acc.class_centers, C, a1[:, None] * u1h + a2[:, None] * u2h + pc_grad
-        )
-        np.add.at(
-            acc.class_centers, D, -a1[:, None] * u1h + a3[:, None] * u3h + pd_grad
-        )
-        np.add.at(
-            acc.class_centers, E, -a2[:, None] * u2h - a3[:, None] * u3h + pe_grad
-        )
+        _add_rows(acc, acc.centers_base, C,
+                  a1[:, None] * u1h + a2[:, None] * u2h + pc_grad)
+        _add_rows(acc, acc.centers_base, D,
+                  -a1[:, None] * u1h + a3[:, None] * u3h + pd_grad)
+        _add_rows(acc, acc.centers_base, E,
+                  -a2[:, None] * u2h - a3[:, None] * u3h + pe_grad)
         np.add.at(acc.class_radii_raw, C, -(a1 + a2) * np.sign(raw_rc))
         np.add.at(acc.class_radii_raw, D, -(a1 + a3) * np.sign(raw_rd))
     return values, hinge
@@ -289,9 +330,9 @@ def nf3_batch(
     if acc is not None:
         active = (h > 0.0).astype(float)
         that = _safe_unit(t, dist)
-        np.add.at(acc.class_centers, C, active[:, None] * that + pc_grad)
-        np.add.at(acc.class_centers, D, -active[:, None] * that + pd_grad)
-        np.add.at(acc.relation_vectors, R, active[:, None] * that)
+        _add_rows(acc, acc.centers_base, C, active[:, None] * that + pc_grad)
+        _add_rows(acc, acc.centers_base, D, -active[:, None] * that + pd_grad)
+        _add_rows(acc, acc.relations_base, R, active[:, None] * that)
         np.add.at(acc.class_radii_raw, C, active * np.sign(raw_rc))
         np.add.at(acc.class_radii_raw, D, -active * np.sign(raw_rd))
         if variant is Variant.EMEL_VAR:
@@ -332,9 +373,9 @@ def nf4_batch(
     if acc is not None:
         active = (h > 0.0).astype(float)
         that = _safe_unit(t, dist)
-        np.add.at(acc.class_centers, C, active[:, None] * that + pc_grad)
-        np.add.at(acc.class_centers, D, -active[:, None] * that + pd_grad)
-        np.add.at(acc.relation_vectors, R, -active[:, None] * that)
+        _add_rows(acc, acc.centers_base, C, active[:, None] * that + pc_grad)
+        _add_rows(acc, acc.centers_base, D, -active[:, None] * that + pd_grad)
+        _add_rows(acc, acc.relations_base, R, -active[:, None] * that)
         np.add.at(acc.class_radii_raw, C, -active * np.sign(raw_rc))
         np.add.at(acc.class_radii_raw, D, -active * np.sign(raw_rd))
         if variant is Variant.EMEL_VAR:
@@ -367,8 +408,8 @@ def disjoint_batch(
     if acc is not None:
         active = (h > 0.0).astype(float)
         uhat = _safe_unit(u, dist)
-        np.add.at(acc.class_centers, C, -active[:, None] * uhat + pc_grad)
-        np.add.at(acc.class_centers, D, active[:, None] * uhat + pd_grad)
+        _add_rows(acc, acc.centers_base, C, -active[:, None] * uhat + pc_grad)
+        _add_rows(acc, acc.centers_base, D, active[:, None] * uhat + pd_grad)
         np.add.at(acc.class_radii_raw, C, active * np.sign(raw_rc))
         np.add.at(acc.class_radii_raw, D, active * np.sign(raw_rd))
     return values, hinge
@@ -413,9 +454,9 @@ def nf3_negative_batch(
     if acc is not None:
         active = (h > 0.0).astype(float)
         that = _safe_unit(t, dist)
-        np.add.at(acc.class_centers, C, -active[:, None] * that + pc_grad)
-        np.add.at(acc.class_centers, D, active[:, None] * that + pd_grad)
-        np.add.at(acc.relation_vectors, R, -active[:, None] * that)
+        _add_rows(acc, acc.centers_base, C, -active[:, None] * that + pc_grad)
+        _add_rows(acc, acc.centers_base, D, active[:, None] * that + pd_grad)
+        _add_rows(acc, acc.relations_base, R, -active[:, None] * that)
         np.add.at(acc.class_radii_raw, C, active * np.sign(raw_rc))
         np.add.at(acc.class_radii_raw, D, active * np.sign(raw_rd))
         if variant is Variant.EMEL_VAR:
@@ -699,11 +740,7 @@ def load_model(path) -> SavedModel:
     )
     classes, relations = rows["C"].values, rows["R"].values
     state = EmbeddingState(
-        np.ascontiguousarray(classes[:, 1:]),
-        np.ascontiguousarray(classes[:, 0]),
-        np.ascontiguousarray(relations[:, 1:]),
-        np.ascontiguousarray(relations[:, 0]),
-    )
+        classes[:, 1:], classes[:, 0], relations[:, 1:], relations[:, 0])
     return SavedModel(
         state, rows["C"].names, rows["R"].names, fields["variant"],
         fields["margin"],

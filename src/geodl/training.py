@@ -3,7 +3,9 @@
 All randomness flows from the config seed through one generator, and every
 batch accumulates its terms in one fixed order (the shapes in
 ``normalize.SHAPES`` order, then the negatives, then the nominal term), so a
-run is bit-reproducible.
+run is bit-reproducible.  One gradient accumulator is zeroed and reused for
+every batch, and the optimizers update the flat parameter buffer in place
+(see ``model._FlatBlocks``).
 """
 
 from __future__ import annotations
@@ -251,13 +253,19 @@ class _Sgd:
         self.lr = lr
 
     def step(self, state: EmbeddingState, grad: GradientAccumulator) -> None:
-        state.class_centers -= self.lr * grad.class_centers
-        state.class_radii_raw -= self.lr * grad.class_radii_raw
-        state.relation_vectors -= self.lr * grad.relation_vectors
-        state.relation_sigmas_raw -= self.lr * grad.relation_sigmas_raw
+        state.flat -= self.lr * grad.flat
 
 
 class _Adam:
+    """Adam over the whole flat parameter buffer, in place.
+
+    The moments and two scratch arrays are allocated once.  Each step runs,
+    per element, the operations of the textbook update in the same order:
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``, then
+    ``x -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``; so every result is the one a
+    per-block update with temporaries gives, bit for bit.
+    """
+
     def __init__(self, lr: float, state: EmbeddingState,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -265,29 +273,30 @@ class _Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = GradientAccumulator.zeros_like(state)
-        self.v = GradientAccumulator.zeros_like(state)
+        self.m = np.zeros_like(state.flat)
+        self.v = np.zeros_like(state.flat)
+        self._a = np.empty_like(state.flat)
+        self._b = np.empty_like(state.flat)
 
     def step(self, state: EmbeddingState, grad: GradientAccumulator) -> None:
         self.t += 1
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
-        for name in (
-            "class_centers",
-            "class_radii_raw",
-            "relation_vectors",
-            "relation_sigmas_raw",
-        ):
-            g = getattr(grad, name)
-            m = getattr(self.m, name)
-            v = getattr(self.v, name)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / correction1
-            v_hat = v / correction2
-            getattr(state, name)[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, m, v, a, b = grad.flat, self.m, self.v, self._a, self._b
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, correction1, out=a)
+        a *= self.lr
+        np.divide(v, correction2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        state.flat -= a
 
 
 # --- training --------------------------------------------------------------
@@ -447,6 +456,7 @@ def train(
             [info.name for info in onto.classes]
         )
 
+    acc = GradientAccumulator.zeros_like(state)  # zeroed per batch
     log: list[LogRow] = []
     best_state = state.copy()
     best_hits = -1.0
@@ -471,7 +481,7 @@ def train(
                     (rows[:, 0], rows[:, 1], corrupted)
                 )
             include_nominals = b == n_batches - 1 and len(nominal_ids) > 0
-            acc = GradientAccumulator.zeros_like(state)
+            acc.flat.fill(0.0)
             term_count = len(batch_idx) + (
                 len(negatives) if negatives is not None else 0
             )

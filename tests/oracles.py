@@ -121,3 +121,25 @@ def distmult(eh, er, et):
     for i in range(len(eh)):
         total += eh[i] * er[i] * et[i]
     return total
+
+
+# --- optimizer -------------------------------------------------------------
+
+
+def adam(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook Adam over one parameter block: *params* is a list of floats,
+    *grads* one such list per step; returns the parameters after the last
+    step."""
+    x = list(params)
+    m = [0.0] * len(x)
+    v = [0.0] * len(x)
+    for t, g in enumerate(grads, start=1):
+        correction1 = 1.0 - beta1 ** t
+        correction2 = 1.0 - beta2 ** t
+        for i in range(len(x)):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i]
+            m_hat = m[i] / correction1
+            v_hat = v[i] / correction2
+            x[i] -= lr * m_hat / (math.sqrt(v_hat) + eps)
+    return x

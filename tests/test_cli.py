@@ -1,10 +1,17 @@
+import contextlib
+import hashlib
+import io
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geodl.cli import main
 from geodl.parser import parse_ontology
+from geodl.synthetic import hub_spoke_lines, surrogate_lines
 
 GALEN_ISH = [
     "# tiny fixture",
@@ -396,15 +403,16 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("variant", sorted(GOLDEN))
-def test_train_output_bytes_are_pinned(tmp_path, variant):
-    """Every normal form and a nominal, trained with a fixed seed, write
-    exactly the recorded bytes: a change to training that alters the
-    accumulation order or the arithmetic fails here."""
-    import hashlib
+def digests(model):
+    """sha256 of a model file and of its log."""
+    return tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (model, model.parent / (model.name + ".log.tsv"))
+    )
 
-    from geodl.synthetic import hub_spoke_lines
 
+def train_every_shape(tmp_path, variant, config):
+    """Train on every normal form and a nominal; returns the model path."""
     lines = hub_spoke_lines(8) + [
         "subClassOf(and(T1,T2),T3)",
         "subClassOf(some(linksTo,T4),T5)",
@@ -414,12 +422,157 @@ def test_train_output_bytes_are_pinned(tmp_path, variant):
     src = tmp_path / "in.el"
     src.write_text("\n".join(lines) + "\n")
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("dim=6\nepochs=20\nbatch_size=8\nseed=3\n")
+    cfg.write_text(config)
     model = tmp_path / "m.tsv"
     assert run(["train", "--config", str(cfg), "--variant", variant,
                 str(src), str(model)]) == 0
-    digests = tuple(
-        hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in (model, tmp_path / "m.tsv.log.tsv")
-    )
-    assert digests == GOLDEN[variant]
+    return model
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN))
+def test_train_output_bytes_are_pinned(tmp_path, variant):
+    """Every normal form and a nominal, trained with a fixed seed, write
+    exactly the recorded bytes: a change to training that alters the
+    accumulation order or the arithmetic fails here."""
+    model = train_every_shape(
+        tmp_path, variant, "dim=6\nepochs=20\nbatch_size=8\nseed=3\n")
+    assert digests(model) == GOLDEN[variant]
+
+
+GOLDEN_SGD = (
+    "eb350007945764e2bf561a9c357da0f2347ec297ad8a10ea539b89cf5f30590f",
+    "684a981e7f08af9fdf9b533364b1c04a59912c8d7a6b2d766a7b92f133538e17",
+)
+
+
+def test_sgd_output_bytes_are_pinned(tmp_path):
+    """The same run with the SGD step writes the recorded bytes."""
+    model = train_every_shape(
+        tmp_path, "emel-var",
+        "dim=6\nepochs=20\nbatch_size=8\nseed=3\noptimizer=sgd\nlr=0.05\n")
+    assert digests(model) == GOLDEN_SGD
+
+
+GOLDEN_EARLY_STOP = (
+    "99aaacf48ce8a6557513f1dc8932cd7e1ff2230588aa7dcf794707215c8e08c0",
+    "d2ab33cdd8537e84012514ddddbf37b3cac5b0e7ec19b23057116a9aa6f7065a",
+)
+
+
+def test_early_stop_checkpoint_bytes_are_pinned(tmp_path):
+    """split, then train with the sibling valid.el: validation every 25
+    epochs, an early stop, and the model file written from the best
+    checkpoint, which is older than the last step."""
+    src = tmp_path / "in.el"
+    src.write_text("\n".join(surrogate_lines(n_classes=60, seed=1)) + "\n")
+    parts = tmp_path / "s"
+    assert run(["split", str(src), str(parts), "--seed", "5"]) == 0
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=6\nepochs=300\nbatch_size=64\npatience=1\nseed=3\n")
+    model = parts / "m.tsv"
+    assert run(["train", "--config", str(cfg), "--variant", "emel-var",
+                str(parts / "train.el"), str(model)]) == 0
+    log = [line.split("\t") for line in
+           (parts / "m.tsv.log.tsv").read_text().splitlines()[1:]]
+    hits = [float(row[-1]) for row in log if row[-1] != "nan"]
+    # stopped early, one evaluation after the best one
+    assert len(log) == 150 and hits[-1] < max(hits) == hits[-2]
+    assert digests(model) == GOLDEN_EARLY_STOP
+
+
+# --- fuzzing through main: every input exits 0, 1 or 2 -------------------------
+
+AXIOM_TOKENS = [
+    "subClassOf(", "disjointWith(", "some(", "and(", "nominal(", "bottom",
+    "top", "A", "B", "Cat", "r", "__nf_0", ",", "(", ")", " ", "\n", "#",
+    "\t", "=", "\u00e9", "\x00",
+]
+
+
+def main_quietly(argv):
+    """main's return value and what it printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+CONCEPTS = st.recursive(
+    st.sampled_from(["A", "B", "Cat", "__nf_0", "top", "bottom",
+                     "nominal(x)"]),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["r", "s"]), inner).map(
+            lambda t: f"some({t[0]},{t[1]})"),
+        st.tuples(inner, inner).map(lambda t: f"and({t[0]},{t[1]})"),
+    ),
+    max_leaves=4,
+)
+AXIOM_LINES = st.one_of(
+    st.tuples(st.sampled_from(["subClassOf", "disjointWith"]), CONCEPTS,
+              CONCEPTS).map(lambda t: f"{t[0]}({t[1]},{t[2]})"),
+    st.lists(st.sampled_from(AXIOM_TOKENS) | st.text(max_size=4),
+             max_size=8).map("".join),
+)
+
+
+@settings(max_examples=60)
+@given(st.lists(AXIOM_LINES, max_size=12).map("\n".join))
+@example("subClassOf(A,B)\nsubClassOf(A,some(r,B))\nsubClassOf(nominal(x),A)\n")
+@example("subClassOf(A,B")
+@example("subClassOf(and(A,B),bottom)\ndisjointWith(A,A)\n")
+def test_axiom_text_fuzz_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as work:
+        src = os.path.join(work, "in.el")
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        cfg = os.path.join(work, "c.cfg")
+        with open(cfg, "w") as fh:
+            fh.write("dim=2\nepochs=2\nbatch_size=4\n")
+        for argv in (["stats", src],
+                     ["normalize", src, os.path.join(work, "out.el")],
+                     ["train", "--config", cfg, "--variant", "emel-var", src,
+                      os.path.join(work, "m.tsv")]):
+            code, err = main_quietly(argv)
+            assert code in (0, 1, 2), argv[0]
+            assert "Traceback" not in err
+
+
+MODEL_TOKENS = [
+    "\t", "\n", " ", "nan", "inf", "-inf", "1e400", "-", ".", "e", "0", "1",
+    "=", "C", "R", "W", "#geodl v1 ", "#geodl-baseline v1 ", "dim=",
+    "variant=", "margin=", "model=", "EmEl", "transh", "Cat",
+]
+
+
+@st.composite
+def corrupted(draw, kind):
+    """A valid hand-made model file of *kind*, with one to three spans
+    replaced by model-file tokens or arbitrary bytes."""
+    with tempfile.TemporaryDirectory() as work:
+        lines, _ = write_eval_inputs(Path(work), kind)
+    data = ("\n".join(lines) + "\n").encode()
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 12)))
+        piece = draw(st.lists(st.sampled_from(MODEL_TOKENS), max_size=3)
+                     .map("".join).map(str.encode) | st.binary(max_size=4))
+        data = data[:start] + piece + data[end:]
+    return data
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["ball", "transh"]).flatmap(
+    lambda kind: st.tuples(st.just(kind), corrupted(kind))))
+def test_corrupted_model_fuzz_exits_cleanly(case):
+    kind, data = case
+    with tempfile.TemporaryDirectory() as work:
+        model = os.path.join(work, "m.tsv")
+        with open(model, "wb") as fh:
+            fh.write(data)
+        test = os.path.join(work, "t.el")
+        with open(test, "w") as fh:
+            fh.write("subClassOf(Cat,Mammal)\n")
+        code, err = main_quietly(["eval", model, test,
+                                  os.path.join(work, "r.tsv")])
+    assert code in (0, 1, 2), kind
+    assert "Traceback" not in err

@@ -7,6 +7,7 @@ and zero center norm, where the derivative is well defined.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import make_state
 from geodl.model import (
@@ -14,8 +15,10 @@ from geodl.model import (
     CLASS_RADIUS,
     RELATION_SIGMA,
     RELATION_VECTOR,
+    EmbeddingState,
     GradientAccumulator,
     Variant,
+    _add_rows,
     loss_bottom,
     loss_disjoint,
     loss_nf1,
@@ -325,3 +328,53 @@ def test_repeated_ids_sum_contributions(rng):
         fd = fd_gradients(lambda s: loss_disjoint(s, c, c, gamma).value, state)
         compare(term, fd, state.dim)
         assert dist == 0.0
+
+
+# --- the row scatter ------------------------------------------------------------
+
+# finite values of every magnitude, with both zeros, so the addition order
+# shows in the last bits
+SCATTER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, -1.0, 1e300, -1e300]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def scatter_cases(draw):
+    num_classes = draw(st.integers(1, 4))
+    num_relations = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
+    size = (num_classes + num_relations) * (dim + 1)
+    start = draw(st.lists(SCATTER_VALUES, min_size=size, max_size=size))
+    calls = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(["class_centers", "relation_vectors"]))
+        bound = num_classes if name == "class_centers" else num_relations
+        rows = draw(st.lists(st.integers(0, bound - 1), max_size=6))
+        values = draw(st.lists(SCATTER_VALUES, min_size=len(rows) * dim,
+                               max_size=len(rows) * dim))
+        calls.append((name, np.array(rows, dtype=int),
+                      np.array(values).reshape(len(rows), dim)))
+    return num_classes, num_relations, dim, np.array(start), calls
+
+
+@given(scatter_cases())
+@example((1, 1, 1, np.array([1e300, 0.0, 0.0, 0.0]), [
+    ("class_centers", np.array([0, 0]), np.array([[-1e300], [1.0]]))]))
+def test_add_rows_is_bitwise_2d_add_at(case):
+    """The flat 1-D scatter adds to every cell in np.add.at's order, over
+    repeated rows, empty batches and signed zeros, in both row blocks."""
+    num_classes, num_relations, dim, start, calls = case
+    state = EmbeddingState(np.zeros((num_classes, dim)), np.zeros(num_classes),
+                           np.zeros((num_relations, dim)),
+                           np.zeros(num_relations))
+    acc = GradientAccumulator.zeros_like(state)
+    expected = GradientAccumulator.zeros_like(state)
+    acc.flat[...] = start
+    expected.flat[...] = start
+    for name, rows, values in calls:
+        base = acc.centers_base if name == "class_centers" else acc.relations_base
+        _add_rows(acc, base, rows, values)
+        np.add.at(getattr(expected, name), rows, values)
+    assert acc.flat.tobytes() == expected.flat.tobytes()

@@ -8,6 +8,7 @@ import oracles
 from conftest import make_state
 from geodl.model import (
     EmbeddingState,
+    GradientAccumulator,
     Variant,
     load_model,
     loss_bottom,
@@ -351,6 +352,48 @@ def test_zero_loss_nf1_random_scan(rng):
             assert float(np.linalg.norm(st.class_centers[d])) == 1.0
 
 
+# --- flat parameter layout ---------------------------------------------------
+
+BLOCKS = ("class_centers", "class_radii_raw", "relation_vectors",
+          "relation_sigmas_raw")
+
+
+def test_blocks_are_views_of_flat_in_order(rng):
+    state = make_state(rng, num_classes=5, num_relations=3, dim=4)
+    for obj in (state, GradientAccumulator.zeros_like(state), state.copy()):
+        assert obj.flat.dtype == np.float64 and obj.flat.flags.c_contiguous
+        obj.flat[...] = np.arange(obj.flat.size)
+        # the blocks read the buffer front to back, each cell exactly once
+        cells = np.concatenate([getattr(obj, name).ravel() for name in BLOCKS])
+        assert cells.tolist() == list(range(obj.flat.size))
+        for name in BLOCKS:
+            assert getattr(obj, name).base is obj.flat
+
+
+def test_copy_shares_no_memory(rng):
+    arrays = [rng.uniform(size=shape) for shape in ((5, 4), 5, (3, 4), 3)]
+    state = EmbeddingState(*arrays)
+    for array in arrays:  # the constructor copies too
+        assert not np.shares_memory(array, state.flat)
+    dup = state.copy()
+    assert not np.shares_memory(dup.flat, state.flat)
+    assert dup.flat.tobytes() == state.flat.tobytes()
+    dup.class_centers[0, 0] += 1.0
+    assert state.class_centers[0, 0] == arrays[0][0, 0]
+
+
+@pytest.mark.parametrize("cell", [0, -1])
+@pytest.mark.parametrize("name", BLOCKS)
+def test_all_finite_sees_each_block(rng, name, cell):
+    # a NaN in the first or last cell of any block: an off-by-one block
+    # offset leaves one of them unchecked
+    state = make_state(rng, num_classes=5, num_relations=3, dim=4)
+    assert state.all_finite()
+    block = getattr(state, name)
+    block[(cell,) * block.ndim] = np.nan
+    assert not state.all_finite()
+
+
 # --- persistence -------------------------------------------------------------
 
 
@@ -369,6 +412,10 @@ def test_model_round_trip_is_bit_faithful(tmp_path, rng):
     assert np.array_equal(loaded.state.class_radii_raw, st.class_radii_raw)
     assert np.array_equal(loaded.state.relation_vectors, st.relation_vectors)
     assert np.array_equal(loaded.state.relation_sigmas_raw, st.relation_sigmas_raw)
+    # the reader fills one buffer, laid out as the state built from four arrays
+    assert loaded.state.flat.tobytes() == st.flat.tobytes()
+    for name in BLOCKS:
+        assert getattr(loaded.state, name).base is loaded.state.flat
     # saving the loaded model reproduces the file byte for byte
     path2 = tmp_path / "model2.tsv"
     save_model(path2, loaded.state, class_names, rel_names, VAR, 0.1)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from geodl.model import Variant, loss_nf1
+import oracles
+from conftest import make_state
+from geodl.model import GradientAccumulator, Variant, loss_nf1
 from geodl.normalize import NF1, normalize
 from geodl.parser import parse_ontology
 from geodl.synthetic import surrogate_lines
@@ -16,6 +18,7 @@ from geodl.training import (
     config_to_text,
     mean_hinge,
     parse_config,
+    _Adam,
     split,
     train,
     write_log,
@@ -330,6 +333,30 @@ def test_mean_hinge_reports_nf3_component():
     assert value >= 0.0
 
 
+# --- optimizer -------------------------------------------------------------------
+
+BLOCKS = ("class_centers", "class_radii_raw", "relation_vectors",
+          "relation_sigmas_raw")
+
+
+def test_adam_in_place_matches_textbook_per_block(rng):
+    state = make_state(rng, num_classes=5, num_relations=3, dim=4)
+    start = {name: getattr(state, name).ravel().tolist() for name in BLOCKS}
+    steps = []
+    for scale in (1.0, 1e-3, 50.0, 0.0, 1.0):
+        grad = GradientAccumulator.zeros_like(state)
+        grad.flat[...] = scale * rng.normal(size=grad.flat.size)
+        steps.append(grad)
+    optimizer = _Adam(0.05, state)
+    for grad in steps:
+        optimizer.step(state, grad)
+    for name in BLOCKS:
+        expected = oracles.adam(
+            start[name], [getattr(g, name).ravel().tolist() for g in steps],
+            lr=0.05)
+        assert np.array_equal(getattr(state, name).ravel(), expected), name
+
+
 # --- epoch time, shown in the benchmark table of every test run ---------------
 
 
@@ -345,3 +372,15 @@ def test_bench_train_epochs_2k(benchmark):
     )
     assert len(result.log) == 3
     assert result.state.all_finite()
+
+
+def test_bench_optimizer_step_2k(benchmark, rng):
+    """One Adam step over 2000 classes and 10 relations at dim 50."""
+    state = make_state(rng, num_classes=2000, num_relations=10, dim=50)
+    grad = GradientAccumulator.zeros_like(state)
+    grad.flat[...] = rng.normal(size=grad.flat.size)
+    optimizer = _Adam(0.01, state)
+    benchmark.pedantic(optimizer.step, args=(state, grad), rounds=50,
+                       iterations=1)
+    assert optimizer.t >= 1
+    assert state.all_finite()
