@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 input/validation error, 2 numerical failure.
 All randomness flows from ``--seed`` (default 42); two runs of any
 subcommand with the same inputs write byte-identical outputs.  No subcommand
-writes over its inputs.
+writes over its inputs or names one output file twice; each checks its
+output paths before it writes any of them.
 """
 
 from __future__ import annotations
@@ -37,15 +38,31 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _check_distinct(inputs, outputs) -> None:
+    """Refuse outputs that name an input, or the same file twice."""
     taken = {os.path.abspath(p) for p in inputs if p}
+    written: set = set()
     for out in outputs:
-        if out and os.path.abspath(out) in taken:
+        if not out:
+            continue
+        path = os.path.abspath(out)
+        if path in taken:
             raise _CliError(f"refusing to overwrite input file: {out}")
+        if path in written:
+            raise _CliError(f"output file given twice: {out}")
+        written.add(path)
 
 
 def _load_normalized(path: str) -> NormalizedOntology:
     axioms, _ = parse_ontology(_read_lines(path))
     return normalize(axioms)
+
+
+def _subclass_pairs(path: str) -> list:
+    """The (sub, super) class names of the normalized subclass axioms of
+    *path*, in file order."""
+    onto = _load_normalized(path)
+    return [(onto.class_name(ax.c), onto.class_name(ax.d))
+            for ax in onto.axioms if isinstance(ax, NF1)]
 
 
 def _write_axiom_file(path: str, header: list, lines: list) -> None:
@@ -72,8 +89,7 @@ def cmd_stats(args) -> int:
 
 def cmd_normalize(args) -> int:
     _check_distinct([args.input], [args.output, f"{args.output}.fresh.tsv"])
-    axioms, _ = parse_ontology(_read_lines(args.input))
-    onto = normalize(axioms)
+    onto = _load_normalized(args.input)
     lines = [normal_axiom_to_text(ax, onto) for ax in onto.axioms]
     _write_axiom_file(
         args.output,
@@ -101,6 +117,10 @@ def _parse_fractions(text: str) -> tuple:
 def cmd_split(args) -> int:
     seed = args.seed if args.seed is not None else 42
     fractions = _parse_fractions(args.fractions) if args.fractions else (0.7, 0.2, 0.1)
+    parts = ("train", "valid", "test")
+    paths = [os.path.join(args.out_dir, f"{part}.el") for part in parts]
+    report_path = os.path.join(args.out_dir, "split.tsv")
+    _check_distinct([args.input], paths + [report_path])
     onto = _load_normalized(args.input)
     spec = SplitSpec(
         train_frac=fractions[0], valid_frac=fractions[1],
@@ -109,17 +129,15 @@ def cmd_split(args) -> int:
     result = training.split(onto, spec)
     os.makedirs(args.out_dir, exist_ok=True)
     frac_text = ",".join(repr(f) for f in fractions)
-    for part, axioms in (
-        ("train", result.train), ("valid", result.valid), ("test", result.test)
+    for part, path, axioms in zip(
+        parts, paths, (result.train, result.valid, result.test)
     ):
-        path = os.path.join(args.out_dir, f"{part}.el")
-        _check_distinct([args.input], [path])
         _write_axiom_file(
             path,
             [f"geodl split part={part} seed={seed} fractions={frac_text}"],
             [normal_axiom_to_text(ax, onto) for ax in axioms],
         )
-    with open(os.path.join(args.out_dir, "split.tsv"), "w", encoding="utf-8") as fh:
+    with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(f"eligible_nf1\t{result.eligible_count}\n")
         fh.write(f"train_axioms\t{len(result.train)}\n")
         fh.write(f"valid_axioms\t{len(result.valid)}\n")
@@ -152,16 +170,9 @@ def _sibling_valid_nf1(train_path: str, onto: NormalizedOntology):
     if not os.path.isfile(candidate) or os.path.abspath(candidate) == \
             os.path.abspath(train_path):
         return None
-    axioms, _ = parse_ontology(_read_lines(candidate))
-    valid_onto = normalize(axioms)
-    valid = []
-    for ax in valid_onto.axioms:
-        if not isinstance(ax, NF1) or ax.c == ax.d:
-            continue
-        name_c = valid_onto.class_name(ax.c)
-        name_d = valid_onto.class_name(ax.d)
-        if name_c in onto.class_index and name_d in onto.class_index:
-            valid.append(NF1(onto.class_index[name_c], onto.class_index[name_d]))
+    ids = onto.class_index
+    valid = [NF1(ids[c], ids[d]) for c, d in _subclass_pairs(candidate)
+             if c != d and c in ids and d in ids]
     return valid or None
 
 
@@ -207,15 +218,9 @@ def cmd_train(args) -> int:
 
 
 def _load_tests(path: str, name_to_id: dict, candidates, direction: str) -> list:
-    axioms, _ = parse_ontology(_read_lines(path))
-    test_onto = normalize(axioms)
     eligible = set(candidates.tolist())
     tests = []
-    for ax in test_onto.axioms:
-        if not isinstance(ax, NF1):
-            continue
-        name_c = test_onto.class_name(ax.c)
-        name_d = test_onto.class_name(ax.d)
+    for name_c, name_d in _subclass_pairs(path):
         for name in (name_c, name_d):
             if name not in name_to_id:
                 raise _CliError(
@@ -236,17 +241,8 @@ def _load_tests(path: str, name_to_id: dict, candidates, direction: str) -> list
 
 
 def _load_known(path: str, name_to_id: dict) -> list:
-    axioms, _ = parse_ontology(_read_lines(path))
-    known_onto = normalize(axioms)
-    known = []
-    for ax in known_onto.axioms:
-        if not isinstance(ax, NF1):
-            continue
-        name_c = known_onto.class_name(ax.c)
-        name_d = known_onto.class_name(ax.d)
-        if name_c in name_to_id and name_d in name_to_id:
-            known.append(NF1(name_to_id[name_c], name_to_id[name_d]))
-    return known
+    return [NF1(name_to_id[c], name_to_id[d]) for c, d in _subclass_pairs(path)
+            if c in name_to_id and d in name_to_id]
 
 
 def cmd_eval(args) -> int:

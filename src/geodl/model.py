@@ -10,7 +10,10 @@ Loss terms are hinges on ball containment/overlap plus a soft unit-sphere
 penalty P(x) = | ||center(x)|| - 1 | on every class mentioned.  Components are
 summed in a fixed order (hinges, then penalties in argument order, then the
 slack regularizer) so results are bit-reproducible.  ``term_batch`` runs the
-kernel of a shape key; ``loss`` and ``gradients`` are built on it.
+kernel of a shape key; ``loss`` and ``gradients`` are built on it.  Five of
+the seven kernels are one two-ball hinge that differs only in the signs and
+order of its terms; they all run ``_two_ball``, driven by one row each of the
+``_TWO_BALL`` table, from which the gradient signs are read as well.
 
 Parameters and gradients live in one contiguous float64 buffer each, with
 the four named blocks as views into it (``_FlatBlocks``), so zeroing,
@@ -194,59 +197,122 @@ class LossTerm:
     grads: dict
 
 
-def _unit_penalty(centers: np.ndarray):
-    """P = | ||x|| - 1 | per row, with its gradient rows."""
-    norms = np.linalg.norm(centers, axis=1)
-    values = np.abs(norms - 1.0)
-    direction = np.zeros_like(centers)
-    np.divide(centers, norms[:, None], out=direction, where=norms[:, None] > 0.0)
-    grads = np.sign(norms - 1.0)[:, None] * direction
-    return values, grads
-
-
 def _safe_unit(vectors: np.ndarray, norms: np.ndarray) -> np.ndarray:
     out = np.zeros_like(vectors)
     np.divide(vectors, norms[:, None], out=out, where=norms[:, None] > 0.0)
     return out
 
 
-def nf1_batch(
-    state: EmbeddingState,
-    C: np.ndarray,
-    D: np.ndarray,
-    gamma: float,
-    acc: Optional[GradientAccumulator] = None,
-):
-    """C <= D: the C-ball must sit inside the D-ball."""
+def _unit_penalty(centers: np.ndarray):
+    """P = | ||x|| - 1 | per row, with its gradient rows."""
+    norms = np.linalg.norm(centers, axis=1)
+    values = np.abs(norms - 1.0)
+    grads = np.sign(norms - 1.0)[:, None] * _safe_unit(centers, norms)
+    return values, grads
+
+
+# Each two-ball hinge h is a signed sum of the operands below, and the table
+# holds its terms in the order h adds them: float addition is not
+# associative, so the order is part of the model's output bytes.  A term's
+# sign is also dh/d(term), so every gradient sign is read from the same row
+# and a hinge cannot disagree with its derivative.  The relation shift gives
+# t = c + shift * r - d (0: no relation); "regularized" marks the shapes
+# whose slack carries the sigma_reg * sigma regularizer.
+_OPERANDS = ("dist", "r_C", "r_D", "sigma", "gamma")
+_DIST, _RC, _RD, _SIGMA, _GAMMA = range(len(_OPERANDS))
+
+
+class _TwoBall(NamedTuple):
+    first: int  # operand index h starts from, with sign +
+    steps: tuple  # (np.add or np.subtract, operand index), in order
+    sign: tuple  # sign of each operand in h, 0 when absent
+    shift: int
+    regularized: bool
+
+
+def _two_ball_row(formula: str, shift: int, regularized: bool) -> _TwoBall:
+    terms = [(1 if token[0] == "+" else -1, _OPERANDS.index(token[1:]))
+             for token in formula.split()]
+    sign = [0] * len(_OPERANDS)
+    for s, index in terms:
+        sign[index] = s
+    steps = tuple((np.add if s > 0 else np.subtract, index)
+                  for s, index in terms[1:])
+    return _TwoBall(terms[0][1], steps, tuple(sign), shift, regularized)
+
+
+_TWO_BALL = {
+    "nf1": _two_ball_row("+dist +r_C -r_D -gamma", 0, False),
+    "nf3": _two_ball_row("+dist +r_C -r_D -sigma -gamma", 1, True),
+    "nf4": _two_ball_row("+dist -r_C -r_D -sigma -gamma", -1, True),
+    "disjoint": _two_ball_row("+r_C +r_D -dist +gamma", 0, False),
+    "nf3_negative": _two_ball_row("+r_C +r_D +sigma +gamma -dist", 1, False),
+}
+
+
+def _two_ball(key, state, C, R, D, gamma, variant, acc, sigma_reg):
+    """The hinge ``_TWO_BALL[key]`` between the C-ball and the D-ball (after
+    translation by relation R) plus both unit-sphere penalties, with its
+    gradients added to *acc*; returns ``(values, hinges)``.
+
+    The slack is the relation's |raw sigma| in the variance-extended variant
+    and 0 otherwise.  A shape marked regularized adds sigma_reg * sigma to
+    its value.  At sigma_reg = 1.0 every active hinge (-1) is cancelled by
+    its own regularizer (+1), so the slack can plateau but never grow; a
+    weight below 1 lets relations with several active targets buy slack.
+    """
+    row = _TWO_BALL[key]
     fc = state.class_centers[C]
     fd = state.class_centers[D]
     raw_rc = state.class_radii_raw[C]
     raw_rd = state.class_radii_raw[D]
-    u = fc - fd
-    dist = np.linalg.norm(u, axis=1)
-    h = dist + np.abs(raw_rc) - np.abs(raw_rd) - gamma
+    slacked = bool(row.shift) and variant is Variant.EMEL_VAR
+    if row.shift:
+        fr = state.relation_vectors[R]
+        raw_sig = state.relation_sigmas_raw[R]
+        sig = np.abs(raw_sig) if slacked else np.zeros_like(raw_sig)
+        t = (fc + fr if row.shift > 0 else fc - fr) - fd
+    else:
+        t, sig = fc - fd, None
+    dist = np.linalg.norm(t, axis=1)
+    operands = (dist, np.abs(raw_rc), np.abs(raw_rd), sig, gamma)
+    h = operands[row.first]
+    for op, index in row.steps:
+        h = op(h, operands[index])
     hinge = np.maximum(h, 0.0)
     pc, pc_grad = _unit_penalty(fc)
     pd, pd_grad = _unit_penalty(fd)
     values = hinge + pc + pd
+    if slacked and row.regularized:
+        values = values + sigma_reg * sig
     if acc is not None:
         active = (h > 0.0).astype(float)
-        uhat = _safe_unit(u, dist)
-        _add_rows(acc, acc.centers_base, C, active[:, None] * uhat + pc_grad)
-        _add_rows(acc, acc.centers_base, D, -active[:, None] * uhat + pd_grad)
-        np.add.at(acc.class_radii_raw, C, active * np.sign(raw_rc))
-        np.add.at(acc.class_radii_raw, D, -active * np.sign(raw_rd))
+        g = (row.sign[_DIST] * active)[:, None] * _safe_unit(t, dist)
+        _add_rows(acc, acc.centers_base, C, g + pc_grad)
+        _add_rows(acc, acc.centers_base, D, pd_grad - g)
+        if row.shift:
+            _add_rows(acc, acc.relations_base, R, g if row.shift > 0 else -g)
+        np.add.at(acc.class_radii_raw, C,
+                  row.sign[_RC] * active * np.sign(raw_rc))
+        np.add.at(acc.class_radii_raw, D,
+                  row.sign[_RD] * active * np.sign(raw_rd))
+        if slacked:
+            slack = row.sign[_SIGMA] * active
+            if row.regularized:
+                slack = sigma_reg + slack
+            np.add.at(acc.relation_sigmas_raw, R, slack * np.sign(raw_sig))
     return values, hinge
 
 
-def nf2_batch(
-    state: EmbeddingState,
-    C: np.ndarray,
-    D: np.ndarray,
-    E: np.ndarray,
-    gamma: float,
-    acc: Optional[GradientAccumulator] = None,
-):
+def nf1_batch(state: EmbeddingState, C: np.ndarray, D: np.ndarray,
+              gamma: float, acc: Optional[GradientAccumulator] = None):
+    """C <= D: the C-ball must sit inside the D-ball."""
+    return _two_ball("nf1", state, C, None, D, gamma, None, acc, None)
+
+
+def nf2_batch(state: EmbeddingState, C: np.ndarray, D: np.ndarray,
+              E: np.ndarray, gamma: float,
+              acc: Optional[GradientAccumulator] = None):
     """C and D <= E: C,D overlap and E's center lies in both balls."""
     fc = state.class_centers[C]
     fd = state.class_centers[D]
@@ -287,139 +353,32 @@ def nf2_batch(
     return values, hinge
 
 
-def _sigma_terms(state: EmbeddingState, R: np.ndarray, variant: Variant):
-    raw = state.relation_sigmas_raw[R]
-    if variant is Variant.EMEL_VAR:
-        return raw, np.abs(raw)
-    return raw, np.zeros_like(raw)
-
-
-def nf3_batch(
-    state: EmbeddingState,
-    C: np.ndarray,
-    R: np.ndarray,
-    D: np.ndarray,
-    gamma: float,
-    variant: Variant,
-    acc: Optional[GradientAccumulator] = None,
-    sigma_reg: float = 1.0,
-):
+def nf3_batch(state: EmbeddingState, C: np.ndarray, R: np.ndarray,
+              D: np.ndarray, gamma: float, variant: Variant,
+              acc: Optional[GradientAccumulator] = None,
+              sigma_reg: float = 1.0):
     """C <= some R. D: C's center translated by R lands within the D-ball,
-    up to the relation slack.
-
-    sigma_reg scales the slack regularizer.  At the default 1.0 every active
-    hinge (-1) is cancelled by its own regularizer (+1), so the slack can
-    plateau but never grow; a weight below 1 lets relations with several
-    active targets buy slack.
-    """
-    fc = state.class_centers[C]
-    fr = state.relation_vectors[R]
-    fd = state.class_centers[D]
-    raw_rc = state.class_radii_raw[C]
-    raw_rd = state.class_radii_raw[D]
-    raw_sig, sig = _sigma_terms(state, R, variant)
-    t = fc + fr - fd
-    dist = np.linalg.norm(t, axis=1)
-    h = dist + np.abs(raw_rc) - np.abs(raw_rd) - sig - gamma
-    hinge = np.maximum(h, 0.0)
-    pc, pc_grad = _unit_penalty(fc)
-    pd, pd_grad = _unit_penalty(fd)
-    values = hinge + pc + pd
-    if variant is Variant.EMEL_VAR:
-        values = values + sigma_reg * sig
-    if acc is not None:
-        active = (h > 0.0).astype(float)
-        that = _safe_unit(t, dist)
-        _add_rows(acc, acc.centers_base, C, active[:, None] * that + pc_grad)
-        _add_rows(acc, acc.centers_base, D, -active[:, None] * that + pd_grad)
-        _add_rows(acc, acc.relations_base, R, active[:, None] * that)
-        np.add.at(acc.class_radii_raw, C, active * np.sign(raw_rc))
-        np.add.at(acc.class_radii_raw, D, -active * np.sign(raw_rd))
-        if variant is Variant.EMEL_VAR:
-            np.add.at(
-                acc.relation_sigmas_raw, R,
-                (sigma_reg - active) * np.sign(raw_sig),
-            )
-    return values, hinge
+    up to the relation slack; sigma_reg scales the slack regularizer."""
+    return _two_ball("nf3", state, C, R, D, gamma, variant, acc, sigma_reg)
 
 
-def nf4_batch(
-    state: EmbeddingState,
-    R: np.ndarray,
-    C: np.ndarray,
-    D: np.ndarray,
-    gamma: float,
-    variant: Variant,
-    acc: Optional[GradientAccumulator] = None,
-    sigma_reg: float = 1.0,
-):
+def nf4_batch(state: EmbeddingState, R: np.ndarray, C: np.ndarray,
+              D: np.ndarray, gamma: float, variant: Variant,
+              acc: Optional[GradientAccumulator] = None,
+              sigma_reg: float = 1.0):
     """some R. C <= D: translation runs backwards and the balls must meet,
     up to the relation slack."""
-    fc = state.class_centers[C]
-    fr = state.relation_vectors[R]
-    fd = state.class_centers[D]
-    raw_rc = state.class_radii_raw[C]
-    raw_rd = state.class_radii_raw[D]
-    raw_sig, sig = _sigma_terms(state, R, variant)
-    t = fc - fr - fd
-    dist = np.linalg.norm(t, axis=1)
-    h = dist - np.abs(raw_rc) - np.abs(raw_rd) - sig - gamma
-    hinge = np.maximum(h, 0.0)
-    pc, pc_grad = _unit_penalty(fc)
-    pd, pd_grad = _unit_penalty(fd)
-    values = hinge + pc + pd
-    if variant is Variant.EMEL_VAR:
-        values = values + sigma_reg * sig
-    if acc is not None:
-        active = (h > 0.0).astype(float)
-        that = _safe_unit(t, dist)
-        _add_rows(acc, acc.centers_base, C, active[:, None] * that + pc_grad)
-        _add_rows(acc, acc.centers_base, D, -active[:, None] * that + pd_grad)
-        _add_rows(acc, acc.relations_base, R, -active[:, None] * that)
-        np.add.at(acc.class_radii_raw, C, -active * np.sign(raw_rc))
-        np.add.at(acc.class_radii_raw, D, -active * np.sign(raw_rd))
-        if variant is Variant.EMEL_VAR:
-            np.add.at(
-                acc.relation_sigmas_raw, R,
-                (sigma_reg - active) * np.sign(raw_sig),
-            )
-    return values, hinge
+    return _two_ball("nf4", state, C, R, D, gamma, variant, acc, sigma_reg)
 
 
-def disjoint_batch(
-    state: EmbeddingState,
-    C: np.ndarray,
-    D: np.ndarray,
-    gamma: float,
-    acc: Optional[GradientAccumulator] = None,
-):
+def disjoint_batch(state: EmbeddingState, C: np.ndarray, D: np.ndarray,
+                   gamma: float, acc: Optional[GradientAccumulator] = None):
     """C and D <= nothing: the two balls must separate by at least the margin."""
-    fc = state.class_centers[C]
-    fd = state.class_centers[D]
-    raw_rc = state.class_radii_raw[C]
-    raw_rd = state.class_radii_raw[D]
-    u = fc - fd
-    dist = np.linalg.norm(u, axis=1)
-    h = np.abs(raw_rc) + np.abs(raw_rd) - dist + gamma
-    hinge = np.maximum(h, 0.0)
-    pc, pc_grad = _unit_penalty(fc)
-    pd, pd_grad = _unit_penalty(fd)
-    values = hinge + pc + pd
-    if acc is not None:
-        active = (h > 0.0).astype(float)
-        uhat = _safe_unit(u, dist)
-        _add_rows(acc, acc.centers_base, C, -active[:, None] * uhat + pc_grad)
-        _add_rows(acc, acc.centers_base, D, active[:, None] * uhat + pd_grad)
-        np.add.at(acc.class_radii_raw, C, active * np.sign(raw_rc))
-        np.add.at(acc.class_radii_raw, D, active * np.sign(raw_rd))
-    return values, hinge
+    return _two_ball("disjoint", state, C, None, D, gamma, None, acc, None)
 
 
-def bottom_batch(
-    state: EmbeddingState,
-    C: np.ndarray,
-    acc: Optional[GradientAccumulator] = None,
-):
+def bottom_batch(state: EmbeddingState, C: np.ndarray,
+                 acc: Optional[GradientAccumulator] = None):
     """C <= nothing: the radius itself is the loss, driving the ball to a point."""
     raw = state.class_radii_raw[C]
     values = np.abs(raw)
@@ -428,40 +387,12 @@ def bottom_batch(
     return values, np.zeros_like(values)
 
 
-def nf3_negative_batch(
-    state: EmbeddingState,
-    C: np.ndarray,
-    R: np.ndarray,
-    D: np.ndarray,
-    gamma: float,
-    variant: Variant,
-    acc: Optional[GradientAccumulator] = None,
-):
+def nf3_negative_batch(state: EmbeddingState, C: np.ndarray, R: np.ndarray,
+                       D: np.ndarray, gamma: float, variant: Variant,
+                       acc: Optional[GradientAccumulator] = None):
     """Corrupted C <= some R. D': push the translated ball away from D'."""
-    fc = state.class_centers[C]
-    fr = state.relation_vectors[R]
-    fd = state.class_centers[D]
-    raw_rc = state.class_radii_raw[C]
-    raw_rd = state.class_radii_raw[D]
-    raw_sig, sig = _sigma_terms(state, R, variant)
-    t = fc + fr - fd
-    dist = np.linalg.norm(t, axis=1)
-    h = np.abs(raw_rc) + np.abs(raw_rd) + sig + gamma - dist
-    hinge = np.maximum(h, 0.0)
-    pc, pc_grad = _unit_penalty(fc)
-    pd, pd_grad = _unit_penalty(fd)
-    values = hinge + pc + pd
-    if acc is not None:
-        active = (h > 0.0).astype(float)
-        that = _safe_unit(t, dist)
-        _add_rows(acc, acc.centers_base, C, -active[:, None] * that + pc_grad)
-        _add_rows(acc, acc.centers_base, D, active[:, None] * that + pd_grad)
-        _add_rows(acc, acc.relations_base, R, -active[:, None] * that)
-        np.add.at(acc.class_radii_raw, C, active * np.sign(raw_rc))
-        np.add.at(acc.class_radii_raw, D, active * np.sign(raw_rd))
-        if variant is Variant.EMEL_VAR:
-            np.add.at(acc.relation_sigmas_raw, R, active * np.sign(raw_sig))
-    return values, hinge
+    return _two_ball("nf3_negative", state, C, R, D, gamma, variant, acc,
+                     None)
 
 
 def _collect_grads(
@@ -518,19 +449,27 @@ def term_batch(
                   **{name: given[name] for name in _KERNEL_ARGS[key]})
 
 
-def _term(ax: NormalAxiom, sign: int):
+def _term(ax: NormalAxiom, sign: int, state: EmbeddingState):
     """Kernel key and one-row id columns of a (normal axiom, sign) term.
 
     Sign +1 is a positive term; sign -1 marks a corrupted role axiom and is
-    valid only for the C <= some R. D shape.
+    valid only for the C <= some R. D shape.  Every id must index a row of
+    *state*: the kernels would wrap a negative one and put its gradient in
+    another block.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if sign == -1 and not isinstance(ax, NF3):
         raise ValueError("negative terms exist only for the C <= some R. D shape")
     shape = shape_of(ax)
+    ids = [getattr(ax, f) for f in shape.fields]
+    for f, i in zip(shape.fields, ids):
+        count = state.num_relations if f in shape.relations else state.num_classes
+        if not 0 <= i < count:
+            raise ValueError(
+                f"{type(ax).__name__}.{f} = {i!r} is outside [0, {count})")
     key = shape.key if sign == 1 else "nf3_negative"
-    return key, [np.array([getattr(ax, f)]) for f in shape.fields]
+    return key, [np.array([i]) for i in ids]
 
 
 def loss(
@@ -542,7 +481,7 @@ def loss(
     sign: int = 1,
 ) -> LossTerm:
     """The loss term of one normal axiom, signed as in ``gradients``."""
-    key, columns = _term(ax, sign)
+    key, columns = _term(ax, sign, state)
     acc = GradientAccumulator.zeros_like(state)
     values, hinges = term_batch(key, state, columns, gamma, variant, acc,
                                 sigma_reg)
@@ -601,7 +540,7 @@ def gradients(
     """
     acc = GradientAccumulator.zeros_like(state)
     for ax, sign in batch:
-        key, columns = _term(ax, sign)
+        key, columns = _term(ax, sign, state)
         term_batch(key, state, columns, gamma, variant, acc, sigma_reg)
     return acc
 

@@ -11,7 +11,7 @@ every batch, and the optimizers update the flat parameter buffer in place
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -315,29 +315,18 @@ class LogRow:
     valid_hits10: float  # nan when not evaluated this epoch
 
 
-LOG_COLUMNS = (
-    "epoch",
-    "total_loss",
-    "nf1_loss",
-    "nf2_loss",
-    "nf3_loss",
-    "nf4_loss",
-    "disjoint_loss",
-    "neg_loss",
-    "valid_hits10",
-)
+LOG_COLUMNS = tuple(f.name for f in fields(LogRow))
 
 
 def write_log(path, rows: Sequence[LogRow]) -> None:
+    """One tab-separated line per row: the epoch, then every other field
+    with 10 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(LOG_COLUMNS) + "\n")
         for row in rows:
-            fh.write(
-                f"{row.epoch}\t{row.total_loss:.10g}\t{row.nf1_loss:.10g}\t"
-                f"{row.nf2_loss:.10g}\t{row.nf3_loss:.10g}\t{row.nf4_loss:.10g}\t"
-                f"{row.disjoint_loss:.10g}\t{row.neg_loss:.10g}\t"
-                f"{row.valid_hits10:.10g}\n"
-            )
+            cells = (format(getattr(row, name), ".10g")
+                     for name in LOG_COLUMNS[1:])
+            fh.write("\t".join((str(row.epoch), *cells)) + "\n")
 
 
 @dataclass

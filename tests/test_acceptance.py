@@ -7,6 +7,7 @@ everything else is fast.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,7 +300,7 @@ def test_criterion_9_training_determinism(tmp_path):
     m1, m2 = str(tmp_path / "m1.tsv"), str(tmp_path / "m2.tsv")
     assert main(["train", "--config", str(cfg), str(src), m1]) == 0
     assert main(["train", "--config", str(cfg), str(src), m2]) == 0
-    b1 = open(m1, "rb").read()
-    b2 = open(m2, "rb").read()
+    b1 = Path(m1).read_bytes()
+    b2 = Path(m2).read_bytes()
     assert b1 == b2
     report(9, "two train runs wrote bit-identical model files")

@@ -62,7 +62,7 @@ def test_normalize_idempotent_on_normal_input(tmp_path, fixture_file):
     assert run(["normalize", out1, out2]) == 0
 
     def axiom_lines(path):
-        return [l for l in open(path).read().splitlines()
+        return [l for l in Path(path).read_text().splitlines()
                 if l and not l.startswith("#")]
 
     assert axiom_lines(out1) == axiom_lines(out2)
@@ -80,7 +80,7 @@ def test_split_writes_parts_and_report(tmp_path, fixture_file):
         assert os.path.exists(os.path.join(out_dir, name))
     report = dict(
         line.split("\t")
-        for line in open(os.path.join(out_dir, "split.tsv")).read().splitlines()
+        for line in Path(out_dir, "split.tsv").read_text().splitlines()
     )
     assert report["seed"] == "7"
     assert int(report["eligible_nf1"]) == 11
@@ -94,8 +94,8 @@ def test_split_deterministic_files(tmp_path, fixture_file):
     assert run(["split", fixture_file, dir1, "--seed", "3"]) == 0
     assert run(["split", fixture_file, dir2, "--seed", "3"]) == 0
     for name in ("train.el", "valid.el", "test.el", "split.tsv"):
-        a = open(os.path.join(dir1, name), "rb").read()
-        b = open(os.path.join(dir2, name), "rb").read()
+        a = Path(dir1, name).read_bytes()
+        b = Path(dir2, name).read_bytes()
         assert a == b
 
 
@@ -112,13 +112,13 @@ def test_train_and_eval_geometric(tmp_path, fixture_file):
     ]) == 0
     assert os.path.exists(model)
     assert os.path.exists(model + ".log.tsv")
-    header = open(model).readline()
+    header = Path(model).read_text().splitlines()[0]
     assert header.startswith("#geodl v1 dim=6 variant=EmElVar")
 
     report = str(tmp_path / "report.tsv")
     test_file = os.path.join(out_dir, "test.el")
     assert run(["eval", model, test_file, report]) == 0
-    rows = [l for l in open(report).read().splitlines() if not l.startswith("#")]
+    rows = [l for l in Path(report).read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == 7
     assert os.path.exists(report + ".ranks")
 
@@ -133,11 +133,11 @@ def test_train_and_eval_baseline(tmp_path, fixture_file):
         "train", "--model", "transe", "--config", str(cfg),
         os.path.join(out_dir, "train.el"), model,
     ]) == 0
-    header = open(model).readline()
+    header = Path(model).read_text().splitlines()[0]
     assert header.startswith("#geodl-baseline v1 model=transe dim=6")
     report = str(tmp_path / "report.tsv")
     assert run(["eval", model, os.path.join(out_dir, "test.el"), report]) == 0
-    rows = [l for l in open(report).read().splitlines() if not l.startswith("#")]
+    rows = [l for l in Path(report).read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == 7
 
 
@@ -154,7 +154,7 @@ def test_eval_direction_and_filtered_flags(tmp_path, fixture_file):
         "eval", "--direction", "sup", "--filtered", train_file,
         model, os.path.join(out_dir, "test.el"), report,
     ]) == 0
-    first = open(report).readline()
+    first = Path(report).read_text().splitlines()[0]
     assert "direction=sup" in first
     assert "filtered=yes" in first
     assert run([
@@ -170,7 +170,7 @@ def test_train_determinism_bitwise(tmp_path, fixture_file):
     m2 = str(tmp_path / "m2.tsv")
     assert run(["train", "--config", str(cfg), fixture_file, m1]) == 0
     assert run(["train", "--config", str(cfg), fixture_file, m2]) == 0
-    assert open(m1, "rb").read() == open(m2, "rb").read()
+    assert Path(m1).read_bytes() == Path(m2).read_bytes()
 
 
 def test_unknown_flag_exits_1(fixture_file, capsys):
@@ -213,14 +213,39 @@ def test_eval_unknown_test_class_exits_1(tmp_path, fixture_file, capsys):
 
 
 def test_inputs_never_mutated(tmp_path, fixture_file):
-    before = open(fixture_file, "rb").read()
+    before = Path(fixture_file).read_bytes()
     out_dir = str(tmp_path / "s")
     run(["split", fixture_file, out_dir])
     run(["normalize", fixture_file, str(tmp_path / "n.el")])
     cfg = tmp_path / "c.cfg"
     cfg.write_text("dim=4\nepochs=2\n")
     run(["train", "--config", str(cfg), fixture_file, str(tmp_path / "m.tsv")])
-    assert open(fixture_file, "rb").read() == before
+    assert Path(fixture_file).read_bytes() == before
+
+
+@pytest.mark.parametrize("name", ["split.tsv", "valid.el"])
+def test_split_refuses_input_among_outputs_before_writing(tmp_path, name,
+                                                          capsys):
+    """An input that is one of split's four outputs is refused before any
+    output is written, so it is neither replaced nor left beside a partial
+    split."""
+    out_dir = tmp_path / "work"
+    out_dir.mkdir()
+    source = out_dir / name
+    source.write_text("\n".join(GALEN_ISH) + "\n")
+    assert run(["split", str(source), str(out_dir)]) == 1
+    assert "refusing to overwrite input file" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) == [name]
+    assert source.read_text() == "\n".join(GALEN_ISH) + "\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--model", "transe"]],
+                         ids=["ball", "transe"])
+def test_train_refuses_log_over_model(tmp_path, fixture_file, extra, capsys):
+    model = str(tmp_path / "m.tsv")
+    assert run(["train", fixture_file, model, model, *extra]) == 1
+    assert "output file given twice" in capsys.readouterr().err
+    assert not os.path.exists(model)
 
 
 def test_sibling_valid_file_enables_early_stopping(tmp_path, fixture_file):
@@ -232,7 +257,7 @@ def test_sibling_valid_file_enables_early_stopping(tmp_path, fixture_file):
     assert run([
         "train", "--config", str(cfg), os.path.join(out_dir, "train.el"), model
     ]) == 0
-    log = open(model + ".log.tsv").read().splitlines()
+    log = Path(model + ".log.tsv").read_text().splitlines()
     hits_cells = [line.split("\t")[-1] for line in log[1:]]
     assert any(cell != "nan" for cell in hits_cells)
 

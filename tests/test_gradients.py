@@ -5,6 +5,8 @@ a margin away from every hinge boundary, absolute-value kink, zero distance
 and zero center norm, where the derivative is well defined.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -26,6 +28,7 @@ from geodl.model import (
     loss_nf3,
     loss_nf3_negative,
     loss_nf4,
+    term_batch,
 )
 
 EMEL = Variant.EMEL
@@ -304,6 +307,28 @@ def test_batch_gradients_reject_bad_sign(rng):
         gradients([(NF1(0, 1), -1)], state, 0.1, VAR)
 
 
+@pytest.mark.parametrize("term, field", [
+    pytest.param(lambda st: loss_nf1(st, -1, 0, 0.1), "NF1.c = -1", id="nf1-c"),
+    pytest.param(lambda st: loss_nf1(st, 0, 3, 0.1), "NF1.d = 3", id="nf1-d"),
+    pytest.param(lambda st: loss_nf2(st, 0, 1, -2, 0.1), "NF2.e = -2",
+                 id="nf2-e"),
+    pytest.param(lambda st: loss_nf3(st, 0, -1, 1, 0.1, VAR), "NF3.r = -1",
+                 id="nf3-r"),
+    pytest.param(lambda st: loss_nf4(st, 0, 2, 1, 0.1, EMEL), "NF4.r = 2",
+                 id="nf4-r"),
+    pytest.param(lambda st: loss_bottom(st, -3), "BottomSub.c = -3",
+                 id="bottom-c"),
+    pytest.param(lambda st: loss_nf3_negative(st, 0, 1, 7, 0.1, VAR),
+                 "NF3.d = 7", id="nf3_negative-d"),
+])
+def test_single_term_rejects_ids_out_of_range(rng, term, field):
+    """An id outside [0, count) would gather a wrapped row, or none, and
+    put its gradient in another block; it is refused, naming the field."""
+    state = make_state(rng, num_classes=3, num_relations=2, dim=2)
+    with pytest.raises(ValueError, match=field):
+        term(state)
+
+
 def test_inactive_hinge_unit_centers_zero_gradient():
     from test_losses import state_2d
 
@@ -378,3 +403,69 @@ def test_add_rows_is_bitwise_2d_add_at(case):
         _add_rows(acc, base, rows, values)
         np.add.at(getattr(expected, name), rows, values)
     assert acc.flat.tobytes() == expected.flat.tobytes()
+
+
+# --- kernel-level golden digests -------------------------------------------------
+
+# One seeded batch per kernel that reaches every branch: repeated rows, a row
+# whose two centers coincide after translation (dist = 0, the zero branch of
+# the unit direction), zero raw radii and slacks of both signs (np.sign = 0)
+# and negative raw values.  Columns are in each kernel's argument order.
+CLASS_PAIR = (np.array([0, 0, 5, 2, 3, 1, 4, 0]),
+              np.array([5, 5, 0, 2, 1, 3, 4, 2]))
+ROLE = (np.array([1, 1, 3, 0, 4, 5, 2]),
+        np.array([0, 0, 1, 2, 1, 2, 0]),
+        np.array([2, 2, 4, 5, 3, 0, 1]))
+KERNEL_COLUMNS = {
+    "nf1": CLASS_PAIR,
+    "nf2": CLASS_PAIR + (np.array([1, 2, 0, 2, 5, 5, 4, 3]),),
+    "nf3": ROLE,
+    "nf4": (ROLE[1], ROLE[0], ROLE[2]),
+    "disjoint": CLASS_PAIR,
+    "bottom": (np.array([0, 1, 4, 4, 2]),),
+    "nf3_negative": ROLE,
+}
+
+# sha256 over values, hinges and accumulator bytes of the kernel's run under
+# each (variant, sigma_reg) in KERNEL_SETTINGS order
+KERNEL_SETTINGS = [(EMEL, 1.0), (EMEL, 0.25), (VAR, 1.0), (VAR, 0.25)]
+KERNEL_DIGESTS = {
+    "bottom": "83098dcaa7a31dacbfee339c2fb4805d39cdff892aba56183154dfd36cbb8b8b",
+    "disjoint": "d0562a032410fcf24efce5dee83c48936bf830500ec6091827c31f53d6224e26",
+    "nf1": "0676577464799add8a0ac442297475dfab565ee8ff6e222e93c47e1a11b1e18f",
+    "nf2": "f57287feda1f3b403d8e4d1817be6805c6c27164b1e616259e10bbc22002dbe2",
+    "nf3": "b3b1ce419ea2bd3d1e8039fcb6e6ff92c923708627ad25b937d85d5fcc76e711",
+    "nf3_negative": "7b6780fa64bfcea83ad95f71f8f95a1049daa7a1b402549192a1dbdac1becc66",
+    "nf4": "6987a362b9da308db5788d80e1c7c2fc7c3236683f9b093d97443b0d5da7b648",
+}
+
+
+def _kernel_state():
+    state = make_state(np.random.default_rng(7), num_classes=6,
+                       num_relations=3, dim=3, scale=0.6)
+    state.class_radii_raw[[1, 4]] = [0.0, -0.0]
+    state.relation_sigmas_raw[[1, 2]] = [-0.0, 0.0]
+    state.class_centers[5] = state.class_centers[0]
+    # row 0 of ROLE: fc + fr - fd = 0; row 2 read as nf4: fc - fr - fd = 0
+    state.class_centers[2] = state.class_centers[1] + state.relation_vectors[0]
+    state.class_centers[4] = state.class_centers[3] - state.relation_vectors[1]
+    return state
+
+
+def _kernel_digest(key):
+    digest = hashlib.sha256()
+    for variant, sigma_reg in KERNEL_SETTINGS:
+        state = _kernel_state()
+        acc = GradientAccumulator.zeros_like(state)
+        values, hinges = term_batch(key, state, KERNEL_COLUMNS[key], 0.1,
+                                    variant, acc, sigma_reg)
+        for array in (values, hinges, acc.flat):
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(KERNEL_COLUMNS))
+def test_kernel_bytes_are_pinned(key):
+    """Each kernel's values, hinges and gradient bytes on the edge-case batch
+    are pinned: a changed sign, term order or zero branch changes them."""
+    assert _kernel_digest(key) == KERNEL_DIGESTS[key]
