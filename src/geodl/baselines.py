@@ -2,126 +2,190 @@
 
 Subclass axioms are triple-ized through a reserved ``__subClassOf__``
 relation so the same ranking protocol applies to every model.  All scores
-are "higher is better"; the scalar scoring functions accumulate strictly
-left to right so an independent straight-line evaluation reproduces them
-exactly.
+are "higher is better".  Each model is one row of a table: its batch score,
+its score gradient, its candidate-row function for ranking, and whether it
+carries relation hyperplane normals (TransH).  A state's parameters live in
+one contiguous buffer, so the SGD step and the finiteness check are each one
+pass over it, and the gradient rows are added with the ball model's
+``_add_rows``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .model import read_model_file, row_norms
+from .model import (
+    NumericalError, _add_rows, _safe_unit, read_model_file, row_norms, write_rows,
+)
 from .normalize import NF1, NF3, NF4, NormalizedOntology
 
 SUBCLASS_RELATION = "__subClassOf__"
 
-MODELS = ("transe", "transh", "distmult")
-
 BASELINE_HEADER_PREFIX = "#geodl-baseline v1"
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    head: int
-    relation: int
-    tail: int
-    from_nf4: bool = False
-
-
-@dataclass
 class BaselineState:
-    model: str
-    entity_embeddings: np.ndarray  # [num_entities, dim]
-    relation_embeddings: np.ndarray  # [num_relations, dim]
-    normals: Optional[np.ndarray] = None  # transh hyperplane normals, unit rows
+    """Parameters of one baseline model as views into one contiguous float64
+    buffer, ``flat``: the entity rows, the relation rows and, for a model
+    with normals, one hyperplane normal per relation, each block row-major.
 
-    @property
-    def dim(self) -> int:
-        return self.entity_embeddings.shape[1]
+    *model* must be one of ``MODELS``; this is the one place it is checked.
+    The arrays given are copied into a new buffer; normals not given are 0.
+    """
 
-    def copy(self) -> "BaselineState":
-        return BaselineState(
-            self.model,
-            self.entity_embeddings.copy(),
-            self.relation_embeddings.copy(),
-            None if self.normals is None else self.normals.copy(),
-        )
+    def __init__(self, model: str, entity_embeddings, relation_embeddings,
+                 normals=None):
+        self.model = model
+        self.spec = _spec(model)
+        num_entities, dim = np.shape(entity_embeddings)
+        num_relations = len(relation_embeddings)
+        ent = num_entities * dim
+        rel = ent + num_relations * dim
+        self.flat = np.zeros(rel + (rel - ent) * self.spec.normals)
+        self.entity_embeddings = self.flat[:ent].reshape(num_entities, dim)
+        self.relation_embeddings = self.flat[ent:rel].reshape(num_relations, dim)
+        self.normals = None
+        if self.spec.normals:
+            self.normals = self.flat[rel:].reshape(num_relations, dim)
+        self.entity_embeddings[...] = entity_embeddings
+        self.relation_embeddings[...] = relation_embeddings
+        if normals is not None:
+            self.normals[...] = normals
 
 
 def baseline_relation_names(onto: NormalizedOntology) -> list:
     return [info.name for info in onto.relations] + [SUBCLASS_RELATION]
 
 
-def extract_triples(onto: NormalizedOntology) -> list[Triple]:
-    """NF1 via the reserved subclass relation, NF3/NF4 as (C, R, D); other
-    axiom shapes carry no single relation edge and are skipped."""
+def extract_triples(onto: NormalizedOntology) -> np.ndarray:
+    """``[n, 3]`` (head, relation, tail) ids in axiom order: NF1 via the
+    reserved subclass relation, NF3/NF4 as (C, R, D); other axiom shapes
+    carry no single relation edge and are skipped."""
     sub_rel = len(onto.relations)
-    triples: list[Triple] = []
-    for ax in onto.axioms:
-        if isinstance(ax, NF1):
-            triples.append(Triple(ax.c, sub_rel, ax.d))
-        elif isinstance(ax, NF3):
-            triples.append(Triple(ax.c, ax.r, ax.d))
-        elif isinstance(ax, NF4):
-            triples.append(Triple(ax.c, ax.r, ax.d, from_nf4=True))
-    return triples
+    rows = [(ax.c, sub_rel if isinstance(ax, NF1) else ax.r, ax.d)
+            for ax in onto.axioms if isinstance(ax, (NF1, NF3, NF4))]
+    return np.array(rows, dtype=int).reshape(len(rows), 3)
 
 
-# --- scalar scores (strict left-to-right accumulation) --------------------
+# --- the models --------------------------------------------------------------
 
 
-def score_transe(h: int, r: int, t: int, state: BaselineState) -> float:
+def _transe_diff(state: BaselineState, H, R, T) -> np.ndarray:
+    e = state.entity_embeddings
+    return e[H] + state.relation_embeddings[R] - e[T]
+
+
+def _transh_parts(state: BaselineState, H, R, T) -> tuple:
+    """The translation residual between the hyperplane projections of head
+    and tail, with the pieces the gradient needs."""
+    e = state.entity_embeddings
+    w = state.normals[R]
+    eh = e[H]
+    et = e[T]
+    wh = np.sum(w * eh, axis=1, keepdims=True)
+    wt = np.sum(w * et, axis=1, keepdims=True)
+    u = (eh - wh * w) + state.relation_embeddings[R] - (et - wt * w)
+    return u, w, eh, et, wh, wt
+
+
+def _transe_scores(state, H, R, T):
+    return -np.linalg.norm(_transe_diff(state, H, R, T), axis=1)
+
+
+def _transe_grads(state, H, R, T):
+    u = _transe_diff(state, H, R, T)
+    uhat = _safe_unit(u, np.linalg.norm(u, axis=1))
+    return -uhat, -uhat, uhat, None
+
+
+def _transh_scores(state, H, R, T):
+    return -np.linalg.norm(_transh_parts(state, H, R, T)[0], axis=1)
+
+
+def _transh_grads(state, H, R, T):
+    u, w, eh, et, wh, wt = _transh_parts(state, H, R, T)
+    uhat = _safe_unit(u, np.linalg.norm(u, axis=1))
+    uw = np.sum(uhat * w, axis=1, keepdims=True)
+    g_t = uhat - uw * w
+    return -g_t, -uhat, g_t, -(uw * (et - eh) + (wt - wh) * uhat)
+
+
+def _distmult_scores(state, H, R, T):
+    e = state.entity_embeddings
+    return np.sum(e[H] * state.relation_embeddings[R] * e[T], axis=1)
+
+
+def _distmult_grads(state, H, R, T):
     e = state.entity_embeddings
     rel = state.relation_embeddings
-    total = 0.0
-    for i in range(state.dim):
-        diff = e[h, i] + rel[r, i] - e[t, i]
-        total += diff * diff
-    return -math.sqrt(total)
+    return rel[R] * e[T], e[H] * e[T], e[H] * rel[R], None
 
 
-def score_transh(h: int, r: int, t: int, state: BaselineState) -> float:
+def _translation_rows(moving, fixed, rel, as_head):
+    """Source -> -||X + rel - fixed(source)|| over the rows X of *moving*
+    when *as_head*, else -||fixed(source) + rel - X||."""
+    buf = np.empty_like(moving)
+    if as_head:
+        np.add(moving, rel, out=moving)
+        return lambda s: -row_norms(np.subtract(moving, fixed(s), out=buf))
+    return lambda s: -row_norms(np.subtract(fixed(s) + rel, moving, out=buf))
+
+
+def _transe_rows(state, r, candidates, as_head):
     e = state.entity_embeddings
-    rel = state.relation_embeddings
-    w = state.normals
-    wh = 0.0
-    wt = 0.0
-    for i in range(state.dim):
-        wh += w[r, i] * e[h, i]
-    for i in range(state.dim):
-        wt += w[r, i] * e[t, i]
-    total = 0.0
-    for i in range(state.dim):
-        diff = (e[h, i] - wh * w[r, i]) + rel[r, i] - (e[t, i] - wt * w[r, i])
-        total += diff * diff
-    return -math.sqrt(total)
+    return _translation_rows(
+        e[candidates], lambda s: e[s], state.relation_embeddings[r], as_head)
 
 
-def score_distmult(h: int, r: int, t: int, state: BaselineState) -> float:
+def _transh_rows(state, r, candidates, as_head):
     e = state.entity_embeddings
-    rel = state.relation_embeddings
-    total = 0.0
-    for i in range(state.dim):
-        total += e[h, i] * rel[r, i] * e[t, i]
-    return total
+    w = state.normals[r]
+    # Project every entity, not just the candidates: a matrix-vector product
+    # may round a row differently depending on the rows around it, and a
+    # score must not depend on which candidates are asked for.
+    projected = e - (e @ w)[:, None] * w
+    return _translation_rows(
+        projected[candidates], lambda s: e[s] - (e[s] @ w) * w,
+        state.relation_embeddings[r], as_head)
 
 
-def score(h: int, r: int, t: int, state: BaselineState) -> float:
-    if state.model == "transe":
-        return score_transe(h, r, t, state)
-    if state.model == "transh":
-        return score_transh(h, r, t, state)
-    if state.model == "distmult":
-        return score_distmult(h, r, t, state)
-    raise ValueError(f"unknown baseline model {state.model!r}")
+def _distmult_rows(state, r, candidates, as_head):
+    e = state.entity_embeddings
+    rel = state.relation_embeddings[r]
+    moving = e[candidates]
+    buf = np.empty_like(moving)
+    if as_head:
+        return lambda s: np.add.reduce(
+            np.multiply(moving, rel * e[s], out=buf), axis=1)
+    return lambda s: np.add.reduce(
+        np.multiply(moving, e[s] * rel, out=buf), axis=1)
 
 
-# --- vectorized scoring (training and ranking) ----------------------------
+class _Model(NamedTuple):
+    name: str
+    scores: Callable  # (state, H, R, T) -> score per triple
+    grads: Callable  # (state, H, R, T) -> d score / d (head, relation, tail, normal)
+    rows: Callable  # see candidate_scores
+    normals: bool  # carries one hyperplane normal per relation
+
+
+_MODELS = {spec.name: spec for spec in (
+    _Model("transe", _transe_scores, _transe_grads, _transe_rows, False),
+    _Model("transh", _transh_scores, _transh_grads, _transh_rows, True),
+    _Model("distmult", _distmult_scores, _distmult_grads, _distmult_rows, False),
+)}
+
+MODELS = tuple(_MODELS)
+
+
+def _spec(model: str) -> _Model:
+    if model not in _MODELS:
+        raise ValueError(f"unknown baseline model {model!r}")
+    return _MODELS[model]
 
 
 def candidate_scores(
@@ -135,105 +199,64 @@ def candidate_scores(
     hyperplane.  Each call of the returned function makes one pass over the
     candidates and returns a new array.
     """
-    e = state.entity_embeddings
-    rel = state.relation_embeddings[r]
-    moving = e
-    fixed = lambda s: e[s]
-    if state.model == "transh":
-        w = state.normals[r]
-        # Project every entity, not just the candidates: a matrix-vector
-        # product may round a row differently depending on the rows around
-        # it, and a score must not depend on which candidates are asked for.
-        moving = e - (e @ w)[:, None] * w
-        fixed = lambda s: e[s] - (e[s] @ w) * w
-    elif state.model not in MODELS:
-        raise ValueError(f"unknown baseline model {state.model!r}")
-    moving = moving[candidates]
-    buf = np.empty_like(moving)
-    if state.model == "distmult":
-        if as_head:
-            return lambda s: np.add.reduce(
-                np.multiply(moving, rel * e[s], out=buf), axis=1)
-        return lambda s: np.add.reduce(
-            np.multiply(moving, e[s] * rel, out=buf), axis=1)
-    if as_head:
-        np.add(moving, rel, out=moving)
-        return lambda s: -row_norms(np.subtract(moving, fixed(s), out=buf))
-    return lambda s: -row_norms(np.subtract(fixed(s) + rel, moving, out=buf))
+    return state.spec.rows(state, r, candidates, as_head)
 
 
 def _scores_batch(state: BaselineState, H, R, T) -> np.ndarray:
-    e = state.entity_embeddings
-    rel = state.relation_embeddings
-    if state.model == "transe":
-        return -np.linalg.norm(e[H] + rel[R] - e[T], axis=1)
-    if state.model == "transh":
-        w = state.normals[R]
-        eh = e[H]
-        et = e[T]
-        hp = eh - np.sum(w * eh, axis=1, keepdims=True) * w
-        tp = et - np.sum(w * et, axis=1, keepdims=True) * w
-        return -np.linalg.norm(hp + rel[R] - tp, axis=1)
-    if state.model == "distmult":
-        return np.sum(e[H] * rel[R] * e[T], axis=1)
-    raise ValueError(f"unknown baseline model {state.model!r}")
+    return state.spec.scores(state, H, R, T)
 
 
 def _score_grads(state: BaselineState, H, R, T):
     """Per-triple gradients of the score wrt head/relation/tail rows (and
     normals for transh).  Returns (g_h, g_r, g_t, g_w or None)."""
-    e = state.entity_embeddings
-    rel = state.relation_embeddings
-    if state.model == "transe":
-        u = e[H] + rel[R] - e[T]
-        dist = np.linalg.norm(u, axis=1)
-        uhat = np.zeros_like(u)
-        np.divide(u, dist[:, None], out=uhat, where=dist[:, None] > 0.0)
-        return -uhat, -uhat, uhat, None
-    if state.model == "transh":
-        w = state.normals[R]
-        eh = e[H]
-        et = e[T]
-        wh = np.sum(w * eh, axis=1, keepdims=True)
-        wt = np.sum(w * et, axis=1, keepdims=True)
-        u = (eh - wh * w) + rel[R] - (et - wt * w)
-        dist = np.linalg.norm(u, axis=1)
-        uhat = np.zeros_like(u)
-        np.divide(u, dist[:, None], out=uhat, where=dist[:, None] > 0.0)
-        uw = np.sum(uhat * w, axis=1, keepdims=True)
-        g_h = -(uhat - uw * w)
-        g_t = uhat - uw * w
-        g_r = -uhat
-        g_w = -(uw * (et - eh) + (wt - wh) * uhat)
-        return g_h, g_r, g_t, g_w
-    if state.model == "distmult":
-        g_h = rel[R] * e[T]
-        g_r = e[H] * e[T]
-        g_t = e[H] * rel[R]
-        return g_h, g_r, g_t, None
-    raise ValueError(f"unknown baseline model {state.model!r}")
+    return state.spec.grads(state, H, R, T)
+
+
+# --- training ----------------------------------------------------------------
+
+
+def _unit_rows(x: np.ndarray) -> None:
+    """Scale each nonzero row of *x* to unit length, in place."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    x /= norms
 
 
 def initialize_baseline(
     model: str, num_entities: int, num_relations: int, dim: int,
     rng: np.random.Generator,
 ) -> BaselineState:
-    if model not in MODELS:
-        raise ValueError(f"unknown baseline model {model!r}")
-    ent = rng.uniform(-0.5, 0.5, size=(num_entities, dim))
-    rel = rng.uniform(-0.5, 0.5, size=(num_relations, dim))
-    normals = None
-    if model == "transh":
-        normals = rng.uniform(-0.5, 0.5, size=(num_relations, dim))
-        norms = np.linalg.norm(normals, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        normals /= norms
-    return BaselineState(model, ent, rel, normals)
+    """Every parameter uniform in [-0.5, 0.5]; normals then scaled to unit
+    length."""
+    state = BaselineState(
+        model, rng.uniform(-0.5, 0.5, size=(num_entities, dim)),
+        rng.uniform(-0.5, 0.5, size=(num_relations, dim)))
+    if state.spec.normals:
+        state.normals[...] = rng.uniform(-0.5, 0.5, size=(num_relations, dim))
+        _unit_rows(state.normals)
+    return state
+
+
+def _hinge_gradient(state: BaselineState, grad: BaselineState,
+                    h, r, t, hn, tn) -> None:
+    """Add the gradient of sum(score(negative) - score(positive)) over the
+    given triples to *grad*, which is laid out as *state*."""
+    gph, gpr, gpt, gpw = _score_grads(state, h, r, t)
+    gnh, gnr, gnt, gnw = _score_grads(state, hn, r, tn)
+    relations = state.entity_embeddings.size
+    _add_rows(grad, 0, h, -gph)
+    _add_rows(grad, 0, t, -gpt)
+    _add_rows(grad, 0, hn, gnh)
+    _add_rows(grad, 0, tn, gnt)
+    _add_rows(grad, relations, r, -gpr + gnr)
+    if state.spec.normals:
+        normals = relations + state.relation_embeddings.size
+        _add_rows(grad, normals, r, -gpw + gnw)
 
 
 def train_baseline(
     model: str,
-    triples: list[Triple],
+    triples,
     *,
     num_entities: int,
     num_relations: int,
@@ -245,8 +268,10 @@ def train_baseline(
     seed: int = 42,
     loss_log: Optional[list] = None,
 ) -> BaselineState:
-    """Margin ranking over uniformly corrupted heads/tails, plain SGD."""
-    if not triples:
+    """Margin ranking over uniformly corrupted heads/tails, plain SGD, on
+    ``[n, 3]`` (head, relation, tail) triples.  A non-finite hinge or
+    parameter raises ``NumericalError``."""
+    if len(triples) == 0:
         raise ValueError("cannot train a baseline on an empty triple list")
     if dim < 1 or lr <= 0.0 or batch_size < 1 or epochs < 0:
         raise ValueError("invalid baseline training configuration")
@@ -254,11 +279,11 @@ def train_baseline(
         raise ValueError("need at least 2 entities to draw corrupted triples")
     rng = np.random.default_rng(seed)
     state = initialize_baseline(model, num_entities, num_relations, dim, rng)
-    H = np.array([t.head for t in triples])
-    R = np.array([t.relation for t in triples])
-    T = np.array([t.tail for t in triples])
-    n = len(triples)
-    for _ in range(epochs):
+    grad = BaselineState(model, np.zeros_like(state.entity_embeddings),
+                         np.zeros_like(state.relation_embeddings))
+    H, R, T = np.asarray(triples, dtype=int).T
+    n = len(H)
+    for epoch in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
@@ -273,35 +298,29 @@ def train_baseline(
             repl_t = repl + (repl >= t)
             hn[corrupt_head] = repl_h[corrupt_head]
             tn[~corrupt_head] = repl_t[~corrupt_head]
-            s_pos = _scores_batch(state, h, r, t)
-            s_neg = _scores_batch(state, hn, r, tn)
-            hinge = np.maximum(margin - s_pos + s_neg, 0.0)
-            epoch_loss += float(hinge.sum())
-            active = hinge > 0.0
-            if not active.any():
-                continue
-            ah, ar, at = h[active], r[active], t[active]
-            anh, ant = hn[active], tn[active]
-            gph, gpr, gpt, gpw = _score_grads(state, ah, ar, at)
-            gnh, gnr, gnt, gnw = _score_grads(state, anh, ar, ant)
-            ge = np.zeros_like(state.entity_embeddings)
-            gr = np.zeros_like(state.relation_embeddings)
-            # d/dθ [ -score(pos) + score(neg) ]
-            np.add.at(ge, ah, -gph)
-            np.add.at(ge, at, -gpt)
-            np.add.at(ge, anh, gnh)
-            np.add.at(ge, ant, gnt)
-            np.add.at(gr, ar, -gpr + gnr)
-            scale = lr / len(idx)
-            state.entity_embeddings -= scale * ge
-            state.relation_embeddings -= scale * gr
-            if state.model == "transh":
-                gw = np.zeros_like(state.normals)
-                np.add.at(gw, ar, -gpw + gnw)
-                state.normals -= scale * gw
-                norms = np.linalg.norm(state.normals, axis=1, keepdims=True)
-                norms[norms == 0.0] = 1.0
-                state.normals /= norms
+            with np.errstate(all="ignore"):  # non-finite values raise below
+                s_pos = _scores_batch(state, h, r, t)
+                s_neg = _scores_batch(state, hn, r, tn)
+                hinge = np.maximum(margin - s_pos + s_neg, 0.0)
+                batch_loss = float(hinge.sum())
+                if not math.isfinite(batch_loss):
+                    raise NumericalError(
+                        f"non-finite {model} loss in epoch {epoch}; "
+                        f"try a smaller learning rate")
+                epoch_loss += batch_loss
+                active = hinge > 0.0
+                if not active.any():
+                    continue
+                grad.flat.fill(0.0)
+                _hinge_gradient(state, grad, h[active], r[active], t[active],
+                                hn[active], tn[active])
+                state.flat -= (lr / len(idx)) * grad.flat
+                if state.spec.normals:
+                    _unit_rows(state.normals)
+                if not np.isfinite(state.flat).all():
+                    raise NumericalError(
+                        f"non-finite {model} parameter in epoch {epoch}; "
+                        f"try a smaller learning rate")
         if loss_log is not None:
             loss_log.append(epoch_loss / n)
     return state
@@ -310,28 +329,16 @@ def train_baseline(
 # --- persistence -----------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_baseline(
     path, state: BaselineState, entity_names: list, relation_names: list
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{BASELINE_HEADER_PREFIX} model={state.model} dim={state.dim}\n")
-        for i, name in enumerate(entity_names):
-            row = ["E", name]
-            row.extend(_fmt(v) for v in state.entity_embeddings[i])
-            fh.write("\t".join(row) + "\n")
-        for i, name in enumerate(relation_names):
-            row = ["R", name]
-            row.extend(_fmt(v) for v in state.relation_embeddings[i])
-            fh.write("\t".join(row) + "\n")
-        if state.model == "transh":
-            for i, name in enumerate(relation_names):
-                row = ["W", name]
-                row.extend(_fmt(v) for v in state.normals[i])
-                fh.write("\t".join(row) + "\n")
+        fh.write(f"{BASELINE_HEADER_PREFIX} model={state.model} "
+                 f"dim={state.entity_embeddings.shape[1]}\n")
+        write_rows(fh, "E", entity_names, state.entity_embeddings)
+        write_rows(fh, "R", relation_names, state.relation_embeddings)
+        if state.spec.normals:
+            write_rows(fh, "W", relation_names, state.normals)
 
 
 @dataclass
@@ -341,21 +348,15 @@ class SavedBaseline:
     relation_names: list
 
 
-def _model_name(text: str) -> str:
-    if text not in MODELS:
-        raise ValueError(f"unknown baseline model {text!r}")
-    return text
-
-
 def load_baseline(path) -> SavedBaseline:
     fields, rows = read_model_file(
-        path, BASELINE_HEADER_PREFIX, {"model": _model_name, "dim": int},
+        path, BASELINE_HEADER_PREFIX, {"model": _spec, "dim": int},
         {"E": 0, "R": 0, "W": 0},
     )
-    model = fields["model"]
+    spec = fields["model"]
     relations, normal_rows = rows["R"], rows["W"]
     normals = None
-    if model == "transh":
+    if spec.normals:
         named = set(relations.names)
         for name, lineno in zip(normal_rows.names, normal_rows.lines):
             if name not in named:
@@ -369,5 +370,5 @@ def load_baseline(path) -> SavedBaseline:
         raise ValueError(
             f"{path}:{normal_rows.lines[0]}: W rows belong to transh models only"
         )
-    state = BaselineState(model, rows["E"].values, relations.values, normals)
+    state = BaselineState(spec.name, rows["E"].values, relations.values, normals)
     return SavedBaseline(state, rows["E"].names, relations.names)

@@ -184,10 +184,6 @@ def cmd_train(args) -> int:
     class_names = [info.name for info in onto.classes]
 
     if args.model:
-        if args.model not in baselines.MODELS:
-            raise _CliError(
-                f"--model must be one of {', '.join(baselines.MODELS)}"
-            )
         triples = baselines.extract_triples(onto)
         loss_log: list = []
         state = baselines.train_baseline(
@@ -316,8 +312,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--variant", default=None, help="emel or emel-var")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--model", default=None,
-                   help="train a baseline instead: transe, transh or distmult")
+    p.add_argument("--model", default=None, choices=baselines.MODELS,
+                   help="train this baseline instead")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="rank held-out subclass pairs")

@@ -576,14 +576,20 @@ def save_model(
             f"{MODEL_HEADER_PREFIX} dim={state.dim} variant={variant.value} "
             f"margin={_fmt(margin)}\n"
         )
-        for i, name in enumerate(class_names):
-            row = ["C", name, _fmt(state.class_radii_raw[i])]
-            row.extend(_fmt(v) for v in state.class_centers[i])
-            fh.write("\t".join(row) + "\n")
-        for i, name in enumerate(relation_names):
-            row = ["R", name, _fmt(state.relation_sigmas_raw[i])]
-            row.extend(_fmt(v) for v in state.relation_vectors[i])
-            fh.write("\t".join(row) + "\n")
+        write_rows(fh, "C", class_names, state.class_centers,
+                   state.class_radii_raw)
+        write_rows(fh, "R", relation_names, state.relation_vectors,
+                   state.relation_sigmas_raw)
+
+
+def write_rows(fh, kind: str, names: list, vectors: np.ndarray,
+               scalars: Optional[np.ndarray] = None) -> None:
+    """One ``kind name [scalar] v_1 ... v_dim`` line per name, tab-separated,
+    for the ball and the baseline model files."""
+    for i, name in enumerate(names):
+        row = [kind, name] if scalars is None else [kind, name, _fmt(scalars[i])]
+        row.extend(_fmt(v) for v in vectors[i])
+        fh.write("\t".join(row) + "\n")
 
 
 class ModelRows(NamedTuple):

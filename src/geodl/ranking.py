@@ -66,30 +66,6 @@ class RankReport:
     filtered: bool = False
 
 
-def rank_from_scores(
-    scores: np.ndarray,
-    candidate_ids: np.ndarray,
-    target_id: int,
-    ascending: bool = True,
-) -> int:
-    """Rank of *target_id* inside the candidate list under the given scores.
-
-    rank = 1 + #{better} + #{equal with smaller class index}.
-    """
-    pos = np.nonzero(candidate_ids == target_id)[0]
-    if len(pos) == 0:
-        raise ValueError(f"target class {target_id} is not among the candidates")
-    s = scores[pos[0]]
-    if ascending:
-        better = int(np.count_nonzero(scores < s))
-    else:
-        better = int(np.count_nonzero(scores > s))
-    tied_before = int(
-        np.count_nonzero((scores == s) & (candidate_ids < target_id))
-    )
-    return 1 + better + tied_before
-
-
 def _ball_rows(
     state: EmbeddingState,
     candidate_ids: np.ndarray,
@@ -113,21 +89,6 @@ def _ball_rows(
         return dist
 
     return row
-
-
-def rank_one(
-    test: NF1,
-    state: EmbeddingState,
-    candidates: np.ndarray,
-    direction: str = "sub",
-    adjust_radius: bool = False,
-) -> int:
-    """Rank of the held-out class for one test axiom."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
-    target, source = (test.c, test.d) if direction == "sub" else (test.d, test.c)
-    dist = _ball_rows(state, candidates, direction, adjust_radius)(source)
-    return rank_from_scores(dist, candidates, target, ascending=True)
 
 
 def _aggregate(

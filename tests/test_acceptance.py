@@ -19,7 +19,7 @@ from geodl import model as gm
 from geodl.model import Variant
 from geodl.normalize import NF1, normalize, verify_normal
 from geodl.parser import SubClassOf, concept_size, parse_ontology
-from geodl.ranking import eligible_candidates, evaluate, rank_one
+from geodl.ranking import eligible_candidates, evaluate
 from geodl.synthetic import hub_spoke_lines, random_raw_lines, surrogate_lines
 from geodl.training import SplitSpec, TrainConfig, mean_hinge, split, train
 
@@ -206,7 +206,7 @@ def test_criterion_5_ranking_oracle_equivalence():
         )
         candidates = np.arange(n)
         target = int(rng.integers(0, n))
-        got = rank_one(NF1(target, n), state, candidates)
+        got = evaluate([NF1(target, n)], state, candidates).ranks[0]
         dists = np.linalg.norm(centers[:n] - centers[n], axis=1)
         assert got == brute_force_rank(dists, candidates, target)
     report(5, "1000 random configurations: rank equals brute-force sort")

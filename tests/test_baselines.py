@@ -4,8 +4,9 @@ import pytest
 import oracles
 from geodl.baselines import (
     BaselineState,
+    MODELS,
     SUBCLASS_RELATION,
-    Triple,
+    _hinge_gradient,
     _scores_batch,
     baseline_relation_names,
     candidate_scores,
@@ -13,14 +14,11 @@ from geodl.baselines import (
     initialize_baseline,
     load_baseline,
     save_baseline,
-    score,
-    score_distmult,
-    score_transe,
-    score_transh,
     train_baseline,
 )
 from geodl.normalize import normalize
 from geodl.parser import parse_ontology
+from geodl.synthetic import surrogate_lines
 
 
 def norm_lines(lines):
@@ -35,13 +33,27 @@ def make_baseline(rng, model="transe", n_ent=5, n_rel=3, dim=4):
     return state
 
 
+def score(h, r, t, state):
+    """The training score of one triple."""
+    return float(_scores_batch(state, np.array([h]), np.array([r]),
+                               np.array([t]))[0])
+
+
+def oracle_score(h, r, t, state):
+    e, rel = state.entity_embeddings, state.relation_embeddings
+    args = [list(e[h]), list(rel[r]), list(e[t])]
+    if state.model == "transh":
+        return oracles.transh(*args, list(state.normals[r]))
+    return getattr(oracles, state.model)(*args)
+
+
 # --- triple extraction -------------------------------------------------------
 
 
 def test_extract_nf1_as_subclass_triple():
     onto = norm_lines(["subClassOf(A,B)"])
     triples = extract_triples(onto)
-    assert triples == [Triple(0, 0, 1)]
+    assert triples.tolist() == [[0, 0, 1]]
     assert baseline_relation_names(onto) == [SUBCLASS_RELATION]
 
 
@@ -49,16 +61,13 @@ def test_extract_skips_nf2():
     onto = norm_lines(["subClassOf(A,some(R,B))", "subClassOf(and(A,B),C)"])
     triples = extract_triples(onto)
     assert len(triples) == 1
-    assert triples[0].relation == 0  # the ontology relation, not subclass
+    assert triples[0, 1] == 0  # the ontology relation, not subclass
 
 
 def test_extract_nf4_direction_flag():
     onto = norm_lines(["subClassOf(some(R,A),B)"])
-    (triple,) = extract_triples(onto)
-    assert triple.from_nf4
-    assert (triple.head, triple.tail) == (
-        onto.class_index["A"], onto.class_index["B"]
-    )
+    assert extract_triples(onto).tolist() == [
+        [onto.class_index["A"], 0, onto.class_index["B"]]]
 
 
 def test_extract_census_matches_axiom_types():
@@ -82,7 +91,7 @@ def test_transe_exact_translation():
         np.array([[1.0, 0.0], [1.0, 1.0]]),
         np.array([[0.0, 1.0]]),
     )
-    assert score_transe(0, 0, 1, state) == 0.0
+    assert score(0, 0, 1, state) == 0.0
 
 
 def test_transe_identity_relation():
@@ -91,7 +100,7 @@ def test_transe_identity_relation():
         np.array([[1.0, 2.0], [1.0, 2.0]]),
         np.array([[0.0, 0.0]]),
     )
-    assert score_transe(0, 0, 1, state) == 0.0
+    assert score(0, 0, 1, state) == 0.0
 
 
 def test_transh_reduces_to_transe_with_orthogonal_normal():
@@ -101,8 +110,8 @@ def test_transh_reduces_to_transe_with_orthogonal_normal():
         np.array([[0.5, 0.5, 0.0]]),
         normals=np.array([[0.0, 0.0, 1.0]]),
     )
-    assert score_transh(0, 0, 1, state) == pytest.approx(
-        score_transe(0, 0, 1, BaselineState(
+    assert score(0, 0, 1, state) == pytest.approx(
+        score(0, 0, 1, BaselineState(
             "transe", state.entity_embeddings, state.relation_embeddings
         )),
         rel=1e-15,
@@ -117,7 +126,7 @@ def test_transh_projection_to_origin():
         np.array([[0.0, 0.0]]),
         normals=w.reshape(1, 2),
     )
-    assert score_transh(0, 0, 1, state) == 0.0
+    assert score(0, 0, 1, state) == 0.0
 
 
 def test_distmult_all_ones_relation():
@@ -127,7 +136,7 @@ def test_distmult_all_ones_relation():
         np.array([[1.0, 1.0, 1.0]]),
     )
     expected = float(np.dot([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]))
-    assert score_distmult(0, 0, 1, state) == pytest.approx(expected, rel=1e-15)
+    assert score(0, 0, 1, state) == pytest.approx(expected, rel=1e-15)
 
 
 def test_distmult_zero_vector():
@@ -136,39 +145,35 @@ def test_distmult_zero_vector():
         np.array([[0.0, 0.0], [4.0, 5.0]]),
         np.array([[1.0, 1.0]]),
     )
-    assert score_distmult(0, 0, 1, state) == 0.0
+    assert score(0, 0, 1, state) == 0.0
 
 
-@pytest.mark.parametrize("model", ["transe", "transh", "distmult"])
+@pytest.mark.parametrize("model", MODELS)
 def test_scores_match_independent_oracle(model, rng):
+    """The batch scores used in training equal the scalar oracles exactly:
+    at dim 4 numpy sums each row left to right, as the oracles do."""
     for _ in range(300):
         state = make_baseline(rng, model)
-        h, t = (int(x) for x in rng.choice(5, size=2, replace=False))
-        r = int(rng.integers(0, 3))
-        eh = list(state.entity_embeddings[h])
-        er = list(state.relation_embeddings[r])
-        et = list(state.entity_embeddings[t])
-        got = score(h, r, t, state)
-        if model == "transe":
-            want = oracles.transe(eh, er, et)
-        elif model == "transh":
-            want = oracles.transh(eh, er, et, list(state.normals[r]))
-        else:
-            want = oracles.distmult(eh, er, et)
-        assert got == want  # identical accumulation order -> exact
+        H, R, T = rng.integers(0, 5, 6), rng.integers(0, 3, 6), rng.integers(0, 5, 6)
+        got = _scores_batch(state, H, R, T)
+        for i in range(6):
+            assert got[i] == oracle_score(H[i], R[i], T[i], state)
 
 
-@pytest.mark.parametrize("model", ["transe", "transh", "distmult"])
+@pytest.mark.parametrize("model", MODELS)
 def test_vectorized_scoring_matches_scalar(model, rng):
+    """The ranking rows and a multi-triple training batch agree, to rounding,
+    with the score of each triple taken on its own and with the oracle."""
     state = make_baseline(rng, model, n_ent=8)
-    heads = np.arange(8)
-    got = candidate_scores(state, 1, heads, as_head=True)(3)
-    for i, h in enumerate(heads):
-        assert got[i] == pytest.approx(score(int(h), 1, 3, state), rel=1e-12)
-    tails = np.arange(8)
-    got = candidate_scores(state, 1, tails, as_head=False)(2)
-    for i, t in enumerate(tails):
-        assert got[i] == pytest.approx(score(2, 1, int(t), state), rel=1e-12)
+    everyone = np.arange(8)
+    got = candidate_scores(state, 1, everyone, as_head=True)(3)
+    for i, h in enumerate(everyone):
+        assert got[i] == pytest.approx(score(h, 1, 3, state), rel=1e-12)
+        assert got[i] == pytest.approx(oracle_score(h, 1, 3, state), rel=1e-12)
+    got = candidate_scores(state, 1, everyone, as_head=False)(2)
+    for i, t in enumerate(everyone):
+        assert got[i] == pytest.approx(score(2, 1, t, state), rel=1e-12)
+        assert got[i] == pytest.approx(oracle_score(2, 1, t, state), rel=1e-12)
     got = _scores_batch(state, np.array([0, 1]), np.array([1, 2]),
                         np.array([3, 4]))
     assert got[0] == pytest.approx(score(0, 1, 3, state), rel=1e-12)
@@ -180,7 +185,7 @@ def test_vectorized_scoring_matches_scalar(model, rng):
 
 @pytest.mark.parametrize("model", ["transe", "transh", "distmult"])
 def test_single_triple_separates(model):
-    triples = [Triple(0, 0, 1)]
+    triples = [(0, 0, 1)]
     state = train_baseline(
         model, triples, num_entities=2, num_relations=1, dim=8,
         margin=1.0, lr=0.05, epochs=300, batch_size=4, seed=7,
@@ -197,7 +202,7 @@ def test_empty_triples_error():
 
 
 def test_training_is_deterministic():
-    triples = [Triple(0, 0, 1), Triple(1, 0, 2), Triple(2, 1, 0)]
+    triples = [(0, 0, 1), (1, 0, 2), (2, 1, 0)]
     kwargs = dict(num_entities=3, num_relations=2, dim=6, epochs=50, seed=11)
     a = train_baseline("transh", triples, **kwargs)
     b = train_baseline("transh", triples, **kwargs)
@@ -207,7 +212,7 @@ def test_training_is_deterministic():
 
 
 def test_transh_normals_stay_unit():
-    triples = [Triple(0, 0, 1), Triple(1, 1, 2), Triple(2, 0, 3)]
+    triples = [(0, 0, 1), (1, 1, 2), (2, 0, 3)]
     state = train_baseline(
         "transh", triples, num_entities=4, num_relations=2, dim=5,
         epochs=40, seed=3,
@@ -217,7 +222,7 @@ def test_transh_normals_stay_unit():
 
 
 def test_all_models_finite_after_training(rng):
-    triples = [Triple(int(a), int(r), int(b))
+    triples = [(int(a), int(r), int(b))
                for a, r, b in zip(rng.integers(0, 6, 30),
                                   rng.integers(0, 2, 30),
                                   rng.integers(0, 6, 30))
@@ -232,69 +237,49 @@ def test_all_models_finite_after_training(rng):
 
 
 def test_margin_loss_gradient_matches_fd(rng):
-    """Spot-check the hand gradients through the batch hinge loss."""
-    for model in ("transe", "transh", "distmult"):
+    """The gradient buffer that training fills, on one batch with repeated
+    head and tail rows, against central differences of the batch hinge loss
+    over every parameter (entities, relations and TransH's normals)."""
+    H = np.array([0, 0, 1, 2]); R = np.array([1, 0, 1, 1])
+    T = np.array([2, 2, 0, 1])
+    Hn = np.array([3, 0, 1, 3]); Tn = np.array([2, 1, 3, 1])
+    margin = 100.0  # far above any reachable score gap: hinge always active
+    step = 1e-6
+    for model in MODELS:
         state = make_baseline(rng, model, n_ent=4, n_rel=2, dim=3)
-        H = np.array([0]); R = np.array([1]); T = np.array([2])
-        Hn = np.array([3]); Tn = np.array([2])
-        margin = 100.0  # far above any reachable score gap: hinge always active
 
-        def batch_loss(s):
-            pos = _scores_batch(s, H, R, T)
-            neg = _scores_batch(s, Hn, R, Tn)
+        def batch_loss():
+            pos = _scores_batch(state, H, R, T)
+            neg = _scores_batch(state, Hn, R, Tn)
             return float(np.maximum(margin - pos + neg, 0.0).sum())
 
-        from geodl.baselines import _score_grads
+        grad = BaselineState(model, np.zeros((4, 3)), np.zeros((2, 3)))
+        _hinge_gradient(state, grad, H, R, T, Hn, Tn)
+        fd = np.zeros_like(state.flat)
+        for i in range(state.flat.size):
+            orig = state.flat[i]
+            state.flat[i] = orig + step
+            up = batch_loss()
+            state.flat[i] = orig - step
+            down = batch_loss()
+            state.flat[i] = orig
+            fd[i] = (up - down) / (2 * step)
+        assert np.allclose(grad.flat, fd, rtol=1e-5, atol=1e-6), model
 
-        gph, gpr, gpt, gpw = _score_grads(state, H, R, T)
-        gnh, gnr, gnt, gnw = _score_grads(state, Hn, R, Tn)
-        analytic_e = np.zeros_like(state.entity_embeddings)
-        analytic_e[0] -= gph[0]
-        analytic_e[2] -= gpt[0]
-        analytic_e[3] += gnh[0]
-        analytic_e[2] += gnt[0]
-        analytic_r = np.zeros_like(state.relation_embeddings)
-        analytic_r[1] = -gpr[0] + gnr[0]
 
-        step = 1e-6
-        fd_e = np.zeros_like(analytic_e)
-        flat = state.entity_embeddings.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = batch_loss(state)
-            flat[i] = orig - step
-            down = batch_loss(state)
-            flat[i] = orig
-            fd_e.reshape(-1)[i] = (up - down) / (2 * step)
-        assert np.allclose(analytic_e, fd_e, rtol=1e-5, atol=1e-6)
-
-        fd_r = np.zeros_like(analytic_r)
-        flat = state.relation_embeddings.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = batch_loss(state)
-            flat[i] = orig - step
-            down = batch_loss(state)
-            flat[i] = orig
-            fd_r.reshape(-1)[i] = (up - down) / (2 * step)
-        assert np.allclose(analytic_r, fd_r, rtol=1e-5, atol=1e-6)
-
-        if model == "transh":
-            analytic_w = np.zeros_like(state.normals)
-            analytic_w[1] = -gpw[0] + gnw[0]
-            fd_w = np.zeros_like(analytic_w)
-            flat = state.normals.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                up = batch_loss(state)
-                flat[i] = orig - step
-                down = batch_loss(state)
-                flat[i] = orig
-                fd_w.reshape(-1)[i] = (up - down) / (2 * step)
-            assert np.allclose(analytic_w, fd_w, rtol=1e-5, atol=1e-6)
+def test_bench_baseline_train_epoch_2k(benchmark):
+    """One TransH epoch over the triples of the seeded 2000-class surrogate
+    at dim 50, batch 512: scoring, score gradients, the row scatter and the
+    SGD step."""
+    onto = norm_lines(surrogate_lines(seed=0))
+    triples = extract_triples(onto)
+    kwargs = dict(num_entities=len(onto.classes),
+                  num_relations=len(onto.relations) + 1, dim=50,
+                  batch_size=512, epochs=1, seed=0)
+    state = benchmark.pedantic(train_baseline, args=("transh", triples),
+                               kwargs=kwargs, rounds=3, iterations=1)
+    assert state.entity_embeddings.shape == (2000, 50)
+    assert np.isfinite(state.flat).all()
 
 
 # --- persistence -------------------------------------------------------------

@@ -178,6 +178,14 @@ def test_unknown_flag_exits_1(fixture_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unknown_baseline_model_exits_1(tmp_path, fixture_file, capsys):
+    out = tmp_path / "m.tsv"
+    assert run(["train", "--model", "rotate", fixture_file, str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'rotate'" in err[0] and "transh" in err[0]
+    assert not out.exists()
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert run(["stats", str(tmp_path / "nope.el")]) == 1
     err = capsys.readouterr().err
@@ -351,6 +359,23 @@ def test_eval_non_finite_scores_exit_2(tmp_path, capsys, kind):
     assert not (tmp_path / "r.tsv").exists()
 
 
+@pytest.mark.parametrize("model,lr", [
+    ("transe", "1e200"), ("transh", "1e200"), ("distmult", "1e6")])
+def test_train_baseline_divergence_exits_2(tmp_path, capsys, model, lr):
+    # these runs used to exit 0 with nan or infinite parameters in the model
+    # file and nan losses in the log, leaking numpy warnings
+    src = tmp_path / "in.el"
+    src.write_text("\n".join(hub_spoke_lines()) + "\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"lr={lr}\ndim=4\nepochs=200\n")
+    out = tmp_path / "m.tsv"
+    assert run(["train", "--model", model, "--config", str(cfg), str(src),
+                str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "non-finite" in err[0]
+    assert not out.exists() and not (tmp_path / "m.tsv.log.tsv").exists()
+
+
 NAMED = ["Cat", "Mammal", "__nf_0", "nominal(tom)", "Dog"]
 UNRANKABLE = {
     # name: (test pair, direction); the held-out class is never a candidate
@@ -503,6 +528,46 @@ def test_early_stop_checkpoint_bytes_are_pinned(tmp_path):
     # stopped early, one evaluation after the best one
     assert len(log) == 150 and hits[-1] < max(hits) == hits[-2]
     assert digests(model) == GOLDEN_EARLY_STOP
+
+
+# sha256 of the model file, the log and the rank report of the fixed-seed
+# baseline run below, per model.
+GOLDEN_BASELINE = {
+    "transe": (
+        "b8e0ce045301a0efd078947e218aa2faf70ea70d4a313165afca95b9f88f94fa",
+        "3a9afe20f33b2e77ddccedf3890dcf0fb7acd401ad90e452a25aacc82d01d3f4",
+        "715e8e5e84b9000046a8f7568520b4ae4d449a3b8f42f3ff6b7e30da24f521c4",
+    ),
+    "transh": (
+        "406ba0997977c38f361d22ca3761367a94a2b94d5b69c72f9811fc331ef3e0ca",
+        "0e843592eb9834dd6a018917f6a8a5020ef006d7991ed67f0dc83c2ed51a46bd",
+        "d146c1650ae2f71449f52d1c41fdf1746356dcf1dc13c00675d5a8afb1697437",
+    ),
+    "distmult": (
+        "f1c758cf3f6b69f752c365a1e269925a510a11392c035ac92566c8d87d2a7e65",
+        "0f7be7e544544ee6369872c7748eafa97bfa8a35268520ceea09ac5f3c9804e8",
+        "69360ff5a6ea1eb69795fe777302d9e943de0f86a57072773daf457d6929c410",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_BASELINE))
+def test_baseline_output_bytes_are_pinned(tmp_path, fixture_file, model):
+    """split, train a baseline with a fixed seed and several batches per
+    epoch, then eval: the model file, log and report are the recorded
+    bytes."""
+    parts = tmp_path / "s"
+    assert run(["split", fixture_file, str(parts), "--seed", "7"]) == 0
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=6\nepochs=30\nbatch_size=4\nseed=3\n")
+    out = tmp_path / "m.tsv"
+    assert run(["train", "--model", model, "--config", str(cfg),
+                str(parts / "train.el"), str(out)]) == 0
+    report = tmp_path / "r.tsv"
+    assert run(["eval", str(out), str(parts / "test.el"), str(report)]) == 0
+    assert digests(out) + (
+        hashlib.sha256(report.read_bytes()).hexdigest(),
+    ) == GOLDEN_BASELINE[model]
 
 
 # --- fuzzing through main: every input exits 0, 1 or 2 -------------------------

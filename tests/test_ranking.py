@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_state
+from test_baselines import oracle_score
 from geodl import baselines
 from geodl.baselines import SUBCLASS_RELATION, BaselineState
 from geodl.model import EmbeddingState, NumericalError
@@ -13,8 +14,6 @@ from geodl.ranking import (
     baseline_evaluate,
     eligible_candidates,
     evaluate,
-    rank_from_scores,
-    rank_one,
     write_report,
 )
 
@@ -35,42 +34,48 @@ def brute_force_rank(scores, candidate_ids, target_id, ascending=True):
     raise AssertionError("target not present")
 
 
-# --- rank_one ----------------------------------------------------------------
+def rank_of(test, state, candidates, direction="sub", adjust_radius=False):
+    """The rank of one test axiom, through the ranking the CLI runs."""
+    return evaluate([test], state, candidates, direction=direction,
+                    adjust_radius=adjust_radius).ranks[0]
+
+
+# --- one test at a time --------------------------------------------------------
 
 
 def test_rank_one_spec_example():
     # d at the origin, candidates A,B,C at distances 1,2,3; test pair (A, d)
     state = point_state([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
     candidates = np.array([0, 1, 2])
-    assert rank_one(NF1(0, 3), state, candidates) == 1
-    assert rank_one(NF1(1, 3), state, candidates) == 2
-    assert rank_one(NF1(2, 3), state, candidates) == 3
+    assert rank_of(NF1(0, 3), state, candidates) == 1
+    assert rank_of(NF1(1, 3), state, candidates) == 2
+    assert rank_of(NF1(2, 3), state, candidates) == 3
 
 
 def test_rank_one_single_candidate():
     state = point_state([[1.0, 0.0], [0.0, 0.0]])
-    assert rank_one(NF1(0, 1), state, np.array([0])) == 1
+    assert rank_of(NF1(0, 1), state, np.array([0])) == 1
 
 
 def test_rank_one_all_ties_break_by_index():
     state = point_state([[1.0, 0.0]] * 4 + [[0.0, 0.0]])
     candidates = np.array([0, 1, 2, 3])
     for target in range(4):
-        assert rank_one(NF1(target, 4), state, candidates) == target + 1
+        assert rank_of(NF1(target, 4), state, candidates) == target + 1
 
 
 def test_rank_one_missing_target_errors():
     state = point_state([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        rank_one(NF1(0, 1), state, np.array([1]))
+        rank_of(NF1(0, 1), state, np.array([1]))
 
 
 def test_rank_one_direction_swap():
     # distances measured from the subclass when direction = sup
     state = point_state([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
     candidates = np.array([1, 2])
-    assert rank_one(NF1(0, 1), state, candidates, direction="sup") == 1
-    assert rank_one(NF1(0, 2), state, candidates, direction="sup") == 2
+    assert rank_of(NF1(0, 1), state, candidates, direction="sup") == 1
+    assert rank_of(NF1(0, 2), state, candidates, direction="sup") == 2
 
 
 def test_rank_one_brute_force_equivalence(rng):
@@ -79,7 +84,7 @@ def test_rank_one_brute_force_equivalence(rng):
         state = point_state(rng.normal(size=(n + 1, 3)))
         candidates = np.arange(n)
         target = int(rng.integers(0, n))
-        got = rank_one(NF1(target, n), state, candidates)
+        got = rank_of(NF1(target, n), state, candidates)
         dists = np.linalg.norm(
             state.class_centers[candidates] - state.class_centers[n], axis=1
         )
@@ -93,20 +98,23 @@ def test_rank_monotone_in_candidates(rng):
         state = point_state(rng.normal(size=(n + 2, 3)))
         base = np.arange(n)
         target = int(rng.integers(0, n))
-        r1 = rank_one(NF1(target, n + 1), state, base)
-        r2 = rank_one(NF1(target, n + 1), state, np.append(base, n))
+        r1 = rank_of(NF1(target, n + 1), state, base)
+        r2 = rank_of(NF1(target, n + 1), state, np.append(base, n))
         assert r2 >= r1
 
 
 def test_rank_invariant_under_monotone_transform(rng):
+    # distances d and d**2 from a source at the origin order alike
     for _ in range(100):
         n = int(rng.integers(2, 40))
-        scores = rng.normal(size=n) ** 2  # non-negative distances
-        ids = np.arange(n)
+        dists = rng.normal(size=n) ** 2
         target = int(rng.integers(0, n))
-        assert rank_from_scores(scores, ids, target) == rank_from_scores(
-            scores**2, ids, target
-        )
+        ranks = [
+            rank_of(NF1(target, n), point_state(np.append(x, 0.0)[:, None]),
+                     np.arange(n))
+            for x in (dists, dists**2)
+        ]
+        assert ranks[0] == ranks[1]
 
 
 def test_radius_adjusted_flag_changes_order():
@@ -115,8 +123,8 @@ def test_radius_adjusted_flag_changes_order():
         [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]], radii=[0.9, 0.1, 0.5]
     )
     candidates = np.array([0, 1])
-    plain = rank_one(NF1(0, 2), state, candidates)
-    adjusted = rank_one(NF1(0, 2), state, candidates, adjust_radius=True)
+    plain = rank_of(NF1(0, 2), state, candidates)
+    adjusted = rank_of(NF1(0, 2), state, candidates, adjust_radius=True)
     assert plain == 1  # tie broken by index
     assert adjusted == 2  # big ball cannot fit inside the source ball
 
@@ -337,7 +345,7 @@ def brute_force_ranks(pairs, universe, known, score_of, ascending):
         dropped = {source} | {t for t, s in known or () if s == source} - {target}
         cands = np.array([c for c in universe if c not in dropped])
         scores = np.array([score_of(source, c) for c in cands])
-        ranks.append(rank_from_scores(scores, cands, target, ascending))
+        ranks.append(brute_force_rank(scores, cands, target, ascending))
     return ranks
 
 
@@ -377,8 +385,8 @@ def test_core_matches_brute_force_baselines(case, model, rel, axis, sign):
 
     def score_of(source, cand):
         if direction == "sub":
-            return baselines.score(int(cand), 0, source, state)
-        return baselines.score(source, 0, int(cand), state)
+            return oracle_score(cand, 0, source, state)
+        return oracle_score(source, 0, cand, state)
 
     report = baseline_evaluate(
         as_axioms(pairs, direction), state, universe, direction=direction,
