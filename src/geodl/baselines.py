@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .model import (
-    NumericalError, _add_rows, _safe_unit, read_model_file, row_norms, write_rows,
+    NumericalError, _add_rows, _safe_unit, _unit_rows, read_model_file, row_norms,
+    write_rows,
 )
 from .normalize import NF1, NF3, NF4, NormalizedOntology
 
@@ -213,13 +214,6 @@ def _score_grads(state: BaselineState, H, R, T):
 
 
 # --- training ----------------------------------------------------------------
-
-
-def _unit_rows(x: np.ndarray) -> None:
-    """Scale each nonzero row of *x* to unit length, in place."""
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    x /= norms
 
 
 def initialize_baseline(

@@ -10,10 +10,11 @@ Loss terms are hinges on ball containment/overlap plus a soft unit-sphere
 penalty P(x) = | ||center(x)|| - 1 | on every class mentioned.  Components are
 summed in a fixed order (hinges, then penalties in argument order, then the
 slack regularizer) so results are bit-reproducible.  ``term_batch`` runs the
-kernel of a shape key; ``loss`` and ``gradients`` are built on it.  Five of
-the seven kernels are one two-ball hinge that differs only in the signs and
-order of its terms; they all run ``_two_ball``, driven by one row each of the
-``_TWO_BALL`` table, from which the gradient signs are read as well.
+kernel of a shape key over id columns; training maps axioms to those columns
+(``training._AxiomArrays``).  Five of the seven kernels are one two-ball
+hinge that differs only in the signs and order of its terms; they all run
+``_two_ball``, driven by one row each of the ``_TWO_BALL`` table, from which
+the gradient signs are read as well.
 
 Parameters and gradients live in one contiguous float64 buffer each, with
 the four named blocks as views into it (``_FlatBlocks``), so zeroing,
@@ -33,16 +34,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-
-from .normalize import (
-    NF1, NF2, NF3, NF4, BottomSub, Disjoint, NormalAxiom, class_ids, shape_of,
-)
-
-CLASS_CENTER = "class_center"
-CLASS_RADIUS = "class_radius"
-RELATION_VECTOR = "relation_vector"
-RELATION_SIGMA = "relation_sigma"
-
 
 class NumericalError(Exception):
     """A computation produced a non-finite loss, parameter or ranking score."""
@@ -70,6 +61,13 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     """
     np.multiply(x, x, out=x)
     return np.sqrt(np.add.reduce(x, axis=1))
+
+
+def _unit_rows(x: np.ndarray) -> None:
+    """Scale each nonzero row of *x* to unit length, in place."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    x /= norms
 
 
 class _FlatBlocks:
@@ -150,9 +148,7 @@ class EmbeddingState(_FlatBlocks):
         """Centers uniform in [-1,1]^n scaled onto the unit sphere; radii 0.1;
         relation vectors uniform in [-0.5,0.5]^n; raw slacks 0.01."""
         centers = rng.uniform(-1.0, 1.0, size=(num_classes, dim))
-        norms = np.linalg.norm(centers, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        centers /= norms
+        _unit_rows(centers)
         radii = np.full(num_classes, 0.1)
         rel = rng.uniform(-0.5, 0.5, size=(num_relations, dim))
         sigmas = np.full(num_relations, 0.01)
@@ -179,22 +175,13 @@ def _add_rows(acc: GradientAccumulator, base: int, rows: np.ndarray,
     and the flattened indices run i-major, so each cell receives its
     contributions in the order ``np.add.at`` on the block adds them and the
     sums are bit-identical.  *rows* must lie in ``[0, block rows)``, or the
-    sum lands in another block: ids are class and relation indices, and the
-    kernels gather the same rows first, which rejects ids past the end.
+    sum lands in another block: training checks every id when it builds its
+    columns, and the kernels gather the same rows first, which rejects ids
+    past the end.
     """
     dim = values.shape[1]
     index = rows[:, None] * dim + (base + np.arange(dim))
     np.add.at(acc.flat, index.ravel(), values.ravel())
-
-
-@dataclass
-class LossTerm:
-    """One loss term: non-negative value, its hinge component, and gradients
-    keyed by (parameter block, row index)."""
-
-    value: float
-    hinge: float
-    grads: dict
 
 
 def _safe_unit(vectors: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -395,27 +382,6 @@ def nf3_negative_batch(state: EmbeddingState, C: np.ndarray, R: np.ndarray,
                      None)
 
 
-def _collect_grads(
-    acc: GradientAccumulator, class_rows, relation_rows
-) -> dict:
-    grads: dict = {}
-    for c in sorted(set(class_rows)):
-        vec = acc.class_centers[c]
-        if np.any(vec != 0.0):
-            grads[(CLASS_CENTER, c)] = vec.copy()
-        val = acc.class_radii_raw[c]
-        if val != 0.0:
-            grads[(CLASS_RADIUS, c)] = float(val)
-    for r in sorted(set(relation_rows)):
-        vec = acc.relation_vectors[r]
-        if np.any(vec != 0.0):
-            grads[(RELATION_VECTOR, r)] = vec.copy()
-        val = acc.relation_sigmas_raw[r]
-        if val != 0.0:
-            grads[(RELATION_SIGMA, r)] = float(val)
-    return grads
-
-
 # Arguments each kernel takes after its id columns, besides ``acc``.
 _KERNEL_ARGS = {
     "nf1": ("gamma",),
@@ -447,102 +413,6 @@ def term_batch(
     kernel = globals()[f"{key}_batch"]
     return kernel(state, *columns, acc=acc,
                   **{name: given[name] for name in _KERNEL_ARGS[key]})
-
-
-def _term(ax: NormalAxiom, sign: int, state: EmbeddingState):
-    """Kernel key and one-row id columns of a (normal axiom, sign) term.
-
-    Sign +1 is a positive term; sign -1 marks a corrupted role axiom and is
-    valid only for the C <= some R. D shape.  Every id must index a row of
-    *state*: the kernels would wrap a negative one and put its gradient in
-    another block.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if sign == -1 and not isinstance(ax, NF3):
-        raise ValueError("negative terms exist only for the C <= some R. D shape")
-    shape = shape_of(ax)
-    ids = [getattr(ax, f) for f in shape.fields]
-    for f, i in zip(shape.fields, ids):
-        count = state.num_relations if f in shape.relations else state.num_classes
-        if not 0 <= i < count:
-            raise ValueError(
-                f"{type(ax).__name__}.{f} = {i!r} is outside [0, {count})")
-    key = shape.key if sign == 1 else "nf3_negative"
-    return key, [np.array([i]) for i in ids]
-
-
-def loss(
-    ax: NormalAxiom,
-    state: EmbeddingState,
-    gamma: float,
-    variant: Variant = Variant.EMEL,
-    sigma_reg: float = 1.0,
-    sign: int = 1,
-) -> LossTerm:
-    """The loss term of one normal axiom, signed as in ``gradients``."""
-    key, columns = _term(ax, sign, state)
-    acc = GradientAccumulator.zeros_like(state)
-    values, hinges = term_batch(key, state, columns, gamma, variant, acc,
-                                sigma_reg)
-    relation_ids = [getattr(ax, f) for f in shape_of(ax).relations]
-    grads = _collect_grads(acc, class_ids(ax), relation_ids)
-    return LossTerm(float(values[0]), float(hinges[0]), grads)
-
-
-def loss_nf1(state: EmbeddingState, c: int, d: int, gamma: float) -> LossTerm:
-    return loss(NF1(c, d), state, gamma)
-
-
-def loss_nf2(state: EmbeddingState, c: int, d: int, e: int, gamma: float) -> LossTerm:
-    return loss(NF2(c, d, e), state, gamma)
-
-
-def loss_nf3(
-    state: EmbeddingState, c: int, r: int, d: int, gamma: float,
-    variant: Variant, sigma_reg: float = 1.0,
-) -> LossTerm:
-    return loss(NF3(c, r, d), state, gamma, variant, sigma_reg)
-
-
-def loss_nf4(
-    state: EmbeddingState, c: int, r: int, d: int, gamma: float,
-    variant: Variant, sigma_reg: float = 1.0,
-) -> LossTerm:
-    return loss(NF4(r, c, d), state, gamma, variant, sigma_reg)
-
-
-def loss_disjoint(state: EmbeddingState, c: int, d: int, gamma: float) -> LossTerm:
-    return loss(Disjoint(c, d), state, gamma)
-
-
-def loss_bottom(state: EmbeddingState, c: int) -> LossTerm:
-    return loss(BottomSub(c), state, 0.0)  # the bottom term has no margin
-
-
-def loss_nf3_negative(
-    state: EmbeddingState, c: int, r: int, d_neg: int, gamma: float, variant: Variant
-) -> LossTerm:
-    return loss(NF3(c, r, d_neg), state, gamma, variant, sign=-1)
-
-
-def gradients(
-    batch,
-    state: EmbeddingState,
-    gamma: float,
-    variant: Variant,
-    sigma_reg: float = 1.0,
-) -> GradientAccumulator:
-    """Summed analytic gradients for a batch of (normal axiom, sign) pairs.
-
-    Sign +1 is a positive term; sign -1 marks a corrupted role axiom and is
-    valid only for the C <= some R. D shape.
-    """
-    acc = GradientAccumulator.zeros_like(state)
-    for ax, sign in batch:
-        key, columns = _term(ax, sign, state)
-        term_batch(key, state, columns, gamma, variant, acc, sigma_reg)
-    return acc
 
 
 # --- persistence ---------------------------------------------------------

@@ -337,15 +337,25 @@ class _AxiomArrays:
     offsets: dict  # shape key -> (lo, hi) in the global index, SHAPES order
 
     @staticmethod
-    def build(axioms: Sequence[NormalAxiom]) -> "_AxiomArrays":
+    def build(axioms: Sequence[NormalAxiom], num_classes: int,
+              num_relations: int) -> "_AxiomArrays":
+        """Every id must index a row of its block: the kernels would wrap a
+        negative one and put its gradient in another block."""
         buckets: dict = {shape: [] for shape in SHAPES.values()}
         for ax in axioms:
             shape = shape_of(ax)
             buckets[shape].append([getattr(ax, f) for f in shape.fields])
-        rows = {
-            shape.key: np.array(ids, dtype=int).reshape(len(ids), len(shape.fields))
-            for shape, ids in buckets.items()
-        }
+        rows = {}
+        for kind, shape in SHAPES.items():
+            ids = buckets[shape]
+            block = np.array(ids, dtype=int).reshape(len(ids), len(shape.fields))
+            for f, column in zip(shape.fields, block.T):
+                count = num_relations if f in shape.relations else num_classes
+                bad = (column < 0) | (column >= count)
+                if bad.any():
+                    raise ValueError(f"{kind.__name__}.{f} = "
+                                     f"{column[bad][0]} is outside [0, {count})")
+            rows[shape.key] = block
         offsets = {}
         start = 0
         for key, block in rows.items():
@@ -428,7 +438,7 @@ def train(
     axioms = list(train_axioms) if train_axioms is not None else list(onto.axioms)
     if not axioms:
         raise ValueError("no training axioms")
-    arrays = _AxiomArrays.build(axioms)
+    arrays = _AxiomArrays.build(axioms, len(onto.classes), len(onto.relations))
     rng = np.random.default_rng(config.seed)
     state = EmbeddingState.initialize(
         len(onto.classes), len(onto.relations), config.dim, rng
@@ -548,7 +558,8 @@ def mean_hinge(
     if kind not in SHAPES:
         raise ValueError(f"not a normal-form shape: {kind!r}")
     key = SHAPES[kind].key
-    rows = _AxiomArrays.build(axioms).rows[key]
+    rows = _AxiomArrays.build(
+        axioms, state.num_classes, state.num_relations).rows[key]
     if not len(rows):
         return 0.0
     _, hinges = gm.term_batch(key, state, rows.T, gamma, variant)

@@ -1,8 +1,10 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from geodl.model import EmbeddingState
+from geodl.model import EmbeddingState, GradientAccumulator, Variant, term_batch
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -26,6 +28,21 @@ def make_state(rng, num_classes=4, num_relations=2, dim=3, scale=2.0):
         relation_vectors=rng.uniform(-scale, scale, size=(num_relations, dim)),
         relation_sigmas_raw=rng.uniform(-1.0, 1.0, size=num_relations),
     )
+
+
+class Term(NamedTuple):
+    value: float
+    hinge: float
+    acc: GradientAccumulator
+
+
+def one_term(key, state, ids, gamma=0.0, variant=Variant.EMEL, sigma_reg=1.0):
+    """``term_batch`` on one row: *ids* in the kernel's column order, e.g.
+    ``(r, c, d)`` for nf4.  Returns ``(value, hinge, acc)``."""
+    acc = GradientAccumulator.zeros_like(state)
+    values, hinges = term_batch(key, state, [np.array([i]) for i in ids],
+                                gamma, variant, acc, sigma_reg)
+    return Term(float(values[0]), float(hinges[0]), acc)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import pytest
 
 import conftest
 import oracles
-from conftest import make_state
+from conftest import make_state, one_term
 from geodl import model as gm
 from geodl.model import Variant
 from geodl.normalize import NF1, normalize, verify_normal
@@ -31,6 +31,7 @@ from test_gradients import (
     compare,
     fd_gradients,
     sample_smooth_point,
+    value_of,
 )
 from test_normalize import count_subexpressions, reparse
 from test_ranking import brute_force_rank
@@ -67,23 +68,23 @@ def test_criterion_1_loss_formula_oracles():
         rc, rd = st.radius(c), st.radius(d)
         sig = st.sigma(r)
         tol = dict(rel=1e-12, abs=1e-12)
-        assert gm.loss_nf1(st, c, d, gamma).value == pytest.approx(
+        assert one_term("nf1", st, (c, d), gamma).value == pytest.approx(
             oracles.nf1(fc, fd, rc, rd, gamma), **tol)
-        assert gm.loss_nf2(st, c, d, e, gamma).value == pytest.approx(
+        assert one_term("nf2", st, (c, d, e), gamma).value == pytest.approx(
             oracles.nf2(fc, fd, fe, rc, rd, gamma), **tol)
-        assert gm.loss_nf3(st, c, r, d, gamma, EMEL).value == pytest.approx(
+        assert one_term("nf3", st, (c, r, d), gamma, EMEL).value == pytest.approx(
             oracles.nf3(fc, fr, fd, rc, rd, gamma), **tol)
-        assert gm.loss_nf3(st, c, r, d, gamma, VAR).value == pytest.approx(
+        assert one_term("nf3", st, (c, r, d), gamma, VAR).value == pytest.approx(
             oracles.nf3_var(fc, fr, fd, rc, rd, sig, gamma), **tol)
-        assert gm.loss_nf4(st, c, r, d, gamma, EMEL).value == pytest.approx(
+        assert one_term("nf4", st, (r, c, d), gamma, EMEL).value == pytest.approx(
             oracles.nf4(fc, fr, fd, rc, rd, gamma), **tol)
-        assert gm.loss_nf4(st, c, r, d, gamma, VAR).value == pytest.approx(
+        assert one_term("nf4", st, (r, c, d), gamma, VAR).value == pytest.approx(
             oracles.nf4_var(fc, fr, fd, rc, rd, sig, gamma), **tol)
-        assert gm.loss_disjoint(st, c, d, gamma).value == pytest.approx(
+        assert one_term("disjoint", st, (c, d), gamma).value == pytest.approx(
             oracles.disjoint(fc, fd, rc, rd, gamma), **tol)
-        assert gm.loss_bottom(st, c).value == pytest.approx(
+        assert one_term("bottom", st, (c,)).value == pytest.approx(
             oracles.bottom(rc), **tol)
-        assert gm.loss_nf3_negative(st, c, r, d, gamma, VAR).value == \
+        assert one_term("nf3_negative", st, (c, r, d), gamma, VAR).value == \
             pytest.approx(
                 oracles.nf3_negative(fc, fr, fd, rc, rd, sig, gamma), **tol)
         checks += 9
@@ -96,46 +97,27 @@ def test_criterion_1_loss_formula_oracles():
 def test_criterion_2_gradient_suite():
     start = time.time()
     rng = np.random.default_rng(202)
-    one = lambda x: np.array([x])
-    # value_at skips gradient accumulation, keeping the probe loop cheap
+    # the probe loop reads values only, skipping gradient accumulation
     cases = [
-        ("nf1", _build_nf1,
-         lambda s, ids: gm.loss_nf1(s, ids[0], ids[1], ids[2]),
-         lambda s, ids: float(
-             gm.nf1_batch(s, one(ids[0]), one(ids[1]), ids[2])[0][0])),
-        ("nf2", _build_nf2,
-         lambda s, ids: gm.loss_nf2(s, ids[0], ids[1], ids[2], ids[3]),
-         lambda s, ids: float(gm.nf2_batch(
-             s, one(ids[0]), one(ids[1]), one(ids[2]), ids[3])[0][0])),
-        ("nf3", lambda g: _build_translation(g, +1),
-         lambda s, ids: gm.loss_nf3(s, ids[0], ids[1], ids[2], ids[3], VAR),
-         lambda s, ids: float(gm.nf3_batch(
-             s, one(ids[0]), one(ids[1]), one(ids[2]), ids[3], VAR)[0][0])),
-        ("nf4", lambda g: _build_translation(g, -1),
-         lambda s, ids: gm.loss_nf4(s, ids[0], ids[1], ids[2], ids[3], VAR),
-         lambda s, ids: float(gm.nf4_batch(
-             s, one(ids[1]), one(ids[0]), one(ids[2]), ids[3], VAR)[0][0])),
-        ("disjoint", _build_disjoint,
-         lambda s, ids: gm.loss_disjoint(s, ids[0], ids[1], ids[2]),
-         lambda s, ids: float(gm.disjoint_batch(
-             s, one(ids[0]), one(ids[1]), ids[2])[0][0])),
-        ("negative", lambda g: _build_translation(g, +1),
-         lambda s, ids: gm.loss_nf3_negative(
-             s, ids[0], ids[1], ids[2], ids[3], VAR),
-         lambda s, ids: float(gm.nf3_negative_batch(
-             s, one(ids[0]), one(ids[1]), one(ids[2]), ids[3], VAR)[0][0])),
-        ("bottom", _build_nf1,
-         lambda s, ids: gm.loss_bottom(s, ids[0]),
-         lambda s, ids: float(gm.bottom_batch(s, one(ids[0]))[0][0])),
+        ("nf1", _build_nf1),
+        ("nf2", _build_nf2),
+        ("nf3", lambda g: _build_translation(g, +1)),
+        ("nf4", lambda g: _build_translation(g, -1)),
+        ("disjoint", _build_disjoint),
+        ("nf3_negative", lambda g: _build_translation(g, +1)),
+        ("bottom", _build_nf1),
     ]
     points = 1000
-    for name, build, term_at, value_at in cases:
+    for key, build in cases:
         for _ in range(points):
-            state, ids = sample_smooth_point(rng, build)
-            term = term_at(state, ids)
-            assert value_at(state, ids) == term.value
-            fd = fd_gradients(lambda s: value_at(s, ids), state)
-            compare(term, fd, state.dim, tol=1e-5)
+            state, (*ids, gamma) = sample_smooth_point(rng, build)
+            if key == "bottom":
+                ids = ids[:1]
+            term = one_term(key, state, ids, gamma, VAR)
+            value_at = value_of(key, ids, gamma, VAR)
+            assert value_at(state) == term.value
+            fd = fd_gradients(value_at, state)
+            compare(term.acc, fd, tol=1e-5)
     elapsed = time.time() - start
     assert elapsed < 30.0, f"gradient suite took {elapsed:.1f}s"
     report(2, f"{points} finite-difference points per loss within 1e-5 "
@@ -148,12 +130,12 @@ def test_criterion_3_emel_reduction_bitwise():
         st, c, d, e, r, gamma = _random_instance(rng)
         st.relation_sigmas_raw[:] = 0.0
         pairs = (
-            (gm.loss_nf3(st, c, r, d, gamma, VAR),
-             gm.loss_nf3(st, c, r, d, gamma, EMEL)),
-            (gm.loss_nf4(st, c, r, d, gamma, VAR),
-             gm.loss_nf4(st, c, r, d, gamma, EMEL)),
-            (gm.loss_nf3_negative(st, c, r, d, gamma, VAR),
-             gm.loss_nf3_negative(st, c, r, d, gamma, EMEL)),
+            (one_term("nf3", st, (c, r, d), gamma, VAR),
+             one_term("nf3", st, (c, r, d), gamma, EMEL)),
+            (one_term("nf4", st, (r, c, d), gamma, VAR),
+             one_term("nf4", st, (r, c, d), gamma, EMEL)),
+            (one_term("nf3_negative", st, (c, r, d), gamma, VAR),
+             one_term("nf3_negative", st, (c, r, d), gamma, EMEL)),
         )
         for var_term, emel_term in pairs:
             assert var_term.value == emel_term.value  # bitwise

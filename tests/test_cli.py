@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import os
 import tempfile
@@ -568,6 +569,35 @@ def test_baseline_output_bytes_are_pinned(tmp_path, fixture_file, model):
     assert digests(out) + (
         hashlib.sha256(report.read_bytes()).hexdigest(),
     ) == GOLDEN_BASELINE[model]
+
+
+def test_bench_tracer_installs_and_uninstalls(monkeypatch):
+    """Every function the benchmark's tracer wraps is still where the tracer
+    looks it up, and uninstalling puts each original back."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    modules = {name: importlib.import_module(f"geodl.{name}")
+               for name in ("cli", "model", "training", "ranking", "baselines")}
+
+    def lookup(module, path):
+        owner = modules[module]
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        return vars(owner)[attr]
+
+    originals = [lookup(module, path) for module, path, _ in tracing.TRACED]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(modules)
+        wrapped = [lookup(module, path) for module, path, _ in tracing.TRACED]
+    finally:
+        tracer.uninstall()
+    assert len(tracing.TRACED) == 26
+    assert all(new is not old for new, old in zip(wrapped, originals))
+    assert all(lookup(module, path) is old
+               for (module, path, _), old in zip(tracing.TRACED, originals))
 
 
 # --- fuzzing through main: every input exits 0, 1 or 2 -------------------------

@@ -2,34 +2,29 @@
 
 Each loss is piecewise smooth; points are resampled until they are at least
 a margin away from every hinge boundary, absolute-value kink, zero distance
-and zero center norm, where the derivative is well defined.
+and zero center norm, where the derivative is well defined.  Every term runs
+through ``term_batch``, the entry point training uses, with ids in each
+kernel's column order.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import make_state
+from conftest import make_state, one_term
 from geodl.model import (
-    CLASS_CENTER,
-    CLASS_RADIUS,
-    RELATION_SIGMA,
-    RELATION_VECTOR,
     EmbeddingState,
     GradientAccumulator,
     Variant,
     _add_rows,
-    loss_bottom,
-    loss_disjoint,
-    loss_nf1,
-    loss_nf2,
-    loss_nf3,
-    loss_nf3_negative,
-    loss_nf4,
     term_batch,
 )
+from geodl.normalize import NF1, NF2, NF3, NF4, BottomSub
+from geodl.training import mean_hinge, train
+from test_training import norm_lines, tiny_config
 
 EMEL = Variant.EMEL
 VAR = Variant.EMEL_VAR
@@ -39,50 +34,46 @@ FD_STEP = 1e-6
 
 
 def fd_gradients(loss_value, state, step=FD_STEP):
-    """Central finite differences over every parameter entry."""
-    grads = {}
-
-    def probe(array, key_of):
-        flat = array.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + step
-            up = loss_value(state)
-            flat[i] = original - step
-            down = loss_value(state)
-            flat[i] = original
-            g = (up - down) / (2.0 * step)
-            if g != 0.0:
-                key, comp = key_of(i)
-                grads.setdefault(key, {})[comp] = g
-
-    dim = state.dim
-    probe(state.class_centers,
-          lambda i: ((CLASS_CENTER, i // dim), i % dim))
-    probe(state.class_radii_raw, lambda i: ((CLASS_RADIUS, i), 0))
-    probe(state.relation_vectors,
-          lambda i: ((RELATION_VECTOR, i // dim), i % dim))
-    probe(state.relation_sigmas_raw, lambda i: ((RELATION_SIGMA, i), 0))
+    """Central finite differences over every cell of ``state.flat``."""
+    flat = state.flat
+    grads = np.zeros_like(flat)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + step
+        up = loss_value(state)
+        flat[i] = original - step
+        down = loss_value(state)
+        flat[i] = original
+        grads[i] = (up - down) / (2.0 * step)
     return grads
 
 
-def compare(term, fd, dim, tol=1e-5):
-    keys = set(term.grads) | set(fd)
-    for key in keys:
-        analytic = term.grads.get(key)
-        if analytic is None:
-            analytic = np.zeros(dim) if key[0] in (CLASS_CENTER, RELATION_VECTOR) \
-                else 0.0
-        numeric_map = fd.get(key, {})
-        if np.ndim(analytic) == 0:
-            pairs = [(float(analytic), numeric_map.get(0, 0.0))]
-        else:
-            pairs = [(float(analytic[i]), numeric_map.get(i, 0.0))
-                     for i in range(dim)]
-        for a, n in pairs:
-            assert abs(a - n) <= tol * max(1.0, abs(a), abs(n)), (
-                f"{key}: analytic {a} vs finite difference {n}"
-            )
+def compare(acc, fd, tol=1e-5):
+    """Every cell of ``acc.flat`` against its finite difference."""
+    a = acc.flat
+    bad = np.abs(a - fd) > tol * np.maximum(1.0, np.maximum(np.abs(a),
+                                                            np.abs(fd)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise AssertionError(
+            f"flat[{i}]: analytic {a[i]} vs finite difference {fd[i]}")
+
+
+def value_of(key, ids, gamma, variant=EMEL):
+    """The kernel's value on one row as a function of the state, without
+    accumulating gradients."""
+    columns = [np.array([i]) for i in ids]
+    return lambda state: float(
+        term_batch(key, state, columns, gamma, variant)[0][0])
+
+
+def check_gradients(key, state, ids, gamma, variant=EMEL, tol=1e-5):
+    """The term's analytic gradient against finite differences of its
+    value; returns the term."""
+    term = one_term(key, state, ids, gamma, variant)
+    compare(term.acc, fd_gradients(value_of(key, ids, gamma, variant), state),
+            tol)
+    return term
 
 
 def away_from_kinks(values, margin=KINK_MARGIN):
@@ -107,6 +98,10 @@ def _norms(state, ids):
     return out
 
 
+# Each builder returns (state, (ids..., gamma), kinks), ids in the kernel's
+# column order.
+
+
 def _build_nf1(rng):
     state = make_state(rng, num_classes=4, num_relations=1, dim=3)
     c, d = (int(x) for x in rng.choice(4, size=2, replace=False))
@@ -121,9 +116,7 @@ def _build_nf1(rng):
 def test_nf1_gradients(rng):
     for _ in range(60):
         state, (c, d, gamma) = sample_smooth_point(rng, _build_nf1)
-        term = loss_nf1(state, c, d, gamma)
-        fd = fd_gradients(lambda s: loss_nf1(s, c, d, gamma).value, state)
-        compare(term, fd, state.dim)
+        check_gradients("nf1", state, (c, d), gamma)
 
 
 def _build_nf2(rng):
@@ -147,12 +140,12 @@ def _build_nf2(rng):
 def test_nf2_gradients(rng):
     for _ in range(60):
         state, (c, d, e, gamma) = sample_smooth_point(rng, _build_nf2)
-        term = loss_nf2(state, c, d, e, gamma)
-        fd = fd_gradients(lambda s: loss_nf2(s, c, d, e, gamma).value, state)
-        compare(term, fd, state.dim)
+        check_gradients("nf2", state, (c, d, e), gamma)
 
 
 def _build_translation(rng, sign):
+    """nf3 and nf3_negative for sign +1, with ids (c, r, d); nf4 for sign
+    -1, with ids (r, c, d)."""
     state = make_state(rng, num_classes=4, num_relations=2, dim=3)
     c, d = (int(x) for x in rng.choice(4, size=2, replace=False))
     r = int(rng.integers(0, 2))
@@ -173,47 +166,28 @@ def _build_translation(rng, sign):
         state.relation_sigmas_raw[r],
     ]
     kinks += _norms(state, (c, d))
-    return state, (c, r, d, gamma), kinks
+    ids = (c, r, d) if sign > 0 else (r, c, d)
+    return state, ids + (gamma,), kinks
+
+
+def _translation_gradients(rng, key, sign):
+    for variant in (EMEL, VAR):
+        for _ in range(40):
+            state, (*ids, gamma) = sample_smooth_point(
+                rng, lambda g: _build_translation(g, sign))
+            check_gradients(key, state, ids, gamma, variant)
 
 
 def test_nf3_gradients_both_variants(rng):
-    for variant in (EMEL, VAR):
-        for _ in range(40):
-            state, (c, r, d, gamma) = sample_smooth_point(
-                rng, lambda g: _build_translation(g, +1)
-            )
-            term = loss_nf3(state, c, r, d, gamma, variant)
-            fd = fd_gradients(
-                lambda s: loss_nf3(s, c, r, d, gamma, variant).value, state
-            )
-            compare(term, fd, state.dim)
+    _translation_gradients(rng, "nf3", +1)
 
 
 def test_nf4_gradients_both_variants(rng):
-    for variant in (EMEL, VAR):
-        for _ in range(40):
-            state, (c, r, d, gamma) = sample_smooth_point(
-                rng, lambda g: _build_translation(g, -1)
-            )
-            term = loss_nf4(state, c, r, d, gamma, variant)
-            fd = fd_gradients(
-                lambda s: loss_nf4(s, c, r, d, gamma, variant).value, state
-            )
-            compare(term, fd, state.dim)
+    _translation_gradients(rng, "nf4", -1)
 
 
 def test_negative_gradients(rng):
-    for variant in (EMEL, VAR):
-        for _ in range(40):
-            state, (c, r, d, gamma) = sample_smooth_point(
-                rng, lambda g: _build_translation(g, +1)
-            )
-            term = loss_nf3_negative(state, c, r, d, gamma, variant)
-            fd = fd_gradients(
-                lambda s: loss_nf3_negative(s, c, r, d, gamma, variant).value,
-                state,
-            )
-            compare(term, fd, state.dim)
+    _translation_gradients(rng, "nf3_negative", +1)
 
 
 def _build_disjoint(rng):
@@ -230,9 +204,7 @@ def _build_disjoint(rng):
 def test_disjoint_gradients(rng):
     for _ in range(60):
         state, (c, d, gamma) = sample_smooth_point(rng, _build_disjoint)
-        term = loss_disjoint(state, c, d, gamma)
-        fd = fd_gradients(lambda s: loss_disjoint(s, c, d, gamma).value, state)
-        compare(term, fd, state.dim)
+        check_gradients("disjoint", state, (c, d), gamma)
 
 
 def test_bottom_gradients(rng):
@@ -241,101 +213,71 @@ def test_bottom_gradients(rng):
         c = int(rng.integers(0, 3))
         if abs(state.class_radii_raw[c]) <= KINK_MARGIN:
             continue
-        term = loss_bottom(state, c)
-        fd = fd_gradients(lambda s: loss_bottom(s, c).value, state)
-        compare(term, fd, state.dim)
-        assert term.grads[(CLASS_RADIUS, c)] == np.sign(state.class_radii_raw[c])
+        term = check_gradients("bottom", state, (c,), 0.0)
+        assert term.acc.class_radii_raw[c] == np.sign(state.class_radii_raw[c])
 
 
 def test_empty_batch_is_zero_accumulator(rng):
-    from geodl.model import gradients
-
+    """Empty id columns through every kernel: empty values and hinges, and
+    no gradient."""
     state = make_state(rng)
-    acc = gradients([], state, 0.1, VAR)
-    assert not acc.class_centers.any()
-    assert not acc.class_radii_raw.any()
-    assert not acc.relation_vectors.any()
-    assert not acc.relation_sigmas_raw.any()
+    for key, columns in KERNEL_COLUMNS.items():
+        empty = [np.array([], dtype=int)] * len(columns)
+        for variant, sigma_reg in KERNEL_SETTINGS:
+            acc = GradientAccumulator.zeros_like(state)
+            values, hinges = term_batch(key, state, empty, 0.1, variant, acc,
+                                        sigma_reg)
+            assert values.shape == hinges.shape == (0,)
+            assert not acc.flat.any()
 
 
-def test_batch_gradients_sum_per_term_gradients(rng):
-    from geodl.model import gradients
-    from geodl.normalize import NF1, NF3, Disjoint
-
-    state = make_state(rng, num_classes=5, num_relations=2, dim=3)
-    batch = [
-        (NF1(0, 1), 1),
-        (NF3(1, 0, 2), 1),
-        (NF3(1, 0, 3), -1),
-        (Disjoint(2, 4), 1),
-    ]
-    gamma = 0.1
-    acc = gradients(batch, state, gamma, VAR)
-    expected = GradientAccumulator.zeros_like(state)
-    for term in (
-        loss_nf1(state, 0, 1, gamma),
-        loss_nf3(state, 1, 0, 2, gamma, VAR),
-        loss_nf3_negative(state, 1, 0, 3, gamma, VAR),
-        loss_disjoint(state, 2, 4, gamma),
-    ):
-        for (block, row), grad in term.grads.items():
-            if block == CLASS_CENTER:
-                expected.class_centers[row] += grad
-            elif block == CLASS_RADIUS:
-                expected.class_radii_raw[row] += grad
-            elif block == RELATION_VECTOR:
-                expected.relation_vectors[row] += grad
-            elif block == RELATION_SIGMA:
-                expected.relation_sigmas_raw[row] += grad
-    assert np.allclose(acc.class_centers, expected.class_centers, atol=1e-12)
-    assert np.allclose(acc.class_radii_raw, expected.class_radii_raw,
-                       atol=1e-12)
-    assert np.allclose(acc.relation_vectors, expected.relation_vectors,
-                       atol=1e-12)
-    assert np.allclose(acc.relation_sigmas_raw, expected.relation_sigmas_raw,
-                       atol=1e-12)
+def test_batch_gradients_sum_per_term_gradients():
+    """Each kernel over a multi-row batch with repeated rows gives each
+    row's value and hinge and the sum of the rows' gradients."""
+    for key, columns in KERNEL_COLUMNS.items():
+        for variant, sigma_reg in KERNEL_SETTINGS:
+            state = _kernel_state()
+            acc = GradientAccumulator.zeros_like(state)
+            values, hinges = term_batch(key, state, columns, 0.1, variant,
+                                        acc, sigma_reg)
+            expected = np.zeros_like(acc.flat)
+            for i, ids in enumerate(zip(*columns)):
+                term = one_term(key, state, ids, 0.1, variant, sigma_reg)
+                assert abs(values[i] - term.value) <= 1e-12
+                assert abs(hinges[i] - term.hinge) <= 1e-12
+                expected += term.acc.flat
+            assert np.abs(acc.flat - expected).max() <= 1e-12, (key, variant)
 
 
-def test_batch_gradients_reject_bad_sign(rng):
-    from geodl.model import gradients
-    from geodl.normalize import NF1
-
-    state = make_state(rng)
-    with pytest.raises(ValueError):
-        gradients([(NF1(0, 1), 0)], state, 0.1, VAR)
-    with pytest.raises(ValueError):
-        gradients([(NF1(0, 1), -1)], state, 0.1, VAR)
-
-
-@pytest.mark.parametrize("term, field", [
-    pytest.param(lambda st: loss_nf1(st, -1, 0, 0.1), "NF1.c = -1", id="nf1-c"),
-    pytest.param(lambda st: loss_nf1(st, 0, 3, 0.1), "NF1.d = 3", id="nf1-d"),
-    pytest.param(lambda st: loss_nf2(st, 0, 1, -2, 0.1), "NF2.e = -2",
-                 id="nf2-e"),
-    pytest.param(lambda st: loss_nf3(st, 0, -1, 1, 0.1, VAR), "NF3.r = -1",
-                 id="nf3-r"),
-    pytest.param(lambda st: loss_nf4(st, 0, 2, 1, 0.1, EMEL), "NF4.r = 2",
-                 id="nf4-r"),
-    pytest.param(lambda st: loss_bottom(st, -3), "BottomSub.c = -3",
+@pytest.mark.parametrize("axiom, message", [
+    pytest.param(NF1(-1, 0), "NF1.c = -1 is outside [0, 3)", id="nf1-c"),
+    pytest.param(NF1(0, 3), "NF1.d = 3 is outside [0, 3)", id="nf1-d"),
+    pytest.param(NF2(0, 1, -2), "NF2.e = -2 is outside [0, 3)", id="nf2-e"),
+    pytest.param(NF3(0, -1, 1), "NF3.r = -1 is outside [0, 2)", id="nf3-r"),
+    pytest.param(NF4(2, 0, 1), "NF4.r = 2 is outside [0, 2)", id="nf4-r"),
+    pytest.param(BottomSub(-3), "BottomSub.c = -3 is outside [0, 3)",
                  id="bottom-c"),
-    pytest.param(lambda st: loss_nf3_negative(st, 0, 1, 7, 0.1, VAR),
-                 "NF3.d = 7", id="nf3_negative-d"),
 ])
-def test_single_term_rejects_ids_out_of_range(rng, term, field):
+def test_single_term_rejects_ids_out_of_range(rng, axiom, message):
     """An id outside [0, count) would gather a wrapped row, or none, and
-    put its gradient in another block; it is refused, naming the field."""
+    put its gradient in another block; training and the hinge diagnostic
+    refuse it, naming the field."""
+    onto = norm_lines(["subClassOf(A,some(R,B))", "subClassOf(C,some(S,A))"])
+    assert (len(onto.classes), len(onto.relations)) == (3, 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(onto, tiny_config(epochs=1), train_axioms=[axiom])
     state = make_state(rng, num_classes=3, num_relations=2, dim=2)
-    with pytest.raises(ValueError, match=field):
-        term(state)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mean_hinge(state, [axiom], 0.1, VAR, kind=type(axiom))
 
 
 def test_inactive_hinge_unit_centers_zero_gradient():
     from test_losses import state_2d
 
     st = state_2d([[1.0, 0.0], [1.0, 0.0]], [0.1, 0.2])
-    term = loss_nf1(st, 0, 1, 0.0)
+    term = one_term("nf1", st, (0, 1), 0.0)
     assert term.value == 0.0
-    assert term.grads == {}
+    assert not term.acc.flat.any()
 
 
 def test_repeated_ids_sum_contributions(rng):
@@ -344,15 +286,11 @@ def test_repeated_ids_sum_contributions(rng):
         state = make_state(rng, num_classes=3, num_relations=1, dim=3)
         c = int(rng.integers(0, 3))
         gamma = 0.05
-        dist = 0.0  # same id, distance kink sits at zero
-        term = loss_disjoint(state, c, c, gamma)
         if (abs(state.class_radii_raw[c]) <= KINK_MARGIN
                 or abs(2 * state.radius(c) + gamma) <= KINK_MARGIN
                 or not away_from_kinks(_norms(state, (c,)))):
             continue
-        fd = fd_gradients(lambda s: loss_disjoint(s, c, c, gamma).value, state)
-        compare(term, fd, state.dim)
-        assert dist == 0.0
+        check_gradients("disjoint", state, (c, c), gamma)
 
 
 # --- the row scatter ------------------------------------------------------------

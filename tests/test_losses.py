@@ -5,19 +5,12 @@ import pytest
 from hypothesis import given, strategies as st_hyp
 
 import oracles
-from conftest import make_state
+from conftest import make_state, one_term
 from geodl.model import (
     EmbeddingState,
     GradientAccumulator,
     Variant,
     load_model,
-    loss_bottom,
-    loss_disjoint,
-    loss_nf1,
-    loss_nf2,
-    loss_nf3,
-    loss_nf3_negative,
-    loss_nf4,
     save_model,
 )
 
@@ -41,32 +34,33 @@ def state_2d(centers, radii, rel_vectors=(), sigmas=()):
 
 def test_nf1_contained_ball_is_zero():
     st = state_2d([[1.0, 0.0], [1.0, 0.0]], [0.1, 0.2])
-    assert loss_nf1(st, 0, 1, 0.0).value == 0.0
+    assert one_term("nf1", st, (0, 1), 0.0).value == 0.0
 
 
 def test_nf1_separated_centers():
     st = state_2d([[1.0, 0.0], [0.0, 1.0]], [0.3, 0.1])
     expected = math.sqrt(2.0) + 0.2  # 1.6142135623730951
-    assert loss_nf1(st, 0, 1, 0.0).value == pytest.approx(expected, rel=1e-12)
-    assert loss_nf1(st, 0, 1, 0.0).value == pytest.approx(
+    assert one_term("nf1", st, (0, 1), 0.0).value == pytest.approx(
+        expected, rel=1e-12)
+    assert one_term("nf1", st, (0, 1), 0.0).value == pytest.approx(
         oracles.nf1([1.0, 0.0], [0.0, 1.0], 0.3, 0.1, 0.0), rel=1e-15
     )
 
 
 def test_nf1_penalties_only():
     st = state_2d([[0.5, 0.0], [0.5, 0.0]], [0.2, 0.2])
-    assert loss_nf1(st, 0, 1, 0.0).value == pytest.approx(1.0, rel=1e-12)
+    assert one_term("nf1", st, (0, 1), 0.0).value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_nf2_coincident_is_zero():
     st = state_2d([[0.0, 1.0]] * 3, [0.0, 0.0, 0.0])
-    assert loss_nf2(st, 0, 1, 2, 0.0).value == 0.0
+    assert one_term("nf2", st, (0, 1, 2), 0.0).value == 0.0
 
 
 def test_nf2_two_active_hinges():
     st = state_2d([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], [0.1, 0.1, 0.1])
     expected = (math.sqrt(2.0) - 0.2) + (math.sqrt(2.0) - 0.1)  # 2.5284271247461903
-    got = loss_nf2(st, 0, 1, 2, 0.0).value
+    got = one_term("nf2", st, (0, 1, 2), 0.0).value
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(
         oracles.nf2([1, 0], [0, 1], [1, 0], 0.1, 0.1, 0.0), rel=1e-15
@@ -77,7 +71,7 @@ def test_nf3_sigma_regularizer_only():
     st = state_2d(
         [[1.0, 0.0], [0.0, 1.0]], [0.1, 0.2], [[-1.0, 1.0]], [0.05]
     )
-    term = loss_nf3(st, 0, 0, 1, 0.0, VAR)
+    term = one_term("nf3", st, (0, 0, 1), 0.0, VAR)
     assert term.hinge == 0.0
     assert term.value == pytest.approx(0.05, rel=1e-12)
 
@@ -86,7 +80,7 @@ def test_nf3_emel_ignores_sigma():
     st = state_2d(
         [[1.0, 0.0], [0.0, 1.0]], [0.1, 0.2], [[-1.0, 1.0]], [0.05]
     )
-    assert loss_nf3(st, 0, 0, 1, 0.0, EMEL).value == 0.0
+    assert one_term("nf3", st, (0, 0, 1), 0.0, EMEL).value == 0.0
 
 
 def test_nf3_sigma_absorbs_translation_slack():
@@ -94,7 +88,7 @@ def test_nf3_sigma_absorbs_translation_slack():
     st = state_2d(
         [[1.0, 0.0], [1.0, 0.1]], [0.3, 0.3], [[0.0, 0.0]], [0.2]
     )
-    term = loss_nf3(st, 0, 0, 1, 0.0, VAR)
+    term = one_term("nf3", st, (0, 0, 1), 0.0, VAR)
     assert term.hinge == 0.0
     penalties = abs(math.hypot(1.0, 0.1) - 1.0)
     assert term.value == pytest.approx(0.2 + penalties, rel=1e-12)
@@ -102,13 +96,13 @@ def test_nf3_sigma_absorbs_translation_slack():
 
 def test_nf4_exact_translation_is_zero():
     st = state_2d([[0.0, 1.0], [0.0, -1.0]], [0.3, 0.1], [[0.0, 2.0]], [0.0])
-    assert loss_nf4(st, 0, 0, 1, 0.0, EMEL).value == 0.0
+    assert one_term("nf4", st, (0, 0, 1), 0.0, EMEL).value == 0.0
 
 
 def test_nf4_active_hinge():
     # || f(c) - f(r) - f(d) || = ||(-1,0)|| = 1, radii 0.1 each
     st = state_2d([[0.0, 1.0], [1.0, 0.0]], [0.1, 0.1], [[0.0, 1.0]], [0.0])
-    got = loss_nf4(st, 0, 0, 1, 0.0, EMEL)
+    got = one_term("nf4", st, (0, 0, 1), 0.0, EMEL)
     assert got.value == pytest.approx(0.8, rel=1e-12)
     assert got.value == pytest.approx(
         oracles.nf4([0, 1], [0, 1], [1, 0], 0.1, 0.1, 0.0), rel=1e-15
@@ -117,7 +111,7 @@ def test_nf4_active_hinge():
 
 def test_nf4_var_sigma_trades_hinge_for_regularizer():
     st = state_2d([[0.0, 1.0], [1.0, 0.0]], [0.1, 0.1], [[0.0, 1.0]], [0.3])
-    term = loss_nf4(st, 0, 0, 1, 0.0, VAR)
+    term = one_term("nf4", st, (0, 0, 1), 0.0, VAR)
     assert term.hinge == pytest.approx(0.5, rel=1e-12)
     assert term.value == pytest.approx(0.8, rel=1e-12)
     assert term.value == pytest.approx(
@@ -127,46 +121,47 @@ def test_nf4_var_sigma_trades_hinge_for_regularizer():
 
 def test_disjoint_separated_is_zero():
     st = state_2d([[1.0, 0.0], [-1.0, 0.0]], [0.1, 0.1])
-    assert loss_disjoint(st, 0, 1, 0.0).value == 0.0
+    assert one_term("disjoint", st, (0, 1), 0.0).value == 0.0
 
 
 def test_disjoint_overlapping_balls():
     st = state_2d([[1.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
-    assert loss_disjoint(st, 0, 1, 0.0).value == pytest.approx(1.0, rel=1e-12)
+    assert one_term("disjoint", st, (0, 1), 0.0).value == pytest.approx(
+        1.0, rel=1e-12)
 
 
 def test_disjoint_coincident_points():
     st = state_2d([[1.0, 0.0], [1.0, 0.0]], [0.0, 0.0])
-    assert loss_disjoint(st, 0, 1, 0.0).value == 0.0
+    assert one_term("disjoint", st, (0, 1), 0.0).value == 0.0
 
 
 def test_bottom_absolute_value():
     st = state_2d([[1.0, 0.0]], [0.3])
-    assert loss_bottom(st, 0).value == pytest.approx(0.3)
+    assert one_term("bottom", st, (0,)).value == pytest.approx(0.3)
     st = state_2d([[1.0, 0.0]], [-0.3])
-    assert loss_bottom(st, 0).value == pytest.approx(0.3)
+    assert one_term("bottom", st, (0,)).value == pytest.approx(0.3)
     st = state_2d([[1.0, 0.0]], [0.0])
-    assert loss_bottom(st, 0).value == 0.0
+    assert one_term("bottom", st, (0,)).value == 0.0
 
 
 def test_negative_far_apart_is_zero():
     st = state_2d([[1.0, 0.0], [-1.0, 0.0]], [0.05, 0.05], [[0.0, 0.0]], [0.0])
-    assert loss_nf3_negative(st, 0, 0, 1, 0.0, VAR).value == 0.0
+    assert one_term("nf3_negative", st, (0, 0, 1), 0.0, VAR).value == 0.0
 
 
 def test_negative_coincident_translation():
     st = state_2d([[1.0, 0.0], [1.0, 0.0]], [0.1, 0.1], [[0.0, 0.0]], [0.0])
-    assert loss_nf3_negative(st, 0, 0, 1, 0.0, VAR).value == pytest.approx(
+    assert one_term("nf3_negative", st, (0, 0, 1), 0.0, VAR).value == pytest.approx(
         0.2, rel=1e-12
     )
 
 
 def test_negative_sigma_widens_margin():
     st = state_2d([[1.0, 0.0], [1.0, 0.0]], [0.1, 0.1], [[0.0, 0.0]], [0.3])
-    assert loss_nf3_negative(st, 0, 0, 1, 0.0, VAR).value == pytest.approx(
+    assert one_term("nf3_negative", st, (0, 0, 1), 0.0, VAR).value == pytest.approx(
         0.5, rel=1e-12
     )
-    assert loss_nf3_negative(st, 0, 0, 1, 0.0, VAR).value == pytest.approx(
+    assert one_term("nf3_negative", st, (0, 0, 1), 0.0, VAR).value == pytest.approx(
         oracles.nf3_negative([1, 0], [0, 0], [1, 0], 0.1, 0.1, 0.3, 0.0),
         rel=1e-15,
     )
@@ -200,23 +195,24 @@ def test_all_losses_match_oracle_on_random_instances(seed):
         rc, rd = _eff(st.class_radii_raw[c]), _eff(st.class_radii_raw[d])
         sig = _eff(st.relation_sigmas_raw[r])
         tol = dict(rel=1e-12, abs=1e-12)
-        assert loss_nf1(st, c, d, gamma).value == pytest.approx(
+        assert one_term("nf1", st, (c, d), gamma).value == pytest.approx(
             oracles.nf1(fc, fd, rc, rd, gamma), **tol)
-        assert loss_nf2(st, c, d, e, gamma).value == pytest.approx(
+        assert one_term("nf2", st, (c, d, e), gamma).value == pytest.approx(
             oracles.nf2(fc, fd, fe, rc, rd, gamma), **tol)
-        assert loss_nf3(st, c, r, d, gamma, EMEL).value == pytest.approx(
+        assert one_term("nf3", st, (c, r, d), gamma, EMEL).value == pytest.approx(
             oracles.nf3(fc, fr, fd, rc, rd, gamma), **tol)
-        assert loss_nf3(st, c, r, d, gamma, VAR).value == pytest.approx(
+        assert one_term("nf3", st, (c, r, d), gamma, VAR).value == pytest.approx(
             oracles.nf3_var(fc, fr, fd, rc, rd, sig, gamma), **tol)
-        assert loss_nf4(st, c, r, d, gamma, EMEL).value == pytest.approx(
+        assert one_term("nf4", st, (r, c, d), gamma, EMEL).value == pytest.approx(
             oracles.nf4(fc, fr, fd, rc, rd, gamma), **tol)
-        assert loss_nf4(st, c, r, d, gamma, VAR).value == pytest.approx(
+        assert one_term("nf4", st, (r, c, d), gamma, VAR).value == pytest.approx(
             oracles.nf4_var(fc, fr, fd, rc, rd, sig, gamma), **tol)
-        assert loss_disjoint(st, c, d, gamma).value == pytest.approx(
+        assert one_term("disjoint", st, (c, d), gamma).value == pytest.approx(
             oracles.disjoint(fc, fd, rc, rd, gamma), **tol)
-        assert loss_bottom(st, c).value == pytest.approx(
+        assert one_term("bottom", st, (c,)).value == pytest.approx(
             oracles.bottom(rc), **tol)
-        assert loss_nf3_negative(st, c, r, d, gamma, VAR).value == pytest.approx(
+        assert one_term(
+            "nf3_negative", st, (c, r, d), gamma, VAR).value == pytest.approx(
             oracles.nf3_negative(fc, fr, fd, rc, rd, sig, gamma), **tol)
 
 
@@ -225,13 +221,13 @@ def test_all_losses_match_oracle_on_random_instances(seed):
 
 def _all_losses(st, c, d, e, r, gamma, variant):
     return [
-        loss_nf1(st, c, d, gamma).value,
-        loss_nf2(st, c, d, e, gamma).value,
-        loss_nf3(st, c, r, d, gamma, variant).value,
-        loss_nf4(st, c, r, d, gamma, variant).value,
-        loss_disjoint(st, c, d, gamma).value,
-        loss_bottom(st, c).value,
-        loss_nf3_negative(st, c, r, d, gamma, variant).value,
+        one_term("nf1", st, (c, d), gamma).value,
+        one_term("nf2", st, (c, d, e), gamma).value,
+        one_term("nf3", st, (c, r, d), gamma, variant).value,
+        one_term("nf4", st, (r, c, d), gamma, variant).value,
+        one_term("disjoint", st, (c, d), gamma).value,
+        one_term("bottom", st, (c,)).value,
+        one_term("nf3_negative", st, (c, r, d), gamma, variant).value,
     ]
 
 
@@ -272,9 +268,9 @@ def test_sigma_monotonicity(rng):
         hinges3, hinges4, regs = [], [], []
         for s in sigmas:
             st.relation_sigmas_raw[r] = s
-            t3 = loss_nf3(st, c, r, d, gamma, VAR)
-            t4 = loss_nf4(st, c, r, d, gamma, VAR)
-            base = loss_nf3(st, c, r, d, gamma, EMEL)
+            t3 = one_term("nf3", st, (c, r, d), gamma, VAR)
+            t4 = one_term("nf4", st, (r, c, d), gamma, VAR)
+            base = one_term("nf3", st, (c, r, d), gamma, EMEL)
             penalties = base.value - base.hinge
             hinges3.append(t3.hinge)
             hinges4.append(t4.hinge)
@@ -290,16 +286,16 @@ def test_emel_reduction_is_bitwise(rng):
         st, c, d, e, r, gamma = _random_instance(rng)
         st.relation_sigmas_raw[:] = 0.0
         assert (
-            loss_nf3(st, c, r, d, gamma, VAR).value
-            == loss_nf3(st, c, r, d, gamma, EMEL).value
+            one_term("nf3", st, (c, r, d), gamma, VAR).value
+            == one_term("nf3", st, (c, r, d), gamma, EMEL).value
         )
         assert (
-            loss_nf4(st, c, r, d, gamma, VAR).value
-            == loss_nf4(st, c, r, d, gamma, EMEL).value
+            one_term("nf4", st, (r, c, d), gamma, VAR).value
+            == one_term("nf4", st, (r, c, d), gamma, EMEL).value
         )
         assert (
-            loss_nf3_negative(st, c, r, d, gamma, VAR).value
-            == loss_nf3_negative(st, c, r, d, gamma, EMEL).value
+            one_term("nf3_negative", st, (c, r, d), gamma, VAR).value
+            == one_term("nf3_negative", st, (c, r, d), gamma, EMEL).value
         )
 
 
@@ -327,7 +323,7 @@ def test_orthogonal_invariance(rng):
 def test_zero_loss_nf1_implies_containment_on_sphere():
     # exact zero is reachable only with exactly unit-norm centers
     st = state_2d([[0.0, 1.0], [0.0, 1.0]], [0.1, 0.25])
-    term = loss_nf1(st, 0, 1, 0.0)
+    term = one_term("nf1", st, (0, 1), 0.0)
     assert term.value == 0.0
     dist = np.linalg.norm(st.class_centers[0] - st.class_centers[1])
     assert dist + st.radius(0) <= st.radius(1)
@@ -335,16 +331,16 @@ def test_zero_loss_nf1_implies_containment_on_sphere():
     assert np.linalg.norm(st.class_centers[1]) == 1.0
     # violating containment forces a positive value
     st.class_radii_raw[0] = 0.5
-    assert loss_nf1(st, 0, 1, 0.0).value > 0.0
+    assert one_term("nf1", st, (0, 1), 0.0).value > 0.0
     # off-sphere centers force a positive value even when contained
     st2 = state_2d([[0.0, 0.9], [0.0, 0.9]], [0.1, 0.25])
-    assert loss_nf1(st2, 0, 1, 0.0).value > 0.0
+    assert one_term("nf1", st2, (0, 1), 0.0).value > 0.0
 
 
 def test_zero_loss_nf1_random_scan(rng):
     for _ in range(200):
         st, c, d, _, _, gamma = _random_instance(rng)
-        term = loss_nf1(st, c, d, 0.0)
+        term = one_term("nf1", st, (c, d), 0.0)
         if term.value == 0.0:
             dist = float(np.linalg.norm(st.class_centers[c] - st.class_centers[d]))
             assert dist + st.radius(c) <= st.radius(d)

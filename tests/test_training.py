@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
-from conftest import make_state
-from geodl.model import GradientAccumulator, Variant, loss_nf1
+from conftest import make_state, one_term
+from geodl.model import GradientAccumulator, Variant
 from geodl.normalize import NF1, normalize
 from geodl.parser import parse_ontology
 from geodl.synthetic import surrogate_lines
@@ -232,7 +232,7 @@ def test_toy_nf1_converges():
     onto = norm_lines(["subClassOf(A,B)"])
     cfg = tiny_config(epochs=3000, margin=0.0, negatives=False, lr=0.001)
     result = train(onto, cfg)
-    assert loss_nf1(result.state, 0, 1, 0.0).value < 1e-3
+    assert one_term("nf1", result.state, (0, 1), 0.0).value < 1e-3
 
 
 def test_training_is_bit_deterministic():
