@@ -5,9 +5,10 @@ relation so the same ranking protocol applies to every model.  All scores
 are "higher is better".  Each model is one row of a table: its batch score,
 its score gradient, its candidate-row function for ranking, and whether it
 carries relation hyperplane normals (TransH).  A state's parameters live in
-one contiguous buffer, so the SGD step and the finiteness check are each one
-pass over it, and the gradient rows are added with the ball model's
-``_add_rows``.
+one contiguous buffer laid out by the ball model's ``_FlatBlocks``, so the
+SGD step and the finiteness check are each one pass over it, and the
+gradient rows are added with ``_add_rows`` into a ``GradientAccumulator`` of
+the same layout.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .model import (
-    NumericalError, _add_rows, _safe_unit, _unit_rows, read_model_file, row_norms,
-    write_rows,
+    GradientAccumulator, NumericalError, _add_rows, _FlatBlocks, _safe_unit,
+    _unit_rows, read_model_file, row_norms, write_rows,
 )
 from .normalize import NF1, NF3, NF4, NormalizedOntology
 
@@ -29,10 +30,10 @@ SUBCLASS_RELATION = "__subClassOf__"
 BASELINE_HEADER_PREFIX = "#geodl-baseline v1"
 
 
-class BaselineState:
-    """Parameters of one baseline model as views into one contiguous float64
-    buffer, ``flat``: the entity rows, the relation rows and, for a model
-    with normals, one hyperplane normal per relation, each block row-major.
+class BaselineState(_FlatBlocks):
+    """Parameters of one baseline model, laid out by ``_FlatBlocks``: the
+    entity rows, the relation rows and, for a model with normals, one
+    hyperplane normal per relation (``normals`` is None otherwise).
 
     *model* must be one of ``MODELS``; this is the one place it is checked.
     The arrays given are copied into a new buffer; normals not given are 0.
@@ -42,20 +43,13 @@ class BaselineState:
                  normals=None):
         self.model = model
         self.spec = _spec(model)
-        num_entities, dim = np.shape(entity_embeddings)
-        num_relations = len(relation_embeddings)
-        ent = num_entities * dim
-        rel = ent + num_relations * dim
-        self.flat = np.zeros(rel + (rel - ent) * self.spec.normals)
-        self.entity_embeddings = self.flat[:ent].reshape(num_entities, dim)
-        self.relation_embeddings = self.flat[ent:rel].reshape(num_relations, dim)
+        blocks = {"entity_embeddings": entity_embeddings,
+                  "relation_embeddings": relation_embeddings}
         self.normals = None
         if self.spec.normals:
-            self.normals = self.flat[rel:].reshape(num_relations, dim)
-        self.entity_embeddings[...] = entity_embeddings
-        self.relation_embeddings[...] = relation_embeddings
-        if normals is not None:
-            self.normals[...] = normals
+            blocks["normals"] = (np.zeros(np.shape(relation_embeddings))
+                                 if normals is None else normals)
+        super().__init__(**blocks)
 
 
 def baseline_relation_names(onto: NormalizedOntology) -> list:
@@ -231,21 +225,19 @@ def initialize_baseline(
     return state
 
 
-def _hinge_gradient(state: BaselineState, grad: BaselineState,
+def _hinge_gradient(state: BaselineState, grad: GradientAccumulator,
                     h, r, t, hn, tn) -> None:
     """Add the gradient of sum(score(negative) - score(positive)) over the
     given triples to *grad*, which is laid out as *state*."""
     gph, gpr, gpt, gpw = _score_grads(state, h, r, t)
     gnh, gnr, gnt, gnw = _score_grads(state, hn, r, tn)
-    relations = state.entity_embeddings.size
-    _add_rows(grad, 0, h, -gph)
-    _add_rows(grad, 0, t, -gpt)
-    _add_rows(grad, 0, hn, gnh)
-    _add_rows(grad, 0, tn, gnt)
-    _add_rows(grad, relations, r, -gpr + gnr)
+    _add_rows(grad, "entity_embeddings", h, -gph)
+    _add_rows(grad, "entity_embeddings", t, -gpt)
+    _add_rows(grad, "entity_embeddings", hn, gnh)
+    _add_rows(grad, "entity_embeddings", tn, gnt)
+    _add_rows(grad, "relation_embeddings", r, -gpr + gnr)
     if state.spec.normals:
-        normals = relations + state.relation_embeddings.size
-        _add_rows(grad, normals, r, -gpw + gnw)
+        _add_rows(grad, "normals", r, -gpw + gnw)
 
 
 def train_baseline(
@@ -273,8 +265,7 @@ def train_baseline(
         raise ValueError("need at least 2 entities to draw corrupted triples")
     rng = np.random.default_rng(seed)
     state = initialize_baseline(model, num_entities, num_relations, dim, rng)
-    grad = BaselineState(model, np.zeros_like(state.entity_embeddings),
-                         np.zeros_like(state.relation_embeddings))
+    grad = GradientAccumulator.zeros_like(state)
     H, R, T = np.asarray(triples, dtype=int).T
     n = len(H)
     for epoch in range(epochs):

@@ -53,7 +53,11 @@ def _check_distinct(inputs, outputs) -> None:
 
 
 def _load_normalized(path: str) -> NormalizedOntology:
-    axioms, _ = parse_ontology(_read_lines(path))
+    try:
+        axioms, _ = parse_ontology(_read_lines(path))
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)  # which of the inputs is broken
+        raise
     return normalize(axioms)
 
 
@@ -246,9 +250,6 @@ def cmd_eval(args) -> int:
         [args.model_in, args.test_file, args.filtered],
         [args.report_out, f"{args.report_out}.ranks"],
     )
-    direction = args.direction or "sub"
-    if direction not in ranking.DIRECTIONS:
-        raise _CliError("--direction must be sub or sup")
     with open(args.model_in, "r", encoding="utf-8") as fh:
         header = fh.readline()
     if header.startswith(baselines.BASELINE_HEADER_PREFIX):
@@ -261,11 +262,11 @@ def cmd_eval(args) -> int:
         raise _CliError(f"{args.model_in}: not a geodl model or baseline file")
     name_to_id = {name: i for i, name in enumerate(names)}
     candidates = ranking.eligible_candidates(names)
-    tests = _load_tests(args.test_file, name_to_id, candidates, direction)
+    tests = _load_tests(args.test_file, name_to_id, candidates, args.direction)
     known = _load_known(args.filtered, name_to_id) if args.filtered else None
     if isinstance(saved, gm.SavedModel):
         report = ranking.evaluate(
-            tests, saved.state, candidates, direction=direction,
+            tests, saved.state, candidates, direction=args.direction,
             adjust_radius=args.radius_adjusted, filter_known=known,
         )
     else:
@@ -276,7 +277,7 @@ def cmd_eval(args) -> int:
                 f"baseline file lacks the {baselines.SUBCLASS_RELATION} relation"
             ) from None
         report = ranking.baseline_evaluate(
-            tests, saved.state, candidates, direction=direction,
+            tests, saved.state, candidates, direction=args.direction,
             filter_known=known, sub_relation=sub_rel,
         )
     ranking.write_report(args.report_out, report)
@@ -320,7 +321,8 @@ def _build_parser() -> _Parser:
     p.add_argument("model_in")
     p.add_argument("test_file")
     p.add_argument("report_out")
-    p.add_argument("--direction", default=None, help="sub (default) or sup")
+    p.add_argument("--direction", default="sub", choices=ranking.DIRECTIONS,
+                   help="rank the subclass (default) or the superclass")
     p.add_argument("--filtered", default=None, metavar="KNOWN_EL",
                    help="drop other known subclasses of the source class")
     p.add_argument("--radius-adjusted", action="store_true",

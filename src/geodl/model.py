@@ -9,26 +9,30 @@ value is the absolute value, which keeps them non-negative without projection.
 Loss terms are hinges on ball containment/overlap plus a soft unit-sphere
 penalty P(x) = | ||center(x)|| - 1 | on every class mentioned.  Components are
 summed in a fixed order (hinges, then penalties in argument order, then the
-slack regularizer) so results are bit-reproducible.  ``term_batch`` runs the
-kernel of a shape key over id columns; training maps axioms to those columns
-(``training._AxiomArrays``).  Five of the seven kernels are one two-ball
-hinge that differs only in the signs and order of its terms; they all run
-``_two_ball``, driven by one row each of the ``_TWO_BALL`` table, from which
-the gradient signs are read as well.
+slack regularizer) so results are bit-reproducible.  Every kernel has one
+signature, ``<key>_batch(state, ids, gamma, variant, acc=None,
+sigma_reg=1.0)``: *ids* is the tuple of id columns in the order of the
+shape's fields in ``normalize.SHAPES`` (nf3_negative's as nf3's), and a
+kernel ignores the arguments it does not use.  ``term_batch`` runs the kernel of a shape key; training
+maps axioms to id columns (``training._AxiomArrays``).  Five of the seven
+kernels are one two-ball hinge that differs only in the signs and order of
+its terms; they are ``_two_ball`` bound to one row each of the ``_TWO_BALL``
+table, from which the gradient signs are read as well.
 
 Parameters and gradients live in one contiguous float64 buffer each, with
-the four named blocks as views into it (``_FlatBlocks``), so zeroing,
-scaling, copying, the finiteness check and the optimizer step are each one
-pass over the buffer.  The kernels add their row contributions into the
-gradient buffer with ``_add_rows``, one ``np.add.at`` call per contribution
-in the same order as before the flat layout, onto a zeroed buffer: every
-cell sees the same additions in the same sequence, so outputs are
-byte-identical to per-block storage.
+the named blocks as views into it (``_FlatBlocks``, which the baselines
+share), so zeroing, scaling, copying, the finiteness check and the optimizer
+step are each one pass over the buffer.  The kernels add their row
+contributions into the gradient buffer with ``_add_rows``, one
+``np.add.at`` call per contribution in the same order as before the flat
+layout, onto a zeroed buffer: every cell sees the same additions in the same
+sequence, so outputs are byte-identical to per-block storage.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -71,51 +75,38 @@ def _unit_rows(x: np.ndarray) -> None:
 
 
 class _FlatBlocks:
-    """The four parameter blocks as views into one contiguous float64 buffer.
+    """Named arrays as views into one contiguous float64 buffer, ``flat``.
 
-    ``flat`` holds, in this order, the class centers (row-major), the raw
-    class radii, the relation vectors (row-major) and the raw relation
-    slacks.  Each named block is a view of its slice, so writing a block
-    writes ``flat``, and an elementwise operation over ``flat`` does per
-    element exactly what the same operation over each block does.
+    The arrays given are copied into a new buffer, row-major, in the order
+    given; ``base[name]`` is the offset of each block in ``flat``.  Each
+    named block is a view of its slice, so writing a block writes ``flat``,
+    and an elementwise operation over ``flat`` does per element exactly what
+    the same operation over each block does.
     """
 
-    def __init__(self, class_centers, class_radii_raw, relation_vectors,
-                 relation_sigmas_raw):
-        num_classes, dim = np.shape(class_centers)
-        num_relations = len(relation_vectors)
-        self._bind(np.empty((num_classes + num_relations) * (dim + 1)),
-                   num_classes, num_relations, dim)
-        self.class_centers[...] = class_centers
-        self.class_radii_raw[...] = class_radii_raw
-        self.relation_vectors[...] = relation_vectors
-        self.relation_sigmas_raw[...] = relation_sigmas_raw
-
-    def _bind(self, flat: np.ndarray, num_classes: int, num_relations: int,
-              dim: int) -> None:
-        radii = num_classes * dim
-        relations = radii + num_classes
-        sigmas = relations + num_relations * dim
-        self.flat = flat
-        self.centers_base = 0
-        self.relations_base = relations
-        self.class_centers = flat[:radii].reshape(num_classes, dim)
-        self.class_radii_raw = flat[radii:relations]
-        self.relation_vectors = flat[relations:sigmas].reshape(num_relations, dim)
-        self.relation_sigmas_raw = flat[sigmas:]
-
-    @classmethod
-    def _on(cls, flat: np.ndarray, like: "_FlatBlocks"):
-        """An instance whose blocks are views of *flat*, laid out as *like*."""
-        num_classes, dim = like.class_centers.shape
-        out = cls.__new__(cls)
-        out._bind(flat, num_classes, len(like.relation_vectors), dim)
-        return out
+    def __init__(self, **blocks):
+        sizes = [math.prod(np.shape(array)) for array in blocks.values()]
+        self.flat = np.empty(sum(sizes))
+        self.base = {}
+        start = 0
+        for (name, array), size in zip(blocks.items(), sizes):
+            self.base[name] = start
+            view = self.flat[start:start + size].reshape(np.shape(array))
+            view[...] = array
+            setattr(self, name, view)
+            start += size
 
 
 class EmbeddingState(_FlatBlocks):
-    """Model parameters; see ``_FlatBlocks`` for the layout.  The four
-    arrays given are copied into a new buffer."""
+    """Model parameters: the class centers, the raw class radii, the relation
+    vectors and the raw relation slacks, in this order in ``flat``."""
+
+    def __init__(self, class_centers, class_radii_raw, relation_vectors,
+                 relation_sigmas_raw):
+        super().__init__(class_centers=class_centers,
+                         class_radii_raw=class_radii_raw,
+                         relation_vectors=relation_vectors,
+                         relation_sigmas_raw=relation_sigmas_raw)
 
     @property
     def dim(self) -> int:
@@ -129,14 +120,9 @@ class EmbeddingState(_FlatBlocks):
     def num_relations(self) -> int:
         return self.relation_vectors.shape[0]
 
-    def radius(self, c: int) -> float:
-        return abs(float(self.class_radii_raw[c]))
-
-    def sigma(self, r: int) -> float:
-        return abs(float(self.relation_sigmas_raw[r]))
-
     def copy(self) -> "EmbeddingState":
-        return EmbeddingState._on(self.flat.copy(), self)
+        return EmbeddingState(self.class_centers, self.class_radii_raw,
+                              self.relation_vectors, self.relation_sigmas_raw)
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -156,20 +142,19 @@ class EmbeddingState(_FlatBlocks):
 
 
 class GradientAccumulator(_FlatBlocks):
-    """Summed gradients, laid out as the state they belong to."""
+    """Summed gradients, laid out as the parameters they belong to."""
 
     @staticmethod
-    def zeros_like(state: EmbeddingState) -> "GradientAccumulator":
-        return GradientAccumulator._on(np.zeros_like(state.flat), state)
+    def zeros_like(state: _FlatBlocks) -> "GradientAccumulator":
+        """Zeros in *state*'s blocks, ball model or baseline."""
+        return GradientAccumulator(**{
+            name: np.zeros_like(getattr(state, name)) for name in state.base})
 
-    def scale(self, factor: float) -> None:
-        self.flat *= factor
 
-
-def _add_rows(acc: GradientAccumulator, base: int, rows: np.ndarray,
+def _add_rows(acc: _FlatBlocks, block: str, rows: np.ndarray,
               values: np.ndarray) -> None:
-    """``np.add.at(block, rows, values)`` for the row block starting at
-    ``acc.flat[base]``, through numpy's faster 1-D indexed loop.
+    """``np.add.at(acc.<block>, rows, values)`` for a row block, through
+    numpy's faster 1-D indexed loop over ``acc.flat``.
 
     Cell ``(rows[i], j)`` of the block is ``flat[base + rows[i]*dim + j]``,
     and the flattened indices run i-major, so each cell receives its
@@ -180,7 +165,7 @@ def _add_rows(acc: GradientAccumulator, base: int, rows: np.ndarray,
     past the end.
     """
     dim = values.shape[1]
-    index = rows[:, None] * dim + (base + np.arange(dim))
+    index = rows[:, None] * dim + (acc.base[block] + np.arange(dim))
     np.add.at(acc.flat, index.ravel(), values.ravel())
 
 
@@ -229,18 +214,26 @@ def _two_ball_row(formula: str, shift: int, regularized: bool) -> _TwoBall:
 
 
 _TWO_BALL = {
+    # C <= D: the C-ball must sit inside the D-ball.
     "nf1": _two_ball_row("+dist +r_C -r_D -gamma", 0, False),
+    # C <= some R. D: C's center translated by R lands within the D-ball,
+    # up to the relation slack.
     "nf3": _two_ball_row("+dist +r_C -r_D -sigma -gamma", 1, True),
+    # some R. C <= D: translation runs backwards and the balls must meet,
+    # up to the relation slack.
     "nf4": _two_ball_row("+dist -r_C -r_D -sigma -gamma", -1, True),
+    # C and D <= nothing: the two balls must separate by at least the margin.
     "disjoint": _two_ball_row("+r_C +r_D -dist +gamma", 0, False),
+    # Corrupted C <= some R. D': push the translated ball away from D'.
     "nf3_negative": _two_ball_row("+r_C +r_D +sigma +gamma -dist", 1, False),
 }
 
 
-def _two_ball(key, state, C, R, D, gamma, variant, acc, sigma_reg):
+def _two_ball(key, state, ids, gamma, variant, acc=None, sigma_reg=1.0):
     """The hinge ``_TWO_BALL[key]`` between the C-ball and the D-ball (after
     translation by relation R) plus both unit-sphere penalties, with its
-    gradients added to *acc*; returns ``(values, hinges)``.
+    gradients added to *acc*; returns ``(values, hinges)``.  *ids* is
+    ``(C, R, D)`` for a shape with a relation and ``(C, D)`` otherwise.
 
     The slack is the relation's |raw sigma| in the variance-extended variant
     and 0 otherwise.  A shape marked regularized adds sigma_reg * sigma to
@@ -249,6 +242,7 @@ def _two_ball(key, state, C, R, D, gamma, variant, acc, sigma_reg):
     weight below 1 lets relations with several active targets buy slack.
     """
     row = _TWO_BALL[key]
+    C, R, D = ids if row.shift else (ids[0], None, ids[1])
     fc = state.class_centers[C]
     fd = state.class_centers[D]
     raw_rc = state.class_radii_raw[C]
@@ -275,10 +269,10 @@ def _two_ball(key, state, C, R, D, gamma, variant, acc, sigma_reg):
     if acc is not None:
         active = (h > 0.0).astype(float)
         g = (row.sign[_DIST] * active)[:, None] * _safe_unit(t, dist)
-        _add_rows(acc, acc.centers_base, C, g + pc_grad)
-        _add_rows(acc, acc.centers_base, D, pd_grad - g)
+        _add_rows(acc, "class_centers", C, g + pc_grad)
+        _add_rows(acc, "class_centers", D, pd_grad - g)
         if row.shift:
-            _add_rows(acc, acc.relations_base, R, g if row.shift > 0 else -g)
+            _add_rows(acc, "relation_vectors", R, g if row.shift > 0 else -g)
         np.add.at(acc.class_radii_raw, C,
                   row.sign[_RC] * active * np.sign(raw_rc))
         np.add.at(acc.class_radii_raw, D,
@@ -291,16 +285,16 @@ def _two_ball(key, state, C, R, D, gamma, variant, acc, sigma_reg):
     return values, hinge
 
 
-def nf1_batch(state: EmbeddingState, C: np.ndarray, D: np.ndarray,
-              gamma: float, acc: Optional[GradientAccumulator] = None):
-    """C <= D: the C-ball must sit inside the D-ball."""
-    return _two_ball("nf1", state, C, None, D, gamma, None, acc, None)
+nf1_batch = functools.partial(_two_ball, "nf1")
+nf3_batch = functools.partial(_two_ball, "nf3")
+nf4_batch = functools.partial(_two_ball, "nf4")
+disjoint_batch = functools.partial(_two_ball, "disjoint")
+nf3_negative_batch = functools.partial(_two_ball, "nf3_negative")
 
 
-def nf2_batch(state: EmbeddingState, C: np.ndarray, D: np.ndarray,
-              E: np.ndarray, gamma: float,
-              acc: Optional[GradientAccumulator] = None):
+def nf2_batch(state, ids, gamma, variant, acc=None, sigma_reg=1.0):
     """C and D <= E: C,D overlap and E's center lies in both balls."""
+    C, D, E = ids
     fc = state.class_centers[C]
     fd = state.class_centers[D]
     fe = state.class_centers[E]
@@ -329,69 +323,25 @@ def nf2_batch(state: EmbeddingState, C: np.ndarray, D: np.ndarray,
         u1h = _safe_unit(u1, d1)
         u2h = _safe_unit(u2, d2)
         u3h = _safe_unit(u3, d3)
-        _add_rows(acc, acc.centers_base, C,
+        _add_rows(acc, "class_centers", C,
                   a1[:, None] * u1h + a2[:, None] * u2h + pc_grad)
-        _add_rows(acc, acc.centers_base, D,
+        _add_rows(acc, "class_centers", D,
                   -a1[:, None] * u1h + a3[:, None] * u3h + pd_grad)
-        _add_rows(acc, acc.centers_base, E,
+        _add_rows(acc, "class_centers", E,
                   -a2[:, None] * u2h - a3[:, None] * u3h + pe_grad)
         np.add.at(acc.class_radii_raw, C, -(a1 + a2) * np.sign(raw_rc))
         np.add.at(acc.class_radii_raw, D, -(a1 + a3) * np.sign(raw_rd))
     return values, hinge
 
 
-def nf3_batch(state: EmbeddingState, C: np.ndarray, R: np.ndarray,
-              D: np.ndarray, gamma: float, variant: Variant,
-              acc: Optional[GradientAccumulator] = None,
-              sigma_reg: float = 1.0):
-    """C <= some R. D: C's center translated by R lands within the D-ball,
-    up to the relation slack; sigma_reg scales the slack regularizer."""
-    return _two_ball("nf3", state, C, R, D, gamma, variant, acc, sigma_reg)
-
-
-def nf4_batch(state: EmbeddingState, R: np.ndarray, C: np.ndarray,
-              D: np.ndarray, gamma: float, variant: Variant,
-              acc: Optional[GradientAccumulator] = None,
-              sigma_reg: float = 1.0):
-    """some R. C <= D: translation runs backwards and the balls must meet,
-    up to the relation slack."""
-    return _two_ball("nf4", state, C, R, D, gamma, variant, acc, sigma_reg)
-
-
-def disjoint_batch(state: EmbeddingState, C: np.ndarray, D: np.ndarray,
-                   gamma: float, acc: Optional[GradientAccumulator] = None):
-    """C and D <= nothing: the two balls must separate by at least the margin."""
-    return _two_ball("disjoint", state, C, None, D, gamma, None, acc, None)
-
-
-def bottom_batch(state: EmbeddingState, C: np.ndarray,
-                 acc: Optional[GradientAccumulator] = None):
+def bottom_batch(state, ids, gamma, variant, acc=None, sigma_reg=1.0):
     """C <= nothing: the radius itself is the loss, driving the ball to a point."""
+    (C,) = ids
     raw = state.class_radii_raw[C]
     values = np.abs(raw)
     if acc is not None:
         np.add.at(acc.class_radii_raw, C, np.sign(raw))
     return values, np.zeros_like(values)
-
-
-def nf3_negative_batch(state: EmbeddingState, C: np.ndarray, R: np.ndarray,
-                       D: np.ndarray, gamma: float, variant: Variant,
-                       acc: Optional[GradientAccumulator] = None):
-    """Corrupted C <= some R. D': push the translated ball away from D'."""
-    return _two_ball("nf3_negative", state, C, R, D, gamma, variant, acc,
-                     None)
-
-
-# Arguments each kernel takes after its id columns, besides ``acc``.
-_KERNEL_ARGS = {
-    "nf1": ("gamma",),
-    "nf2": ("gamma",),
-    "nf3": ("gamma", "variant", "sigma_reg"),
-    "nf4": ("gamma", "variant", "sigma_reg"),
-    "disjoint": ("gamma",),
-    "bottom": (),
-    "nf3_negative": ("gamma", "variant"),
-}
 
 
 def term_batch(
@@ -403,16 +353,14 @@ def term_batch(
     acc: Optional[GradientAccumulator] = None,
     sigma_reg: float = 1.0,
 ):
-    """Run the kernel ``<key>_batch`` over id *columns* given in its argument
-    order, passing it the arguments it takes; returns ``(values, hinges)``.
+    """Run the kernel ``<key>_batch`` over id *columns*, in the order of the
+    shape's fields in ``normalize.SHAPES``; returns ``(values, hinges)``.
 
     The kernel is looked up on the module at each call, so a wrapper set on
     the module attribute sees every call.
     """
-    given = {"gamma": gamma, "variant": variant, "sigma_reg": sigma_reg}
-    kernel = globals()[f"{key}_batch"]
-    return kernel(state, *columns, acc=acc,
-                  **{name: given[name] for name in _KERNEL_ARGS[key]})
+    return globals()[f"{key}_batch"](state, columns, gamma, variant, acc,
+                                     sigma_reg)
 
 
 # --- persistence ---------------------------------------------------------

@@ -6,7 +6,7 @@ classes (``__nf_<k>``) for complex sub-expressions:
     NF1(c, d)        C <= D
     NF2(c, d, e)     C and D <= E
     NF3(c, r, d)     C <= some R. D
-    NF4(r, c, d)     some R. C <= D
+    NF4(c, r, d)     some R. C <= D
     Disjoint(c, d)   C and D <= nothing
     BottomSub(c)     C <= nothing
 
@@ -64,8 +64,8 @@ class NF3:
 
 @dataclass(frozen=True, slots=True)
 class NF4:
-    r: int
     c: int
+    r: int
     d: int
 
 
@@ -87,7 +87,7 @@ class Shape(NamedTuple):
     """What every per-shape rule needs to know about one normal form."""
 
     key: str  # names the training bucket and the kernel model.<key>_batch
-    fields: tuple  # id fields, in the kernel's argument order
+    fields: tuple  # id fields, in the order of the kernel's id columns
     relations: tuple  # the fields among them that hold relation ids
     template: str  # text form in the axiom grammar, over the fields' names
 
@@ -97,7 +97,7 @@ SHAPES = {
     NF1: Shape("nf1", ("c", "d"), (), "subClassOf({c},{d})"),
     NF2: Shape("nf2", ("c", "d", "e"), (), "subClassOf(and({c},{d}),{e})"),
     NF3: Shape("nf3", ("c", "r", "d"), ("r",), "subClassOf({c},some({r},{d}))"),
-    NF4: Shape("nf4", ("r", "c", "d"), ("r",), "subClassOf(some({r},{c}),{d})"),
+    NF4: Shape("nf4", ("c", "r", "d"), ("r",), "subClassOf(some({r},{c}),{d})"),
     Disjoint: Shape("disjoint", ("c", "d"), (), "disjointWith({c},{d})"),
     BottomSub: Shape("bottom", ("c",), (), "subClassOf({c},bottom)"),
 }
@@ -291,7 +291,7 @@ class _Normalizer:
             helper = self._fresh_for(sub, side="left")
             self.out.append(BottomSub(self.class_id(helper)))
         else:
-            self.out.append(NF4(r, f, self.class_id(sup)))
+            self.out.append(NF4(f, r, self.class_id(sup)))
 
 
 def normalize(axioms: list[RawAxiom]) -> NormalizedOntology:

@@ -201,18 +201,15 @@ def baseline_evaluate(
     candidate_universe: np.ndarray,
     direction: str = "sub",
     filter_known: Optional[Iterable[NF1]] = None,
-    sub_relation: Optional[int] = None,
+    *,
+    sub_relation: int,
 ) -> RankReport:
-    """As evaluate, but candidates are ordered by descending subclass score."""
-    sub_rel = (
-        sub_relation
-        if sub_relation is not None
-        else state.relation_embeddings.shape[0] - 1
-    )
+    """As evaluate, but candidates are ordered by descending score of the
+    subclass relation *sub_relation*."""
     ranks = _rank_by_source(
         tests, candidate_universe, direction, filter_known,
         lambda ids: baselines.candidate_scores(
-            state, sub_rel, ids, as_head=direction == "sub"
+            state, sub_relation, ids, as_head=direction == "sub"
         ),
         ascending=False,
     )

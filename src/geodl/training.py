@@ -142,6 +142,8 @@ class SplitSpec:
 
     def validate(self) -> None:
         fracs = (self.train_frac, self.valid_frac, self.test_frac)
+        if not all(math.isfinite(f) for f in fracs):
+            raise ValueError("split fractions must be finite")
         if any(f < 0.0 for f in fracs):
             raise ValueError("split fractions must be non-negative")
         if abs(sum(fracs) - 1.0) > 1e-9:
@@ -158,8 +160,6 @@ class SplitResult:
     eligible_count: int
     swaps: int
     candidate_count: int
-    seed: int
-    fractions: tuple
 
 
 def _is_eligible_nf1(ax: NormalAxiom, onto: NormalizedOntology) -> bool:
@@ -240,8 +240,6 @@ def split(onto: NormalizedOntology, spec: SplitSpec) -> SplitResult:
         eligible_count=n,
         swaps=swaps,
         candidate_count=candidate_count,
-        seed=spec.seed,
-        fractions=(spec.train_frac, spec.valid_frac, spec.test_frac),
     )
 
 
@@ -256,6 +254,11 @@ class _Sgd:
         state.flat -= self.lr * grad.flat
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class _Adam:
     """Adam over the whole flat parameter buffer, in place.
 
@@ -266,12 +269,8 @@ class _Adam:
     per-block update with temporaries gives, bit for bit.
     """
 
-    def __init__(self, lr: float, state: EmbeddingState,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float, state: EmbeddingState):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(state.flat)
         self.v = np.zeros_like(state.flat)
@@ -280,21 +279,21 @@ class _Adam:
 
     def step(self, state: EmbeddingState, grad: GradientAccumulator) -> None:
         self.t += 1
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
+        correction1 = 1.0 - ADAM_BETA1 ** self.t
+        correction2 = 1.0 - ADAM_BETA2 ** self.t
         g, m, v, a, b = grad.flat, self.m, self.v, self._a, self._b
-        m *= self.beta1
-        np.multiply(1.0 - self.beta1, g, out=a)
+        m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g, out=a)
         m += a
-        v *= self.beta2
-        np.multiply(1.0 - self.beta2, g, out=a)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
         a *= g
         v += a
         np.divide(m, correction1, out=a)
         a *= self.lr
         np.divide(v, correction2, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += ADAM_EPS
         a /= b
         state.flat -= a
 
@@ -391,34 +390,32 @@ def _batch_gradient(
     arrays: _AxiomArrays,
     buckets: dict,
     negatives: Optional[np.ndarray],
+    nominals: Optional[np.ndarray],
     gamma: float,
     variant: Variant,
     acc: GradientAccumulator,
     sigma_reg: float = 1.0,
 ):
-    """Gradient and per-bucket loss sums/counts for one mini-batch."""
+    """Gradient and per-bucket loss sums/counts for one mini-batch: the
+    buckets' terms, then the negatives, then the nominal term.  Every id
+    array has one row per term and one column per kernel field."""
     sums: dict = {}
     counts: dict = {}
-
-    def record(key, rows, values):
+    terms = [(key, key, arrays.rows[key][local])
+             for key, local in buckets.items()]
+    terms += [("neg", "nf3_negative", negatives), ("nominal", "bottom", nominals)]
+    for key, kernel, rows in terms:
+        if rows is None or not len(rows):
+            continue
+        values, _ = gm.term_batch(
+            kernel, state, rows.T, gamma, variant, acc, sigma_reg)
         if not np.isfinite(values).all():
             bad = int(np.nonzero(~np.isfinite(values))[0][0])
-            ids = np.atleast_1d(rows[bad]).tolist()
             raise NumericalError(
-                f"non-finite {key} loss for axiom with ids {ids}"
+                f"non-finite {key} loss for axiom with ids {rows[bad].tolist()}"
             )
         sums[key] = float(values.sum())
         counts[key] = len(values)
-
-    for key, local in buckets.items():
-        rows = arrays.rows[key][local]
-        values, _ = gm.term_batch(
-            key, state, rows.T, gamma, variant, acc, sigma_reg)
-        record(key, rows, values)
-    if negatives is not None and len(negatives):
-        values, _ = gm.term_batch(
-            "nf3_negative", state, negatives.T, gamma, variant, acc)
-        record("neg", negatives, values)
     return sums, counts
 
 
@@ -448,7 +445,7 @@ def train(
     )
     nominal_ids = np.array(
         [i for i, info in enumerate(onto.classes) if info.is_nominal], dtype=int
-    )
+    )[:, None]
     candidates = None
     if valid_nf1:
         candidates = ranking.eligible_candidates(
@@ -479,21 +476,13 @@ def train(
                 negatives = np.column_stack(
                     (rows[:, 0], rows[:, 1], corrupted)
                 )
-            include_nominals = b == n_batches - 1 and len(nominal_ids) > 0
             acc.flat.fill(0.0)
-            term_count = len(batch_idx) + (
-                len(negatives) if negatives is not None else 0
-            )
             sums, counts = _batch_gradient(
                 state, arrays, buckets, negatives,
+                nominal_ids if b == n_batches - 1 else None,
                 config.margin, config.variant, acc, config.sigma_reg,
             )
-            if include_nominals:
-                values, _ = gm.bottom_batch(state, nominal_ids, acc)
-                sums["nominal"] = float(values.sum())
-                counts["nominal"] = len(values)
-                term_count += len(nominal_ids)
-            acc.scale(1.0 / term_count)
+            acc.flat *= 1.0 / sum(counts.values())
             optimizer.step(state, acc)
             if not state.all_finite():
                 raise NumericalError(

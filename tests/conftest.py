@@ -38,7 +38,8 @@ class Term(NamedTuple):
 
 def one_term(key, state, ids, gamma=0.0, variant=Variant.EMEL, sigma_reg=1.0):
     """``term_batch`` on one row: *ids* in the kernel's column order, e.g.
-    ``(r, c, d)`` for nf4.  Returns ``(value, hinge, acc)``."""
+    ``(c, r, d)`` for nf3, nf4 and nf3_negative.  Returns ``(value, hinge,
+    acc)``."""
     acc = GradientAccumulator.zeros_like(state)
     values, hinges = term_batch(key, state, [np.array([i]) for i in ids],
                                 gamma, variant, acc, sigma_reg)

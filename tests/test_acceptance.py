@@ -65,8 +65,8 @@ def test_criterion_1_loss_formula_oracles():
         fd = list(st.class_centers[d])
         fe = list(st.class_centers[e])
         fr = list(st.relation_vectors[r])
-        rc, rd = st.radius(c), st.radius(d)
-        sig = st.sigma(r)
+        rc, rd = abs(st.class_radii_raw[c]), abs(st.class_radii_raw[d])
+        sig = abs(st.relation_sigmas_raw[r])
         tol = dict(rel=1e-12, abs=1e-12)
         assert one_term("nf1", st, (c, d), gamma).value == pytest.approx(
             oracles.nf1(fc, fd, rc, rd, gamma), **tol)
@@ -76,9 +76,9 @@ def test_criterion_1_loss_formula_oracles():
             oracles.nf3(fc, fr, fd, rc, rd, gamma), **tol)
         assert one_term("nf3", st, (c, r, d), gamma, VAR).value == pytest.approx(
             oracles.nf3_var(fc, fr, fd, rc, rd, sig, gamma), **tol)
-        assert one_term("nf4", st, (r, c, d), gamma, EMEL).value == pytest.approx(
+        assert one_term("nf4", st, (c, r, d), gamma, EMEL).value == pytest.approx(
             oracles.nf4(fc, fr, fd, rc, rd, gamma), **tol)
-        assert one_term("nf4", st, (r, c, d), gamma, VAR).value == pytest.approx(
+        assert one_term("nf4", st, (c, r, d), gamma, VAR).value == pytest.approx(
             oracles.nf4_var(fc, fr, fd, rc, rd, sig, gamma), **tol)
         assert one_term("disjoint", st, (c, d), gamma).value == pytest.approx(
             oracles.disjoint(fc, fd, rc, rd, gamma), **tol)
@@ -132,8 +132,8 @@ def test_criterion_3_emel_reduction_bitwise():
         pairs = (
             (one_term("nf3", st, (c, r, d), gamma, VAR),
              one_term("nf3", st, (c, r, d), gamma, EMEL)),
-            (one_term("nf4", st, (r, c, d), gamma, VAR),
-             one_term("nf4", st, (r, c, d), gamma, EMEL)),
+            (one_term("nf4", st, (c, r, d), gamma, VAR),
+             one_term("nf4", st, (c, r, d), gamma, EMEL)),
             (one_term("nf3_negative", st, (c, r, d), gamma, VAR),
              one_term("nf3_negative", st, (c, r, d), gamma, EMEL)),
         )

@@ -16,6 +16,7 @@ from geodl.baselines import (
     save_baseline,
     train_baseline,
 )
+from geodl.model import GradientAccumulator
 from geodl.normalize import normalize
 from geodl.parser import parse_ontology
 from geodl.synthetic import surrogate_lines
@@ -253,7 +254,7 @@ def test_margin_loss_gradient_matches_fd(rng):
             neg = _scores_batch(state, Hn, R, Tn)
             return float(np.maximum(margin - pos + neg, 0.0).sum())
 
-        grad = BaselineState(model, np.zeros((4, 3)), np.zeros((2, 3)))
+        grad = GradientAccumulator.zeros_like(state)
         _hinge_gradient(state, grad, H, R, T, Hn, Tn)
         fd = np.zeros_like(state.flat)
         for i in range(state.flat.size):

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import importlib
 import io
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geodl.cli import main
+from geodl.normalize import normalize
 from geodl.parser import parse_ontology
 from geodl.synthetic import hub_spoke_lines, surrogate_lines
 
@@ -198,6 +200,50 @@ def test_syntax_error_exits_1_with_line(tmp_path, capsys):
     bad.write_text("subClassOf(A,B)\nsubClassOf(A,\n")
     assert run(["stats", str(bad)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken", ["valid.el", "test.el", "known.el"],
+                         ids=["sibling-valid", "eval-test", "filtered"])
+def test_parse_error_names_its_file(tmp_path, capsys, broken):
+    """A syntax error in the sibling valid.el that train reads, in eval's
+    test file or in its --filtered file names that file, not only the
+    line."""
+    work = tmp_path / "w"
+    work.mkdir()
+    train_file = work / "train.el"
+    train_file.write_text("\n".join(GALEN_ISH) + "\n")
+    for name in ("test.el", "known.el"):
+        (work / name).write_text("subClassOf(Cat,Mammal)\n")
+    (work / broken).write_text("subClassOf(Cat,Mammal)\nsubClassOf(Cat,(Dog))\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=4\nepochs=2\n")
+    model = str(tmp_path / "m.tsv")
+    code = run(["train", "--config", str(cfg), str(train_file), model])
+    if broken != "valid.el":
+        assert code == 0
+        code = run(["eval", "--filtered", str(work / "known.el"), model,
+                    str(work / "test.el"), str(tmp_path / "r.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"geodl: parse error: {work / broken}: line 2, col 16: "
+                   f"expected a name, found '('"]
+
+
+def test_split_nan_fraction_exits_1(tmp_path, fixture_file, capsys):
+    # NaN passed every comparison in the checks, then failed in the split
+    assert run(["split", fixture_file, str(tmp_path / "s"),
+                "--fractions", "0.7,0.2,nan"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "geodl: error: split fractions must be finite"]
+    assert not (tmp_path / "s").exists()
+
+
+def test_eval_unknown_direction_exits_1(tmp_path, capsys):
+    assert run(["eval", "--direction", "up", str(tmp_path / "m.tsv"),
+                str(tmp_path / "t.el"), str(tmp_path / "r.tsv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "'up'" in err[0] and "'sub'" in err[0] and "'sup'" in err[0]
 
 
 def test_malformed_config_exits_1(tmp_path, fixture_file, capsys):
@@ -571,9 +617,10 @@ def test_baseline_output_bytes_are_pinned(tmp_path, fixture_file, model):
     ) == GOLDEN_BASELINE[model]
 
 
-def test_bench_tracer_installs_and_uninstalls(monkeypatch):
+def test_bench_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
     """Every function the benchmark's tracer wraps is still where the tracer
-    looks it up, and uninstalling puts each original back."""
+    looks it up, training reaches every kernel through the wrapped module
+    attribute, and uninstalling puts each original back."""
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parents[1] / "perfbench"))
     tracing = importlib.import_module("tracing")
@@ -592,8 +639,16 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch):
     try:
         tracer.install(modules)
         wrapped = [lookup(module, path) for module, path, _ in tracing.TRACED]
+        model = train_every_shape(
+            tmp_path, "emel", "dim=6\nepochs=20\nbatch_size=8\nseed=3\n")
     finally:
         tracer.uninstall()
+    metrics = tracer.layer_metrics(None)
+    assert all(metrics[f"model.{key}_rows"] > 0 for key in tracing.KERNELS)
+    axioms, _ = parse_ontology((tmp_path / "in.el").read_text().splitlines())
+    batches = 20 * math.ceil(len(normalize(axioms).axioms) / 8)
+    assert metrics["training.batches"] == batches
+    assert digests(model) == GOLDEN["emel"]  # tracing changes no output
     assert len(tracing.TRACED) == 26
     assert all(new is not old for new, old in zip(wrapped, originals))
     assert all(lookup(module, path) is old

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import make_state, one_term
+from geodl.baselines import MODELS, BaselineState
 from geodl.model import (
     EmbeddingState,
     GradientAccumulator,
@@ -107,7 +108,8 @@ def _build_nf1(rng):
     c, d = (int(x) for x in rng.choice(4, size=2, replace=False))
     gamma = float(rng.uniform(0.0, 0.3))
     dist = float(np.linalg.norm(state.class_centers[c] - state.class_centers[d]))
-    h = dist + state.radius(c) - state.radius(d) - gamma
+    rc, rd = abs(state.class_radii_raw[c]), abs(state.class_radii_raw[d])
+    h = dist + rc - rd - gamma
     kinks = [dist, h, state.class_radii_raw[c], state.class_radii_raw[d]]
     kinks += _norms(state, (c, d))
     return state, (c, d, gamma), kinks
@@ -127,7 +129,7 @@ def _build_nf2(rng):
     d1 = float(np.linalg.norm(fc - fdv))
     d2 = float(np.linalg.norm(fc - fe))
     d3 = float(np.linalg.norm(fdv - fe))
-    rc, rd = state.radius(c), state.radius(d)
+    rc, rd = abs(state.class_radii_raw[c]), abs(state.class_radii_raw[d])
     kinks = [
         d1, d2, d3,
         d1 - rc - rd - gamma, d2 - rc - gamma, d3 - rd - gamma,
@@ -144,8 +146,7 @@ def test_nf2_gradients(rng):
 
 
 def _build_translation(rng, sign):
-    """nf3 and nf3_negative for sign +1, with ids (c, r, d); nf4 for sign
-    -1, with ids (r, c, d)."""
+    """nf3 and nf3_negative for sign +1, nf4 for sign -1; ids (c, r, d)."""
     state = make_state(rng, num_classes=4, num_relations=2, dim=3)
     c, d = (int(x) for x in rng.choice(4, size=2, replace=False))
     r = int(rng.integers(0, 2))
@@ -153,21 +154,22 @@ def _build_translation(rng, sign):
     t = (state.class_centers[c] + sign * state.relation_vectors[r]
          - state.class_centers[d])
     dist = float(np.linalg.norm(t))
+    rc, rd = abs(state.class_radii_raw[c]), abs(state.class_radii_raw[d])
+    sig = abs(state.relation_sigmas_raw[r])
     if sign > 0:
-        h = dist + state.radius(c) - state.radius(d) - state.sigma(r) - gamma
-        h_neg = state.radius(c) + state.radius(d) + state.sigma(r) + gamma - dist
+        h = dist + rc - rd - sig - gamma
+        h_neg = rc + rd + sig + gamma - dist
     else:
-        h = dist - state.radius(c) - state.radius(d) - state.sigma(r) - gamma
+        h = dist - rc - rd - sig - gamma
         h_neg = 0.5  # unused for nf4
-    h_emel = h + state.sigma(r)
+    h_emel = h + sig
     kinks = [
         dist, h, h_emel, h_neg,
         state.class_radii_raw[c], state.class_radii_raw[d],
         state.relation_sigmas_raw[r],
     ]
     kinks += _norms(state, (c, d))
-    ids = (c, r, d) if sign > 0 else (r, c, d)
-    return state, ids + (gamma,), kinks
+    return state, (c, r, d, gamma), kinks
 
 
 def _translation_gradients(rng, key, sign):
@@ -195,7 +197,8 @@ def _build_disjoint(rng):
     c, d = (int(x) for x in rng.choice(4, size=2, replace=False))
     gamma = float(rng.uniform(0.0, 0.3))
     dist = float(np.linalg.norm(state.class_centers[c] - state.class_centers[d]))
-    h = state.radius(c) + state.radius(d) - dist + gamma
+    rc, rd = abs(state.class_radii_raw[c]), abs(state.class_radii_raw[d])
+    h = rc + rd - dist + gamma
     kinks = [dist, h, state.class_radii_raw[c], state.class_radii_raw[d]]
     kinks += _norms(state, (c, d))
     return state, (c, d, gamma), kinks
@@ -254,7 +257,7 @@ def test_batch_gradients_sum_per_term_gradients():
     pytest.param(NF1(0, 3), "NF1.d = 3 is outside [0, 3)", id="nf1-d"),
     pytest.param(NF2(0, 1, -2), "NF2.e = -2 is outside [0, 3)", id="nf2-e"),
     pytest.param(NF3(0, -1, 1), "NF3.r = -1 is outside [0, 2)", id="nf3-r"),
-    pytest.param(NF4(2, 0, 1), "NF4.r = 2 is outside [0, 2)", id="nf4-r"),
+    pytest.param(NF4(0, 2, 1), "NF4.r = 2 is outside [0, 2)", id="nf4-r"),
     pytest.param(BottomSub(-3), "BottomSub.c = -3 is outside [0, 3)",
                  id="bottom-c"),
 ])
@@ -287,7 +290,7 @@ def test_repeated_ids_sum_contributions(rng):
         c = int(rng.integers(0, 3))
         gamma = 0.05
         if (abs(state.class_radii_raw[c]) <= KINK_MARGIN
-                or abs(2 * state.radius(c) + gamma) <= KINK_MARGIN
+                or abs(2 * abs(state.class_radii_raw[c]) + gamma) <= KINK_MARGIN
                 or not away_from_kinks(_norms(state, (c,)))):
             continue
         check_gradients("disjoint", state, (c, c), gamma)
@@ -303,42 +306,50 @@ SCATTER_VALUES = st.one_of(
 )
 
 
+def zero_state(model, num_rows, num_relations, dim):
+    """All-zero parameters of the ball model or of a baseline model."""
+    if model == "ball":
+        return EmbeddingState(np.zeros((num_rows, dim)), np.zeros(num_rows),
+                              np.zeros((num_relations, dim)),
+                              np.zeros(num_relations))
+    return BaselineState(model, np.zeros((num_rows, dim)),
+                         np.zeros((num_relations, dim)))
+
+
 @st.composite
 def scatter_cases(draw):
-    num_classes = draw(st.integers(1, 4))
-    num_relations = draw(st.integers(1, 3))
-    dim = draw(st.integers(1, 3))
-    size = (num_classes + num_relations) * (dim + 1)
+    state = zero_state(draw(st.sampled_from(("ball",) + MODELS)),
+                       draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                       draw(st.integers(1, 3)))
+    size = state.flat.size
     start = draw(st.lists(SCATTER_VALUES, min_size=size, max_size=size))
+    row_blocks = [name for name in state.base if getattr(state, name).ndim == 2]
     calls = []
     for _ in range(draw(st.integers(1, 3))):
-        name = draw(st.sampled_from(["class_centers", "relation_vectors"]))
-        bound = num_classes if name == "class_centers" else num_relations
+        name = draw(st.sampled_from(row_blocks))
+        bound, dim = getattr(state, name).shape
         rows = draw(st.lists(st.integers(0, bound - 1), max_size=6))
         values = draw(st.lists(SCATTER_VALUES, min_size=len(rows) * dim,
                                max_size=len(rows) * dim))
         calls.append((name, np.array(rows, dtype=int),
                       np.array(values).reshape(len(rows), dim)))
-    return num_classes, num_relations, dim, np.array(start), calls
+    return state, np.array(start), calls
 
 
 @given(scatter_cases())
-@example((1, 1, 1, np.array([1e300, 0.0, 0.0, 0.0]), [
+@example((zero_state("ball", 1, 1, 1), np.array([1e300, 0.0, 0.0, 0.0]), [
     ("class_centers", np.array([0, 0]), np.array([[-1e300], [1.0]]))]))
 def test_add_rows_is_bitwise_2d_add_at(case):
     """The flat 1-D scatter adds to every cell in np.add.at's order, over
-    repeated rows, empty batches and signed zeros, in both row blocks."""
-    num_classes, num_relations, dim, start, calls = case
-    state = EmbeddingState(np.zeros((num_classes, dim)), np.zeros(num_classes),
-                           np.zeros((num_relations, dim)),
-                           np.zeros(num_relations))
+    repeated rows, empty batches and signed zeros, in every row block of the
+    ball layout and of each baseline layout (TransH normals included)."""
+    state, start, calls = case
     acc = GradientAccumulator.zeros_like(state)
     expected = GradientAccumulator.zeros_like(state)
     acc.flat[...] = start
     expected.flat[...] = start
     for name, rows, values in calls:
-        base = acc.centers_base if name == "class_centers" else acc.relations_base
-        _add_rows(acc, base, rows, values)
+        _add_rows(acc, name, rows, values)
         np.add.at(getattr(expected, name), rows, values)
     assert acc.flat.tobytes() == expected.flat.tobytes()
 
@@ -348,7 +359,7 @@ def test_add_rows_is_bitwise_2d_add_at(case):
 # One seeded batch per kernel that reaches every branch: repeated rows, a row
 # whose two centers coincide after translation (dist = 0, the zero branch of
 # the unit direction), zero raw radii and slacks of both signs (np.sign = 0)
-# and negative raw values.  Columns are in each kernel's argument order.
+# and negative raw values.  Columns are in each kernel's id column order.
 CLASS_PAIR = (np.array([0, 0, 5, 2, 3, 1, 4, 0]),
               np.array([5, 5, 0, 2, 1, 3, 4, 2]))
 ROLE = (np.array([1, 1, 3, 0, 4, 5, 2]),
@@ -358,7 +369,7 @@ KERNEL_COLUMNS = {
     "nf1": CLASS_PAIR,
     "nf2": CLASS_PAIR + (np.array([1, 2, 0, 2, 5, 5, 4, 3]),),
     "nf3": ROLE,
-    "nf4": (ROLE[1], ROLE[0], ROLE[2]),
+    "nf4": ROLE,
     "disjoint": CLASS_PAIR,
     "bottom": (np.array([0, 1, 4, 4, 2]),),
     "nf3_negative": ROLE,

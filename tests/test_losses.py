@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st_hyp
 
 import oracles
 from conftest import make_state, one_term
+from geodl.baselines import MODELS, initialize_baseline
 from geodl.model import (
     EmbeddingState,
     GradientAccumulator,
@@ -203,9 +204,9 @@ def test_all_losses_match_oracle_on_random_instances(seed):
             oracles.nf3(fc, fr, fd, rc, rd, gamma), **tol)
         assert one_term("nf3", st, (c, r, d), gamma, VAR).value == pytest.approx(
             oracles.nf3_var(fc, fr, fd, rc, rd, sig, gamma), **tol)
-        assert one_term("nf4", st, (r, c, d), gamma, EMEL).value == pytest.approx(
+        assert one_term("nf4", st, (c, r, d), gamma, EMEL).value == pytest.approx(
             oracles.nf4(fc, fr, fd, rc, rd, gamma), **tol)
-        assert one_term("nf4", st, (r, c, d), gamma, VAR).value == pytest.approx(
+        assert one_term("nf4", st, (c, r, d), gamma, VAR).value == pytest.approx(
             oracles.nf4_var(fc, fr, fd, rc, rd, sig, gamma), **tol)
         assert one_term("disjoint", st, (c, d), gamma).value == pytest.approx(
             oracles.disjoint(fc, fd, rc, rd, gamma), **tol)
@@ -224,7 +225,7 @@ def _all_losses(st, c, d, e, r, gamma, variant):
         one_term("nf1", st, (c, d), gamma).value,
         one_term("nf2", st, (c, d, e), gamma).value,
         one_term("nf3", st, (c, r, d), gamma, variant).value,
-        one_term("nf4", st, (r, c, d), gamma, variant).value,
+        one_term("nf4", st, (c, r, d), gamma, variant).value,
         one_term("disjoint", st, (c, d), gamma).value,
         one_term("bottom", st, (c,)).value,
         one_term("nf3_negative", st, (c, r, d), gamma, variant).value,
@@ -269,7 +270,7 @@ def test_sigma_monotonicity(rng):
         for s in sigmas:
             st.relation_sigmas_raw[r] = s
             t3 = one_term("nf3", st, (c, r, d), gamma, VAR)
-            t4 = one_term("nf4", st, (r, c, d), gamma, VAR)
+            t4 = one_term("nf4", st, (c, r, d), gamma, VAR)
             base = one_term("nf3", st, (c, r, d), gamma, EMEL)
             penalties = base.value - base.hinge
             hinges3.append(t3.hinge)
@@ -290,8 +291,8 @@ def test_emel_reduction_is_bitwise(rng):
             == one_term("nf3", st, (c, r, d), gamma, EMEL).value
         )
         assert (
-            one_term("nf4", st, (r, c, d), gamma, VAR).value
-            == one_term("nf4", st, (r, c, d), gamma, EMEL).value
+            one_term("nf4", st, (c, r, d), gamma, VAR).value
+            == one_term("nf4", st, (c, r, d), gamma, EMEL).value
         )
         assert (
             one_term("nf3_negative", st, (c, r, d), gamma, VAR).value
@@ -326,7 +327,7 @@ def test_zero_loss_nf1_implies_containment_on_sphere():
     term = one_term("nf1", st, (0, 1), 0.0)
     assert term.value == 0.0
     dist = np.linalg.norm(st.class_centers[0] - st.class_centers[1])
-    assert dist + st.radius(0) <= st.radius(1)
+    assert dist + abs(st.class_radii_raw[0]) <= abs(st.class_radii_raw[1])
     assert np.linalg.norm(st.class_centers[0]) == 1.0
     assert np.linalg.norm(st.class_centers[1]) == 1.0
     # violating containment forces a positive value
@@ -343,7 +344,7 @@ def test_zero_loss_nf1_random_scan(rng):
         term = one_term("nf1", st, (c, d), 0.0)
         if term.value == 0.0:
             dist = float(np.linalg.norm(st.class_centers[c] - st.class_centers[d]))
-            assert dist + st.radius(c) <= st.radius(d)
+            assert dist + abs(st.class_radii_raw[c]) <= abs(st.class_radii_raw[d])
             assert float(np.linalg.norm(st.class_centers[c])) == 1.0
             assert float(np.linalg.norm(st.class_centers[d])) == 1.0
 
@@ -354,16 +355,35 @@ BLOCKS = ("class_centers", "class_radii_raw", "relation_vectors",
           "relation_sigmas_raw")
 
 
+# every baseline model's blocks, in buffer order
+BASELINE_BLOCKS = {
+    "transe": ("entity_embeddings", "relation_embeddings"),
+    "transh": ("entity_embeddings", "relation_embeddings", "normals"),
+    "distmult": ("entity_embeddings", "relation_embeddings"),
+}
+
+
 def test_blocks_are_views_of_flat_in_order(rng):
+    """The ball state, its accumulator and its copy, and each baseline state
+    and its accumulator: named blocks that tile ``flat`` front to back."""
     state = make_state(rng, num_classes=5, num_relations=3, dim=4)
-    for obj in (state, GradientAccumulator.zeros_like(state), state.copy()):
+    layouts = [(obj, BLOCKS) for obj in (
+        state, GradientAccumulator.zeros_like(state), state.copy())]
+    assert sorted(BASELINE_BLOCKS) == sorted(MODELS)
+    for model, blocks in BASELINE_BLOCKS.items():
+        baseline = initialize_baseline(model, 5, 3, 4, rng)
+        layouts += [(baseline, blocks),
+                    (GradientAccumulator.zeros_like(baseline), blocks)]
+    for obj, blocks in layouts:
+        assert tuple(obj.base) == blocks
         assert obj.flat.dtype == np.float64 and obj.flat.flags.c_contiguous
         obj.flat[...] = np.arange(obj.flat.size)
         # the blocks read the buffer front to back, each cell exactly once
-        cells = np.concatenate([getattr(obj, name).ravel() for name in BLOCKS])
+        cells = np.concatenate([getattr(obj, name).ravel() for name in blocks])
         assert cells.tolist() == list(range(obj.flat.size))
-        for name in BLOCKS:
+        for name in blocks:
             assert getattr(obj, name).base is obj.flat
+            assert getattr(obj, name).ravel()[0] == obj.base[name]
 
 
 def test_copy_shares_no_memory(rng):

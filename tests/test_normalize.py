@@ -69,7 +69,7 @@ def test_equivalence_expansion():
 
 def test_existential_left():
     onto = norm_lines(["subClassOf(some(R,A),B)"])
-    assert shapes(onto) == [("NF4", "R", "A", "B")]
+    assert shapes(onto) == [("NF4", "A", "R", "B")]
 
 
 def test_right_filler_gets_sup_side_definition():
@@ -84,7 +84,7 @@ def test_bottom_on_right_forms():
     onto = norm_lines(["subClassOf(A,bottom)"])
     assert shapes(onto) == [("BottomSub", "A")]
     onto = norm_lines(["subClassOf(some(R,A),bottom)"])
-    assert ("NF4", "R", "A", "__nf_0") in shapes(onto)
+    assert ("NF4", "A", "R", "__nf_0") in shapes(onto)
     assert ("BottomSub", "__nf_0") in shapes(onto)
 
 

@@ -458,6 +458,7 @@ def test_bench_baseline_evaluate_2k(benchmark):
     state = baselines.initialize_baseline("transh", len(universe), 2, 50, rng)
     report = benchmark.pedantic(
         baseline_evaluate, args=(tests, state, universe),
-        kwargs={"filter_known": known}, rounds=3, iterations=1,
+        kwargs={"filter_known": known, "sub_relation": 1}, rounds=3,
+        iterations=1,
     )
     assert len(report.ranks) == len(tests)
