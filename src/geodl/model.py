@@ -13,20 +13,26 @@ slack regularizer) so results are bit-reproducible.  Every kernel has one
 signature, ``<key>_batch(state, ids, gamma, variant, acc=None,
 sigma_reg=1.0)``: *ids* is the tuple of id columns in the order of the
 shape's fields in ``normalize.SHAPES`` (nf3_negative's as nf3's), and a
-kernel ignores the arguments it does not use.  ``term_batch`` runs the kernel of a shape key; training
-maps axioms to id columns (``training._AxiomArrays``).  Five of the seven
-kernels are one two-ball hinge that differs only in the signs and order of
-its terms; they are ``_two_ball`` bound to one row each of the ``_TWO_BALL``
-table, from which the gradient signs are read as well.
+kernel ignores the arguments it does not use.  ``term_batch`` runs the
+kernel of a shape key; training maps axioms to id columns
+(``training._AxiomArrays``).  Five of the seven kernels are one two-ball
+hinge that differs only in the signs and order of its terms; they are
+``_two_ball`` bound to one row each of the ``_TWO_BALL`` table, from which
+the gradient signs are read as well.  The kernels work on their gathered
+rows in place: a row norm is ``row_norms``, a unit row ``_safe_unit``, and
+each gradient sum is built in the arrays that hold its terms, adding them in
+the order written: one numpy pass per (rows x dim) quantity and one scratch
+array per call.
 
 Parameters and gradients live in one contiguous float64 buffer each, with
 the named blocks as views into it (``_FlatBlocks``, which the baselines
-share), so zeroing, scaling, copying, the finiteness check and the optimizer
-step are each one pass over the buffer.  The kernels add their row
-contributions into the gradient buffer with ``_add_rows``, one
-``np.add.at`` call per contribution in the same order as before the flat
-layout, onto a zeroed buffer: every cell sees the same additions in the same
-sequence, so outputs are byte-identical to per-block storage.
+share), so zeroing, scaling, copying, the finiteness check and the SGD step
+are each one pass over the buffer; the Adam step walks it in cache-sized
+slices (``training._Adam``).  The kernels add their row contributions into the
+gradient buffer with ``_add_rows``, one ``np.add.at`` call per contribution
+in the same order as before the flat layout, onto a zeroed buffer: every
+cell sees the same additions in the same sequence, so outputs are
+byte-identical to per-block storage.
 """
 
 from __future__ import annotations
@@ -57,14 +63,17 @@ def parse_variant(text: str) -> Variant:
     raise ValueError(f"unknown variant {text!r} (expected emel or emel-var)")
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of *x*, overwriting *x* with its squares.
+def row_norms(x: np.ndarray,
+              squares: Optional[np.ndarray] = None) -> np.ndarray:
+    """Euclidean norm of each row of *x*, writing its squares to *squares*
+    (*x* itself by default).
 
     The arithmetic of ``np.linalg.norm(x, axis=1)``, bit for bit, without its
     two full-size temporaries.
     """
-    np.multiply(x, x, out=x)
-    return np.sqrt(np.add.reduce(x, axis=1))
+    squares = x if squares is None else squares
+    np.multiply(x, x, out=squares)
+    return np.sqrt(np.add.reduce(squares, axis=1))
 
 
 def _unit_rows(x: np.ndarray) -> None:
@@ -170,17 +179,26 @@ def _add_rows(acc: _FlatBlocks, block: str, rows: np.ndarray,
 
 
 def _safe_unit(vectors: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(vectors)
-    np.divide(vectors, norms[:, None], out=out, where=norms[:, None] > 0.0)
-    return out
+    """Divide each row of *vectors* by its norm in place and return it; a row
+    whose norm is not > 0 (zero, underflowed or NaN) becomes +0.0."""
+    ok = norms > 0.0
+    np.divide(vectors, np.where(ok, norms, 1.0)[:, None], out=vectors)
+    vectors[~ok] = 0.0
+    return vectors
 
 
-def _unit_penalty(centers: np.ndarray):
-    """P = | ||x|| - 1 | per row, with its gradient rows."""
-    norms = np.linalg.norm(centers, axis=1)
-    values = np.abs(norms - 1.0)
-    grads = np.sign(norms - 1.0)[:, None] * _safe_unit(centers, norms)
-    return values, grads
+def _unit_penalty(centers: np.ndarray,
+                  squares: Optional[np.ndarray] = None):
+    """P = | ||x|| - 1 | per row, with its gradient rows, which overwrite
+    *centers*; *squares* is scratch of the same shape (a new array by
+    default)."""
+    if squares is None:
+        squares = np.empty_like(centers)
+    norms = row_norms(centers, squares)
+    excess = norms - 1.0
+    grads = _safe_unit(centers, norms)
+    grads *= np.sign(excess)[:, None]
+    return np.abs(excess), grads
 
 
 # Each two-ball hinge h is a signed sum of the operands below, and the table
@@ -249,30 +267,37 @@ def _two_ball(key, state, ids, gamma, variant, acc=None, sigma_reg=1.0):
     raw_rd = state.class_radii_raw[D]
     slacked = bool(row.shift) and variant is Variant.EMEL_VAR
     if row.shift:
-        fr = state.relation_vectors[R]
         raw_sig = state.relation_sigmas_raw[R]
         sig = np.abs(raw_sig) if slacked else np.zeros_like(raw_sig)
-        t = (fc + fr if row.shift > 0 else fc - fr) - fd
+        fr = state.relation_vectors[R]
+        op = np.add if row.shift > 0 else np.subtract
+        t = op(fc, fr, out=fr)
+        t -= fd
     else:
         t, sig = fc - fd, None
-    dist = np.linalg.norm(t, axis=1)
+    squares = np.empty_like(t)
+    dist = row_norms(t, squares)
     operands = (dist, np.abs(raw_rc), np.abs(raw_rd), sig, gamma)
     h = operands[row.first]
     for op, index in row.steps:
         h = op(h, operands[index])
     hinge = np.maximum(h, 0.0)
-    pc, pc_grad = _unit_penalty(fc)
-    pd, pd_grad = _unit_penalty(fd)
+    pc, pc_grad = _unit_penalty(fc, squares)
+    pd, pd_grad = _unit_penalty(fd, squares)
     values = hinge + pc + pd
     if slacked and row.regularized:
         values = values + sigma_reg * sig
     if acc is not None:
         active = (h > 0.0).astype(float)
-        g = (row.sign[_DIST] * active)[:, None] * _safe_unit(t, dist)
-        _add_rows(acc, "class_centers", C, g + pc_grad)
-        _add_rows(acc, "class_centers", D, pd_grad - g)
+        g = _safe_unit(t, dist)
+        g *= (row.sign[_DIST] * active)[:, None]
+        pc_grad += g
+        _add_rows(acc, "class_centers", C, pc_grad)
+        pd_grad -= g
+        _add_rows(acc, "class_centers", D, pd_grad)
         if row.shift:
-            _add_rows(acc, "relation_vectors", R, g if row.shift > 0 else -g)
+            _add_rows(acc, "relation_vectors", R,
+                      g if row.shift > 0 else np.negative(g, out=g))
         np.add.at(acc.class_radii_raw, C,
                   row.sign[_RC] * active * np.sign(raw_rc))
         np.add.at(acc.class_radii_raw, D,
@@ -305,30 +330,37 @@ def nf2_batch(state, ids, gamma, variant, acc=None, sigma_reg=1.0):
     u1 = fc - fd
     u2 = fc - fe
     u3 = fd - fe
-    d1 = np.linalg.norm(u1, axis=1)
-    d2 = np.linalg.norm(u2, axis=1)
-    d3 = np.linalg.norm(u3, axis=1)
+    squares = np.empty_like(u1)
+    d1 = row_norms(u1, squares)
+    d2 = row_norms(u2, squares)
+    d3 = row_norms(u3, squares)
     h1 = d1 - rc - rd - gamma
     h2 = d2 - rc - gamma
     h3 = d3 - rd - gamma
     hinge = np.maximum(h1, 0.0) + np.maximum(h2, 0.0) + np.maximum(h3, 0.0)
-    pc, pc_grad = _unit_penalty(fc)
-    pd, pd_grad = _unit_penalty(fd)
-    pe, pe_grad = _unit_penalty(fe)
+    pc, pc_grad = _unit_penalty(fc, squares)
+    pd, pd_grad = _unit_penalty(fd, squares)
+    pe, pe_grad = _unit_penalty(fe, squares)
     values = hinge + pc + pd + pe
     if acc is not None:
         a1 = (h1 > 0.0).astype(float)
         a2 = (h2 > 0.0).astype(float)
         a3 = (h3 > 0.0).astype(float)
-        u1h = _safe_unit(u1, d1)
-        u2h = _safe_unit(u2, d2)
-        u3h = _safe_unit(u3, d3)
-        _add_rows(acc, "class_centers", C,
-                  a1[:, None] * u1h + a2[:, None] * u2h + pc_grad)
-        _add_rows(acc, "class_centers", D,
-                  -a1[:, None] * u1h + a3[:, None] * u3h + pd_grad)
-        _add_rows(acc, "class_centers", E,
-                  -a2[:, None] * u2h - a3[:, None] * u3h + pe_grad)
+        # g_i = a_i * unit(u_i) in place; the row sums add their terms in the
+        # order of (g1 + g2) + pc_grad, (-g1 + g3) + pd_grad and
+        # (-g2 - g3) + pe_grad, with squares as scratch
+        g1 = _safe_unit(u1, d1)
+        g1 *= a1[:, None]
+        g2 = _safe_unit(u2, d2)
+        g2 *= a2[:, None]
+        g3 = _safe_unit(u3, d3)
+        g3 *= a3[:, None]
+        pc_grad += np.add(g1, g2, out=squares)
+        _add_rows(acc, "class_centers", C, pc_grad)
+        pd_grad += np.add(np.negative(g1, out=squares), g3, out=squares)
+        _add_rows(acc, "class_centers", D, pd_grad)
+        pe_grad += np.subtract(np.negative(g2, out=squares), g3, out=squares)
+        _add_rows(acc, "class_centers", E, pe_grad)
         np.add.at(acc.class_radii_raw, C, -(a1 + a2) * np.sign(raw_rc))
         np.add.at(acc.class_radii_raw, D, -(a1 + a3) * np.sign(raw_rd))
     return values, hinge
@@ -403,11 +435,19 @@ def save_model(
 def write_rows(fh, kind: str, names: list, vectors: np.ndarray,
                scalars: Optional[np.ndarray] = None) -> None:
     """One ``kind name [scalar] v_1 ... v_dim`` line per name, tab-separated,
-    for the ball and the baseline model files."""
+    for the ball and the baseline model files.
+
+    Each row is formatted by one ``%`` over its values, converted row by row
+    (one whole-array ``tolist`` costs resident memory); ``"%.17g" % x`` is
+    ``format(x, ".17g")``, ``_fmt``'s format, for every float.
+    """
+    width = vectors.shape[1] + (scalars is not None)
+    template = "\t".join(["%s", "%s"] + ["%.17g"] * width) + "\n"
     for i, name in enumerate(names):
-        row = [kind, name] if scalars is None else [kind, name, _fmt(scalars[i])]
-        row.extend(_fmt(v) for v in vectors[i])
-        fh.write("\t".join(row) + "\n")
+        row = vectors[i].tolist()
+        if scalars is not None:
+            row.insert(0, float(scalars[i]))
+        fh.write(template % (kind, name, *row))
 
 
 class ModelRows(NamedTuple):
@@ -480,7 +520,7 @@ def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
                 )
             seen[kind][name] = lineno
             try:
-                rows[kind].append([float(v) for v in parts[2:]])
+                rows[kind].append(list(map(float, parts[2:])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     parsed = {}

@@ -51,6 +51,7 @@ _CONFIG_PARSERS = {
     "negatives": _parse_switch,
     "seed": int,
     "patience": int,
+    "sigma_reg": float,
 }
 CONFIG_KEYS = tuple(_CONFIG_PARSERS)
 
@@ -69,9 +70,9 @@ class TrainConfig:
     negatives: bool = True
     seed: int = 42
     patience: int = 10
-    # weight on the per-term slack regularizer; not a config-file key.
-    # At 1.0 (the formulas as written) slack cannot grow, so experiments
-    # that rely on learned slack set it below 1.
+    # weight on the per-term slack regularizer (config key sigma_reg).  At
+    # 1.0, the formulas as written, slack cannot grow; a weight below 1 lets
+    # the emel-var slack grow where a relation has several active targets.
     sigma_reg: float = 1.0
 
     def validate(self) -> None:
@@ -126,6 +127,7 @@ def config_to_text(cfg: TrainConfig) -> str:
         f"negatives={'on' if cfg.negatives else 'off'}",
         f"seed={cfg.seed}",
         f"patience={cfg.patience}",
+        f"sigma_reg={cfg.sigma_reg!r}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -257,13 +259,20 @@ class _Sgd:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per slice of the Adam step: the slices of m, v, g, x and the two
+# scratch arrays (6 x 256 KiB) stay in a 2 MiB L2 cache across the step's
+# passes.  Measured on a 2000-class, dim-50 state (102,510 elements): 16384
+# to 65536 tie, 8192 or fewer lose to per-call overhead.
+_ADAM_BLOCK = 32768
 
 
 class _Adam:
     """Adam over the whole flat parameter buffer, in place.
 
-    The moments and two scratch arrays are allocated once.  Each step runs,
-    per element, the operations of the textbook update in the same order:
+    The moments and two block-sized scratch arrays are allocated once.  The
+    step walks the buffer in fixed slices of ``_ADAM_BLOCK`` elements and runs
+    all of its passes over one slice before the next.  Per element it runs
+    the operations of the textbook update in the same order:
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``, then
     ``x -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``; so every result is the one a
     per-block update with temporaries gives, bit for bit.
@@ -274,28 +283,31 @@ class _Adam:
         self.t = 0
         self.m = np.zeros_like(state.flat)
         self.v = np.zeros_like(state.flat)
-        self._a = np.empty_like(state.flat)
-        self._b = np.empty_like(state.flat)
+        self._a = np.empty(min(_ADAM_BLOCK, state.flat.size))
+        self._b = np.empty_like(self._a)
 
     def step(self, state: EmbeddingState, grad: GradientAccumulator) -> None:
         self.t += 1
         correction1 = 1.0 - ADAM_BETA1 ** self.t
         correction2 = 1.0 - ADAM_BETA2 ** self.t
-        g, m, v, a, b = grad.flat, self.m, self.v, self._a, self._b
-        m *= ADAM_BETA1
-        np.multiply(1.0 - ADAM_BETA1, g, out=a)
-        m += a
-        v *= ADAM_BETA2
-        np.multiply(1.0 - ADAM_BETA2, g, out=a)
-        a *= g
-        v += a
-        np.divide(m, correction1, out=a)
-        a *= self.lr
-        np.divide(v, correction2, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b
-        state.flat -= a
+        for lo in range(0, state.flat.size, _ADAM_BLOCK):
+            block = slice(lo, lo + _ADAM_BLOCK)
+            g, m, v = grad.flat[block], self.m[block], self.v[block]
+            a, b = self._a[:len(g)], self._b[:len(g)]
+            m *= ADAM_BETA1
+            np.multiply(1.0 - ADAM_BETA1, g, out=a)
+            m += a
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=a)
+            a *= g
+            v += a
+            np.divide(m, correction1, out=a)
+            a *= self.lr
+            np.divide(v, correction2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            state.flat[block] -= a
 
 
 # --- training --------------------------------------------------------------

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geodl.cli import main
+from geodl.model import load_model
 from geodl.normalize import normalize
 from geodl.parser import parse_ontology
 from geodl.synthetic import hub_spoke_lines, surrogate_lines
+from geodl.training import mean_hinge
 
 GALEN_ISH = [
     "# tiny fixture",
@@ -465,6 +467,7 @@ def test_eval_helper_or_nominal_source_is_ranked(tmp_path, kind, pair,
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("line", [
     "lr=nan", "lr=inf", "lr=1e400", "margin=nan", "margin=inf", "threads=2",
+    "sigma_reg=nan", "sigma_reg=-0.5",
 ])
 def test_rejected_config_value_exits_1(tmp_path, fixture_file, capsys, line):
     # a non-finite lr or margin used to train and exit 2 (or leak warnings);
@@ -477,6 +480,31 @@ def test_rejected_config_value_exits_1(tmp_path, fixture_file, capsys, line):
     assert line.split("=")[0] in err
     assert len(err.strip().splitlines()) == 1
     assert not model.exists()
+
+
+def test_sigma_reg_config_key_lets_the_slack_grow(tmp_path):
+    """With sigma_reg=0.25 in the config file, emel-var's slack grows from its
+    initial 0.01 and the hub's containment hinge ends at most half of
+    EmEl's, both read from the written model files (SGD, as criterion 4)."""
+    lines = hub_spoke_lines(8)
+    src = tmp_path / "hub.el"
+    src.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=10\nepochs=2000\noptimizer=sgd\nlr=0.01\nseed=0\n"
+                   "sigma_reg=0.25\n")
+    onto = normalize(parse_ontology(lines)[0])
+    hinge, sigma = {}, {}
+    for variant in ("emel", "emel-var"):
+        model = tmp_path / f"{variant}.tsv"
+        assert run(["train", "--config", str(cfg), "--variant", variant,
+                    str(src), str(model)]) == 0
+        saved = load_model(model)
+        assert saved.class_names == [info.name for info in onto.classes]
+        sigma[variant] = float(np.abs(saved.state.relation_sigmas_raw).max())
+        hinge[variant] = mean_hinge(saved.state, onto.axioms, saved.margin,
+                                    saved.variant)
+    assert sigma["emel-var"] > 0.01
+    assert hinge["emel-var"] <= 0.5 * hinge["emel"], hinge
 
 
 def test_threads_flag_is_gone(tmp_path, fixture_file, capsys):

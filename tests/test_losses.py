@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -11,8 +12,11 @@ from geodl.model import (
     EmbeddingState,
     GradientAccumulator,
     Variant,
+    _safe_unit,
+    _unit_penalty,
     load_model,
     save_model,
+    write_rows,
 )
 
 EMEL = Variant.EMEL
@@ -408,6 +412,49 @@ def test_all_finite_sees_each_block(rng, name, cell):
     block = getattr(state, name)
     block[(cell,) * block.ndim] = np.nan
     assert not state.all_finite()
+
+
+# --- row helpers ---------------------------------------------------------------
+
+EDGE_ROWS = np.array([
+    [0.0, 0.0, 0.0],
+    [1e-200, -1e-200, 1e-200],  # the squares underflow: norm 0
+    [0.0, -1.0, 0.0],  # norm exactly 1.0
+    [-0.0, -0.0, -0.0],
+    [-0.0, 3.0, -4.0],
+    [np.nan, 1.0, 2.0],
+    [0.3, -2.0, 0.7],
+])
+
+
+def _masked_unit(vectors, norms):
+    """The masked-divide formula the in-place helpers replaced."""
+    out = np.zeros_like(vectors)
+    np.divide(vectors, norms[:, None], out=out, where=norms[:, None] > 0.0)
+    return out
+
+
+def test_safe_unit_and_unit_penalty_edge_rows():
+    """Zero, underflowing, unit, signed-zero and NaN rows give, byte for
+    byte, what the masked divide gave: rows whose norm is not > 0 become
+    +0.0, and the penalty gradient is sign(||x|| - 1) times that."""
+    norms = np.linalg.norm(EDGE_ROWS, axis=1)
+    unit = _safe_unit(EDGE_ROWS.copy(), norms)
+    values, grads = _unit_penalty(EDGE_ROWS.copy())
+    expected_grads = (np.sign(norms - 1.0)[:, None]
+                      * _masked_unit(EDGE_ROWS, norms))
+    assert unit.tobytes() == _masked_unit(EDGE_ROWS, norms).tobytes()
+    assert values.tobytes() == np.abs(norms - 1.0).tobytes()
+    assert grads.tobytes() == expected_grads.tobytes()
+    assert np.signbit(grads[1]).all()  # -1 * +0.0: the row is below the sphere
+
+
+def test_write_rows_formats_each_value_as_17g():
+    vectors = np.array([[-0.0, 5e-324, 1e300, -1e-310, 0.1, 1.0 / 3.0]])
+    fh = io.StringIO()
+    write_rows(fh, "C", ["A%s"], vectors, np.array([-2.5]))
+    cells = ["C", "A%s", "-2.5"] + [format(v, ".17g") for v in vectors[0]]
+    assert fh.getvalue() == "\t".join(cells) + "\n"
 
 
 # --- persistence -------------------------------------------------------------

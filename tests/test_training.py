@@ -6,8 +6,8 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from conftest import make_state, one_term
-from geodl.model import GradientAccumulator, Variant
-from geodl.normalize import NF1, normalize
+from geodl.model import EmbeddingState, GradientAccumulator, Variant, term_batch
+from geodl.normalize import NF1, SHAPES, normalize
 from geodl.parser import parse_ontology
 from geodl.synthetic import surrogate_lines
 from geodl.training import (
@@ -18,6 +18,7 @@ from geodl.training import (
     config_to_text,
     mean_hinge,
     parse_config,
+    _ADAM_BLOCK,
     _Adam,
     split,
     train,
@@ -53,7 +54,7 @@ def test_config_defaults():
 def test_config_parse_round_trip():
     cfg = TrainConfig(dim=12, margin=0.2, variant=Variant.EMEL_VAR, lr=0.05,
                       optimizer="sgd", epochs=7, batch_size=3, negatives=False,
-                      seed=9, patience=4)
+                      seed=9, patience=4, sigma_reg=0.25)
     parsed = parse_config(config_to_text(cfg))
     assert parsed == cfg
 
@@ -65,12 +66,14 @@ def test_config_parse_values():
     variant = emel-var
     negatives = off
     lr = 0.5
+    sigma_reg = 0.25
     """
     cfg = parse_config(text)
     assert cfg.dim == 10
     assert cfg.variant is Variant.EMEL_VAR
     assert not cfg.negatives
     assert cfg.lr == 0.5
+    assert cfg.sigma_reg == 0.25
 
 
 def test_config_rejects_unknown_key():
@@ -117,14 +120,17 @@ def test_config_parse_fuzz(text):
     assert math.isfinite(cfg.margin) and cfg.margin >= 0.0
     assert cfg.dim >= 2 and cfg.batch_size >= 1 and cfg.patience >= 1
     assert cfg.epochs >= 0 and cfg.optimizer in ("sgd", "adam")
+    assert math.isfinite(cfg.sigma_reg) and cfg.sigma_reg >= 0.0
     assert parse_config(config_to_text(cfg)) == cfg
 
 
 def test_config_rejects_non_finite_sigma_reg():
-    # not a config-file key, but callers set it; nan used to pass validate
+    # nan used to pass validate
     for value in (float("nan"), float("inf"), -0.5):
         with pytest.raises(ValueError, match="sigma_reg"):
             TrainConfig(sigma_reg=value).validate()
+        with pytest.raises(ValueError, match="sigma_reg"):
+            parse_config(f"sigma_reg={value!r}")
 
 
 # --- split ---------------------------------------------------------------------
@@ -357,6 +363,25 @@ def test_adam_in_place_matches_textbook_per_block(rng):
         assert np.array_equal(getattr(state, name).ravel(), expected), name
 
 
+def test_blocked_adam_matches_textbook_across_blocks(rng):
+    """A buffer of two full Adam slices and a partial third: every slice
+    boundary leaves the per-element arithmetic unchanged."""
+    size = 2 * _ADAM_BLOCK + 3
+    # one class of width size - 3, one relation of width 1
+    state = EmbeddingState(rng.normal(size=(1, size - 3)), rng.normal(size=1),
+                           rng.normal(size=(1, 1)), rng.normal(size=1))
+    assert state.flat.size == size
+    start = state.flat.tolist()
+    steps = [scale * rng.normal(size=size) for scale in (1.0, 1e-3, 0.0)]
+    optimizer = _Adam(0.05, state)
+    for g in steps:
+        grad = GradientAccumulator.zeros_like(state)
+        grad.flat[...] = g
+        optimizer.step(state, grad)
+    expected = oracles.adam(start, [g.tolist() for g in steps], lr=0.05)
+    assert np.array_equal(state.flat, expected)
+
+
 # --- epoch time, shown in the benchmark table of every test run ---------------
 
 
@@ -384,3 +409,32 @@ def test_bench_optimizer_step_2k(benchmark, rng):
                        iterations=1)
     assert optimizer.t >= 1
     assert state.all_finite()
+
+
+# the ball-kernel terms of one train-2k batch (512 axioms, EmElVar)
+KERNEL_MIX_2K = {"nf1": 349, "nf3": 153, "nf3_negative": 153, "disjoint": 7,
+                 "nf2": 2, "nf4": 1}
+
+
+def test_bench_kernel_batch_2k(benchmark, rng):
+    """One batch of the train-2k kernel mix through ``term_batch`` over 2000
+    classes and 10 relations at dim 50, gradients into one accumulator."""
+    state = EmbeddingState.initialize(2000, 10, 50, rng)
+    shapes = {shape.key: shape for shape in SHAPES.values()}
+    shapes["nf3_negative"] = shapes["nf3"]
+    columns = {
+        key: tuple(rng.integers(0, 10 if f in shapes[key].relations else 2000,
+                                size=rows)
+                   for f in shapes[key].fields)
+        for key, rows in KERNEL_MIX_2K.items()}
+    acc = GradientAccumulator.zeros_like(state)
+
+    def batch():
+        acc.flat.fill(0.0)
+        return [term_batch(key, state, ids, 0.1, Variant.EMEL_VAR, acc)[0]
+                for key, ids in columns.items()]
+
+    values = benchmark.pedantic(batch, rounds=50, iterations=1)
+    assert [len(v) for v in values] == list(KERNEL_MIX_2K.values())
+    assert all(np.isfinite(v).all() for v in values)
+    assert np.isfinite(acc.flat).all()
