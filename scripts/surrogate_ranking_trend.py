@@ -22,7 +22,7 @@ from geodl.training import SplitSpec, TrainConfig, split, train
 def run(seeds, dim, epochs, lr, sigma_reg, patience):
     axioms, _ = parse_ontology(surrogate_lines(seed=0))
     onto = normalize(axioms)
-    candidates = eligible_candidates([c.name for c in onto.classes])
+    candidates = eligible_candidates(onto.classes)
     print(f"surrogate: {len(onto.axioms)} axioms, {len(onto.classes)} classes")
     print(f"config: dim={dim} adam lr={lr} epochs<={epochs} "
           f"patience={patience} sigma_reg={sigma_reg}")

@@ -53,7 +53,7 @@ class BaselineState(_FlatBlocks):
 
 
 def baseline_relation_names(onto: NormalizedOntology) -> list:
-    return [info.name for info in onto.relations] + [SUBCLASS_RELATION]
+    return onto.relations + [SUBCLASS_RELATION]
 
 
 def extract_triples(onto: NormalizedOntology) -> np.ndarray:
@@ -88,22 +88,22 @@ def _transh_parts(state: BaselineState, H, R, T) -> tuple:
 
 
 def _transe_scores(state, H, R, T):
-    return -np.linalg.norm(_transe_diff(state, H, R, T), axis=1)
+    return -row_norms(_transe_diff(state, H, R, T))
 
 
 def _transe_grads(state, H, R, T):
     u = _transe_diff(state, H, R, T)
-    uhat = _safe_unit(u, np.linalg.norm(u, axis=1))
+    uhat = _safe_unit(u, row_norms(u, np.empty_like(u)))
     return -uhat, -uhat, uhat, None
 
 
 def _transh_scores(state, H, R, T):
-    return -np.linalg.norm(_transh_parts(state, H, R, T)[0], axis=1)
+    return -row_norms(_transh_parts(state, H, R, T)[0])
 
 
 def _transh_grads(state, H, R, T):
     u, w, eh, et, wh, wt = _transh_parts(state, H, R, T)
-    uhat = _safe_unit(u, np.linalg.norm(u, axis=1))
+    uhat = _safe_unit(u, row_norms(u, np.empty_like(u)))
     uw = np.sum(uhat * w, axis=1, keepdims=True)
     g_t = uhat - uw * w
     return -g_t, -uhat, g_t, -(uw * (et - eh) + (wt - wh) * uhat)

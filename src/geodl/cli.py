@@ -52,20 +52,23 @@ def _check_distinct(inputs, outputs) -> None:
         written.add(path)
 
 
-def _load_normalized(path: str) -> NormalizedOntology:
+def _parse(path: str):
     try:
-        axioms, _ = parse_ontology(_read_lines(path))
+        return parse_ontology(_read_lines(path))
     except ParseError as exc:
         exc.args = (f"{path}: {exc}",)  # which of the inputs is broken
         raise
-    return normalize(axioms)
+
+
+def _load_normalized(path: str) -> NormalizedOntology:
+    return normalize(_parse(path)[0])
 
 
 def _subclass_pairs(path: str) -> list:
     """The (sub, super) class names of the normalized subclass axioms of
     *path*, in file order."""
     onto = _load_normalized(path)
-    return [(onto.class_name(ax.c), onto.class_name(ax.d))
+    return [(onto.classes[ax.c], onto.classes[ax.d])
             for ax in onto.axioms if isinstance(ax, NF1)]
 
 
@@ -78,7 +81,7 @@ def _write_axiom_file(path: str, header: list, lines: list) -> None:
 
 
 def cmd_stats(args) -> int:
-    axioms, stats = parse_ontology(_read_lines(args.input))
+    axioms, stats = _parse(args.input)
     onto = normalize(axioms)
     print(f"axioms\t{stats.axiom_count}")
     print(f"classes\t{stats.class_count}")
@@ -167,16 +170,30 @@ def _build_config(args) -> TrainConfig:
     return cfg
 
 
+def _not_a_candidate(held_out: str) -> str:
+    return (f"held-out class {held_out!r} is a normalization helper or a "
+            f"nominal, never a candidate")
+
+
 def _sibling_valid_nf1(train_path: str, onto: NormalizedOntology):
-    """Early-stopping data: a valid.el next to the training file, if present."""
-    candidate = os.path.join(os.path.dirname(os.path.abspath(train_path)),
-                             "valid.el")
-    if not os.path.isfile(candidate) or os.path.abspath(candidate) == \
-            os.path.abspath(train_path):
+    """Early-stopping data: a valid.el next to the training file, if present.
+
+    Pairs of one class with itself and pairs naming a class absent from
+    training are dropped; a pair whose subclass can never be a candidate is
+    refused before training starts."""
+    path = os.path.join(os.path.dirname(os.path.abspath(train_path)), "valid.el")
+    if not os.path.isfile(path) or path == os.path.abspath(train_path):
         return None
     ids = onto.class_index
-    valid = [NF1(ids[c], ids[d]) for c, d in _subclass_pairs(candidate)
-             if c != d and c in ids and d in ids]
+    eligible = set(ranking.eligible_candidates(onto.classes).tolist())
+    valid = []
+    for c, d in _subclass_pairs(path):
+        if c == d or c not in ids or d not in ids:
+            continue
+        if ids[c] not in eligible:
+            raise _CliError(f"{path}: validation pair subClassOf({c},{d}) "
+                            f"cannot be ranked: {_not_a_candidate(c)}")
+        valid.append(NF1(ids[c], ids[d]))
     return valid or None
 
 
@@ -185,7 +202,6 @@ def cmd_train(args) -> int:
     _check_distinct([args.train_file, args.config], [args.model_out, log_out])
     cfg = _build_config(args)
     onto = _load_normalized(args.train_file)
-    class_names = [info.name for info in onto.classes]
 
     if args.model:
         triples = baselines.extract_triples(onto)
@@ -198,7 +214,7 @@ def cmd_train(args) -> int:
             batch_size=cfg.batch_size, seed=cfg.seed, loss_log=loss_log,
         )
         baselines.save_baseline(
-            args.model_out, state, class_names,
+            args.model_out, state, onto.classes,
             baselines.baseline_relation_names(onto),
         )
         with open(log_out, "w", encoding="utf-8") as fh:
@@ -209,10 +225,8 @@ def cmd_train(args) -> int:
 
     valid_nf1 = _sibling_valid_nf1(args.train_file, onto)
     result = training.train(onto, cfg, valid_nf1=valid_nf1)
-    gm.save_model(
-        args.model_out, result.state, class_names,
-        [info.name for info in onto.relations], cfg.variant, cfg.margin,
-    )
+    gm.save_model(args.model_out, result.state, onto.classes, onto.relations,
+                  cfg.variant, cfg.margin)
     training.write_log(log_out, result.log)
     return 0
 
@@ -229,8 +243,7 @@ def _load_tests(path: str, name_to_id: dict, candidates, direction: str) -> list
         held_out = name_c if direction == "sub" else name_d
         if name_c == name_d or name_to_id[held_out] not in eligible:
             why = ("a class is never ranked against itself" if name_c == name_d
-                   else f"held-out class {held_out!r} is a normalization "
-                        f"helper or a nominal, never a candidate")
+                   else _not_a_candidate(held_out))
             raise _CliError(
                 f"test pair subClassOf({name_c},{name_d}) cannot be ranked: {why}"
             )
@@ -255,6 +268,9 @@ def cmd_eval(args) -> int:
     if header.startswith(baselines.BASELINE_HEADER_PREFIX):
         saved = baselines.load_baseline(args.model_in)
         names = saved.entity_names
+        if args.radius_adjusted:
+            raise _CliError(f"--radius-adjusted needs ball radii; {args.model_in} "
+                            f"is a {saved.state.model} baseline")
     elif header.startswith(gm.MODEL_HEADER_PREFIX):
         saved = gm.load_model(args.model_in)
         names = saved.class_names

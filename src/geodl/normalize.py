@@ -10,9 +10,11 @@ classes (``__nf_<k>``) for complex sub-expressions:
     Disjoint(c, d)   C and D <= nothing
     BottomSub(c)     C <= nothing
 
-``top`` becomes an ordinary class id; nominals become classes flagged
-``is_nominal`` (their table name is the canonical ``nominal(x)`` text, so
-round-tripping through the axiom format keeps the flag).  Identical complex
+The class and relation tables are lists of names in id order.  ``top``
+becomes an ordinary class; a nominal becomes a class named by its canonical
+``nominal(x)`` text, which no atomic name can spell, so the name alone says
+what a class is (``ranking.is_fresh_name`` and ``ranking.is_nominal_name``)
+and survives a round trip through the axiom format.  Identical complex
 sub-expressions share one fresh class, memoized by canonical text.
 Tautologies with an empty left-hand side are dropped.
 
@@ -116,37 +118,19 @@ def class_ids(ax: NormalAxiom) -> tuple:
     return tuple(getattr(ax, f) for f in shape.fields if f not in shape.relations)
 
 
-@dataclass(frozen=True, slots=True)
-class ClassInfo:
-    name: str
-    is_fresh: bool = False
-    is_nominal: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class RelationInfo:
-    name: str
-
-
 @dataclass
 class NormalizedOntology:
     axioms: list[NormalAxiom]
-    classes: list[ClassInfo]
-    relations: list[RelationInfo]
+    classes: list[str]  # class names, in id order
+    relations: list[str]  # relation names, in id order
     class_index: dict[str, int] = field(default_factory=dict)
     relation_index: dict[str, int] = field(default_factory=dict)
     # fresh class name -> canonical text of the sub-expression it stands for
     fresh_definitions: dict[str, str] = field(default_factory=dict)
 
-    def class_name(self, c: int) -> str:
-        return self.classes[c].name
-
-    def relation_name(self, r: int) -> str:
-        return self.relations[r].name
-
     @property
     def fresh_count(self) -> int:
-        return sum(1 for info in self.classes if info.is_fresh)
+        return sum(1 for name in self.classes if name.startswith(FRESH_PREFIX))
 
 
 def _is_basic(c: Concept) -> bool:
@@ -155,8 +139,8 @@ def _is_basic(c: Concept) -> bool:
 
 class _Normalizer:
     def __init__(self):
-        self.classes: list[ClassInfo] = []
-        self.relations: list[RelationInfo] = []
+        self.classes: list[str] = []
+        self.relations: list[str] = []
         self.class_index: dict[str, int] = {}
         self.relation_index: dict[str, int] = {}
         self.fresh_definitions: dict[str, str] = {}
@@ -172,13 +156,7 @@ class _Normalizer:
         if idx is None:
             idx = len(self.classes)
             self.class_index[key] = idx
-            self.classes.append(
-                ClassInfo(
-                    name=key,
-                    is_fresh=key.startswith(FRESH_PREFIX),
-                    is_nominal=isinstance(c, Nominal),
-                )
-            )
+            self.classes.append(key)
         return idx
 
     def relation_id(self, name: str) -> int:
@@ -186,7 +164,7 @@ class _Normalizer:
         if idx is None:
             idx = len(self.relations)
             self.relation_index[name] = idx
-            self.relations.append(RelationInfo(name))
+            self.relations.append(name)
         return idx
 
     def _register_concept(self, c: Concept) -> None:
@@ -211,9 +189,9 @@ class _Normalizer:
                 self._fresh_counter += 1
             idx = len(self.classes)
             self.class_index[key] = idx
-            self.classes.append(ClassInfo(name=name, is_fresh=True))
+            self.classes.append(name)
             self.fresh_definitions[name] = key
-        ref = Atomic(self.classes[idx].name)
+        ref = Atomic(self.classes[idx])
         # Re-register under the fresh name too so references resolve.
         self.class_index.setdefault(ref.name, idx)
         if (key, side) not in self._defined:
@@ -341,8 +319,7 @@ def normal_axiom_to_text(ax: NormalAxiom, onto: NormalizedOntology) -> str:
     """Print a normal axiom back into the line-based grammar."""
     shape = shape_of(ax)
     names = {
-        f: (onto.relation_name if f in shape.relations else onto.class_name)(
-            getattr(ax, f))
+        f: (onto.relations if f in shape.relations else onto.classes)[getattr(ax, f)]
         for f in shape.fields
     }
     return shape.template.format(**names)

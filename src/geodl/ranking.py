@@ -4,13 +4,15 @@ For a test pair C <= D the superclass D is the source: every candidate class
 is ordered by distance of its center from D's center, and the rank of C is
 reported (``--direction`` swaps the roles).  Baseline models order the
 candidates by descending subclass score instead.  Candidates exclude
-normalization helpers and nominal point classes, identified by their reserved
-name shapes, and the test's own source.
+normalization helpers and nominal point classes, and the test's own source.
+``is_fresh_name`` and ``is_nominal_name`` are the package's one definition of
+those two kinds of class: they read the reserved name shapes.
 
 One core ranks every model.  It groups the tests by source and computes one
-score row per distinct source over the whole candidate universe, then ranks
-all of that source's targets from that row: rank = 1 + #better + #tied with a
-smaller class index, so ties break deterministically by class index.  A score
+score row per distinct source over the whole candidate universe, higher
+better (a ball model scores the negated distance), then ranks all of that
+source's targets from that row: rank = 1 + #higher + #tied with a smaller
+class index, so ties break deterministically by class index.  A score
 row holding a non-finite value raises ``NumericalError`` (exit 2 in the CLI)
 instead of being ranked.
 """
@@ -72,8 +74,8 @@ def _ball_rows(
     direction: str,
     adjust_radius: bool,
 ) -> Callable[[int], np.ndarray]:
-    """Source -> distance of every candidate's center from the source's center,
-    plus the radius slack when *adjust_radius*."""
+    """Source -> minus the distance of every candidate's center from the
+    source's center (plus the radius slack when *adjust_radius*)."""
     centers = state.class_centers[candidate_ids]
     cand_r = np.abs(state.class_radii_raw[candidate_ids]) if adjust_radius else None
     buf = np.empty_like(centers)
@@ -86,7 +88,7 @@ def _ball_rows(
                 dist = dist + cand_r - src_r  # candidate ball must fit inside source
             else:
                 dist = dist + src_r - cand_r  # source ball must fit inside candidate
-        return dist
+        return np.negative(dist, out=dist)
 
     return row
 
@@ -120,17 +122,16 @@ def _rank_by_source(
     direction: str,
     filter_known: Optional[Iterable[NF1]],
     score_rows: Callable[[np.ndarray], Callable[[int], np.ndarray]],
-    ascending: bool,
 ) -> list[int]:
     """Rank of every test's target, scoring each distinct source once.
 
     ``score_rows(ids)`` does the work that does not depend on the source and
     returns a function from a source class to a new score row over the sorted
-    class ids *ids*.  A test's candidates are the universe minus its source
-    and, when *filter_known* is given, minus the source's other known
-    targets.  They are never materialized: the excluded entries of the shared
-    row are set to the worst score after the targets' own scores are read, so
-    they can be neither better than nor tied with any target.
+    class ids *ids*, higher better.  A test's candidates are the universe
+    minus its source and, when *filter_known* is given, minus the source's
+    other known targets.  They are never materialized: the excluded entries
+    of the shared row are set to -inf after the targets' own scores are
+    read, so they can be neither better than nor tied with any target.
     """
     if len(tests) == 0:
         raise ValueError("cannot evaluate an empty test list")
@@ -152,8 +153,6 @@ def _rank_by_source(
         target, source = roles(ax)
         known.setdefault(source, set()).add(target)
 
-    beats = np.less if ascending else np.greater
-    worst = np.inf if ascending else -np.inf
     row_of = score_rows(ids)
     ranks = [0] * len(tests)
     for source, group in by_source.items():
@@ -169,9 +168,9 @@ def _rank_by_source(
         own = row[pos]
         dropped = np.array([source, *known.get(source, ())])
         at = np.minimum(np.searchsorted(ids, dropped), len(ids) - 1)
-        row[at[ids[at] == dropped]] = worst
+        row[at[ids[at] == dropped]] = -np.inf
         for i, p, s in zip(order, pos, own):
-            better = np.count_nonzero(beats(row, s))
+            better = np.count_nonzero(row > s)
             ranks[i] = 1 + int(better + np.count_nonzero(row[:p] == s))
     return ranks
 
@@ -188,7 +187,6 @@ def evaluate(
     ranks = _rank_by_source(
         tests, candidate_universe, direction, filter_known,
         lambda ids: _ball_rows(state, ids, direction, adjust_radius),
-        ascending=True,
     )
     return _aggregate(
         ranks, len(candidate_universe), direction, filter_known is not None
@@ -211,7 +209,6 @@ def baseline_evaluate(
         lambda ids: baselines.candidate_scores(
             state, sub_relation, ids, as_head=direction == "sub"
         ),
-        ascending=False,
     )
     return _aggregate(
         ranks, len(candidate_universe), direction, filter_known is not None

@@ -16,32 +16,39 @@ from __future__ import annotations
 
 import numpy as np
 
+HUB_RELATION = "linksTo"
 
-def hub_spoke_lines(n_targets: int = 8, relation: str = "linksTo") -> list[str]:
+# surrogate_lines
+SURROGATE_RELATIONS = 10  # role0 .. role9
+MAX_SHORTCUTS = 2  # extra subclass edges to strict ancestors, per class
+ROLE_PROBABILITY = 0.8  # share of classes given one role edge
+TARGET_POOL_SIZE = 25  # role targets per relation
+SURROGATE_DISJOINT = 80  # disjointWith axioms
+SURROGATE_COMPLEX = 40  # axioms with a conjunction or an existential
+
+# random_raw_lines
+RAW_NAMES = 20  # classes A0 .. A19
+RAW_ROLES = 4  # roles r0 .. r3
+RAW_INDIVIDUALS = 4  # nominal(ind0) .. nominal(ind3)
+RAW_MAX_DEPTH = 3  # deepest nesting of a concept
+
+
+def hub_spoke_lines(n_targets: int = 8) -> list[str]:
     """Hub <= some R. Ti for each target, plus pairwise disjoint targets."""
     targets = [f"T{i}" for i in range(1, n_targets + 1)]
-    lines = [f"subClassOf(Hub,some({relation},{t}))" for t in targets]
+    lines = [f"subClassOf(Hub,some({HUB_RELATION},{t}))" for t in targets]
     for i in range(n_targets):
         for j in range(i + 1, n_targets):
             lines.append(f"disjointWith({targets[i]},{targets[j]})")
     return lines
 
 
-def surrogate_lines(
-    n_classes: int = 2000,
-    n_relations: int = 10,
-    seed: int = 0,
-    max_shortcuts: int = 2,
-    role_probability: float = 0.8,
-    target_pool_size: int = 25,
-    n_disjoint: int = 80,
-    n_complex: int = 40,
-) -> list[str]:
+def surrogate_lines(n_classes: int = 2000, seed: int = 0) -> list[str]:
     """Seeded surrogate ontology: an ancestor-redundant subclass DAG plus
     hub-shaped role axioms.
 
     Each class gets a tree parent (keeping the graph connected) and up to
-    ``max_shortcuts`` extra subclass edges to strict ancestors, so held-out
+    ``MAX_SHORTCUTS`` extra subclass edges to strict ancestors, so held-out
     subclass pairs usually stay derivable from surviving chains, as in real
     biomedical hierarchies.  Most classes also get one existential role edge
     into a small per-relation target pool, giving every relation the
@@ -72,27 +79,27 @@ def surrogate_lines(
         beyond_parent = ancestors[1:]
         if not beyond_parent:
             continue
-        k = min(len(beyond_parent), int(rng.integers(1, max_shortcuts + 1)))
+        k = min(len(beyond_parent), int(rng.integers(1, MAX_SHORTCUTS + 1)))
         picks = rng.choice(len(beyond_parent), size=k, replace=False)
         for p in picks:
             add_subclass(i, beyond_parent[int(p)])
 
     pools = [
-        rng.choice(n_classes, size=target_pool_size, replace=False)
-        for _ in range(n_relations)
+        rng.choice(n_classes, size=TARGET_POOL_SIZE, replace=False)
+        for _ in range(SURROGATE_RELATIONS)
     ]
     for i in range(n_classes):
-        if rng.random() < role_probability:
-            k = int(rng.integers(0, n_relations))
-            t = int(pools[k][int(rng.integers(0, target_pool_size))])
+        if rng.random() < ROLE_PROBABILITY:
+            k = int(rng.integers(0, SURROGATE_RELATIONS))
+            t = int(pools[k][int(rng.integers(0, TARGET_POOL_SIZE))])
             if t != i:
                 lines.append(f"subClassOf({names[i]},some(role{k},{names[t]}))")
-    for _ in range(n_disjoint):
+    for _ in range(SURROGATE_DISJOINT):
         a, b = (int(x) for x in rng.choice(n_classes, size=2, replace=False))
         lines.append(f"disjointWith({names[a]},{names[b]})")
-    for _ in range(n_complex):
+    for _ in range(SURROGATE_COMPLEX):
         a, b, c = (int(x) for x in rng.choice(n_classes, size=3, replace=False))
-        rel = f"role{int(rng.integers(0, n_relations))}"
+        rel = f"role{int(rng.integers(0, SURROGATE_RELATIONS))}"
         shape = int(rng.integers(0, 3))
         if shape == 0:
             lines.append(f"subClassOf(and({names[a]},{names[b]}),{names[c]})")
@@ -105,35 +112,28 @@ def surrogate_lines(
     return lines
 
 
-def random_raw_lines(
-    rng: np.random.Generator,
-    n_axioms: int = 60,
-    n_names: int = 20,
-    n_roles: int = 4,
-    n_individuals: int = 4,
-    max_depth: int = 3,
-) -> list[str]:
+def random_raw_lines(rng: np.random.Generator, n_axioms: int = 60) -> list[str]:
     """Random well-formed axiom lines covering every grammar production."""
-    names = [f"A{i}" for i in range(n_names)]
-    roles = [f"r{i}" for i in range(n_roles)]
-    individuals = [f"ind{i}" for i in range(n_individuals)]
+    names = [f"A{i}" for i in range(RAW_NAMES)]
+    roles = [f"r{i}" for i in range(RAW_ROLES)]
+    individuals = [f"ind{i}" for i in range(RAW_INDIVIDUALS)]
 
     def concept(depth: int) -> str:
         choices = ["atomic", "atomic", "atomic", "top", "bottom", "nominal"]
-        if depth < max_depth:
+        if depth < RAW_MAX_DEPTH:
             choices += ["and", "and", "some", "some"]
         kind = choices[int(rng.integers(0, len(choices)))]
         if kind == "atomic":
-            return names[int(rng.integers(0, n_names))]
+            return names[int(rng.integers(0, RAW_NAMES))]
         if kind == "top":
             return "top"
         if kind == "bottom":
             return "bottom"
         if kind == "nominal":
-            return f"nominal({individuals[int(rng.integers(0, n_individuals))]})"
+            return f"nominal({individuals[int(rng.integers(0, RAW_INDIVIDUALS))]})"
         if kind == "and":
             return f"and({concept(depth + 1)},{concept(depth + 1)})"
-        role = roles[int(rng.integers(0, n_roles))]
+        role = roles[int(rng.integers(0, RAW_ROLES))]
         return f"some({role},{concept(depth + 1)})"
 
     lines = []

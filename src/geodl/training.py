@@ -164,26 +164,21 @@ class SplitResult:
     candidate_count: int
 
 
-def _is_eligible_nf1(ax: NormalAxiom, onto: NormalizedOntology) -> bool:
-    if not isinstance(ax, NF1) or ax.c == ax.d:
-        return False
-    for cid in (ax.c, ax.d):
-        info = onto.classes[cid]
-        if info.is_fresh or info.is_nominal:
-            return False
-    return True
-
-
 def split(onto: NormalizedOntology, spec: SplitSpec) -> SplitResult:
     """Hold out subclass pairs for validation/testing, everything else trains.
 
-    Every class mentioned in a held-out pair is guaranteed to occur in some
-    training axiom; violating pairs are swapped back into training and a
-    replacement is drawn, with the number of swaps reported.
+    A pair may be held out when it is an NF1 between two different ranking
+    candidates.  Every class mentioned in a held-out pair is guaranteed to
+    occur in some training axiom; violating pairs are swapped back into
+    training and a replacement is drawn, with the number of swaps reported.
     """
     spec.validate()
-    eligible = [ax for ax in onto.axioms if _is_eligible_nf1(ax, onto)]
-    rest = [ax for ax in onto.axioms if not _is_eligible_nf1(ax, onto)]
+    candidates = set(ranking.eligible_candidates(onto.classes).tolist())
+    eligible, rest = [], []
+    for ax in onto.axioms:
+        held_out = (isinstance(ax, NF1) and ax.c != ax.d
+                    and ax.c in candidates and ax.d in candidates)
+        (eligible if held_out else rest).append(ax)
     n = len(eligible)
     if n < 10:
         raise ValueError(
@@ -231,17 +226,13 @@ def split(onto: NormalizedOntology, spec: SplitSpec) -> SplitResult:
             swaps += 1
     valid = [ax for ax in valid if ax is not None]
     test = [ax for ax in test if ax is not None]
-
-    candidate_count = len(
-        ranking.eligible_candidates([info.name for info in onto.classes])
-    )
     return SplitResult(
         train=rest + train_eligible,
         valid=valid,
         test=test,
         eligible_count=n,
         swaps=swaps,
-        candidate_count=candidate_count,
+        candidate_count=len(candidates),
     )
 
 
@@ -456,13 +447,10 @@ def train(
         _Adam(config.lr, state) if config.optimizer == "adam" else _Sgd(config.lr)
     )
     nominal_ids = np.array(
-        [i for i, info in enumerate(onto.classes) if info.is_nominal], dtype=int
+        [i for i, name in enumerate(onto.classes) if ranking.is_nominal_name(name)],
+        dtype=int,
     )[:, None]
-    candidates = None
-    if valid_nf1:
-        candidates = ranking.eligible_candidates(
-            [info.name for info in onto.classes]
-        )
+    candidates = ranking.eligible_candidates(onto.classes) if valid_nf1 else None
 
     acc = GradientAccumulator.zeros_like(state)  # zeroed per batch
     log: list[LogRow] = []

@@ -248,7 +248,7 @@ def test_criterion_8_surrogate_ranking_trend():
     axioms, _ = parse_ontology(surrogate_lines(seed=0))
     onto = normalize(axioms)
     assert len(onto.classes) == 2000
-    candidates = eligible_candidates([c.name for c in onto.classes])
+    candidates = eligible_candidates(onto.classes)
     wins = 0
     medians_log = []
     for seed in (0, 1, 2):

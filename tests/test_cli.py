@@ -201,7 +201,9 @@ def test_syntax_error_exits_1_with_line(tmp_path, capsys):
     bad = tmp_path / "bad.el"
     bad.write_text("subClassOf(A,B)\nsubClassOf(A,\n")
     assert run(["stats", str(bad)]) == 1
-    assert "line 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 2" in err
+    assert f"geodl: parse error: {bad}: line 2" in err
 
 
 @pytest.mark.parametrize("broken", ["valid.el", "test.el", "known.el"],
@@ -450,6 +452,45 @@ def test_eval_unrankable_pair_names_its_classes(tmp_path, capsys, kind, case):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("pair", ["subClassOf(nominal(tom),Cat)",
+                                  "subClassOf(__nf_0,Animal)"],
+                         ids=["nominal", "helper"])
+def test_sibling_valid_unrankable_pair_exits_1_before_training(tmp_path, capsys,
+                                                               pair):
+    """A validation pair whose subclass can never be a candidate is refused
+    before the first epoch, naming the pair and the file; it used to fail
+    after 25 epochs with an internal class index."""
+    train_file = tmp_path / "train.el"
+    train_file.write_text("\n".join(GALEN_ISH + [
+        "subClassOf(nominal(tom),Cat)",
+        "subClassOf(Cat,some(eats,and(Fish,Bird)))",  # defines __nf_0
+    ]) + "\n")
+    valid = tmp_path / "valid.el"
+    valid.write_text("subClassOf(Dog,Mammal)\n" + pair + "\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=4\nepochs=30\n")
+    model = tmp_path / "m.tsv"
+    assert run(["train", "--config", str(cfg), str(train_file), str(model)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"{valid}: validation pair {pair} cannot be ranked" in err[0]
+    assert "helper or a nominal" in err[0]
+    assert not model.exists() and not (tmp_path / "m.tsv.log.tsv").exists()
+
+
+@pytest.mark.parametrize("model", ["transe", "transh", "distmult"])
+def test_eval_radius_adjusted_baseline_exits_1(tmp_path, capsys, model):
+    # a baseline has no radii; the flag used to be ignored silently
+    _, test = write_eval_inputs(tmp_path, model)
+    report = tmp_path / "r.tsv"
+    assert run(["eval", "--radius-adjusted", str(tmp_path / "m.tsv"), test,
+                str(report)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "--radius-adjusted" in err[0] and f"{model} baseline" in err[0]
+    assert not report.exists() and not (tmp_path / "r.tsv.ranks").exists()
+
+
 @pytest.mark.parametrize("kind", ["ball", "transe"])
 @pytest.mark.parametrize("pair, direction", [
     ("subClassOf(Cat,__nf_0)", "sub"), ("subClassOf(nominal(tom),Dog)", "sup"),
@@ -499,7 +540,7 @@ def test_sigma_reg_config_key_lets_the_slack_grow(tmp_path):
         assert run(["train", "--config", str(cfg), "--variant", variant,
                     str(src), str(model)]) == 0
         saved = load_model(model)
-        assert saved.class_names == [info.name for info in onto.classes]
+        assert saved.class_names == onto.classes
         sigma[variant] = float(np.abs(saved.state.relation_sigmas_raw).max())
         hinge[variant] = mean_hinge(saved.state, onto.axioms, saved.margin,
                                     saved.variant)

@@ -15,6 +15,7 @@ from geodl.normalize import (
     verify_normal,
 )
 from geodl.parser import concept_size, parse_ontology, SubClassOf
+from geodl.ranking import is_fresh_name, is_nominal_name
 from geodl.synthetic import random_raw_lines
 
 
@@ -31,9 +32,7 @@ def shapes(onto):
         row = [type(ax).__name__]
         for f in fields(ax):
             v = getattr(ax, f.name)
-            row.append(
-                onto.relations[v].name if f.name == "r" else onto.classes[v].name
-            )
+            row.append(onto.relations[v] if f.name == "r" else onto.classes[v])
         out.append(tuple(row))
     return out
 
@@ -106,14 +105,14 @@ def test_top_is_an_ordinary_class():
     onto = norm_lines(["subClassOf(A,top)", "subClassOf(top,B)"])
     assert ("NF1", "A", "top") in shapes(onto)
     assert ("NF1", "top", "B") in shapes(onto)
-    info = onto.classes[onto.class_index["top"]]
-    assert not info.is_fresh and not info.is_nominal
+    name = onto.classes[onto.class_index["top"]]
+    assert not is_fresh_name(name) and not is_nominal_name(name)
 
 
 def test_nominal_becomes_flagged_class():
     onto = norm_lines(["subClassOf(nominal(jane),Person)"])
-    info = onto.classes[onto.class_index["nominal(jane)"]]
-    assert info.is_nominal and not info.is_fresh
+    name = onto.classes[onto.class_index["nominal(jane)"]]
+    assert is_nominal_name(name) and not is_fresh_name(name)
     assert ("NF1", "nominal(jane)", "Person") in shapes(onto)
 
 
@@ -247,7 +246,7 @@ def test_chain_through_fresh_classes_preserved():
         ["subClassOf(and(A,B),some(R,C))", "subClassOf(X,A)", "subClassOf(X,B)"]
     )
     # X <= A and X <= B, so X reaches the fresh head of the conjunction
-    fresh = [i for i, info in enumerate(onto.classes) if info.is_fresh]
+    fresh = [i for i, name in enumerate(onto.classes) if is_fresh_name(name)]
     assert len(fresh) == 1
     closure_map = closure(onto)
     x = onto.class_index["X"]

@@ -9,6 +9,7 @@ from conftest import make_state, one_term
 from geodl.model import EmbeddingState, GradientAccumulator, Variant, term_batch
 from geodl.normalize import NF1, SHAPES, normalize
 from geodl.parser import parse_ontology
+from geodl.ranking import is_fresh_name, is_nominal_name
 from geodl.synthetic import surrogate_lines
 from geodl.training import (
     CONFIG_KEYS,
@@ -193,8 +194,8 @@ def test_split_excludes_fresh_and_nominal_pairs():
     result = split(onto, SplitSpec(seed=3))
     for ax in result.valid + result.test:
         for cid in (ax.c, ax.d):
-            info = onto.classes[cid]
-            assert not info.is_fresh and not info.is_nominal
+            name = onto.classes[cid]
+            assert not is_fresh_name(name) and not is_nominal_name(name)
 
 
 def test_split_non_nf1_always_trains():
