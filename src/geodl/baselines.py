@@ -5,10 +5,20 @@ relation so the same ranking protocol applies to every model.  All scores
 are "higher is better".  Each model is one row of a table: its batch score,
 its score gradient, its candidate-row function for ranking, and whether it
 carries relation hyperplane normals (TransH).  A state's parameters live in
-one contiguous buffer laid out by the ball model's ``_FlatBlocks``, so the
-SGD step and the finiteness check are each one pass over it, and the
+one contiguous buffer laid out by the ball model's ``_FlatBlocks``, and the
 gradient rows are added with ``_add_rows`` into a ``GradientAccumulator`` of
 the same layout.
+
+A training batch is one pass through the model.  Scoring a side of the
+batch keeps what its gradient needs (TransE: the residual and its norms;
+TransH: the residual, its norms and the head and tail projections on the
+normal; DistMult: only the ids), and the gradient works from those pieces on
+the triples whose hinge is active, re-gathering any other rows.  The norm
+that gives a score is the norm its gradient divides by.  The arithmetic runs
+in the arrays that hold the terms, and the SGD step scales the gradient
+buffer and subtracts it from the parameters in place, each one pass; every
+value sees the same IEEE operations in the same order as when each step
+made new arrays, so the outputs are byte-identical to that.
 """
 
 from __future__ import annotations
@@ -69,55 +79,87 @@ def extract_triples(onto: NormalizedOntology) -> np.ndarray:
 # --- the models --------------------------------------------------------------
 
 
-def _transe_diff(state: BaselineState, H, R, T) -> np.ndarray:
-    e = state.entity_embeddings
-    return e[H] + state.relation_embeddings[R] - e[T]
-
-
-def _transh_parts(state: BaselineState, H, R, T) -> tuple:
-    """The translation residual between the hyperplane projections of head
-    and tail, with the pieces the gradient needs."""
-    e = state.entity_embeddings
-    w = state.normals[R]
-    eh = e[H]
-    et = e[T]
-    wh = np.sum(w * eh, axis=1, keepdims=True)
-    wt = np.sum(w * et, axis=1, keepdims=True)
-    u = (eh - wh * w) + state.relation_embeddings[R] - (et - wt * w)
-    return u, w, eh, et, wh, wt
-
-
 def _transe_scores(state, H, R, T):
-    return -row_norms(_transe_diff(state, H, R, T))
+    e = state.entity_embeddings
+    u = e[H]
+    u += state.relation_embeddings[R]
+    tail = e[T]
+    u -= tail
+    norms = row_norms(u, tail)
+    return -norms, (u, norms)
 
 
-def _transe_grads(state, H, R, T):
-    u = _transe_diff(state, H, R, T)
-    uhat = _safe_unit(u, row_norms(u, np.empty_like(u)))
-    return -uhat, -uhat, uhat, None
+def _transe_grads(state, h, r, t, pieces, active, sign):
+    """d score / d (head, relation, tail) is (-uhat, -uhat, uhat), with uhat
+    the unit residual."""
+    u, norms = pieces
+    uhat = _safe_unit(u[active], norms[active])
+    flipped = np.negative(uhat)
+    return (uhat, uhat, flipped, None) if sign < 0 else (
+        flipped, flipped, uhat, None)
 
 
 def _transh_scores(state, H, R, T):
-    return -row_norms(_transh_parts(state, H, R, T)[0])
+    """Minus the norm of the translation residual u between the hyperplane
+    projections of head and tail; kept: u, its norms and the projections
+    ``wh``, ``wt`` of head and tail on the normal."""
+    e = state.entity_embeddings
+    w = state.normals[R]
+    u = e[H]
+    tail = e[T]
+    scratch = w * u
+    wh = np.add.reduce(scratch, axis=1, keepdims=True)
+    wt = np.add.reduce(np.multiply(w, tail, out=scratch), axis=1, keepdims=True)
+    u -= np.multiply(wh, w, out=scratch)
+    u += state.relation_embeddings[R]
+    tail -= np.multiply(wt, w, out=scratch)
+    u -= tail
+    norms = row_norms(u, scratch)
+    return -norms, (u, norms, wh, wt)
 
 
-def _transh_grads(state, H, R, T):
-    u, w, eh, et, wh, wt = _transh_parts(state, H, R, T)
-    uhat = _safe_unit(u, row_norms(u, np.empty_like(u)))
-    uw = np.sum(uhat * w, axis=1, keepdims=True)
-    g_t = uhat - uw * w
-    return -g_t, -uhat, g_t, -(uw * (et - eh) + (wt - wh) * uhat)
+def _transh_grads(state, h, r, t, pieces, active, sign):
+    """d score / d (head, relation, tail, normal) is (-g_t, -uhat, g_t, -g_w),
+    with uhat the unit residual, g_t = uhat - (uhat.w) w and
+    g_w = (uhat.w) (tail - head) + (wt - wh) uhat."""
+    u, norms, wh, wt = pieces
+    uhat = _safe_unit(u[active], norms[active])
+    e = state.entity_embeddings
+    w = state.normals[r]
+    g_t = uhat * w
+    uw = np.add.reduce(g_t, axis=1, keepdims=True)
+    np.subtract(uhat, np.multiply(uw, w, out=g_t), out=g_t)
+    g_w = e[t]
+    g_w -= e[h]
+    g_w *= uw
+    g_w += np.multiply(wt[active] - wh[active], uhat, out=w)
+    flipped = np.negative(g_t)
+    if sign < 0:
+        return g_t, uhat, flipped, g_w
+    return (flipped, np.negative(uhat, out=uhat), g_t,
+            np.negative(g_w, out=g_w))
 
 
 def _distmult_scores(state, H, R, T):
     e = state.entity_embeddings
-    return np.sum(e[H] * state.relation_embeddings[R] * e[T], axis=1)
+    x = e[H]
+    x *= state.relation_embeddings[R]
+    x *= e[T]
+    return np.add.reduce(x, axis=1), None
 
 
-def _distmult_grads(state, H, R, T):
+def _distmult_grads(state, h, r, t, pieces, active, sign):
+    """d score / d (head, relation, tail) is (rel * tail, head * tail,
+    head * rel); negating one factor negates a product exactly."""
     e = state.entity_embeddings
-    rel = state.relation_embeddings
-    return rel[R] * e[T], e[H] * e[T], e[H] * rel[R], None
+    head, rel, tail = e[h], state.relation_embeddings[r], e[t]
+    if sign < 0:
+        np.negative(rel, out=rel)
+    g_h = rel * tail
+    g_t = np.multiply(head, rel, out=rel)
+    if sign < 0:
+        np.negative(head, out=head)
+    return g_h, np.multiply(head, tail, out=tail), g_t, None
 
 
 def _translation_rows(moving, fixed, rel, as_head):
@@ -162,8 +204,8 @@ def _distmult_rows(state, r, candidates, as_head):
 
 class _Model(NamedTuple):
     name: str
-    scores: Callable  # (state, H, R, T) -> score per triple
-    grads: Callable  # (state, H, R, T) -> d score / d (head, relation, tail, normal)
+    scores: Callable  # (state, H, R, T) -> (score per triple, pieces kept)
+    grads: Callable  # (state, h, r, t, pieces, active, sign) -> see _score_grads
     rows: Callable  # see candidate_scores
     normals: bool  # carries one hyperplane normal per relation
 
@@ -197,14 +239,21 @@ def candidate_scores(
     return state.spec.rows(state, r, candidates, as_head)
 
 
-def _scores_batch(state: BaselineState, H, R, T) -> np.ndarray:
-    return state.spec.scores(state, H, R, T)
+def _scores_batch(state: BaselineState, H, R, T) -> tuple:
+    """The score of each triple, and what its gradient needs: the ids and
+    the pieces the model keeps from scoring."""
+    scores, pieces = state.spec.scores(state, H, R, T)
+    return scores, (H, R, T, pieces)
 
 
-def _score_grads(state: BaselineState, H, R, T):
-    """Per-triple gradients of the score wrt head/relation/tail rows (and
-    normals for transh).  Returns (g_h, g_r, g_t, g_w or None)."""
-    return state.spec.grads(state, H, R, T)
+def _score_grads(state: BaselineState, kept, active: np.ndarray, sign: float):
+    """*sign* times the gradient of each active triple's score wrt its head,
+    relation and tail rows (and its normal, for TransH), from what
+    ``_scores_batch`` kept.  Returns ``(g_h, g_r, g_t, g_w or None)``, one
+    row per active triple; two parts may be one array."""
+    H, R, T, pieces = kept
+    return state.spec.grads(state, H[active], R[active], T[active], pieces,
+                            active, sign)
 
 
 # --- training ----------------------------------------------------------------
@@ -226,18 +275,35 @@ def initialize_baseline(
 
 
 def _hinge_gradient(state: BaselineState, grad: GradientAccumulator,
-                    h, r, t, hn, tn) -> None:
+                    pos, neg, active: np.ndarray) -> None:
     """Add the gradient of sum(score(negative) - score(positive)) over the
-    given triples to *grad*, which is laid out as *state*."""
-    gph, gpr, gpt, gpw = _score_grads(state, h, r, t)
-    gnh, gnr, gnt, gnw = _score_grads(state, hn, r, tn)
-    _add_rows(grad, "entity_embeddings", h, -gph)
-    _add_rows(grad, "entity_embeddings", t, -gpt)
-    _add_rows(grad, "entity_embeddings", hn, gnh)
-    _add_rows(grad, "entity_embeddings", tn, gnt)
-    _add_rows(grad, "relation_embeddings", r, -gpr + gnr)
-    if state.spec.normals:
-        _add_rows(grad, "normals", r, -gpw + gnw)
+    active triples to *grad*, which is laid out as *state*; *pos* and *neg*
+    are what ``_scores_batch`` kept for the two sides."""
+    ph, pr, pt, pw = _score_grads(state, pos, active, -1.0)
+    nh, nr, nt, nw = _score_grads(state, neg, active, 1.0)
+    (H, R, T, _), (Hn, _, Tn, _) = pos, neg
+    for rows, part in ((H, ph), (T, pt), (Hn, nh), (Tn, nt)):
+        _add_rows(grad, "entity_embeddings", rows[active], part)
+    # after the entity parts: a relation part may share their array
+    r = R[active]
+    _add_rows(grad, "relation_embeddings", r, np.add(pr, nr, out=pr))
+    if pw is not None:
+        _add_rows(grad, "normals", r, np.add(pw, nw, out=pw))
+
+
+def _batch_hinge(state: BaselineState, grad: GradientAccumulator,
+                 h, r, t, hn, tn, margin: float) -> np.ndarray:
+    """The hinge max(margin - score(h, r, t) + score(hn, r, tn), 0) of each
+    triple of a batch, scoring each side once.  When a hinge is active,
+    *grad* is overwritten with the gradient of their sum."""
+    s_pos, pos = _scores_batch(state, h, r, t)
+    s_neg, neg = _scores_batch(state, hn, r, tn)
+    hinge = np.maximum(margin - s_pos + s_neg, 0.0)
+    active = hinge > 0.0
+    if active.any():
+        grad.flat.fill(0.0)
+        _hinge_gradient(state, grad, pos, neg, active)
+    return hinge
 
 
 def train_baseline(
@@ -284,22 +350,17 @@ def train_baseline(
             hn[corrupt_head] = repl_h[corrupt_head]
             tn[~corrupt_head] = repl_t[~corrupt_head]
             with np.errstate(all="ignore"):  # non-finite values raise below
-                s_pos = _scores_batch(state, h, r, t)
-                s_neg = _scores_batch(state, hn, r, tn)
-                hinge = np.maximum(margin - s_pos + s_neg, 0.0)
+                hinge = _batch_hinge(state, grad, h, r, t, hn, tn, margin)
                 batch_loss = float(hinge.sum())
                 if not math.isfinite(batch_loss):
                     raise NumericalError(
                         f"non-finite {model} loss in epoch {epoch}; "
                         f"try a smaller learning rate")
                 epoch_loss += batch_loss
-                active = hinge > 0.0
-                if not active.any():
+                if not hinge.any():
                     continue
-                grad.flat.fill(0.0)
-                _hinge_gradient(state, grad, h[active], r[active], t[active],
-                                hn[active], tn[active])
-                state.flat -= (lr / len(idx)) * grad.flat
+                grad.flat *= lr / len(idx)
+                state.flat -= grad.flat
                 if state.spec.normals:
                     _unit_rows(state.normals)
                 if not np.isfinite(state.flat).all():

@@ -170,11 +170,6 @@ def _build_config(args) -> TrainConfig:
     return cfg
 
 
-def _not_a_candidate(held_out: str) -> str:
-    return (f"held-out class {held_out!r} is a normalization helper or a "
-            f"nominal, never a candidate")
-
-
 def _sibling_valid_nf1(train_path: str, onto: NormalizedOntology):
     """Early-stopping data: a valid.el next to the training file, if present.
 
@@ -192,7 +187,7 @@ def _sibling_valid_nf1(train_path: str, onto: NormalizedOntology):
             continue
         if ids[c] not in eligible:
             raise _CliError(f"{path}: validation pair subClassOf({c},{d}) "
-                            f"cannot be ranked: {_not_a_candidate(c)}")
+                            f"cannot be ranked: {ranking.not_a_candidate(c)}")
         valid.append(NF1(ids[c], ids[d]))
     return valid or None
 
@@ -243,7 +238,7 @@ def _load_tests(path: str, name_to_id: dict, candidates, direction: str) -> list
         held_out = name_c if direction == "sub" else name_d
         if name_c == name_d or name_to_id[held_out] not in eligible:
             why = ("a class is never ranked against itself" if name_c == name_d
-                   else _not_a_candidate(held_out))
+                   else ranking.not_a_candidate(held_out))
             raise _CliError(
                 f"test pair subClassOf({name_c},{name_d}) cannot be ranked: {why}"
             )

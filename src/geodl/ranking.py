@@ -43,6 +43,13 @@ def is_nominal_name(name: str) -> bool:
     return bool(_NOMINAL_NAME.match(name))
 
 
+def not_a_candidate(held_out: str) -> str:
+    """Why a pair whose held-out class is named *held_out* cannot be ranked,
+    when that class is not among ``eligible_candidates``."""
+    return (f"held-out class {held_out!r} is a normalization helper or a "
+            f"nominal, never a candidate")
+
+
 def eligible_candidates(class_names: Sequence[str]) -> np.ndarray:
     """Indices of classes that may appear in a ranking candidate list."""
     return np.array(

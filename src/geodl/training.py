@@ -422,6 +422,28 @@ def _batch_gradient(
     return sums, counts
 
 
+def _check_rankable(valid_nf1: Sequence[NF1], classes: list,
+                    candidates: np.ndarray) -> None:
+    """Raise ValueError, naming the classes, for a validation pair that the
+    validation ranking would refuse: its subclass must be a candidate other
+    than its superclass."""
+    eligible = set(candidates.tolist())
+    for ax in valid_nf1:
+        for cid in (ax.c, ax.d):
+            if not 0 <= cid < len(classes):
+                raise ValueError(f"validation pair NF1({ax.c}, {ax.d}) names "
+                                 f"class {cid}, outside [0, {len(classes)})")
+        c, d = classes[ax.c], classes[ax.d]
+        if ax.c == ax.d:
+            why = "a class is never ranked against itself"
+        elif ax.c not in eligible:
+            why = ranking.not_a_candidate(c)
+        else:
+            continue
+        raise ValueError(f"validation pair subClassOf({c},{d}) cannot be "
+                         f"ranked: {why}")
+
+
 def train(
     onto: NormalizedOntology,
     config: TrainConfig,
@@ -432,7 +454,9 @@ def train(
 
     With a validation list, ranks it every 25 epochs, keeps the best
     checkpoint by Hits@10 and stops once `patience` evaluations pass without
-    improvement; otherwise runs all epochs and returns the final state.
+    improvement; otherwise runs all epochs and returns the final state.  A
+    validation pair that cannot be ranked raises ValueError before the first
+    epoch.
     """
     config.validate()
     axioms = list(train_axioms) if train_axioms is not None else list(onto.axioms)
@@ -450,7 +474,10 @@ def train(
         [i for i, name in enumerate(onto.classes) if ranking.is_nominal_name(name)],
         dtype=int,
     )[:, None]
-    candidates = ranking.eligible_candidates(onto.classes) if valid_nf1 else None
+    candidates = None
+    if valid_nf1:
+        candidates = ranking.eligible_candidates(onto.classes)
+        _check_rankable(valid_nf1, onto.classes, candidates)
 
     acc = GradientAccumulator.zeros_like(state)  # zeroed per batch
     log: list[LogRow] = []

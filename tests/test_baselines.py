@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from geodl.baselines import (
     BaselineState,
     MODELS,
     SUBCLASS_RELATION,
-    _hinge_gradient,
+    _batch_hinge,
     _scores_batch,
     baseline_relation_names,
     candidate_scores,
@@ -36,8 +38,9 @@ def make_baseline(rng, model="transe", n_ent=5, n_rel=3, dim=4):
 
 def score(h, r, t, state):
     """The training score of one triple."""
-    return float(_scores_batch(state, np.array([h]), np.array([r]),
-                               np.array([t]))[0])
+    scores, _ = _scores_batch(state, np.array([h]), np.array([r]),
+                              np.array([t]))
+    return float(scores[0])
 
 
 def oracle_score(h, r, t, state):
@@ -156,7 +159,7 @@ def test_scores_match_independent_oracle(model, rng):
     for _ in range(300):
         state = make_baseline(rng, model)
         H, R, T = rng.integers(0, 5, 6), rng.integers(0, 3, 6), rng.integers(0, 5, 6)
-        got = _scores_batch(state, H, R, T)
+        got, _ = _scores_batch(state, H, R, T)
         for i in range(6):
             assert got[i] == oracle_score(H[i], R[i], T[i], state)
 
@@ -175,8 +178,8 @@ def test_vectorized_scoring_matches_scalar(model, rng):
     for i, t in enumerate(everyone):
         assert got[i] == pytest.approx(score(2, 1, t, state), rel=1e-12)
         assert got[i] == pytest.approx(oracle_score(2, 1, t, state), rel=1e-12)
-    got = _scores_batch(state, np.array([0, 1]), np.array([1, 2]),
-                        np.array([3, 4]))
+    got, _ = _scores_batch(state, np.array([0, 1]), np.array([1, 2]),
+                           np.array([3, 4]))
     assert got[0] == pytest.approx(score(0, 1, 3, state), rel=1e-12)
     assert got[1] == pytest.approx(score(1, 2, 4, state), rel=1e-12)
 
@@ -237,46 +240,97 @@ def test_all_models_finite_after_training(rng):
         assert np.isfinite(state.relation_embeddings).all()
 
 
-def test_margin_loss_gradient_matches_fd(rng):
-    """The gradient buffer that training fills, on one batch with repeated
-    head and tail rows, against central differences of the batch hinge loss
-    over every parameter (entities, relations and TransH's normals)."""
-    H = np.array([0, 0, 1, 2]); R = np.array([1, 0, 1, 1])
-    T = np.array([2, 2, 0, 1])
-    Hn = np.array([3, 0, 1, 3]); Tn = np.array([2, 1, 3, 1])
-    margin = 100.0  # far above any reachable score gap: hinge always active
+# one batch with repeated head and tail rows, and a corruption of each triple
+H = np.array([0, 0, 1, 2]); R = np.array([1, 0, 1, 1]); T = np.array([2, 2, 0, 1])
+Hn = np.array([3, 0, 1, 3]); Tn = np.array([2, 1, 3, 1])
+
+
+def batch_hinges(state, margin):
+    pos, _ = _scores_batch(state, H, R, T)
+    neg, _ = _scores_batch(state, Hn, R, Tn)
+    return margin - pos + neg
+
+
+def assert_gradient_matches_fd(state, margin):
+    """The gradient buffer that one training batch fills, against central
+    differences of the batch hinge loss over every parameter (entities,
+    relations and TransH's normals)."""
     step = 1e-6
+
+    def batch_loss():
+        return float(np.maximum(batch_hinges(state, margin), 0.0).sum())
+
+    grad = GradientAccumulator.zeros_like(state)
+    hinge = _batch_hinge(state, grad, H, R, T, Hn, Tn, margin)
+    assert np.array_equal(hinge, np.maximum(batch_hinges(state, margin), 0.0))
+    fd = np.zeros_like(state.flat)
+    for i in range(state.flat.size):
+        orig = state.flat[i]
+        state.flat[i] = orig + step
+        up = batch_loss()
+        state.flat[i] = orig - step
+        down = batch_loss()
+        state.flat[i] = orig
+        fd[i] = (up - down) / (2 * step)
+    assert np.allclose(grad.flat, fd, rtol=1e-5, atol=1e-6), state.model
+
+
+def test_margin_loss_gradient_matches_fd(rng):
+    """Every hinge active: the margin is far above any reachable score gap."""
     for model in MODELS:
         state = make_baseline(rng, model, n_ent=4, n_rel=2, dim=3)
+        assert_gradient_matches_fd(state, 100.0)
 
-        def batch_loss():
-            pos = _scores_batch(state, H, R, T)
-            neg = _scores_batch(state, Hn, R, Tn)
-            return float(np.maximum(margin - pos + neg, 0.0).sum())
 
-        grad = GradientAccumulator.zeros_like(state)
-        _hinge_gradient(state, grad, H, R, T, Hn, Tn)
-        fd = np.zeros_like(state.flat)
-        for i in range(state.flat.size):
-            orig = state.flat[i]
-            state.flat[i] = orig + step
-            up = batch_loss()
-            state.flat[i] = orig - step
-            down = batch_loss()
-            state.flat[i] = orig
-            fd[i] = (up - down) / (2 * step)
-        assert np.allclose(grad.flat, fd, rtol=1e-5, atol=1e-6), model
+@pytest.mark.parametrize("model", MODELS)
+def test_partial_batch_gradient_matches_fd(rng, model):
+    """Some hinges inactive: the gradient comes from the pieces the scoring
+    pass kept, for the active triples only.  The margin lies midway between
+    two score gaps, so no hinge is within 1e-3 of zero and a finite
+    difference step cannot switch one on or off."""
+    state = make_baseline(rng, model, n_ent=4, n_rel=2, dim=3)
+    gaps = np.sort(-batch_hinges(state, 0.0))
+    margin = float(gaps[1] + gaps[2]) / 2
+    hinges = batch_hinges(state, margin)
+    assert np.abs(hinges).min() > 1e-3
+    assert 0 < np.count_nonzero(hinges > 0.0) < len(H)
+    assert_gradient_matches_fd(state, margin)
+
+
+# sha256 of train_baseline's parameter buffer on a 300-class surrogate at
+# margin 0.1 and batch 64, where about 60 % of the hinges are active.
+# Recorded with numpy 2.4 on x86-64; another numpy or BLAS build may round
+# differently.
+GOLDEN_SURROGATE = {
+    "transe": "efefe9d779e9c920597504723e3649640d83c19636fdbf75c5572394244f8832",
+    "transh": "cacba9f2c16eaeabff56642a824486379aded57b3f3fc14c7f2b6ab76b0c48a1",
+    "distmult": "2849aedb6b1cf86736678cdc992127c5b2608c71f1df7dfdd332400869d71153",
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_surrogate_training_bytes_are_pinned(model):
+    """Many batches with partly active hinges write exactly the recorded
+    parameter bytes: a change to the scoring, the gradient, the row scatter
+    or the SGD step that alters any arithmetic fails here."""
+    onto = norm_lines(surrogate_lines(300, seed=0))
+    state = train_baseline(
+        model, extract_triples(onto), num_entities=len(onto.classes),
+        num_relations=len(onto.relations) + 1, dim=50, margin=0.1, lr=0.01,
+        epochs=5, batch_size=64, seed=3)
+    assert hashlib.sha256(state.flat.tobytes()).hexdigest() == (
+        GOLDEN_SURROGATE[model])
 
 
 def test_bench_baseline_train_epoch_2k(benchmark):
     """One TransH epoch over the triples of the seeded 2000-class surrogate
-    at dim 50, batch 512: scoring, score gradients, the row scatter and the
-    SGD step."""
+    at dim 50, batch 512 and margin 0.1, the training configuration's
+    default: scoring, score gradients, the row scatter and the SGD step."""
     onto = norm_lines(surrogate_lines(seed=0))
     triples = extract_triples(onto)
     kwargs = dict(num_entities=len(onto.classes),
                   num_relations=len(onto.relations) + 1, dim=50,
-                  batch_size=512, epochs=1, seed=0)
+                  margin=0.1, batch_size=512, epochs=1, seed=0)
     state = benchmark.pedantic(train_baseline, args=("transh", triples),
                                kwargs=kwargs, rounds=3, iterations=1)
     assert state.entity_embeddings.shape == (2000, 50)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,6 +304,29 @@ def test_validation_early_stopping_and_best_checkpoint():
     evaluated = [row for row in result.log if not np.isnan(row.valid_hits10)]
     assert evaluated, "validation should run every 25 epochs"
     assert result.best_hits10 == max(row.valid_hits10 for row in evaluated)
+
+
+@pytest.mark.parametrize("pair, message", [
+    (("__nf_0", "B"), "'__nf_0' is a normalization helper or a nominal"),
+    (("nominal(x)", "B"), "'nominal(x)' is a normalization helper or a nominal"),
+    (("A", "A"), "never ranked against itself"),
+], ids=["helper", "nominal", "same_class"])
+def test_unrankable_validation_pair_raises_before_training(pair, message):
+    """A validation pair the ranking would refuse raises before the first
+    epoch, naming its classes, not at the first validation pass."""
+    onto = norm_lines(["subClassOf(A,some(R,and(B,C)))",
+                       "subClassOf(nominal(x),B)"])
+    assert "__nf_0" in onto.classes
+    c, d = (onto.class_index[name] for name in pair)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(onto, tiny_config(epochs=0), valid_nf1=[NF1(c, d)])
+
+
+@pytest.mark.parametrize("c", [-1, 2])
+def test_validation_pair_outside_the_class_table_raises(c):
+    onto = norm_lines(["subClassOf(A,B)"])
+    with pytest.raises(ValueError, match=re.escape("outside [0, 2)")):
+        train(onto, tiny_config(epochs=0), valid_nf1=[NF1(c, 1)])
 
 
 def test_non_finite_loss_aborts_with_diagnostic():
