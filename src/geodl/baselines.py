@@ -3,7 +3,7 @@
 Subclass axioms are triple-ized through a reserved ``__subClassOf__``
 relation so the same ranking protocol applies to every model.  All scores
 are "higher is better".  Each model is one row of a table: its batch score,
-its score gradient, its candidate-row function for ranking, and whether it
+its score gradient, its candidate and source rows for ranking, and whether it
 carries relation hyperplane normals (TransH).  A state's parameters live in
 one contiguous buffer laid out by the ball model's ``_FlatBlocks``, and the
 gradient rows are added with ``_add_rows`` into a ``GradientAccumulator`` of
@@ -162,58 +162,54 @@ def _distmult_grads(state, h, r, t, pieces, active, sign):
     return g_h, np.multiply(head, tail, out=tail), g_t, None
 
 
-def _translation_rows(moving, fixed, rel, as_head):
-    """Source -> -||X + rel - fixed(source)|| over the rows X of *moving*
-    when *as_head*, else -||fixed(source) + rel - X||."""
-    buf = np.empty_like(moving)
-    if as_head:
-        np.add(moving, rel, out=moving)
-        return lambda s: -row_norms(np.subtract(moving, fixed(s), out=buf))
-    return lambda s: -row_norms(np.subtract(fixed(s) + rel, moving, out=buf))
+def _translation_sides(moving, fixed, rel, as_head):
+    """Candidate and source rows whose difference is the translation
+    residual: X + rel against fixed(source) when *as_head*, else X against
+    fixed(source) + rel (the residual fixed(source) + rel - X is the negated
+    difference, so its norm has the same bits)."""
+    side = moving if as_head else fixed
+    np.add(side, rel, out=side)
+    return moving, fixed, False
 
 
-def _transe_rows(state, r, candidates, as_head):
+def _transe_sides(state, r, candidates, sources, as_head):
     e = state.entity_embeddings
-    return _translation_rows(
-        e[candidates], lambda s: e[s], state.relation_embeddings[r], as_head)
+    return _translation_sides(e[candidates], e[sources],
+                              state.relation_embeddings[r], as_head)
 
 
-def _transh_rows(state, r, candidates, as_head):
+def _transh_sides(state, r, candidates, sources, as_head):
     e = state.entity_embeddings
     w = state.normals[r]
     # Project every entity, not just the candidates: a matrix-vector product
     # may round a row differently depending on the rows around it, and a
-    # score must not depend on which candidates are asked for.
+    # score must not depend on which candidates are asked for.  For the same
+    # reason each source is projected with its own 1-D dot.
     projected = e - (e @ w)[:, None] * w
-    return _translation_rows(
-        projected[candidates], lambda s: e[s] - (e[s] @ w) * w,
-        state.relation_embeddings[r], as_head)
+    fixed = np.empty((len(sources), e.shape[1]))
+    for k, s in enumerate(sources):
+        fixed[k] = e[s] - (e[s] @ w) * w
+    return _translation_sides(projected[candidates], fixed,
+                              state.relation_embeddings[r], as_head)
 
 
-def _distmult_rows(state, r, candidates, as_head):
+def _distmult_sides(state, r, candidates, sources, as_head):
     e = state.entity_embeddings
-    rel = state.relation_embeddings[r]
-    moving = e[candidates]
-    buf = np.empty_like(moving)
-    if as_head:
-        return lambda s: np.add.reduce(
-            np.multiply(moving, rel * e[s], out=buf), axis=1)
-    return lambda s: np.add.reduce(
-        np.multiply(moving, e[s] * rel, out=buf), axis=1)
+    return e[candidates], state.relation_embeddings[r] * e[sources], True
 
 
 class _Model(NamedTuple):
     name: str
     scores: Callable  # (state, H, R, T) -> (score per triple, pieces kept)
     grads: Callable  # (state, h, r, t, pieces, active, sign) -> see _score_grads
-    rows: Callable  # see candidate_scores
+    sides: Callable  # see ranking_sides
     normals: bool  # carries one hyperplane normal per relation
 
 
 _MODELS = {spec.name: spec for spec in (
-    _Model("transe", _transe_scores, _transe_grads, _transe_rows, False),
-    _Model("transh", _transh_scores, _transh_grads, _transh_rows, True),
-    _Model("distmult", _distmult_scores, _distmult_grads, _distmult_rows, False),
+    _Model("transe", _transe_scores, _transe_grads, _transe_sides, False),
+    _Model("transh", _transh_scores, _transh_grads, _transh_sides, True),
+    _Model("distmult", _distmult_scores, _distmult_grads, _distmult_sides, False),
 )}
 
 MODELS = tuple(_MODELS)
@@ -225,18 +221,17 @@ def _spec(model: str) -> _Model:
     return _MODELS[model]
 
 
-def candidate_scores(
-    state: BaselineState, r: int, candidates: np.ndarray, as_head: bool
-) -> Callable[[int], np.ndarray]:
-    """Source -> scores of (X, r, source) for every candidate X when *as_head*,
-    else of (source, r, X).
-
-    Work that does not depend on the source is done once here: gathering the
-    candidates and, for TransH, projecting them onto the relation's
-    hyperplane.  Each call of the returned function makes one pass over the
-    candidates and returns a new array.
+def ranking_sides(
+    state: BaselineState, r: int, candidates: np.ndarray, sources: np.ndarray,
+    as_head: bool,
+) -> tuple:
+    """``(moving, fixed, product)`` for ranking: one row per candidate and
+    one per source, such that the score of (X, r, source) when *as_head*,
+    else of (source, r, X), is moving . fixed when *product* and minus
+    ||moving - fixed|| otherwise (see ``ranking._Scorer``).  Each row depends
+    only on its own class, not on which others are asked for.  New arrays.
     """
-    return state.spec.rows(state, r, candidates, as_head)
+    return state.spec.sides(state, r, candidates, sources, as_head)
 
 
 def _scores_batch(state: BaselineState, H, R, T) -> tuple:

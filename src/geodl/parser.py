@@ -132,23 +132,6 @@ def concept_to_text(c: Concept) -> str:
     raise TypeError(f"not a concept: {c!r}")
 
 
-def axiom_to_text(ax: RawAxiom) -> str:
-    if isinstance(ax, SubClassOf):
-        return f"subClassOf({concept_to_text(ax.sub)},{concept_to_text(ax.sup)})"
-    if isinstance(ax, EquivalentClasses):
-        return f"equivalentClasses({concept_to_text(ax.a)},{concept_to_text(ax.b)})"
-    raise TypeError(f"not an axiom: {ax!r}")
-
-
-def concept_size(c: Concept) -> int:
-    """Number of nodes in the expression tree."""
-    if isinstance(c, Intersection):
-        return 1 + concept_size(c.left) + concept_size(c.right)
-    if isinstance(c, Existential):
-        return 1 + concept_size(c.filler)
-    return 1
-
-
 class _Cursor:
     """Single-line token cursor with column tracking."""
 

@@ -1,0 +1,164 @@
+"""Test-only reference code that ``src/`` no longer carries.
+
+* The full-row ranking: one score row per distinct source over every
+  candidate, ranked as rank = 1 + #higher + #tied with a smaller class index.
+  ``geodl.ranking`` scores only the candidates its error band cannot decide,
+  and its ranks and errors are checked against these.
+* The parser's round-trip printer and expression-size helper.
+"""
+
+import numpy as np
+
+from geodl.model import NumericalError, row_norms
+from geodl.parser import EquivalentClasses, Existential, Intersection, SubClassOf
+from geodl.parser import concept_to_text
+
+
+# --- full score rows ----------------------------------------------------------
+
+
+def ball_rows(state, candidate_ids, direction, adjust_radius):
+    """Source -> minus the distance of every candidate's center from the
+    source's center (plus the radius slack when *adjust_radius*)."""
+    centers = state.class_centers[candidate_ids]
+    cand_r = np.abs(state.class_radii_raw[candidate_ids]) if adjust_radius else None
+    buf = np.empty_like(centers)
+
+    def row(source):
+        dist = row_norms(np.subtract(centers, state.class_centers[source], out=buf))
+        if adjust_radius:
+            src_r = abs(float(state.class_radii_raw[source]))
+            if direction == "sub":
+                dist = dist + cand_r - src_r  # candidate ball must fit inside source
+            else:
+                dist = dist + src_r - cand_r  # source ball must fit inside candidate
+        return np.negative(dist, out=dist)
+
+    return row
+
+
+def _translation_rows(moving, fixed, rel, as_head):
+    """Source -> -||X + rel - fixed(source)|| over the rows X of *moving*
+    when *as_head*, else -||fixed(source) + rel - X||."""
+    buf = np.empty_like(moving)
+    if as_head:
+        np.add(moving, rel, out=moving)
+        return lambda s: -row_norms(np.subtract(moving, fixed(s), out=buf))
+    return lambda s: -row_norms(np.subtract(fixed(s) + rel, moving, out=buf))
+
+
+def _transe_rows(state, r, candidates, as_head):
+    e = state.entity_embeddings
+    return _translation_rows(
+        e[candidates], lambda s: e[s], state.relation_embeddings[r], as_head)
+
+
+def _transh_rows(state, r, candidates, as_head):
+    e = state.entity_embeddings
+    w = state.normals[r]
+    # Project every entity, not just the candidates: a matrix-vector product
+    # may round a row differently depending on the rows around it, and a
+    # score must not depend on which candidates are asked for.
+    projected = e - (e @ w)[:, None] * w
+    return _translation_rows(
+        projected[candidates], lambda s: e[s] - (e[s] @ w) * w,
+        state.relation_embeddings[r], as_head)
+
+
+def _distmult_rows(state, r, candidates, as_head):
+    e = state.entity_embeddings
+    rel = state.relation_embeddings[r]
+    moving = e[candidates]
+    buf = np.empty_like(moving)
+    if as_head:
+        return lambda s: np.add.reduce(
+            np.multiply(moving, rel * e[s], out=buf), axis=1)
+    return lambda s: np.add.reduce(
+        np.multiply(moving, e[s] * rel, out=buf), axis=1)
+
+
+_BASELINE_ROWS = {"transe": _transe_rows, "transh": _transh_rows,
+                  "distmult": _distmult_rows}
+
+
+def baseline_rows(state, r, candidates, as_head):
+    """Source -> scores of (X, r, source) for every candidate X when
+    *as_head*, else of (source, r, X)."""
+    return _BASELINE_ROWS[state.model](state, r, candidates, as_head)
+
+
+def rank_by_source(tests, candidate_universe, direction, filter_known, score_rows):
+    """Rank of every test's target from one full score row per distinct
+    source, with the target check and error order of ``geodl.ranking``."""
+    if len(tests) == 0:
+        raise ValueError("cannot evaluate an empty test list")
+    ids = np.sort(candidate_universe)
+
+    def roles(ax):
+        return (ax.c, ax.d) if direction == "sub" else (ax.d, ax.c)
+
+    by_source = {}
+    for i, test in enumerate(tests):
+        target, source = roles(test)
+        by_source.setdefault(source, []).append((i, target))
+    known = {}
+    for ax in filter_known or ():
+        target, source = roles(ax)
+        known.setdefault(source, set()).add(target)
+
+    row_of = score_rows(ids)
+    ranks = [0] * len(tests)
+    for source, group in by_source.items():
+        order, targets = zip(*group)
+        pos = np.searchsorted(ids, targets)
+        for p, target in zip(pos, targets):
+            if p == len(ids) or ids[p] != target or target == source:
+                raise ValueError(f"target class {target} is not among the candidates")
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            row = row_of(source)
+        if not np.isfinite(row).all():
+            raise NumericalError(f"non-finite ranking score for source class {source}")
+        own = row[pos]
+        dropped = np.array([source, *known.get(source, ())])
+        at = np.minimum(np.searchsorted(ids, dropped), len(ids) - 1)
+        row[at[ids[at] == dropped]] = -np.inf
+        for i, p, s in zip(order, pos, own):
+            better = np.count_nonzero(row > s)
+            ranks[i] = 1 + int(better + np.count_nonzero(row[:p] == s))
+    return ranks
+
+
+def ball_ranks(tests, state, candidate_universe, direction="sub",
+               adjust_radius=False, filter_known=None):
+    """The ranks ``geodl.ranking.evaluate`` reports, from full rows."""
+    return rank_by_source(
+        tests, candidate_universe, direction, filter_known,
+        lambda ids: ball_rows(state, ids, direction, adjust_radius))
+
+
+def baseline_ranks(tests, state, candidate_universe, direction="sub",
+                   filter_known=None, *, sub_relation):
+    """The ranks ``geodl.ranking.baseline_evaluate`` reports, from full rows."""
+    return rank_by_source(
+        tests, candidate_universe, direction, filter_known,
+        lambda ids: baseline_rows(state, sub_relation, ids, direction == "sub"))
+
+
+# --- parser text helpers ------------------------------------------------------
+
+
+def axiom_to_text(ax):
+    if isinstance(ax, SubClassOf):
+        return f"subClassOf({concept_to_text(ax.sub)},{concept_to_text(ax.sup)})"
+    if isinstance(ax, EquivalentClasses):
+        return f"equivalentClasses({concept_to_text(ax.a)},{concept_to_text(ax.b)})"
+    raise TypeError(f"not an axiom: {ax!r}")
+
+
+def concept_size(c):
+    """Number of nodes in the expression tree."""
+    if isinstance(c, Intersection):
+        return 1 + concept_size(c.left) + concept_size(c.right)
+    if isinstance(c, Existential):
+        return 1 + concept_size(c.filler)
+    return 1

@@ -18,10 +18,11 @@ from conftest import make_state, one_term
 from geodl import model as gm
 from geodl.model import Variant
 from geodl.normalize import NF1, normalize, verify_normal
-from geodl.parser import SubClassOf, concept_size, parse_ontology
+from geodl.parser import SubClassOf, parse_ontology
 from geodl.ranking import eligible_candidates, evaluate
 from geodl.synthetic import hub_spoke_lines, random_raw_lines, surrogate_lines
 from geodl.training import SplitSpec, TrainConfig, mean_hinge, split, train
+from reference import concept_size
 
 from test_gradients import (
     _build_disjoint,

@@ -11,7 +11,6 @@ from geodl.baselines import (
     _batch_hinge,
     _scores_batch,
     baseline_relation_names,
-    candidate_scores,
     extract_triples,
     initialize_baseline,
     load_baseline,
@@ -21,6 +20,7 @@ from geodl.baselines import (
 from geodl.model import GradientAccumulator
 from geodl.normalize import normalize
 from geodl.parser import parse_ontology
+from geodl.ranking import _baseline_scorer
 from geodl.synthetic import surrogate_lines
 
 
@@ -34,6 +34,12 @@ def make_baseline(rng, model="transe", n_ent=5, n_rel=3, dim=4):
     state.entity_embeddings[:] = rng.uniform(-2, 2, size=(n_ent, dim))
     state.relation_embeddings[:] = rng.uniform(-2, 2, size=(n_rel, dim))
     return state
+
+
+def ranking_scores(state, r, candidates, source, as_head):
+    """The exact ranking scores of *source* against every candidate."""
+    scorer = _baseline_scorer(state, r, candidates, np.array([source]), as_head)
+    return scorer.exact(0, np.arange(len(candidates)))
 
 
 def score(h, r, t, state):
@@ -170,11 +176,11 @@ def test_vectorized_scoring_matches_scalar(model, rng):
     with the score of each triple taken on its own and with the oracle."""
     state = make_baseline(rng, model, n_ent=8)
     everyone = np.arange(8)
-    got = candidate_scores(state, 1, everyone, as_head=True)(3)
+    got = ranking_scores(state, 1, everyone, 3, as_head=True)
     for i, h in enumerate(everyone):
         assert got[i] == pytest.approx(score(h, 1, 3, state), rel=1e-12)
         assert got[i] == pytest.approx(oracle_score(h, 1, 3, state), rel=1e-12)
-    got = candidate_scores(state, 1, everyone, as_head=False)(2)
+    got = ranking_scores(state, 1, everyone, 2, as_head=False)
     for i, t in enumerate(everyone):
         assert got[i] == pytest.approx(score(2, 1, t, state), rel=1e-12)
         assert got[i] == pytest.approx(oracle_score(2, 1, t, state), rel=1e-12)

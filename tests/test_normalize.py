@@ -14,9 +14,10 @@ from geodl.normalize import (
     normalize,
     verify_normal,
 )
-from geodl.parser import concept_size, parse_ontology, SubClassOf
+from geodl.parser import parse_ontology, SubClassOf
 from geodl.ranking import is_fresh_name, is_nominal_name
 from geodl.synthetic import random_raw_lines
+from reference import concept_size
 
 
 def norm_lines(lines):

