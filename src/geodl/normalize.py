@@ -151,7 +151,7 @@ class _Normalizer:
         self._defined: set[tuple[str, str]] = set()
 
     def class_id(self, c: Concept) -> int:
-        key = concept_to_text(c)
+        key = c.name if type(c) is Atomic else concept_to_text(c)
         idx = self.class_index.get(key)
         if idx is None:
             idx = len(self.classes)

@@ -18,17 +18,22 @@ in-memory representation has a single canonical form for disjointness.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 DEFAULT_MAX_DEPTH = 64
 
-_FORBIDDEN_IN_NAMES = set("(),#")
+# A name, or one character of punctuation; whitespace separates tokens.
+_TOKEN = re.compile(r"[^\s(),#]+|\S")
+_NAME_BREAK = re.compile(r"[\s(),#]")
+_NOT_NAMES = frozenset(("(", ")", ",", "#", ""))
 _RESERVED = ("top", "bottom")
 
 
 class ParseError(Exception):
-    """Syntax or nesting error, with 1-based line/column of the offence."""
+    """Syntax or nesting error at the 1-based line and column of the offence,
+    counted in the line as given, before comment cutting or stripping."""
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {message}")
@@ -39,7 +44,7 @@ class ParseError(Exception):
 def _check_name(name: str, what: str) -> None:
     if not name:
         raise ValueError(f"{what} must be non-empty")
-    if any(ch.isspace() or ch in _FORBIDDEN_IN_NAMES for ch in name):
+    if _NAME_BREAK.search(name):
         raise ValueError(f"{what} {name!r} contains whitespace, parens, comma or '#'")
 
 
@@ -133,53 +138,52 @@ def concept_to_text(c: Concept) -> str:
 
 
 class _Cursor:
-    """Single-line token cursor with column tracking."""
+    """Recursive descent over one line's tokens; columns are found on error."""
 
     def __init__(self, text: str, line: int, max_depth: int):
         self.text = text
-        self.pos = 0
+        self.tokens = _TOKEN.findall(text) + [""]  # "" marks the end of the line
+        self.i = 0
         self.line = line
         self.max_depth = max_depth
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.pos + 1)
+    def offset(self, after: bool = False) -> int:
+        """Where the next token starts, or where the previous one ends; an
+        error at the end of the line points one past its last non-blank."""
+        spans = [m.span() for m in _TOKEN.finditer(self.text)]
+        if after or self.i == len(spans):
+            return spans[self.i - 1][1] if self.i else 0
+        return spans[self.i][0]
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error(self, message: str, after: bool = False) -> ParseError:
+        return ParseError(message, self.line, self.offset(after) + 1)
 
     def expect(self, ch: str) -> None:
-        got = self.peek()
+        got = self.tokens[self.i]
         if got != ch:
-            shown = repr(got) if got else "end of line"
+            shown = repr(got[0]) if got else "end of line"
             raise self.error(f"expected {ch!r}, found {shown}")
-        self.pos += 1
+        self.i += 1
 
     def name(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace() or ch in _FORBIDDEN_IN_NAMES:
-                break
-            self.pos += 1
-        if self.pos == start:
-            got = self.text[start] if start < len(self.text) else ""
-            shown = repr(got) if got else "end of line"
+        tok = self.tokens[self.i]
+        if tok in _NOT_NAMES:
+            shown = repr(tok) if tok else "end of line"
             raise self.error(f"expected a name, found {shown}")
-        return self.text[start:self.pos]
+        self.i += 1
+        return tok
 
-    def at_end(self) -> bool:
-        self._skip_ws()
-        return self.pos >= len(self.text)
+    def end(self, parsed):
+        """*parsed*, if nothing follows it on the line."""
+        if self.tokens[self.i]:
+            rest = self.text[self.offset():].strip()
+            raise self.error(f"trailing input {rest!r}")
+        return parsed
 
     def concept(self, depth: int = 0) -> Concept:
         if depth >= self.max_depth:
-            raise self.error(f"nesting deeper than the limit of {self.max_depth}")
+            raise self.error(f"nesting deeper than the limit of {self.max_depth}",
+                             after=True)
         tok = self.name()
         if tok == "top":
             return TOP
@@ -187,8 +191,8 @@ class _Cursor:
             return BOTTOM
         # Keyword heads are only special when a '(' follows; otherwise they
         # are ordinary names.
-        if self.peek() == "(" and tok in ("and", "some", "nominal"):
-            self.expect("(")
+        if self.tokens[self.i] == "(" and tok in ("and", "some", "nominal"):
+            self.i += 1
             if tok == "nominal":
                 individual = self.name()
                 self.expect(")")
@@ -210,7 +214,8 @@ class _Cursor:
         head = self.name()
         if head not in ("subClassOf", "equivalentClasses", "disjointWith"):
             raise self.error(
-                f"expected subClassOf, equivalentClasses or disjointWith, found {head!r}"
+                f"expected subClassOf, equivalentClasses or disjointWith, found {head!r}",
+                after=True,
             )
         self.expect("(")
         first = self.concept(1)
@@ -226,18 +231,12 @@ class _Cursor:
 
 def parse_concept(text: str, max_depth: int = DEFAULT_MAX_DEPTH, line: int = 1) -> Concept:
     cur = _Cursor(text, line, max_depth)
-    c = cur.concept()
-    if not cur.at_end():
-        raise cur.error(f"trailing input {cur.text[cur.pos:].strip()!r}")
-    return c
+    return cur.end(cur.concept())
 
 
 def parse_axiom(text: str, max_depth: int = DEFAULT_MAX_DEPTH, line: int = 1) -> RawAxiom:
     cur = _Cursor(text, line, max_depth)
-    ax = cur.axiom()
-    if not cur.at_end():
-        raise cur.error(f"trailing input {cur.text[cur.pos:].strip()!r}")
-    return ax
+    return cur.end(cur.axiom())
 
 
 def _collect_names(c: Concept, classes: set, relations: set, individuals: set) -> None:
@@ -279,8 +278,7 @@ def parse_ontology(
     """
     axioms: list[RawAxiom] = []
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        axioms.append(parse_axiom(stripped, max_depth=max_depth, line=lineno))
+        text = raw.split("#", 1)[0]
+        if text.strip():
+            axioms.append(parse_axiom(text, max_depth=max_depth, line=lineno))
     return axioms, compute_stats(axioms)

@@ -4,14 +4,27 @@
   candidate, ranked as rank = 1 + #higher + #tied with a smaller class index.
   ``geodl.ranking`` scores only the candidates its error band cannot decide,
   and its ranks and errors are checked against these.
+* The character-by-character parser cursor that ``geodl.parser`` replaced
+  with one tokenizer pass per line, and its name-character rule.  The
+  parser's ASTs and error messages are checked against these.
 * The parser's round-trip printer and expression-size helper.
 """
 
 import numpy as np
 
 from geodl.model import NumericalError, row_norms
-from geodl.parser import EquivalentClasses, Existential, Intersection, SubClassOf
-from geodl.parser import concept_to_text
+from geodl.parser import (
+    BOTTOM,
+    TOP,
+    Atomic,
+    EquivalentClasses,
+    Existential,
+    Intersection,
+    Nominal,
+    ParseError,
+    SubClassOf,
+    concept_to_text,
+)
 
 
 # --- full score rows ----------------------------------------------------------
@@ -142,6 +155,120 @@ def baseline_ranks(tests, state, candidate_universe, direction="sub",
     return rank_by_source(
         tests, candidate_universe, direction, filter_known,
         lambda ids: baseline_rows(state, sub_relation, ids, direction == "sub"))
+
+
+# --- character cursor parser -------------------------------------------------
+
+FORBIDDEN_IN_NAMES = set("(),#")
+
+
+def name_char_rejected(ch):
+    """The name rule before the tokenizer: whitespace or one of ``(),#``."""
+    return ch.isspace() or ch in FORBIDDEN_IN_NAMES
+
+
+class Cursor:
+    """Single-line cursor that skips whitespace and scans names one
+    character at a time; columns count from the start of *text*."""
+
+    def __init__(self, text, line, max_depth):
+        self.text = text
+        self.pos = 0
+        self.line = line
+        self.max_depth = max_depth
+
+    def error(self, message):
+        return ParseError(message, self.line, self.pos + 1)
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self._skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        got = self.peek()
+        if got != ch:
+            shown = repr(got) if got else "end of line"
+            raise self.error(f"expected {ch!r}, found {shown}")
+        self.pos += 1
+
+    def name(self):
+        self._skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and not name_char_rejected(self.text[self.pos]):
+            self.pos += 1
+        if self.pos == start:
+            got = self.text[start] if start < len(self.text) else ""
+            shown = repr(got) if got else "end of line"
+            raise self.error(f"expected a name, found {shown}")
+        return self.text[start:self.pos]
+
+    def at_end(self):
+        self._skip_ws()
+        return self.pos >= len(self.text)
+
+    def concept(self, depth=0):
+        if depth >= self.max_depth:
+            raise self.error(f"nesting deeper than the limit of {self.max_depth}")
+        tok = self.name()
+        if tok == "top":
+            return TOP
+        if tok == "bottom":
+            return BOTTOM
+        if self.peek() == "(" and tok in ("and", "some", "nominal"):
+            self.expect("(")
+            if tok == "nominal":
+                individual = self.name()
+                self.expect(")")
+                return Nominal(individual)
+            if tok == "some":
+                role = self.name()
+                self.expect(",")
+                filler = self.concept(depth + 1)
+                self.expect(")")
+                return Existential(role, filler)
+            left = self.concept(depth + 1)
+            self.expect(",")
+            right = self.concept(depth + 1)
+            self.expect(")")
+            return Intersection(left, right)
+        return Atomic(tok)
+
+    def axiom(self):
+        head = self.name()
+        if head not in ("subClassOf", "equivalentClasses", "disjointWith"):
+            raise self.error(
+                f"expected subClassOf, equivalentClasses or disjointWith, found {head!r}"
+            )
+        self.expect("(")
+        first = self.concept(1)
+        self.expect(",")
+        second = self.concept(1)
+        self.expect(")")
+        if head == "subClassOf":
+            return SubClassOf(first, second)
+        if head == "equivalentClasses":
+            return EquivalentClasses(first, second)
+        return SubClassOf(Intersection(first, second), BOTTOM)
+
+
+def _parse_whole(text, max_depth, line, rule):
+    cur = Cursor(text, line, max_depth)
+    result = rule(cur)
+    if not cur.at_end():
+        raise cur.error(f"trailing input {cur.text[cur.pos:].strip()!r}")
+    return result
+
+
+def parse_concept(text, max_depth=64, line=1):
+    return _parse_whole(text, max_depth, line, Cursor.concept)
+
+
+def parse_axiom(text, max_depth=64, line=1):
+    return _parse_whole(text, max_depth, line, Cursor.axiom)
 
 
 # --- parser text helpers ------------------------------------------------------

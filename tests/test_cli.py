@@ -233,6 +233,25 @@ def test_parse_error_names_its_file(tmp_path, capsys, broken):
                    f"expected a name, found '('"]
 
 
+def test_parse_error_column_is_position_in_file_line(tmp_path, capsys):
+    """An indented broken line in the --filtered file reports the column of
+    the offence in the file's line, indent included."""
+    train_file = tmp_path / "train.el"
+    train_file.write_text("\n".join(GALEN_ISH) + "\n")
+    test_file = tmp_path / "test.el"
+    test_file.write_text("subClassOf(Cat,Mammal)\n")
+    known = tmp_path / "known.el"
+    known.write_text("subClassOf(Cat,Mammal)\n\t  subClassOf(Cat,(Dog))  # broken\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=4\nepochs=2\n")
+    model = str(tmp_path / "m.tsv")
+    assert run(["train", "--config", str(cfg), str(train_file), model]) == 0
+    assert run(["eval", "--filtered", str(known), model, str(test_file),
+                str(tmp_path / "r.tsv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"geodl: parse error: {known}: line 2, col 19: expected a name, found '('"]
+
+
 def test_split_nan_fraction_exits_1(tmp_path, fixture_file, capsys):
     # NaN passed every comparison in the checks, then failed in the split
     assert run(["split", fixture_file, str(tmp_path / "s"),

@@ -1,6 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import reference
+from geodl.normalize import normalize
 from geodl.parser import (
     Atomic,
     BOTTOM,
@@ -12,12 +14,14 @@ from geodl.parser import (
     ParseError,
     SubClassOf,
     TOP,
+    _check_name,
     compute_stats,
     concept_to_text,
     parse_axiom,
     parse_concept,
     parse_ontology,
 )
+from geodl.synthetic import surrogate_lines
 from reference import axiom_to_text, concept_size
 
 
@@ -189,3 +193,140 @@ def test_stats_counts_distinct_entities():
     stats = compute_stats(axioms)
     assert stats.class_count == 2
     assert stats.relation_count == 1
+
+
+# --- error columns are positions in the file's line ---------------------------
+
+
+@pytest.mark.parametrize("line, message", [
+    ("   subClassOf(A,)", "col 17: expected a name, found ')'"),
+    ("\tsubClassOf(A,B  \u3000 # no closing paren",
+     "col 16: expected ')', found end of line"),
+    (" subClassOf(A,B) C\u00a0 # note", "col 18: trailing input 'C'"),
+], ids=["indent", "end-of-line", "trailing"])
+def test_error_column_is_position_in_file_line(line, message):
+    with pytest.raises(ParseError) as err:
+        parse_ontology(["subClassOf(A,B)", line])
+    assert str(err.value) == f"line 2, {message}"
+
+
+# --- the token cursor against the character cursor it replaced ----------------
+
+_SEPARATORS = st.sampled_from(
+    ["", "", " ", "  ", "\t", "\u00a0", "\u3000", "\u2003", "\x1c", "\x85"])
+# names include the keywords, which are names unless a '(' follows
+_NAMES = st.sampled_from(["A", "Cat", "r", "x_1", "\u00e9t\u00e9", "and", "some",
+                          "nominal"])
+_WORDS = st.one_of(_NAMES, st.sampled_from([
+    "top", "bottom", "and(", "some(", "nominal(", "top(", "bottom(",
+    "subClassOf", "equivalentClasses(", "disjointWith", "(", ")", ",", "#",
+]))
+_HEADS = st.sampled_from(["subClassOf", "equivalentClasses", "disjointWith"])
+_TREES = st.recursive(
+    st.one_of(_NAMES.map(Atomic), st.sampled_from([TOP, BOTTOM]), _NAMES.map(Nominal)),
+    lambda children: st.one_of(
+        st.tuples(children, children).map(lambda p: Intersection(*p)),
+        st.tuples(_NAMES, children).map(lambda p: Existential(*p)),
+    ),
+    max_leaves=8,
+)
+
+
+def _tokens(c):
+    if isinstance(c, Intersection):
+        return ["and", "(", *_tokens(c.left), ",", *_tokens(c.right), ")"]
+    if isinstance(c, Existential):
+        return ["some", "(", c.role, ",", *_tokens(c.filler), ")"]
+    if isinstance(c, Nominal):
+        return ["nominal", "(", c.individual, ")"]
+    return [concept_to_text(c)]
+
+
+@st.composite
+def _lines(draw):
+    """An axiom's tokens with a few dropped or inserted, or a token soup,
+    joined by whitespace runs that may be empty."""
+    if draw(st.integers(0, 3)) == 0:
+        toks = draw(st.lists(_WORDS, max_size=12))
+    else:
+        toks = [draw(_HEADS), "(", *_tokens(draw(_TREES)), ",",
+                *_tokens(draw(_TREES)), ")"]
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(0, len(toks)))
+            if k < len(toks) and draw(st.booleans()):
+                del toks[k]
+            else:
+                toks.insert(k, draw(_WORDS))
+    seps = draw(st.lists(_SEPARATORS, min_size=len(toks) + 1, max_size=len(toks) + 1))
+    return "".join(sep + tok for sep, tok in zip(seps, toks)) + seps[-1]
+
+
+def _outcome(parse, text, **kwargs):
+    try:
+        return parse(text, **kwargs)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+def _first_axiom(raw, max_depth):
+    return parse_ontology([raw], max_depth=max_depth)[0][0]
+
+
+@settings(max_examples=400)
+@given(_lines(), st.one_of(st.integers(0, 6), st.just(64)),
+       st.sampled_from(["", "  ", "\u3000"]), st.sampled_from(["", " # note", "#"]))
+def test_token_cursor_matches_character_cursor(line, max_depth, indent, comment):
+    """On stripped text both cursors give equal trees or equal errors; in a
+    file, an error column is the stripped text's column plus the indent."""
+    text = line.strip()
+    for ours, theirs in ((parse_axiom, reference.parse_axiom),
+                         (parse_concept, reference.parse_concept)):
+        expected = _outcome(theirs, text, max_depth=max_depth, line=3)
+        assert _outcome(ours, text, max_depth=max_depth, line=3) == expected
+    raw = indent + line + comment
+    cut = raw.split("#", 1)[0]
+    if not cut.strip() or max_depth == 0:
+        return
+    lead = len(cut) - len(cut.lstrip())
+    expected = _outcome(reference.parse_axiom, cut.strip(), max_depth=max_depth)
+    got = _outcome(_first_axiom, raw, max_depth=max_depth)
+    if isinstance(expected, tuple):
+        message = expected[0].split(": ", 1)[1]
+        col = expected[2] + lead
+        expected = (f"line 1, col {col}: {message}", 1, col)
+    assert got == expected
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.text(st.characters(exclude_categories=())), _lines()),
+                max_size=4),
+       st.integers(0, 8))
+def test_parse_ontology_raises_only_parse_error(lines, max_depth):
+    try:
+        axioms, stats = parse_ontology(lines, max_depth=max_depth)
+    except ParseError as exc:
+        assert 1 <= exc.line <= len(lines) and exc.col >= 1
+    else:
+        assert stats.axiom_count == len(axioms) <= len(lines)
+
+
+def test_check_name_rejects_exactly_the_old_rule():
+    rejected = []
+    for cp in range(0x110000):
+        try:
+            _check_name(chr(cp), "name")
+        except ValueError:
+            rejected.append(cp)
+    assert rejected == [cp for cp in range(0x110000)
+                        if reference.name_char_rejected(chr(cp))]
+
+
+# --- read time, shown in the benchmark table of every test run ----------------
+
+
+def test_bench_parse_normalize_2k(benchmark):
+    """Reading the seeded 2000-class surrogate: parse, then normalize."""
+    lines = surrogate_lines(2000, seed=0)
+    onto = benchmark.pedantic(lambda: normalize(parse_ontology(lines)[0]),
+                              rounds=5, iterations=1)
+    assert len(onto.classes) >= 2000
