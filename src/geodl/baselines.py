@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .model import (
     _unit_rows, read_model_file, row_norms, write_rows,
 )
 from .normalize import NF1, NF3, NF4, NormalizedOntology
+
+if TYPE_CHECKING:  # training imports ranking, which imports this module
+    from .training import TrainConfig
 
 SUBCLASS_RELATION = "__subClassOf__"
 
@@ -302,38 +305,31 @@ def _batch_hinge(state: BaselineState, grad: GradientAccumulator,
 
 
 def train_baseline(
-    model: str,
-    triples,
-    *,
-    num_entities: int,
-    num_relations: int,
-    dim: int = 50,
-    margin: float = 1.0,
-    lr: float = 0.01,
-    epochs: int = 100,
-    batch_size: int = 512,
-    seed: int = 42,
-    loss_log: Optional[list] = None,
-) -> BaselineState:
+    model: str, triples, num_entities: int, num_relations: int,
+    config: TrainConfig,
+) -> tuple[BaselineState, list[float]]:
     """Margin ranking over uniformly corrupted heads/tails, plain SGD, on
-    ``[n, 3]`` (head, relation, tail) triples.  A non-finite hinge or
-    parameter raises ``NumericalError``."""
+    ``[n, 3]`` (head, relation, tail) triples.  Of the validated *config* it
+    reads ``dim``, ``margin``, ``lr``, ``epochs``, ``batch_size`` and
+    ``seed``.  Returns the trained state and the mean hinge per triple of
+    each epoch.  A non-finite hinge or parameter raises ``NumericalError``."""
     if len(triples) == 0:
         raise ValueError("cannot train a baseline on an empty triple list")
-    if dim < 1 or lr <= 0.0 or batch_size < 1 or epochs < 0:
-        raise ValueError("invalid baseline training configuration")
+    config.validate()
     if num_entities < 2:
         raise ValueError("need at least 2 entities to draw corrupted triples")
-    rng = np.random.default_rng(seed)
-    state = initialize_baseline(model, num_entities, num_relations, dim, rng)
+    rng = np.random.default_rng(config.seed)
+    state = initialize_baseline(
+        model, num_entities, num_relations, config.dim, rng)
     grad = GradientAccumulator.zeros_like(state)
     H, R, T = np.asarray(triples, dtype=int).T
     n = len(H)
-    for epoch in range(epochs):
+    losses = []
+    for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
             h, r, t = H[idx], R[idx], T[idx]
             # uniform corruption of head or tail, never reproducing the original
             corrupt_head = rng.random(len(idx)) < 0.5
@@ -345,7 +341,8 @@ def train_baseline(
             hn[corrupt_head] = repl_h[corrupt_head]
             tn[~corrupt_head] = repl_t[~corrupt_head]
             with np.errstate(all="ignore"):  # non-finite values raise below
-                hinge = _batch_hinge(state, grad, h, r, t, hn, tn, margin)
+                hinge = _batch_hinge(state, grad, h, r, t, hn, tn,
+                                     config.margin)
                 batch_loss = float(hinge.sum())
                 if not math.isfinite(batch_loss):
                     raise NumericalError(
@@ -354,7 +351,7 @@ def train_baseline(
                 epoch_loss += batch_loss
                 if not hinge.any():
                     continue
-                grad.flat *= lr / len(idx)
+                grad.flat *= config.lr / len(idx)
                 state.flat -= grad.flat
                 if state.spec.normals:
                     _unit_rows(state.normals)
@@ -362,9 +359,8 @@ def train_baseline(
                     raise NumericalError(
                         f"non-finite {model} parameter in epoch {epoch}; "
                         f"try a smaller learning rate")
-        if loss_log is not None:
-            loss_log.append(epoch_loss / n)
-    return state
+        losses.append(epoch_loss / n)
+    return state, losses
 
 
 # --- persistence -----------------------------------------------------------

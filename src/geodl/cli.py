@@ -64,12 +64,20 @@ def _load_normalized(path: str) -> NormalizedOntology:
     return normalize(_parse(path)[0])
 
 
-def _subclass_pairs(path: str) -> list:
-    """The (sub, super) class names of the normalized subclass axioms of
-    *path*, in file order."""
+def _subclass_pairs(path: str, name_to_id: dict):
+    """``(sub name, super name, NF1 of their ids in name_to_id)`` for each
+    normalized subclass axiom of *path*, in file order; the NF1 is None when
+    a name is not in *name_to_id*.  A pair through a helper that normalizing
+    *path* made is skipped: the name means nothing outside the file."""
     onto = _load_normalized(path)
-    return [(onto.classes[ax.c], onto.classes[ax.d])
-            for ax in onto.axioms if isinstance(ax, NF1)]
+    for ax in onto.axioms:
+        if not isinstance(ax, NF1):
+            continue
+        c, d = onto.classes[ax.c], onto.classes[ax.d]
+        if c in onto.fresh_definitions or d in onto.fresh_definitions:
+            continue
+        ids = (name_to_id.get(c), name_to_id.get(d))
+        yield c, d, None if None in ids else NF1(*ids)
 
 
 def _write_axiom_file(path: str, header: list, lines: list) -> None:
@@ -170,43 +178,43 @@ def _build_config(args) -> TrainConfig:
     return cfg
 
 
-def _sibling_valid_nf1(train_path: str, onto: NormalizedOntology):
-    """Early-stopping data: a valid.el next to the training file, if present.
+def _sibling_valid(train_path: str) -> Optional[str]:
+    """The valid.el next to the training file, if there is one."""
+    path = os.path.join(os.path.dirname(os.path.abspath(train_path)), "valid.el")
+    if not os.path.isfile(path) or path == os.path.abspath(train_path):
+        return None
+    return path
+
+
+def _valid_nf1(path: str, onto: NormalizedOntology):
+    """Early-stopping data from the sibling valid.el *path*.
 
     Pairs of one class with itself and pairs naming a class absent from
     training are dropped; a pair whose subclass can never be a candidate is
     refused before training starts."""
-    path = os.path.join(os.path.dirname(os.path.abspath(train_path)), "valid.el")
-    if not os.path.isfile(path) or path == os.path.abspath(train_path):
-        return None
-    ids = onto.class_index
-    eligible = set(ranking.eligible_candidates(onto.classes).tolist())
     valid = []
-    for c, d in _subclass_pairs(path):
-        if c == d or c not in ids or d not in ids:
+    for c, d, ax in _subclass_pairs(path, onto.class_index):
+        if ax is None or c == d:
             continue
-        if ids[c] not in eligible:
-            raise _CliError(f"{path}: validation pair subClassOf({c},{d}) "
-                            f"cannot be ranked: {ranking.not_a_candidate(c)}")
-        valid.append(NF1(ids[c], ids[d]))
+        why = ranking.unrankable(onto.classes, ax.c, ax.d)
+        if why:
+            raise _CliError(f"{path}: validation pair {why}")
+        valid.append(ax)
     return valid or None
 
 
 def cmd_train(args) -> int:
     log_out = args.log_out or f"{args.model_out}.log.tsv"
-    _check_distinct([args.train_file, args.config], [args.model_out, log_out])
+    valid_path = _sibling_valid(args.train_file)
+    _check_distinct([args.train_file, args.config, valid_path],
+                    [args.model_out, log_out])
     cfg = _build_config(args)
     onto = _load_normalized(args.train_file)
 
     if args.model:
-        triples = baselines.extract_triples(onto)
-        loss_log: list = []
-        state = baselines.train_baseline(
-            args.model, triples,
-            num_entities=len(onto.classes),
-            num_relations=len(onto.relations) + 1,
-            dim=cfg.dim, margin=cfg.margin, lr=cfg.lr, epochs=cfg.epochs,
-            batch_size=cfg.batch_size, seed=cfg.seed, loss_log=loss_log,
+        state, losses = baselines.train_baseline(
+            args.model, baselines.extract_triples(onto), len(onto.classes),
+            len(onto.relations) + 1, cfg,
         )
         baselines.save_baseline(
             args.model_out, state, onto.classes,
@@ -214,11 +222,11 @@ def cmd_train(args) -> int:
         )
         with open(log_out, "w", encoding="utf-8") as fh:
             fh.write("epoch\ttotal_loss\n")
-            for epoch, loss in enumerate(loss_log):
+            for epoch, loss in enumerate(losses):
                 fh.write(f"{epoch}\t{loss:.10g}\n")
         return 0
 
-    valid_nf1 = _sibling_valid_nf1(args.train_file, onto)
+    valid_nf1 = _valid_nf1(valid_path, onto) if valid_path else None
     result = training.train(onto, cfg, valid_nf1=valid_nf1)
     gm.save_model(args.model_out, result.state, onto.classes, onto.relations,
                   cfg.variant, cfg.margin)
@@ -226,31 +234,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_tests(path: str, name_to_id: dict, candidates, direction: str) -> list:
-    eligible = set(candidates.tolist())
+def _load_tests(path: str, names: list, name_to_id: dict, direction: str) -> list:
     tests = []
-    for name_c, name_d in _subclass_pairs(path):
-        for name in (name_c, name_d):
-            if name not in name_to_id:
-                raise _CliError(
-                    f"test class {name!r} has no embedding in the model"
-                )
-        held_out = name_c if direction == "sub" else name_d
-        if name_c == name_d or name_to_id[held_out] not in eligible:
-            why = ("a class is never ranked against itself" if name_c == name_d
-                   else ranking.not_a_candidate(held_out))
-            raise _CliError(
-                f"test pair subClassOf({name_c},{name_d}) cannot be ranked: {why}"
-            )
-        tests.append(NF1(name_to_id[name_c], name_to_id[name_d]))
+    for c, d, ax in _subclass_pairs(path, name_to_id):
+        if ax is None:
+            missing = c if c not in name_to_id else d
+            raise _CliError(f"test class {missing!r} has no embedding in the model")
+        why = ranking.unrankable(names, ax.c, ax.d, direction)
+        if why:
+            raise _CliError(f"test pair {why}")
+        tests.append(ax)
     if not tests:
         raise _CliError(f"no subclass test axioms found in {path}")
     return tests
-
-
-def _load_known(path: str, name_to_id: dict) -> list:
-    return [NF1(name_to_id[c], name_to_id[d]) for c, d in _subclass_pairs(path)
-            if c in name_to_id and d in name_to_id]
 
 
 def cmd_eval(args) -> int:
@@ -273,8 +269,10 @@ def cmd_eval(args) -> int:
         raise _CliError(f"{args.model_in}: not a geodl model or baseline file")
     name_to_id = {name: i for i, name in enumerate(names)}
     candidates = ranking.eligible_candidates(names)
-    tests = _load_tests(args.test_file, name_to_id, candidates, args.direction)
-    known = _load_known(args.filtered, name_to_id) if args.filtered else None
+    tests = _load_tests(args.test_file, names, name_to_id, args.direction)
+    known = None
+    if args.filtered:
+        known = [ax for _, _, ax in _subclass_pairs(args.filtered, name_to_id) if ax]
     if isinstance(saved, gm.SavedModel):
         report = ranking.evaluate(
             tests, saved.state, candidates, direction=args.direction,

@@ -124,7 +124,6 @@ class NormalizedOntology:
     classes: list[str]  # class names, in id order
     relations: list[str]  # relation names, in id order
     class_index: dict[str, int] = field(default_factory=dict)
-    relation_index: dict[str, int] = field(default_factory=dict)
     # fresh class name -> canonical text of the sub-expression it stands for
     fresh_definitions: dict[str, str] = field(default_factory=dict)
 
@@ -292,7 +291,6 @@ def normalize(axioms: list[RawAxiom]) -> NormalizedOntology:
         classes=norm.classes,
         relations=norm.relations,
         class_index=norm.class_index,
-        relation_index=norm.relation_index,
         fresh_definitions=norm.fresh_definitions,
     )
 

@@ -102,21 +102,32 @@ def is_nominal_name(name: str) -> bool:
     return bool(_NOMINAL_NAME.match(name))
 
 
-def not_a_candidate(held_out: str) -> str:
-    """Why a pair whose held-out class is named *held_out* cannot be ranked,
-    when that class is not among ``eligible_candidates``."""
-    return (f"held-out class {held_out!r} is a normalization helper or a "
-            f"nominal, never a candidate")
+def _is_candidate(name: str) -> bool:
+    return not is_fresh_name(name) and not is_nominal_name(name)
+
+
+def unrankable(class_names: Sequence[str], sub: int, sup: int,
+               direction: str = "sub") -> Optional[str]:
+    """``subClassOf(C,D) cannot be ranked: <why>`` for the pair of class ids
+    *sub* <= *sup*, or None when the pair can be ranked in *direction*: its
+    two classes differ and its held-out class (the subclass for "sub", the
+    superclass for "sup") is among ``eligible_candidates``."""
+    c, d = class_names[sub], class_names[sup]
+    held_out = c if direction == "sub" else d
+    if sub == sup:
+        why = "a class is never ranked against itself"
+    elif not _is_candidate(held_out):
+        why = (f"held-out class {held_out!r} is a normalization helper or a "
+               f"nominal, never a candidate")
+    else:
+        return None
+    return f"subClassOf({c},{d}) cannot be ranked: {why}"
 
 
 def eligible_candidates(class_names: Sequence[str]) -> np.ndarray:
     """Indices of classes that may appear in a ranking candidate list."""
     return np.array(
-        [
-            i
-            for i, name in enumerate(class_names)
-            if not is_fresh_name(name) and not is_nominal_name(name)
-        ],
+        [i for i, name in enumerate(class_names) if _is_candidate(name)],
         dtype=int,
     )
 

@@ -114,24 +114,6 @@ def parse_config(text: str) -> TrainConfig:
     return cfg
 
 
-def config_to_text(cfg: TrainConfig) -> str:
-    variant = "emel-var" if cfg.variant is Variant.EMEL_VAR else "emel"
-    lines = [
-        f"dim={cfg.dim}",
-        f"margin={cfg.margin!r}",
-        f"variant={variant}",
-        f"lr={cfg.lr!r}",
-        f"optimizer={cfg.optimizer}",
-        f"epochs={cfg.epochs}",
-        f"batch_size={cfg.batch_size}",
-        f"negatives={'on' if cfg.negatives else 'off'}",
-        f"seed={cfg.seed}",
-        f"patience={cfg.patience}",
-        f"sigma_reg={cfg.sigma_reg!r}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 # --- splitting -------------------------------------------------------------
 
 
@@ -422,28 +404,6 @@ def _batch_gradient(
     return sums, counts
 
 
-def _check_rankable(valid_nf1: Sequence[NF1], classes: list,
-                    candidates: np.ndarray) -> None:
-    """Raise ValueError, naming the classes, for a validation pair that the
-    validation ranking would refuse: its subclass must be a candidate other
-    than its superclass."""
-    eligible = set(candidates.tolist())
-    for ax in valid_nf1:
-        for cid in (ax.c, ax.d):
-            if not 0 <= cid < len(classes):
-                raise ValueError(f"validation pair NF1({ax.c}, {ax.d}) names "
-                                 f"class {cid}, outside [0, {len(classes)})")
-        c, d = classes[ax.c], classes[ax.d]
-        if ax.c == ax.d:
-            why = "a class is never ranked against itself"
-        elif ax.c not in eligible:
-            why = ranking.not_a_candidate(c)
-        else:
-            continue
-        raise ValueError(f"validation pair subClassOf({c},{d}) cannot be "
-                         f"ranked: {why}")
-
-
 def train(
     onto: NormalizedOntology,
     config: TrainConfig,
@@ -476,8 +436,16 @@ def train(
     )[:, None]
     candidates = None
     if valid_nf1:
+        for ax in valid_nf1:
+            for cid in (ax.c, ax.d):
+                if not 0 <= cid < len(onto.classes):
+                    raise ValueError(
+                        f"validation pair NF1({ax.c}, {ax.d}) names class "
+                        f"{cid}, outside [0, {len(onto.classes)})")
+            why = ranking.unrankable(onto.classes, ax.c, ax.d)
+            if why:
+                raise ValueError(f"validation pair {why}")
         candidates = ranking.eligible_candidates(onto.classes)
-        _check_rankable(valid_nf1, onto.classes, candidates)
 
     acc = GradientAccumulator.zeros_like(state)  # zeroed per batch
     log: list[LogRow] = []

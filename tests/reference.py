@@ -8,11 +8,13 @@
   with one tokenizer pass per line, and its name-character rule.  The
   parser's ASTs and error messages are checked against these.
 * The parser's round-trip printer and expression-size helper.
+* The training configuration's printer, whose text ``parse_config`` must
+  read back to the same config.
 """
 
 import numpy as np
 
-from geodl.model import NumericalError, row_norms
+from geodl.model import NumericalError, Variant, row_norms
 from geodl.parser import (
     BOTTOM,
     TOP,
@@ -289,3 +291,24 @@ def concept_size(c):
     if isinstance(c, Existential):
         return 1 + concept_size(c.filler)
     return 1
+
+
+# --- config printer -------------------------------------------------------------
+
+
+def config_to_text(cfg):
+    variant = "emel-var" if cfg.variant is Variant.EMEL_VAR else "emel"
+    lines = [
+        f"dim={cfg.dim}",
+        f"margin={cfg.margin!r}",
+        f"variant={variant}",
+        f"lr={cfg.lr!r}",
+        f"optimizer={cfg.optimizer}",
+        f"epochs={cfg.epochs}",
+        f"batch_size={cfg.batch_size}",
+        f"negatives={'on' if cfg.negatives else 'off'}",
+        f"seed={cfg.seed}",
+        f"patience={cfg.patience}",
+        f"sigma_reg={cfg.sigma_reg!r}",
+    ]
+    return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ from geodl.normalize import normalize
 from geodl.parser import parse_ontology
 from geodl.ranking import _baseline_scorer
 from geodl.synthetic import surrogate_lines
+from geodl.training import TrainConfig
 
 
 def norm_lines(lines):
@@ -196,9 +197,9 @@ def test_vectorized_scoring_matches_scalar(model, rng):
 @pytest.mark.parametrize("model", ["transe", "transh", "distmult"])
 def test_single_triple_separates(model):
     triples = [(0, 0, 1)]
-    state = train_baseline(
-        model, triples, num_entities=2, num_relations=1, dim=8,
-        margin=1.0, lr=0.05, epochs=300, batch_size=4, seed=7,
+    state, _ = train_baseline(
+        model, triples, 2, 1,
+        TrainConfig(dim=8, margin=1.0, lr=0.05, epochs=300, batch_size=4, seed=7),
     )
     pos = score(0, 0, 1, state)
     # both possible corruptions with two entities
@@ -208,14 +209,24 @@ def test_single_triple_separates(model):
 
 def test_empty_triples_error():
     with pytest.raises(ValueError):
-        train_baseline("transe", [], num_entities=2, num_relations=1)
+        train_baseline("transe", [], 2, 1, TrainConfig())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("margin", -1.0),
+    ("margin", float("nan")),
+])
+def test_invalid_config_error(field, value):
+    # the baseline's own check used to let these through
+    with pytest.raises(ValueError, match=field):
+        train_baseline("transe", [(0, 0, 1)], 2, 1, TrainConfig(**{field: value}))
 
 
 def test_training_is_deterministic():
     triples = [(0, 0, 1), (1, 0, 2), (2, 1, 0)]
-    kwargs = dict(num_entities=3, num_relations=2, dim=6, epochs=50, seed=11)
-    a = train_baseline("transh", triples, **kwargs)
-    b = train_baseline("transh", triples, **kwargs)
+    cfg = TrainConfig(dim=6, margin=1.0, epochs=50, seed=11)
+    a, _ = train_baseline("transh", triples, 3, 2, cfg)
+    b, _ = train_baseline("transh", triples, 3, 2, cfg)
     assert np.array_equal(a.entity_embeddings, b.entity_embeddings)
     assert np.array_equal(a.relation_embeddings, b.relation_embeddings)
     assert np.array_equal(a.normals, b.normals)
@@ -223,10 +234,8 @@ def test_training_is_deterministic():
 
 def test_transh_normals_stay_unit():
     triples = [(0, 0, 1), (1, 1, 2), (2, 0, 3)]
-    state = train_baseline(
-        "transh", triples, num_entities=4, num_relations=2, dim=5,
-        epochs=40, seed=3,
-    )
+    state, _ = train_baseline(
+        "transh", triples, 4, 2, TrainConfig(dim=5, margin=1.0, epochs=40, seed=3))
     norms = np.linalg.norm(state.normals, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-9)
 
@@ -238,10 +247,8 @@ def test_all_models_finite_after_training(rng):
                                   rng.integers(0, 6, 30))
                if a != b]
     for model in ("transe", "transh", "distmult"):
-        state = train_baseline(
-            model, triples, num_entities=6, num_relations=2, dim=4,
-            epochs=20, seed=1,
-        )
+        state, _ = train_baseline(
+            model, triples, 6, 2, TrainConfig(dim=4, margin=1.0, epochs=20, seed=1))
         assert np.isfinite(state.entity_embeddings).all()
         assert np.isfinite(state.relation_embeddings).all()
 
@@ -320,10 +327,9 @@ def test_surrogate_training_bytes_are_pinned(model):
     parameter bytes: a change to the scoring, the gradient, the row scatter
     or the SGD step that alters any arithmetic fails here."""
     onto = norm_lines(surrogate_lines(300, seed=0))
-    state = train_baseline(
-        model, extract_triples(onto), num_entities=len(onto.classes),
-        num_relations=len(onto.relations) + 1, dim=50, margin=0.1, lr=0.01,
-        epochs=5, batch_size=64, seed=3)
+    state, _ = train_baseline(
+        model, extract_triples(onto), len(onto.classes), len(onto.relations) + 1,
+        TrainConfig(dim=50, margin=0.1, lr=0.01, epochs=5, batch_size=64, seed=3))
     assert hashlib.sha256(state.flat.tobytes()).hexdigest() == (
         GOLDEN_SURROGATE[model])
 
@@ -334,11 +340,11 @@ def test_bench_baseline_train_epoch_2k(benchmark):
     default: scoring, score gradients, the row scatter and the SGD step."""
     onto = norm_lines(surrogate_lines(seed=0))
     triples = extract_triples(onto)
-    kwargs = dict(num_entities=len(onto.classes),
-                  num_relations=len(onto.relations) + 1, dim=50,
-                  margin=0.1, batch_size=512, epochs=1, seed=0)
-    state = benchmark.pedantic(train_baseline, args=("transh", triples),
-                               kwargs=kwargs, rounds=3, iterations=1)
+    cfg = TrainConfig(epochs=1, seed=0)
+    state, _ = benchmark.pedantic(
+        train_baseline,
+        args=("transh", triples, len(onto.classes), len(onto.relations) + 1, cfg),
+        rounds=3, iterations=1)
     assert state.entity_embeddings.shape == (2000, 50)
     assert np.isfinite(state.flat).all()
 

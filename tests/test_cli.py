@@ -326,6 +326,27 @@ def test_train_refuses_log_over_model(tmp_path, fixture_file, extra, capsys):
     assert not os.path.exists(model)
 
 
+@pytest.mark.parametrize("extra", [[], ["--model", "transe"]],
+                         ids=["ball", "transe"])
+@pytest.mark.parametrize("slot", ["log", "model"])
+def test_train_refuses_to_overwrite_sibling_valid(tmp_path, capsys, slot, extra):
+    """The valid.el next to the training file is an input, with or without
+    --model; naming it as the log or the model used to replace it."""
+    train_file = tmp_path / "train.el"
+    train_file.write_text("\n".join(GALEN_ISH) + "\n")
+    valid = tmp_path / "valid.el"
+    valid.write_text("subClassOf(Dog,Mammal)\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=4\nepochs=2\n")
+    model = tmp_path / "m.tsv"
+    outputs = [str(model), str(valid)] if slot == "log" else [str(valid)]
+    assert run(["train", "--config", str(cfg), str(train_file), *outputs,
+                *extra]) == 1
+    assert "refusing to overwrite input file" in capsys.readouterr().err
+    assert valid.read_text() == "subClassOf(Dog,Mammal)\n"
+    assert not model.exists() and not (tmp_path / "valid.el.log.tsv").exists()
+
+
 def test_sibling_valid_file_enables_early_stopping(tmp_path, fixture_file):
     out_dir = str(tmp_path / "splits")
     assert run(["split", fixture_file, out_dir, "--seed", "7"]) == 0
@@ -495,6 +516,66 @@ def test_sibling_valid_unrankable_pair_exits_1_before_training(tmp_path, capsys,
     assert f"{valid}: validation pair {pair} cannot be ranked" in err[0]
     assert "helper or a nominal" in err[0]
     assert not model.exists() and not (tmp_path / "m.tsv.log.tsv").exists()
+
+
+# normalized, this line gives a helper __nf_0 for and(X,Y) and the subclass
+# pairs __nf_0 <= X and __nf_0 <= Y
+HELPER_LINE = "subClassOf(Cat,some(eats,and({},{})))"
+
+
+def test_sibling_valid_skips_its_own_helpers(tmp_path):
+    """The pairs through a helper that normalizing valid.el makes are
+    skipped; they used to be matched by name to the training file's
+    unrelated __nf_0, and train exited 1 on it."""
+    train_file = tmp_path / "train.el"
+    train_file.write_text("\n".join(
+        GALEN_ISH + [HELPER_LINE.format("Fish", "Bird")]) + "\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=4\nepochs=30\n")
+    valid = tmp_path / "valid.el"
+    outputs = []
+    for extra in ([], [HELPER_LINE.format("Fish", "Bird")]):
+        valid.write_text("\n".join(["subClassOf(Dog,Mammal)"] + extra) + "\n")
+        model = tmp_path / f"m{len(extra)}.tsv"
+        assert run(["train", "--config", str(cfg), str(train_file),
+                    str(model)]) == 0
+        outputs.append(model.read_bytes())
+        outputs.append(Path(f"{model}.log.tsv").read_bytes())
+    assert outputs[:2] == outputs[2:]
+
+
+@pytest.mark.parametrize("kind", ["ball", "transe"])
+@pytest.mark.parametrize("direction", ["sub", "sup"])
+def test_eval_skips_pairs_through_the_test_files_own_helpers(tmp_path, kind,
+                                                            direction):
+    """The test file's helper pairs __nf_0 <= Dog and __nf_0 <= Mammal are
+    not ranked against the model's unrelated __nf_0; they used to be ranked
+    (sup) or refused (sub)."""
+    _, test = write_eval_inputs(tmp_path, kind, names=NAMED)
+    with open(test, "a") as fh:
+        fh.write(HELPER_LINE.format("Dog", "Mammal") + "\n")
+    report = tmp_path / "r.tsv"
+    assert run(["eval", str(tmp_path / "m.tsv"), test, str(report),
+                "--direction", direction]) == 0
+    assert "test_count\t1\n" in report.read_text()
+
+
+@pytest.mark.parametrize("kind", ["ball", "transe"])
+def test_eval_filtered_skips_the_known_files_own_helpers(tmp_path, kind):
+    """The known file's helper pair __nf_0 <= Mammal does not drop Mammal
+    from the candidates of the model's unrelated __nf_0; it used to, and so
+    lifted Dog's rank."""
+    _, test = write_eval_inputs(tmp_path, kind, names=NAMED)
+    Path(test).write_text("subClassOf(__nf_0,Dog)\n")
+    known = tmp_path / "known.el"
+    known.write_text(HELPER_LINE.format("Mammal", "Bird") + "\n")
+    ranks = []
+    for extra in ([], ["--filtered", str(known)]):
+        report = tmp_path / "r.tsv"
+        assert run(["eval", str(tmp_path / "m.tsv"), test, str(report),
+                    "--direction", "sup", *extra]) == 0
+        ranks.append(Path(f"{report}.ranks").read_text())
+    assert ranks[0] == ranks[1]
 
 
 @pytest.mark.parametrize("model", ["transe", "transh", "distmult"])

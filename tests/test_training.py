@@ -7,17 +7,17 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from conftest import make_state, one_term
+from reference import config_to_text
 from geodl.model import EmbeddingState, GradientAccumulator, Variant, term_batch
 from geodl.normalize import NF1, SHAPES, normalize
 from geodl.parser import parse_ontology
-from geodl.ranking import is_fresh_name, is_nominal_name
-from geodl.synthetic import surrogate_lines
+from geodl.ranking import DIRECTIONS, is_fresh_name, is_nominal_name, unrankable
+from geodl.synthetic import random_raw_lines, surrogate_lines
 from geodl.training import (
     CONFIG_KEYS,
     NumericalError,
     SplitSpec,
     TrainConfig,
-    config_to_text,
     mean_hinge,
     parse_config,
     _ADAM_BLOCK,
@@ -197,6 +197,24 @@ def test_split_excludes_fresh_and_nominal_pairs():
         for cid in (ax.c, ax.d):
             name = onto.classes[cid]
             assert not is_fresh_name(name) and not is_nominal_name(name)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(20, 120))
+def test_split_holds_out_exactly_the_rankable_pairs(seed, n_axioms):
+    """Over ontologies with helpers and nominals, split's candidate-set test
+    and ranking's pair rule agree: the pairs split may hold out are those
+    that can be ranked in both directions."""
+    onto = norm_lines(random_raw_lines(np.random.default_rng(seed), n_axioms))
+    rankable = [ax for ax in onto.axioms if isinstance(ax, NF1) and all(
+        unrankable(onto.classes, ax.c, ax.d, d) is None for d in DIRECTIONS)]
+    spec = SplitSpec(train_frac=0.4, valid_frac=0.3, test_frac=0.3, seed=seed)
+    if len(rankable) < 10:
+        with pytest.raises(ValueError, match="at least 10 eligible"):
+            split(onto, spec)
+        return
+    result = split(onto, spec)
+    assert result.eligible_count == len(rankable)
+    assert all(ax in rankable for ax in result.valid + result.test)
 
 
 def test_split_non_nf1_always_trains():
