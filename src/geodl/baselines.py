@@ -15,28 +15,28 @@ TransH: the residual, its norms and the head and tail projections on the
 normal; DistMult: only the ids), and the gradient works from those pieces on
 the triples whose hinge is active, re-gathering any other rows.  The norm
 that gives a score is the norm its gradient divides by.  The arithmetic runs
-in the arrays that hold the terms, and the SGD step scales the gradient
-buffer and subtracts it from the parameters in place, each one pass; every
-value sees the same IEEE operations in the same order as when each step
-made new arrays, so the outputs are byte-identical to that.
+in the arrays that hold the terms.  Training runs in the epoch loop every
+model shares, ``training._fit``: it scales the gradient buffer, and the SGD
+step subtracts it from the parameters in place, each one pass; every value
+sees the same IEEE operations in the same order as when each step made new
+arrays, so the outputs are byte-identical to that.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .model import (
-    GradientAccumulator, NumericalError, _add_rows, _FlatBlocks, _safe_unit,
+    GradientAccumulator, _add_rows, _FlatBlocks, _safe_unit,
     _unit_rows, read_model_file, row_norms, write_rows,
 )
 from .normalize import NF1, NF3, NF4, NormalizedOntology
 
 if TYPE_CHECKING:  # training imports ranking, which imports this module
-    from .training import TrainConfig
+    from .training import TrainConfig, TrainResult
 
 SUBCLASS_RELATION = "__subClassOf__"
 
@@ -63,6 +63,9 @@ class BaselineState(_FlatBlocks):
             blocks["normals"] = (np.zeros(np.shape(relation_embeddings))
                                  if normals is None else normals)
         super().__init__(**blocks)
+
+    def all_finite(self) -> bool:
+        return bool(np.isfinite(self.flat).all())
 
 
 def baseline_relation_names(onto: NormalizedOntology) -> list:
@@ -307,12 +310,13 @@ def _batch_hinge(state: BaselineState, grad: GradientAccumulator,
 def train_baseline(
     model: str, triples, num_entities: int, num_relations: int,
     config: TrainConfig,
-) -> tuple[BaselineState, list[float]]:
+) -> TrainResult:
     """Margin ranking over uniformly corrupted heads/tails, plain SGD, on
-    ``[n, 3]`` (head, relation, tail) triples.  Of the validated *config* it
-    reads ``dim``, ``margin``, ``lr``, ``epochs``, ``batch_size`` and
-    ``seed``.  Returns the trained state and the mean hinge per triple of
-    each epoch.  A non-finite hinge or parameter raises ``NumericalError``."""
+    ``[n, 3]`` (head, relation, tail) triples, in training's epoch loop.  Of
+    the validated *config* it reads ``dim``, ``margin``, ``lr``, ``epochs``,
+    ``batch_size`` and ``seed``.  Each log row's ``total_loss`` is the
+    epoch's mean hinge per triple."""
+    from .training import _fit  # training imports ranking, which imports this
     if len(triples) == 0:
         raise ValueError("cannot train a baseline on an empty triple list")
     config.validate()
@@ -321,46 +325,26 @@ def train_baseline(
     rng = np.random.default_rng(config.seed)
     state = initialize_baseline(
         model, num_entities, num_relations, config.dim, rng)
-    grad = GradientAccumulator.zeros_like(state)
     H, R, T = np.asarray(triples, dtype=int).T
-    n = len(H)
-    losses = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            h, r, t = H[idx], R[idx], T[idx]
-            # uniform corruption of head or tail, never reproducing the original
-            corrupt_head = rng.random(len(idx)) < 0.5
-            repl = rng.integers(0, num_entities - 1, size=len(idx))
-            hn = h.copy()
-            tn = t.copy()
-            repl_h = repl + (repl >= h)
-            repl_t = repl + (repl >= t)
-            hn[corrupt_head] = repl_h[corrupt_head]
-            tn[~corrupt_head] = repl_t[~corrupt_head]
-            with np.errstate(all="ignore"):  # non-finite values raise below
-                hinge = _batch_hinge(state, grad, h, r, t, hn, tn,
-                                     config.margin)
-                batch_loss = float(hinge.sum())
-                if not math.isfinite(batch_loss):
-                    raise NumericalError(
-                        f"non-finite {model} loss in epoch {epoch}; "
-                        f"try a smaller learning rate")
-                epoch_loss += batch_loss
-                if not hinge.any():
-                    continue
-                grad.flat *= config.lr / len(idx)
-                state.flat -= grad.flat
-                if state.spec.normals:
-                    _unit_rows(state.normals)
-                if not np.isfinite(state.flat).all():
-                    raise NumericalError(
-                        f"non-finite {model} parameter in epoch {epoch}; "
-                        f"try a smaller learning rate")
-        losses.append(epoch_loss / n)
-    return state, losses
+
+    def batch(idx, last, grad):
+        h, r, t = H[idx], R[idx], T[idx]
+        # uniform corruption of head or tail, never reproducing the original
+        corrupt_head = rng.random(len(idx)) < 0.5
+        repl = rng.integers(0, num_entities - 1, size=len(idx))
+        hn = np.where(corrupt_head, repl + (repl >= h), h)
+        tn = np.where(corrupt_head, t, repl + (repl >= t))
+        hinge = _batch_hinge(state, grad, h, r, t, hn, tn, config.margin)
+        # no active hinge: nothing to step on
+        scale = config.lr / len(idx) if hinge.any() else None
+        return {model: float(hinge.sum())}, {model: len(idx)}, scale
+
+    def step(state, grad):
+        state.flat -= grad.flat
+        if state.spec.normals:
+            _unit_rows(state.normals)
+
+    return _fit(config, rng, state, len(H), batch, step)
 
 
 # --- persistence -----------------------------------------------------------

@@ -212,25 +212,22 @@ def cmd_train(args) -> int:
     onto = _load_normalized(args.train_file)
 
     if args.model:
-        state, losses = baselines.train_baseline(
+        result = baselines.train_baseline(
             args.model, baselines.extract_triples(onto), len(onto.classes),
             len(onto.relations) + 1, cfg,
         )
         baselines.save_baseline(
-            args.model_out, state, onto.classes,
+            args.model_out, result.state, onto.classes,
             baselines.baseline_relation_names(onto),
         )
-        with open(log_out, "w", encoding="utf-8") as fh:
-            fh.write("epoch\ttotal_loss\n")
-            for epoch, loss in enumerate(losses):
-                fh.write(f"{epoch}\t{loss:.10g}\n")
-        return 0
-
-    valid_nf1 = _valid_nf1(valid_path, onto) if valid_path else None
-    result = training.train(onto, cfg, valid_nf1=valid_nf1)
-    gm.save_model(args.model_out, result.state, onto.classes, onto.relations,
-                  cfg.variant, cfg.margin)
-    training.write_log(log_out, result.log)
+        columns = training.LOG_COLUMNS[:2]  # epoch, mean hinge per triple
+    else:
+        valid_nf1 = _valid_nf1(valid_path, onto) if valid_path else None
+        result = training.train(onto, cfg, valid_nf1=valid_nf1)
+        gm.save_model(args.model_out, result.state, onto.classes,
+                      onto.relations, cfg.variant, cfg.margin)
+        columns = training.LOG_COLUMNS
+    training.write_log(log_out, result.log, columns)
     return 0
 
 

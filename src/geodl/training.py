@@ -1,11 +1,12 @@
 """Dataset splitting, mini-batch optimization, checkpointing, early stopping.
 
-All randomness flows from the config seed through one generator, and every
-batch accumulates its terms in one fixed order (the shapes in
-``normalize.SHAPES`` order, then the negatives, then the nominal term), so a
-run is bit-reproducible.  One gradient accumulator is zeroed and reused for
-every batch, and the optimizers update the flat parameter buffer in place
-(see ``model._FlatBlocks``).
+One epoch loop, ``_fit``, trains the ball model and the baselines; each
+model hands it a batch function and a step.  All randomness flows from the
+config seed through one generator, and every ball batch accumulates its
+terms in one fixed order (the shapes in ``normalize.SHAPES`` order, then the
+negatives, then the nominal term), so a run is bit-reproducible.  One
+gradient accumulator is reused for every batch, and the steps update the
+flat parameter buffer in place (see ``model._FlatBlocks``).
 """
 
 from __future__ import annotations
@@ -300,16 +301,19 @@ class LogRow:
 
 
 LOG_COLUMNS = tuple(f.name for f in fields(LogRow))
+# the loss sums' keys behind LogRow's per-key columns, in field order
+_LOSS_KEYS = tuple(name[:-len("_loss")] for name in LOG_COLUMNS[2:-1])
 
 
-def write_log(path, rows: Sequence[LogRow]) -> None:
-    """One tab-separated line per row: the epoch, then every other field
-    with 10 significant digits."""
+def write_log(path, rows: Sequence[LogRow],
+              columns: Sequence[str] = LOG_COLUMNS) -> None:
+    """A header of *columns*, then one tab-separated line per row: the
+    epoch, then each other column's field with 10 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(LOG_COLUMNS) + "\n")
+        fh.write("\t".join(columns) + "\n")
         for row in rows:
             cells = (format(getattr(row, name), ".10g")
-                     for name in LOG_COLUMNS[1:])
+                     for name in columns[1:])
             fh.write("\t".join((str(row.epoch), *cells)) + "\n")
 
 
@@ -364,7 +368,7 @@ class _AxiomArrays:
 
 @dataclass
 class TrainResult:
-    state: EmbeddingState
+    state: EmbeddingState  # or a baselines.BaselineState
     log: list[LogRow]
     stopped_epoch: int
     best_hits10: float = float("nan")
@@ -404,17 +408,87 @@ def _batch_gradient(
     return sums, counts
 
 
+def _fit(config: TrainConfig, rng: np.random.Generator, state, terms: int,
+         batch, step, valid=None) -> TrainResult:
+    """The epoch loop every model trains in.
+
+    Each epoch shuffles the *terms* training items with *rng* and cuts the
+    permutation into ``batch_size`` slices.  ``batch(idx, last, grad)``
+    draws what else it needs from *rng*, overwrites *grad* with the batch's
+    summed gradient and returns its per-key loss sums, term counts and the
+    gradient's scale; *last* marks the epoch's final batch.  Unless the
+    scale is None, the gradient is scaled and ``step(state, grad)`` moves
+    the parameters.  A non-finite loss or parameter raises
+    ``NumericalError``.  With ``valid(state) -> Hits@10``, validates every
+    ``VALIDATION_INTERVAL`` epochs, keeps the best checkpoint and stops once
+    ``patience`` evaluations pass without improvement.
+    """
+    grad = GradientAccumulator.zeros_like(state)
+    log: list[LogRow] = []
+    best_state = None
+    best_hits = -1.0
+    evals_since_best = 0
+    n_batches = math.ceil(terms / config.batch_size)
+    with np.errstate(all="ignore"):  # non-finite values raise below
+        for epoch in range(config.epochs):
+            order = rng.permutation(terms)
+            epoch_sums: dict = {}
+            epoch_counts: dict = {}
+            for b in range(n_batches):
+                idx = order[b * config.batch_size:(b + 1) * config.batch_size]
+                sums, counts, scale = batch(idx, b == n_batches - 1, grad)
+                where = f"epoch {epoch} batch {b}; try a smaller learning rate"
+                for key, val in sums.items():
+                    if not math.isfinite(val):
+                        raise NumericalError(f"non-finite {key} loss in {where}")
+                if scale is not None:
+                    grad.flat *= scale
+                    step(state, grad)
+                    if not state.all_finite():
+                        raise NumericalError(
+                            f"non-finite parameter after {where}")
+                for key, val in sums.items():
+                    epoch_sums[key] = epoch_sums.get(key, 0.0) + val
+                    epoch_counts[key] = epoch_counts.get(key, 0) + counts[key]
+
+            def mean_of(key):
+                cnt = epoch_counts.get(key, 0)
+                return epoch_sums.get(key, 0.0) / cnt if cnt else 0.0
+
+            total_terms = sum(epoch_counts.values())
+            total_loss = (sum(epoch_sums.values()) / total_terms
+                          if total_terms else 0.0)
+            hits = float("nan")
+            if valid is not None and (epoch + 1) % VALIDATION_INTERVAL == 0:
+                hits = valid(state)
+                if hits > best_hits:
+                    best_hits = hits
+                    best_state = state.copy()
+                    evals_since_best = 0
+                else:
+                    evals_since_best += 1
+            log.append(LogRow(epoch, total_loss, *map(mean_of, _LOSS_KEYS), hits))
+            if valid is not None and evals_since_best >= config.patience:
+                break
+
+    return TrainResult(
+        state=state if best_state is None else best_state,
+        log=log,
+        stopped_epoch=len(log),
+        best_hits10=best_hits if best_hits >= 0.0 else float("nan"),
+    )
+
+
 def train(
     onto: NormalizedOntology,
     config: TrainConfig,
     train_axioms: Optional[Sequence[NormalAxiom]] = None,
     valid_nf1: Optional[Sequence[NF1]] = None,
 ) -> TrainResult:
-    """Optimize ball embeddings over the training axioms.
+    """Optimize ball embeddings over the training axioms with ``_fit``.
 
-    With a validation list, ranks it every 25 epochs, keeps the best
-    checkpoint by Hits@10 and stops once `patience` evaluations pass without
-    improvement; otherwise runs all epochs and returns the final state.  A
+    With a validation list, early-stops on its Hits@10 and returns the best
+    checkpoint; otherwise runs all epochs and returns the final state.  A
     validation pair that cannot be ranked raises ValueError before the first
     epoch.
     """
@@ -434,9 +508,10 @@ def train(
         [i for i, name in enumerate(onto.classes) if ranking.is_nominal_name(name)],
         dtype=int,
     )[:, None]
-    candidates = None
+    valid = None
     if valid_nf1:
-        for ax in valid_nf1:
+        pairs = list(valid_nf1)
+        for ax in pairs:
             for cid in (ax.c, ax.d):
                 if not 0 <= cid < len(onto.classes):
                     raise ValueError(
@@ -447,88 +522,28 @@ def train(
                 raise ValueError(f"validation pair {why}")
         candidates = ranking.eligible_candidates(onto.classes)
 
-    acc = GradientAccumulator.zeros_like(state)  # zeroed per batch
-    log: list[LogRow] = []
-    best_state = state.copy()
-    best_hits = -1.0
-    evals_since_best = 0
-    stopped_epoch = 0
+        def valid(state):
+            return ranking.evaluate(pairs, state, candidates).hits10
+
     num_classes = len(onto.classes)
-    for epoch in range(config.epochs):
-        order = rng.permutation(arrays.total)
-        epoch_sums: dict = {}
-        epoch_counts: dict = {}
-        n_batches = math.ceil(arrays.total / config.batch_size)
-        for b in range(n_batches):
-            batch_idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-            buckets = arrays.bucket_of(batch_idx)
-            negatives = None
-            if config.negatives and "nf3" in buckets and num_classes > 1:
-                rows = arrays.rows["nf3"][buckets["nf3"]]
-                # uniform over all classes except the true tail
-                repl = rng.integers(0, num_classes - 1, size=len(rows))
-                corrupted = repl + (repl >= rows[:, 2])
-                negatives = np.column_stack(
-                    (rows[:, 0], rows[:, 1], corrupted)
-                )
-            acc.flat.fill(0.0)
-            sums, counts = _batch_gradient(
-                state, arrays, buckets, negatives,
-                nominal_ids if b == n_batches - 1 else None,
-                config.margin, config.variant, acc, config.sigma_reg,
-            )
-            acc.flat *= 1.0 / sum(counts.values())
-            optimizer.step(state, acc)
-            if not state.all_finite():
-                raise NumericalError(
-                    f"non-finite parameter after epoch {epoch} batch {b}; "
-                    f"try a smaller learning rate"
-                )
-            for key, val in sums.items():
-                epoch_sums[key] = epoch_sums.get(key, 0.0) + val
-                epoch_counts[key] = epoch_counts.get(key, 0) + counts[key]
 
-        def mean_of(key):
-            cnt = epoch_counts.get(key, 0)
-            return epoch_sums.get(key, 0.0) / cnt if cnt else 0.0
+    def batch(idx, last, acc):
+        buckets = arrays.bucket_of(idx)
+        negatives = None
+        if config.negatives and "nf3" in buckets and num_classes > 1:
+            rows = arrays.rows["nf3"][buckets["nf3"]]
+            # uniform over all classes except the true tail
+            repl = rng.integers(0, num_classes - 1, size=len(rows))
+            corrupted = repl + (repl >= rows[:, 2])
+            negatives = np.column_stack((rows[:, 0], rows[:, 1], corrupted))
+        acc.flat.fill(0.0)
+        sums, counts = _batch_gradient(
+            state, arrays, buckets, negatives, nominal_ids if last else None,
+            config.margin, config.variant, acc, config.sigma_reg,
+        )
+        return sums, counts, 1.0 / sum(counts.values())
 
-        total_terms = sum(epoch_counts.values())
-        total_loss = sum(epoch_sums.values()) / total_terms if total_terms else 0.0
-        hits = float("nan")
-        if candidates is not None and (epoch + 1) % VALIDATION_INTERVAL == 0:
-            report = ranking.evaluate(list(valid_nf1), state, candidates)
-            hits = report.hits10
-            if hits > best_hits:
-                best_hits = hits
-                best_state = state.copy()
-                evals_since_best = 0
-            else:
-                evals_since_best += 1
-        log.append(LogRow(
-            epoch=epoch,
-            total_loss=total_loss,
-            nf1_loss=mean_of("nf1"),
-            nf2_loss=mean_of("nf2"),
-            nf3_loss=mean_of("nf3"),
-            nf4_loss=mean_of("nf4"),
-            disjoint_loss=mean_of("disjoint"),
-            neg_loss=mean_of("neg"),
-            valid_hits10=hits,
-        ))
-        stopped_epoch = epoch + 1
-        if candidates is not None and evals_since_best >= config.patience:
-            break
-
-    if candidates is not None and best_hits >= 0.0:
-        final_state = best_state
-    else:
-        final_state = state
-    return TrainResult(
-        state=final_state,
-        log=log,
-        stopped_epoch=stopped_epoch,
-        best_hits10=best_hits if best_hits >= 0.0 else float("nan"),
-    )
+    return _fit(config, rng, state, arrays.total, batch, optimizer.step, valid)
 
 
 def mean_hinge(

@@ -197,10 +197,10 @@ def test_vectorized_scoring_matches_scalar(model, rng):
 @pytest.mark.parametrize("model", ["transe", "transh", "distmult"])
 def test_single_triple_separates(model):
     triples = [(0, 0, 1)]
-    state, _ = train_baseline(
+    state = train_baseline(
         model, triples, 2, 1,
         TrainConfig(dim=8, margin=1.0, lr=0.05, epochs=300, batch_size=4, seed=7),
-    )
+    ).state
     pos = score(0, 0, 1, state)
     # both possible corruptions with two entities
     for neg in (score(1, 0, 1, state), score(0, 0, 0, state)):
@@ -225,8 +225,8 @@ def test_invalid_config_error(field, value):
 def test_training_is_deterministic():
     triples = [(0, 0, 1), (1, 0, 2), (2, 1, 0)]
     cfg = TrainConfig(dim=6, margin=1.0, epochs=50, seed=11)
-    a, _ = train_baseline("transh", triples, 3, 2, cfg)
-    b, _ = train_baseline("transh", triples, 3, 2, cfg)
+    a = train_baseline("transh", triples, 3, 2, cfg).state
+    b = train_baseline("transh", triples, 3, 2, cfg).state
     assert np.array_equal(a.entity_embeddings, b.entity_embeddings)
     assert np.array_equal(a.relation_embeddings, b.relation_embeddings)
     assert np.array_equal(a.normals, b.normals)
@@ -234,8 +234,9 @@ def test_training_is_deterministic():
 
 def test_transh_normals_stay_unit():
     triples = [(0, 0, 1), (1, 1, 2), (2, 0, 3)]
-    state, _ = train_baseline(
-        "transh", triples, 4, 2, TrainConfig(dim=5, margin=1.0, epochs=40, seed=3))
+    state = train_baseline(
+        "transh", triples, 4, 2,
+        TrainConfig(dim=5, margin=1.0, epochs=40, seed=3)).state
     norms = np.linalg.norm(state.normals, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-9)
 
@@ -247,8 +248,9 @@ def test_all_models_finite_after_training(rng):
                                   rng.integers(0, 6, 30))
                if a != b]
     for model in ("transe", "transh", "distmult"):
-        state, _ = train_baseline(
-            model, triples, 6, 2, TrainConfig(dim=4, margin=1.0, epochs=20, seed=1))
+        state = train_baseline(
+            model, triples, 6, 2,
+            TrainConfig(dim=4, margin=1.0, epochs=20, seed=1)).state
         assert np.isfinite(state.entity_embeddings).all()
         assert np.isfinite(state.relation_embeddings).all()
 
@@ -327,9 +329,9 @@ def test_surrogate_training_bytes_are_pinned(model):
     parameter bytes: a change to the scoring, the gradient, the row scatter
     or the SGD step that alters any arithmetic fails here."""
     onto = norm_lines(surrogate_lines(300, seed=0))
-    state, _ = train_baseline(
+    state = train_baseline(
         model, extract_triples(onto), len(onto.classes), len(onto.relations) + 1,
-        TrainConfig(dim=50, margin=0.1, lr=0.01, epochs=5, batch_size=64, seed=3))
+        TrainConfig(dim=50, margin=0.1, lr=0.01, epochs=5, batch_size=64, seed=3)).state
     assert hashlib.sha256(state.flat.tobytes()).hexdigest() == (
         GOLDEN_SURROGATE[model])
 
@@ -341,10 +343,10 @@ def test_bench_baseline_train_epoch_2k(benchmark):
     onto = norm_lines(surrogate_lines(seed=0))
     triples = extract_triples(onto)
     cfg = TrainConfig(epochs=1, seed=0)
-    state, _ = benchmark.pedantic(
+    state = benchmark.pedantic(
         train_baseline,
         args=("transh", triples, len(onto.classes), len(onto.relations) + 1, cfg),
-        rounds=3, iterations=1)
+        rounds=3, iterations=1).state
     assert state.entity_embeddings.shape == (2000, 50)
     assert np.isfinite(state.flat).all()
 

@@ -450,17 +450,28 @@ def test_eval_non_finite_scores_exit_2(tmp_path, capsys, kind):
     assert not (tmp_path / "r.tsv").exists()
 
 
-@pytest.mark.parametrize("model,lr", [
-    ("transe", "1e200"), ("transh", "1e200"), ("distmult", "1e6")])
-def test_train_baseline_divergence_exits_2(tmp_path, capsys, model, lr):
-    # these runs used to exit 0 with nan or infinite parameters in the model
-    # file and nan losses in the log, leaking numpy warnings
+@pytest.mark.parametrize("flags,config", [
+    pytest.param(["--model", "transe"], "lr=1e200", id="transe-1e200"),
+    pytest.param(["--model", "transh"], "lr=1e200", id="transh-1e200"),
+    pytest.param(["--model", "distmult"], "lr=1e6", id="distmult-1e6"),
+    pytest.param([], "optimizer=sgd\nlr=1e300", id="ball-sgd-1e300"),
+    pytest.param(["--variant", "emel"], "optimizer=sgd\nlr=1e300",
+                 id="emel-sgd-1e300"),
+    pytest.param(["--variant", "emel-var"], "optimizer=sgd\nlr=1e300",
+                 id="emel-var-sgd-1e300"),
+    pytest.param(["--variant", "emel-var"], "lr=1e200",
+                 id="emel-var-adam-1e200"),
+])
+def test_train_baseline_divergence_exits_2(tmp_path, capsys, flags, config):
+    # the baseline runs used to exit 0 with nan or infinite parameters in the
+    # model file and nan losses in the log, leaking numpy warnings; the ball
+    # runs exited 2 but leaked a numpy warning before the message
     src = tmp_path / "in.el"
     src.write_text("\n".join(hub_spoke_lines()) + "\n")
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(f"lr={lr}\ndim=4\nepochs=200\n")
+    cfg.write_text(f"{config}\ndim=4\nepochs=200\n")
     out = tmp_path / "m.tsv"
-    assert run(["train", "--model", model, "--config", str(cfg), str(src),
+    assert run(["train", *flags, "--config", str(cfg), str(src),
                 str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "non-finite" in err[0]
@@ -786,15 +797,20 @@ def test_baseline_output_bytes_are_pinned(tmp_path, fixture_file, model):
     ) == GOLDEN_BASELINE[model]
 
 
+def bench_tracing(monkeypatch):
+    """The benchmark's tracing module and the geodl modules it wraps."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    modules = {name: importlib.import_module(f"geodl.{name}")
+               for name in ("cli", "model", "training", "ranking", "baselines")}
+    return importlib.import_module("tracing"), modules
+
+
 def test_bench_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
     """Every function the benchmark's tracer wraps is still where the tracer
     looks it up, training reaches every kernel through the wrapped module
     attribute, and uninstalling puts each original back."""
-    monkeypatch.syspath_prepend(
-        str(Path(__file__).resolve().parents[1] / "perfbench"))
-    tracing = importlib.import_module("tracing")
-    modules = {name: importlib.import_module(f"geodl.{name}")
-               for name in ("cli", "model", "training", "ranking", "baselines")}
+    tracing, modules = bench_tracing(monkeypatch)
 
     def lookup(module, path):
         owner = modules[module]
@@ -822,6 +838,29 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
     assert all(new is not old for new, old in zip(wrapped, originals))
     assert all(lookup(module, path) is old
                for (module, path, _), old in zip(tracing.TRACED, originals))
+
+
+def test_bench_tracer_times_baseline_training(monkeypatch, tmp_path,
+                                              fixture_file):
+    """A traced TransH run reaches the baseline's training, scoring and
+    gradient through the wrapped names, and writes the pinned bytes."""
+    tracing, modules = bench_tracing(monkeypatch)
+    parts = tmp_path / "s"
+    assert run(["split", fixture_file, str(parts), "--seed", "7"]) == 0
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=6\nepochs=30\nbatch_size=4\nseed=3\n")
+    out = tmp_path / "m.tsv"
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(modules)
+        assert run(["train", "--model", "transh", "--config", str(cfg),
+                    str(parts / "train.el"), str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(None)
+    assert all(metrics[f"baselines.{name}_s"] > 0.0
+               for name in ("train_baseline", "scores_batch", "score_grads"))
+    assert digests(out) == GOLDEN_BASELINE["transh"][:2]
 
 
 # --- fuzzing through main: every input exits 0, 1 or 2 -------------------------
