@@ -24,13 +24,14 @@ arrays, so the outputs are byte-identical to that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .model import (
-    GradientAccumulator, _add_rows, _FlatBlocks, _safe_unit,
+    GradientAccumulator, NumericalError, _add_rows, _FlatBlocks, _safe_unit,
     _unit_rows, read_model_file, row_norms, write_rows,
 )
 from .normalize import NF1, NF3, NF4, NormalizedOntology
@@ -335,9 +336,12 @@ def train_baseline(
         hn = np.where(corrupt_head, repl + (repl >= h), h)
         tn = np.where(corrupt_head, t, repl + (repl >= t))
         hinge = _batch_hinge(state, grad, h, r, t, hn, tn, config.margin)
+        total = float(hinge.sum())
+        if not math.isfinite(total):
+            raise NumericalError(f"non-finite {model} loss")
         # no active hinge: nothing to step on
         scale = config.lr / len(idx) if hinge.any() else None
-        return {model: float(hinge.sum())}, {model: len(idx)}, scale
+        return {model: total}, {model: len(idx)}, scale
 
     def step(state, grad):
         state.flat -= grad.flat

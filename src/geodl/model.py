@@ -18,20 +18,25 @@ kernel of a shape key; training maps axioms to id columns
 (``training._AxiomArrays``).  Five of the seven kernels are one two-ball
 hinge that differs only in the signs and order of its terms; they are
 ``_two_ball`` bound to one row each of the ``_TWO_BALL`` table, from which
-the gradient signs are read as well.  The kernels work on their gathered
-rows in place: a row norm is ``row_norms``, a unit row ``_safe_unit``, and
-each gradient sum is built in the arrays that hold its terms, adding them in
-the order written: one numpy pass per (rows x dim) quantity and one scratch
-array per call.
+the gradient signs are read as well.  A kernel stacks the class ids of its
+terms (C's, then D's, then nf2's E's), gathers the centers and the raw radii
+of the stack once each and runs ``_unit_penalty`` once over it; the hinge
+works on the stack's per-class views.  Every step is row by row, so the
+stack gives what one call per class gave, bit for bit.  The kernels work on
+their gathered rows in place: a row norm is ``row_norms``, a unit row
+``_safe_unit``, and each gradient sum is built in the arrays that hold its
+terms, adding them in the order written: one numpy pass per (rows x dim)
+quantity and one scratch array per call.
 
 Parameters and gradients live in one contiguous float64 buffer each, with
 the named blocks as views into it (``_FlatBlocks``, which the baselines
 share), so zeroing, scaling, copying, the finiteness check and the SGD step
 are each one pass over the buffer; the Adam step walks it in cache-sized
 slices (``training._Adam``).  The kernels add their row contributions into the
-gradient buffer with ``_add_rows``, one ``np.add.at`` call per contribution
-in the same order as before the flat layout, onto a zeroed buffer: every
-cell sees the same additions in the same sequence, so outputs are
+gradient buffer with ``_add_rows`` and ``np.add.at``, one call per block a
+kernel touches: the stacked class rows go in one call, C's rows before D's,
+so every cell sees the same additions in the same sequence as one call per
+class and per block gave, onto a zeroed buffer, and outputs are
 byte-identical to per-block storage.
 """
 
@@ -87,22 +92,27 @@ class _FlatBlocks:
     """Named arrays as views into one contiguous float64 buffer, ``flat``.
 
     The arrays given are copied into a new buffer, row-major, in the order
-    given; ``base[name]`` is the offset of each block in ``flat``.  Each
-    named block is a view of its slice, so writing a block writes ``flat``,
-    and an elementwise operation over ``flat`` does per element exactly what
-    the same operation over each block does.
+    given; ``base[name]`` is the offset of each block in ``flat``, and
+    ``columns[name]`` the offsets of a 2-D block's first row
+    (``base + arange(dim)``).  Each named block is a view of its slice, so
+    writing a block writes ``flat``, and an elementwise operation over
+    ``flat`` does per element exactly what the same operation over each
+    block does.
     """
 
     def __init__(self, **blocks):
         sizes = [math.prod(np.shape(array)) for array in blocks.values()]
         self.flat = np.empty(sum(sizes))
         self.base = {}
+        self.columns = {}
         start = 0
         for (name, array), size in zip(blocks.items(), sizes):
             self.base[name] = start
             view = self.flat[start:start + size].reshape(np.shape(array))
             view[...] = array
             setattr(self, name, view)
+            if view.ndim == 2:
+                self.columns[name] = start + np.arange(view.shape[1])
             start += size
 
 
@@ -173,8 +183,8 @@ def _add_rows(acc: _FlatBlocks, block: str, rows: np.ndarray,
     columns, and the kernels gather the same rows first, which rejects ids
     past the end.
     """
-    dim = values.shape[1]
-    index = rows[:, None] * dim + (acc.base[block] + np.arange(dim))
+    columns = acc.columns[block]
+    index = rows[:, None] * len(columns) + columns
     np.add.at(acc.flat, index.ravel(), values.ravel())
 
 
@@ -182,6 +192,8 @@ def _safe_unit(vectors: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Divide each row of *vectors* by its norm in place and return it; a row
     whose norm is not > 0 (zero, underflowed or NaN) becomes +0.0."""
     ok = norms > 0.0
+    if ok.all():
+        return np.divide(vectors, norms[:, None], out=vectors)
     np.divide(vectors, np.where(ok, norms, 1.0)[:, None], out=vectors)
     vectors[~ok] = 0.0
     return vectors
@@ -261,10 +273,12 @@ def _two_ball(key, state, ids, gamma, variant, acc=None, sigma_reg=1.0):
     """
     row = _TWO_BALL[key]
     C, R, D = ids if row.shift else (ids[0], None, ids[1])
-    fc = state.class_centers[C]
-    fd = state.class_centers[D]
-    raw_rc = state.class_radii_raw[C]
-    raw_rd = state.class_radii_raw[D]
+    n = len(C)
+    CD = np.concatenate((C, D))
+    f = state.class_centers[CD]
+    fc, fd = f[:n], f[n:]
+    raw_r = state.class_radii_raw[CD]
+    r = np.abs(raw_r)
     slacked = bool(row.shift) and variant is Variant.EMEL_VAR
     if row.shift:
         raw_sig = state.relation_sigmas_raw[R]
@@ -275,33 +289,31 @@ def _two_ball(key, state, ids, gamma, variant, acc=None, sigma_reg=1.0):
         t -= fd
     else:
         t, sig = fc - fd, None
-    squares = np.empty_like(t)
-    dist = row_norms(t, squares)
-    operands = (dist, np.abs(raw_rc), np.abs(raw_rd), sig, gamma)
+    squares = np.empty_like(f)
+    dist = row_norms(t, squares[:n])
+    operands = (dist, r[:n], r[n:], sig, gamma)
     h = operands[row.first]
     for op, index in row.steps:
         h = op(h, operands[index])
     hinge = np.maximum(h, 0.0)
-    pc, pc_grad = _unit_penalty(fc, squares)
-    pd, pd_grad = _unit_penalty(fd, squares)
-    values = hinge + pc + pd
+    p, p_grad = _unit_penalty(f, squares)  # C's rows, then D's
+    values = (hinge + p[:n]) + p[n:]
     if slacked and row.regularized:
         values = values + sigma_reg * sig
     if acc is not None:
         active = (h > 0.0).astype(float)
         g = _safe_unit(t, dist)
         g *= (row.sign[_DIST] * active)[:, None]
-        pc_grad += g
-        _add_rows(acc, "class_centers", C, pc_grad)
-        pd_grad -= g
-        _add_rows(acc, "class_centers", D, pd_grad)
+        p_grad[:n] += g
+        p_grad[n:] -= g
+        _add_rows(acc, "class_centers", CD, p_grad)
         if row.shift:
             _add_rows(acc, "relation_vectors", R,
                       g if row.shift > 0 else np.negative(g, out=g))
-        np.add.at(acc.class_radii_raw, C,
-                  row.sign[_RC] * active * np.sign(raw_rc))
-        np.add.at(acc.class_radii_raw, D,
-                  row.sign[_RD] * active * np.sign(raw_rd))
+        radius = np.sign(raw_r)
+        radius[:n] *= row.sign[_RC] * active
+        radius[n:] *= row.sign[_RD] * active
+        np.add.at(acc.class_radii_raw, CD, radius)
         if slacked:
             slack = row.sign[_SIGMA] * active
             if row.regularized:
@@ -320,49 +332,50 @@ nf3_negative_batch = functools.partial(_two_ball, "nf3_negative")
 def nf2_batch(state, ids, gamma, variant, acc=None, sigma_reg=1.0):
     """C and D <= E: C,D overlap and E's center lies in both balls."""
     C, D, E = ids
-    fc = state.class_centers[C]
-    fd = state.class_centers[D]
-    fe = state.class_centers[E]
-    raw_rc = state.class_radii_raw[C]
-    raw_rd = state.class_radii_raw[D]
-    rc = np.abs(raw_rc)
-    rd = np.abs(raw_rd)
+    n = len(C)
+    CDE = np.concatenate((C, D, E))
+    f = state.class_centers[CDE]
+    fc, fd, fe = f[:n], f[n:2 * n], f[2 * n:]
+    raw_r = state.class_radii_raw[CDE[:2 * n]]
+    r = np.abs(raw_r)
+    rc, rd = r[:n], r[n:]
     u1 = fc - fd
     u2 = fc - fe
     u3 = fd - fe
-    squares = np.empty_like(u1)
-    d1 = row_norms(u1, squares)
-    d2 = row_norms(u2, squares)
-    d3 = row_norms(u3, squares)
+    squares = np.empty_like(f)
+    scratch = squares[:n]
+    d1 = row_norms(u1, scratch)
+    d2 = row_norms(u2, scratch)
+    d3 = row_norms(u3, scratch)
     h1 = d1 - rc - rd - gamma
     h2 = d2 - rc - gamma
     h3 = d3 - rd - gamma
     hinge = np.maximum(h1, 0.0) + np.maximum(h2, 0.0) + np.maximum(h3, 0.0)
-    pc, pc_grad = _unit_penalty(fc, squares)
-    pd, pd_grad = _unit_penalty(fd, squares)
-    pe, pe_grad = _unit_penalty(fe, squares)
-    values = hinge + pc + pd + pe
+    p, p_grad = _unit_penalty(f, squares)  # C's rows, then D's, then E's
+    values = ((hinge + p[:n]) + p[n:2 * n]) + p[2 * n:]
     if acc is not None:
         a1 = (h1 > 0.0).astype(float)
         a2 = (h2 > 0.0).astype(float)
         a3 = (h3 > 0.0).astype(float)
         # g_i = a_i * unit(u_i) in place; the row sums add their terms in the
         # order of (g1 + g2) + pc_grad, (-g1 + g3) + pd_grad and
-        # (-g2 - g3) + pe_grad, with squares as scratch
+        # (-g2 - g3) + pe_grad, with scratch rows of squares
         g1 = _safe_unit(u1, d1)
         g1 *= a1[:, None]
         g2 = _safe_unit(u2, d2)
         g2 *= a2[:, None]
         g3 = _safe_unit(u3, d3)
         g3 *= a3[:, None]
-        pc_grad += np.add(g1, g2, out=squares)
-        _add_rows(acc, "class_centers", C, pc_grad)
-        pd_grad += np.add(np.negative(g1, out=squares), g3, out=squares)
-        _add_rows(acc, "class_centers", D, pd_grad)
-        pe_grad += np.subtract(np.negative(g2, out=squares), g3, out=squares)
-        _add_rows(acc, "class_centers", E, pe_grad)
-        np.add.at(acc.class_radii_raw, C, -(a1 + a2) * np.sign(raw_rc))
-        np.add.at(acc.class_radii_raw, D, -(a1 + a3) * np.sign(raw_rd))
+        p_grad[:n] += np.add(g1, g2, out=scratch)
+        p_grad[n:2 * n] += np.add(np.negative(g1, out=scratch), g3,
+                                  out=scratch)
+        p_grad[2 * n:] += np.subtract(np.negative(g2, out=scratch), g3,
+                                      out=scratch)
+        _add_rows(acc, "class_centers", CDE, p_grad)
+        radius = np.sign(raw_r)
+        radius[:n] *= -(a1 + a2)
+        radius[n:] *= -(a1 + a3)
+        np.add.at(acc.class_radii_raw, CDE[:2 * n], radius)
     return values, hinge
 
 

@@ -322,7 +322,7 @@ class _AxiomArrays:
     """Training axioms regrouped as index arrays, one bucket per shape."""
 
     rows: dict  # shape key -> int array [k, len(fields)], columns in field order
-    offsets: dict  # shape key -> (lo, hi) in the global index, SHAPES order
+    starts: np.ndarray  # each bucket's first index in the global index
 
     @staticmethod
     def build(axioms: Sequence[NormalAxiom], num_classes: int,
@@ -344,25 +344,30 @@ class _AxiomArrays:
                     raise ValueError(f"{kind.__name__}.{f} = "
                                      f"{column[bad][0]} is outside [0, {count})")
             rows[shape.key] = block
-        offsets = {}
-        start = 0
-        for key, block in rows.items():
-            offsets[key] = (start, start + len(block))
-            start += len(block)
-        return _AxiomArrays(rows, offsets)
+        sizes = [len(block) for block in rows.values()]
+        return _AxiomArrays(rows, np.cumsum([0] + sizes[:-1]))
 
     @property
     def total(self) -> int:
         return sum(len(block) for block in self.rows.values())
 
     def bucket_of(self, global_idx: np.ndarray):
-        """Map shuffled global indices to per-bucket local index arrays, in
-        SHAPES order."""
+        """Map global indices in ``[0, total)`` to per-bucket local index
+        arrays, in SHAPES order, each keeping the order of *global_idx*;
+        a bucket none of them falls in is left out.
+
+        One stable sort by bucket puts each bucket's indices in one run, in
+        SHAPES order, and the bucket counts give the runs' lengths."""
+        # an empty bucket starts where the next one does: "right" skips it
+        bucket = np.searchsorted(self.starts[1:], global_idx, side="right")
+        grouped = global_idx[np.argsort(bucket, kind="stable")]
+        counts = np.bincount(bucket, minlength=len(self.starts)).tolist()
         out = {}
-        for key, (lo, hi) in self.offsets.items():
-            mask = (global_idx >= lo) & (global_idx < hi)
-            if mask.any():
-                out[key] = global_idx[mask] - lo
+        at = 0
+        for key, lo, count in zip(self.rows, self.starts.tolist(), counts):
+            if count:
+                out[key] = grouped[at:at + count] - lo
+                at += count
         return out
 
 
@@ -387,7 +392,12 @@ def _batch_gradient(
 ):
     """Gradient and per-bucket loss sums/counts for one mini-batch: the
     buckets' terms, then the negatives, then the nominal term.  Every id
-    array has one row per term and one column per kernel field."""
+    array has one row per term and one column per kernel field.
+
+    Each term sum is checked once: a non-finite one raises
+    ``NumericalError`` naming the key and, when a term itself is not
+    finite, the ids of the first such term (a finite sum has only finite
+    terms, so the terms are tested only then)."""
     sums: dict = {}
     counts: dict = {}
     terms = [(key, key, arrays.rows[key][local])
@@ -398,12 +408,13 @@ def _batch_gradient(
             continue
         values, _ = gm.term_batch(
             kernel, state, rows.T, gamma, variant, acc, sigma_reg)
-        if not np.isfinite(values).all():
-            bad = int(np.nonzero(~np.isfinite(values))[0][0])
-            raise NumericalError(
-                f"non-finite {key} loss for axiom with ids {rows[bad].tolist()}"
-            )
-        sums[key] = float(values.sum())
+        total = float(values.sum())
+        if not math.isfinite(total):
+            bad = ~np.isfinite(values)
+            ids = (f" for axiom with ids {rows[bad.argmax()].tolist()}"
+                   if bad.any() else "")
+            raise NumericalError(f"non-finite {key} loss{ids}")
+        sums[key] = total
         counts[key] = len(values)
     return sums, counts
 
@@ -416,12 +427,14 @@ def _fit(config: TrainConfig, rng: np.random.Generator, state, terms: int,
     permutation into ``batch_size`` slices.  ``batch(idx, last, grad)``
     draws what else it needs from *rng*, overwrites *grad* with the batch's
     summed gradient and returns its per-key loss sums, term counts and the
-    gradient's scale; *last* marks the epoch's final batch.  Unless the
-    scale is None, the gradient is scaled and ``step(state, grad)`` moves
-    the parameters.  A non-finite loss or parameter raises
-    ``NumericalError``.  With ``valid(state) -> Hits@10``, validates every
-    ``VALIDATION_INTERVAL`` epochs, keeps the best checkpoint and stops once
-    ``patience`` evaluations pass without improvement.
+    gradient's scale; *last* marks the epoch's final batch.  The batch
+    function checks each loss sum it makes and raises ``NumericalError`` on
+    a non-finite one; the loop adds the epoch, the batch and the advice to
+    the message.  Unless the scale is None, the gradient is scaled and
+    ``step(state, grad)`` moves the parameters; a non-finite parameter
+    raises ``NumericalError``.  With ``valid(state) -> Hits@10``, validates
+    every ``VALIDATION_INTERVAL`` epochs, keeps the best checkpoint and
+    stops once ``patience`` evaluations pass without improvement.
     """
     grad = GradientAccumulator.zeros_like(state)
     log: list[LogRow] = []
@@ -436,11 +449,11 @@ def _fit(config: TrainConfig, rng: np.random.Generator, state, terms: int,
             epoch_counts: dict = {}
             for b in range(n_batches):
                 idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-                sums, counts, scale = batch(idx, b == n_batches - 1, grad)
                 where = f"epoch {epoch} batch {b}; try a smaller learning rate"
-                for key, val in sums.items():
-                    if not math.isfinite(val):
-                        raise NumericalError(f"non-finite {key} loss in {where}")
+                try:
+                    sums, counts, scale = batch(idx, b == n_batches - 1, grad)
+                except NumericalError as exc:
+                    raise NumericalError(f"{exc} in {where}") from None
                 if scale is not None:
                     grad.flat *= scale
                     step(state, grad)

@@ -10,6 +10,8 @@
 * The parser's round-trip printer and expression-size helper.
 * The training configuration's printer, whose text ``parse_config`` must
   read back to the same config.
+* The one-mask-per-bucket split of a training batch that
+  ``training._AxiomArrays.bucket_of`` replaced with one stable sort.
 """
 
 import numpy as np
@@ -312,3 +314,18 @@ def config_to_text(cfg):
         f"sigma_reg={cfg.sigma_reg!r}",
     ]
     return "\n".join(lines) + "\n"
+
+
+# --- training batches -----------------------------------------------------------
+
+
+def bucket_of(offsets, global_idx):
+    """Shape key -> the batch's indices in ``[lo, hi)`` of its bucket, less
+    ``lo``, in batch order; one mask per bucket, in *offsets* order, and a
+    bucket no index falls in is left out."""
+    out = {}
+    for key, (lo, hi) in offsets.items():
+        mask = (global_idx >= lo) & (global_idx < hi)
+        if mask.any():
+            out[key] = global_idx[mask] - lo
+    return out

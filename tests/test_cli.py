@@ -465,7 +465,8 @@ def test_eval_non_finite_scores_exit_2(tmp_path, capsys, kind):
 def test_train_baseline_divergence_exits_2(tmp_path, capsys, flags, config):
     # the baseline runs used to exit 0 with nan or infinite parameters in the
     # model file and nan losses in the log, leaking numpy warnings; the ball
-    # runs exited 2 but leaked a numpy warning before the message
+    # runs exited 2 but leaked a numpy warning before the message, and the
+    # sgd ones named neither the epoch nor the remedy
     src = tmp_path / "in.el"
     src.write_text("\n".join(hub_spoke_lines()) + "\n")
     cfg = tmp_path / "c.cfg"
@@ -475,6 +476,8 @@ def test_train_baseline_divergence_exits_2(tmp_path, capsys, flags, config):
                 str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "non-finite" in err[0]
+    assert " in epoch " in err[0] and " batch " in err[0]
+    assert err[0].endswith("; try a smaller learning rate")
     assert not out.exists() and not (tmp_path / "m.tsv.log.tsv").exists()
 
 

@@ -386,8 +386,11 @@ def test_blocks_are_views_of_flat_in_order(rng):
         cells = np.concatenate([getattr(obj, name).ravel() for name in blocks])
         assert cells.tolist() == list(range(obj.flat.size))
         for name in blocks:
-            assert getattr(obj, name).base is obj.flat
-            assert getattr(obj, name).ravel()[0] == obj.base[name]
+            block = getattr(obj, name)
+            assert block.base is obj.flat
+            assert block.ravel()[0] == obj.base[name]
+            if block.ndim == 2:  # the flat offsets of the first row
+                assert obj.columns[name].tolist() == block[0].tolist()
 
 
 def test_copy_shares_no_memory(rng):
@@ -405,12 +408,27 @@ def test_copy_shares_no_memory(rng):
 @pytest.mark.parametrize("cell", [0, -1])
 @pytest.mark.parametrize("name", BLOCKS)
 def test_all_finite_sees_each_block(rng, name, cell):
-    # a NaN in the first or last cell of any block: an off-by-one block
-    # offset leaves one of them unchecked
+    # a NaN or an infinity in the first or last cell of any block: an
+    # off-by-one block offset leaves one of them unchecked
     state = make_state(rng, num_classes=5, num_relations=3, dim=4)
     assert state.all_finite()
     block = getattr(state, name)
-    block[(cell,) * block.ndim] = np.nan
+    for value in (np.nan, np.inf, -np.inf):
+        block[(cell,) * block.ndim] = value
+        assert not state.all_finite()
+
+
+@pytest.mark.parametrize("model", [None, *MODELS])
+def test_all_finite_when_finite_cells_overflow_their_sum(rng, model):
+    """Finite cells whose sum overflows, or is inf - inf, are finite: a
+    check that trusted the sum of the buffer alone would call them not."""
+    state = (make_state(rng, num_classes=5, num_relations=3, dim=4)
+             if model is None else initialize_baseline(model, 5, 3, 4, rng))
+    state.flat[:2] = 1.7e308
+    assert state.all_finite()
+    state.flat[-2:] = -1.7e308
+    assert state.all_finite()
+    state.flat[-1] = -np.inf
     assert not state.all_finite()
 
 
@@ -434,19 +452,34 @@ def _masked_unit(vectors, norms):
     return out
 
 
+# rows whose norms are all > 0, from tiny (the squares are subnormal) to huge
+POSITIVE_ROWS = np.array([
+    [1e-160, 0.0, -0.0],
+    [0.0, -1.0, 0.0],
+    [-0.0, 3.0, -4.0],
+    [1e153, -2e153, 3e153],
+    [0.3, -2.0, 0.7],
+])
+
+
 def test_safe_unit_and_unit_penalty_edge_rows():
-    """Zero, underflowing, unit, signed-zero and NaN rows give, byte for
-    byte, what the masked divide gave: rows whose norm is not > 0 become
-    +0.0, and the penalty gradient is sign(||x|| - 1) times that."""
-    norms = np.linalg.norm(EDGE_ROWS, axis=1)
-    unit = _safe_unit(EDGE_ROWS.copy(), norms)
-    values, grads = _unit_penalty(EDGE_ROWS.copy())
-    expected_grads = (np.sign(norms - 1.0)[:, None]
-                      * _masked_unit(EDGE_ROWS, norms))
-    assert unit.tobytes() == _masked_unit(EDGE_ROWS, norms).tobytes()
-    assert values.tobytes() == np.abs(norms - 1.0).tobytes()
-    assert grads.tobytes() == expected_grads.tobytes()
-    assert np.signbit(grads[1]).all()  # -1 * +0.0: the row is below the sphere
+    """Zero, underflowing, unit, signed-zero and NaN rows, and a block whose
+    norms are all > 0 (the fast path), give, byte for byte, what the masked
+    divide gave: rows whose norm is not > 0 become +0.0, and the penalty
+    gradient is sign(||x|| - 1) times that."""
+    for rows in (EDGE_ROWS, POSITIVE_ROWS):
+        norms = np.linalg.norm(rows, axis=1)
+        unit = _safe_unit(rows.copy(), norms)
+        values, grads = _unit_penalty(rows.copy())
+        expected_grads = (np.sign(norms - 1.0)[:, None]
+                          * _masked_unit(rows, norms))
+        assert unit.tobytes() == _masked_unit(rows, norms).tobytes()
+        assert values.tobytes() == np.abs(norms - 1.0).tobytes()
+        assert grads.tobytes() == expected_grads.tobytes()
+        if rows is EDGE_ROWS:  # -1 * +0.0: the row is below the sphere
+            assert np.signbit(grads[1]).all()
+        else:
+            assert (norms > 0.0).all()
 
 
 def test_write_rows_formats_each_value_as_17g():

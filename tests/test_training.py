@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from conftest import make_state, one_term
+import reference
 from reference import config_to_text
 from geodl.model import EmbeddingState, GradientAccumulator, Variant, term_batch
 from geodl.normalize import NF1, SHAPES, normalize
@@ -22,6 +23,7 @@ from geodl.training import (
     parse_config,
     _ADAM_BLOCK,
     _Adam,
+    _AxiomArrays,
     split,
     train,
     write_log,
@@ -356,9 +358,58 @@ def test_non_finite_loss_aborts_with_diagnostic():
 
     # poison the initial state through an absurd learning rate on sgd
     cfg_bad = tiny_config(epochs=50, optimizer="sgd", lr=1e300)
-    with pytest.raises(NumericalError):  # and no numpy warning leaks
+    with pytest.raises(NumericalError,  # and no numpy warning leaks
+                       match=r" in epoch \d+ batch \d+; try a smaller "
+                             r"learning rate$"):
         train(onto, cfg_bad)
     assert onto.axioms is arrays_backup
+
+
+def test_overflowing_loss_sum_raises_the_loop_message(monkeypatch):
+    """Two finite nf1 terms near the largest float sum to infinity: the
+    batch stops with the loop's message, which names no axiom because no
+    term is at fault."""
+    onto = norm_lines(["subClassOf(A,B)", "subClassOf(A,C)"])
+    assert not onto.relations
+    centers = np.zeros((len(onto.classes), 4))
+    centers[:, 0] = 1.0
+    radii = np.zeros(len(onto.classes))
+    radii[onto.class_index["A"]] = 1e308
+    state = EmbeddingState(centers, radii, np.zeros((0, 4)), np.zeros(0))
+    monkeypatch.setattr(EmbeddingState, "initialize",
+                        staticmethod(lambda *args: state))
+    with pytest.raises(NumericalError) as raised:
+        train(onto, tiny_config())
+    assert str(raised.value) == ("non-finite nf1 loss in epoch 0 batch 0; "
+                                 "try a smaller learning rate")
+
+
+@given(st.lists(st.integers(0, 30), min_size=len(SHAPES),
+                max_size=len(SHAPES)),
+       st.integers(1, 40), st.integers(0, 2**32 - 1))
+@example([0, 0, 0, 25, 0, 0], 8, 0)  # every batch from one bucket
+@example([3, 0, 5, 0, 0, 2], 4, 1)  # empty buckets, a short last batch
+def test_bucket_of_matches_the_mask_reference(sizes, batch_size, seed):
+    """Each shuffled batch splits into the same buckets, in SHAPES order,
+    each with the same local indices in the same order, as one mask per
+    bucket gives."""
+    axioms = [kind(**dict.fromkeys(shape.fields, 0))
+              for (kind, shape), size in zip(SHAPES.items(), sizes)
+              for _ in range(size)]
+    arrays = _AxiomArrays.build(axioms, 1, 1)
+    offsets, lo = {}, 0  # each bucket's [lo, hi) in the global index
+    for key, size in zip(arrays.rows, sizes):
+        offsets[key] = (lo, lo + size)
+        lo += size
+    order = np.random.default_rng(seed).permutation(arrays.total)
+    for start in range(0, len(order), batch_size):  # the last may be short
+        idx = order[start:start + batch_size]
+        got = arrays.bucket_of(idx)
+        want = reference.bucket_of(offsets, idx)
+        assert list(got) == list(want)
+        for key, local in want.items():
+            assert got[key].dtype == local.dtype
+            assert got[key].tolist() == local.tolist()
 
 
 def test_log_columns_written(tmp_path):
@@ -479,4 +530,20 @@ def test_bench_kernel_batch_2k(benchmark, rng):
     values = benchmark.pedantic(batch, rounds=50, iterations=1)
     assert [len(v) for v in values] == list(KERNEL_MIX_2K.values())
     assert all(np.isfinite(v).all() for v in values)
+    assert np.isfinite(acc.flat).all()
+
+
+@pytest.mark.parametrize("key", ["nf1", "nf2", "nf3"])
+def test_bench_kernel_one_row_2k(benchmark, rng, key):
+    """One single-row call of a kernel through ``term_batch`` over 2000
+    classes and 10 relations at dim 50, gradients into one accumulator:
+    the fixed cost each kernel call pays before its rows."""
+    state = EmbeddingState.initialize(2000, 10, 50, rng)
+    shape = next(s for s in SHAPES.values() if s.key == key)
+    ids = tuple(np.array([i + 1]) for i in range(len(shape.fields)))
+    acc = GradientAccumulator.zeros_like(state)
+    values, _ = benchmark.pedantic(
+        term_batch, args=(key, state, ids, 0.1, Variant.EMEL_VAR, acc),
+        rounds=200, iterations=5)
+    assert len(values) == 1 and np.isfinite(values).all()
     assert np.isfinite(acc.flat).all()
