@@ -9,35 +9,31 @@ value is the absolute value, which keeps them non-negative without projection.
 Loss terms are hinges on ball containment/overlap plus a soft unit-sphere
 penalty P(x) = | ||center(x)|| - 1 | on every class mentioned.  Components are
 summed in a fixed order (hinges, then penalties in argument order, then the
-slack regularizer) so results are bit-reproducible.  Every kernel has one
-signature, ``<key>_batch(state, ids, gamma, variant, acc=None,
-sigma_reg=1.0)``: *ids* is the tuple of id columns in the order of the
-shape's fields in ``normalize.SHAPES`` (nf3_negative's as nf3's), and a
-kernel ignores the arguments it does not use.  ``term_batch`` runs the
-kernel of a shape key; training maps axioms to id columns
-(``training._AxiomArrays``).  Five of the seven kernels are one two-ball
-hinge that differs only in the signs and order of its terms; they are
-``_two_ball`` bound to one row each of the ``_TWO_BALL`` table, from which
-the gradient signs are read as well.  A kernel stacks the class ids of its
-terms (C's, then D's, then nf2's E's), gathers the centers and the raw radii
-of the stack once each and runs ``_unit_penalty`` once over it; the hinge
-works on the stack's per-class views.  Every step is row by row, so the
-stack gives what one call per class gave, bit for bit.  The kernels work on
-their gathered rows in place: a row norm is ``row_norms``, a unit row
-``_safe_unit``, and each gradient sum is built in the arrays that hold its
-terms, adding them in the order written: one numpy pass per (rows x dim)
-quantity and one scratch array per call.
+slack regularizer) so results are bit-reproducible.  ``batch_terms`` runs
+every term of a training batch in one stacked pass: the terms' class ids
+go in one stack in term order (each term's C's, then D's, then nf2's E's),
+whose centers and raw radii are gathered once and whose unit penalties are
+computed once; every distance is a row of one pair stack, over which the
+norms, unit residuals, active masks and gradient signs are computed once.
+Per term run only the operations on its slices: its residuals, the hinge
+chain of its shape in the step ``<key>_batch``, nf2's three-way sums and
+the adds of its distance gradients into its class rows.  Five of the seven
+shapes are one two-ball hinge that differs only in the signs and order of
+its terms; their steps are ``_two_ball`` bound to one row each of the
+``_TWO_BALL`` table, from which the gradient signs are read as well.
+``term_batch`` is the same pass over one term; training maps axioms to id
+columns (``training._AxiomArrays``).  Every arithmetic step is row by row,
+so the stacks give what one call per term gave, bit for bit.
 
 Parameters and gradients live in one contiguous float64 buffer each, with
 the named blocks as views into it (``_FlatBlocks``, which the baselines
 share), so zeroing, scaling, copying, the finiteness check and the SGD step
 are each one pass over the buffer; the Adam step walks it in cache-sized
-slices (``training._Adam``).  The kernels add their row contributions into the
-gradient buffer with ``_add_rows`` and ``np.add.at``, one call per block a
-kernel touches: the stacked class rows go in one call, C's rows before D's,
-so every cell sees the same additions in the same sequence as one call per
-class and per block gave, onto a zeroed buffer, and outputs are
-byte-identical to per-block storage.
+slices (``training._Adam``).  A pass adds its row contributions into the
+gradient buffer with one ``_add_rows`` or ``np.add.at`` call per block, its
+rows in term order, so every cell sees the same additions in the same
+sequence as one call per term and per block gave, onto a zeroed buffer, and
+outputs are byte-identical to per-block storage.
 """
 
 from __future__ import annotations
@@ -92,28 +88,34 @@ class _FlatBlocks:
     """Named arrays as views into one contiguous float64 buffer, ``flat``.
 
     The arrays given are copied into a new buffer, row-major, in the order
-    given; ``base[name]`` is the offset of each block in ``flat``, and
-    ``columns[name]`` the offsets of a 2-D block's first row
-    (``base + arange(dim)``).  Each named block is a view of its slice, so
-    writing a block writes ``flat``, and an elementwise operation over
-    ``flat`` does per element exactly what the same operation over each
-    block does.
+    given; ``base[name]`` is the offset of each block in ``flat``.  Each
+    named block is a view of its slice, so writing a block writes ``flat``,
+    and an elementwise operation over ``flat`` does per element exactly what
+    the same operation over each block does.
     """
 
     def __init__(self, **blocks):
         sizes = [math.prod(np.shape(array)) for array in blocks.values()]
         self.flat = np.empty(sum(sizes))
         self.base = {}
-        self.columns = {}
+        self._cells = {}
         start = 0
         for (name, array), size in zip(blocks.items(), sizes):
             self.base[name] = start
             view = self.flat[start:start + size].reshape(np.shape(array))
             view[...] = array
             setattr(self, name, view)
-            if view.ndim == 2:
-                self.columns[name] = start + np.arange(view.shape[1])
             start += size
+
+    def cells(self, name: str) -> np.ndarray:
+        """The offset in ``flat`` of every cell of block *name*, as an int
+        array of the block's shape; built on first use and kept."""
+        table = self._cells.get(name)
+        if table is None:
+            shape = getattr(self, name).shape
+            table = self.base[name] + np.arange(math.prod(shape)).reshape(shape)
+            self._cells[name] = table
+        return table
 
 
 class EmbeddingState(_FlatBlocks):
@@ -175,27 +177,34 @@ def _add_rows(acc: _FlatBlocks, block: str, rows: np.ndarray,
     """``np.add.at(acc.<block>, rows, values)`` for a row block, through
     numpy's faster 1-D indexed loop over ``acc.flat``.
 
-    Cell ``(rows[i], j)`` of the block is ``flat[base + rows[i]*dim + j]``,
-    and the flattened indices run i-major, so each cell receives its
+    The flat index is the rows of the block's offset table
+    (``_FlatBlocks.cells``), taken i-major, so each cell receives its
     contributions in the order ``np.add.at`` on the block adds them and the
-    sums are bit-identical.  *rows* must lie in ``[0, block rows)``, or the
-    sum lands in another block: training checks every id when it builds its
-    columns, and the kernels gather the same rows first, which rejects ids
-    past the end.
+    sums are bit-identical.  A row past the end of the block raises
+    IndexError; a negative row wraps, as in ``np.add.at``.
     """
-    columns = acc.columns[block]
-    index = rows[:, None] * len(columns) + columns
+    index = acc.cells(block).take(rows, axis=0)
     np.add.at(acc.flat, index.ravel(), values.ravel())
 
 
-def _safe_unit(vectors: np.ndarray, norms: np.ndarray) -> np.ndarray:
+def _safe_unit(vectors: np.ndarray, norms: np.ndarray,
+               scale: Optional[np.ndarray] = None) -> np.ndarray:
     """Divide each row of *vectors* by its norm in place and return it; a row
-    whose norm is not > 0 (zero, underflowed or NaN) becomes +0.0."""
+    whose norm is not > 0 (zero, underflowed or NaN) becomes +0.0.
+
+    With *scale* (one value per row, each +-1 or +-0.0), each row comes out
+    multiplied by its scale in the same pass, bit for bit: the divisor is
+    norm / scale, and x / (+-norm) is (x / norm) * (+-1) exactly, while
+    x / (+-inf) is the zero (x / norm) * (+-0.0) with its sign.
+    """
     ok = norms > 0.0
+    if scale is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            norms = norms / scale  # rows not ok are overwritten below
     if ok.all():
         return np.divide(vectors, norms[:, None], out=vectors)
     np.divide(vectors, np.where(ok, norms, 1.0)[:, None], out=vectors)
-    vectors[~ok] = 0.0
+    vectors[~ok] = 0.0 if scale is None else 0.0 * scale[~ok, None]
     return vectors
 
 
@@ -208,8 +217,7 @@ def _unit_penalty(centers: np.ndarray,
         squares = np.empty_like(centers)
     norms = row_norms(centers, squares)
     excess = norms - 1.0
-    grads = _safe_unit(centers, norms)
-    grads *= np.sign(excess)[:, None]
+    grads = _safe_unit(centers, norms, np.sign(excess))
     return np.abs(excess), grads
 
 
@@ -258,12 +266,45 @@ _TWO_BALL = {
     "nf3_negative": _two_ball_row("+r_C +r_D +sigma +gamma -dist", 1, False),
 }
 
+# The signs of dist, r_C, r_D and sigma on a pair row, one column per
+# kernel key (column _PAIR_KEYS[key]): a two-ball row's are its hinge's;
+# nf2's three distances each enter their hinge with +1, and nf2 forms its
+# radius gradients itself.
+_PAIR_KEYS = {key: i for i, key in enumerate(("nf2", *_TWO_BALL))}
+_PAIR_SIGNS = np.array([(1, 0, 0, 0)] + [row.sign[:_GAMMA]
+                                         for row in _TWO_BALL.values()],
+                       dtype=float).T
+_SHIFTED = {key for key, row in _TWO_BALL.items() if row.shift}
+_REGULARIZED = {key for key, row in _TWO_BALL.items() if row.regularized}
 
-def _two_ball(key, state, ids, gamma, variant, acc=None, sigma_reg=1.0):
+
+class _Rows(NamedTuple):
+    """Where one term's rows sit in the stacks of a pass."""
+
+    n: int  # rows of the term
+    cls: int  # first row in the class stack: C's rows, D's, then nf2's E's
+    rad: int  # first row in the radius stack: C's rows, then D's
+    pair: int  # first row in the pair stack: one per distance
+
+
+class _Pass(NamedTuple):
+    """The stacked quantities a shape step reads, and ``h``, the pair
+    stack's hinge arguments, which the steps write."""
+
+    dist: np.ndarray  # per pair row
+    h: np.ndarray  # per pair row
+    r: np.ndarray  # |raw radius| per radius row
+    sig: np.ndarray  # slack per relation row (0 in emel), pair-aligned
+    p: np.ndarray  # unit penalty per class row
+    gamma: float
+    slacked: bool
+    sigma_reg: float
+
+
+def _two_ball(key, q: _Pass, at: _Rows):
     """The hinge ``_TWO_BALL[key]`` between the C-ball and the D-ball (after
-    translation by relation R) plus both unit-sphere penalties, with its
-    gradients added to *acc*; returns ``(values, hinges)``.  *ids* is
-    ``(C, R, D)`` for a shape with a relation and ``(C, D)`` otherwise.
+    translation by relation R) plus both unit-sphere penalties, for the
+    term at *at*; returns ``(values, hinges)``.
 
     The slack is the relation's |raw sigma| in the variance-extended variant
     and 0 otherwise.  A shape marked regularized adds sigma_reg * sigma to
@@ -272,53 +313,22 @@ def _two_ball(key, state, ids, gamma, variant, acc=None, sigma_reg=1.0):
     weight below 1 lets relations with several active targets buy slack.
     """
     row = _TWO_BALL[key]
-    C, R, D = ids if row.shift else (ids[0], None, ids[1])
-    n = len(C)
-    CD = np.concatenate((C, D))
-    f = state.class_centers[CD]
-    fc, fd = f[:n], f[n:]
-    raw_r = state.class_radii_raw[CD]
-    r = np.abs(raw_r)
-    slacked = bool(row.shift) and variant is Variant.EMEL_VAR
-    if row.shift:
-        raw_sig = state.relation_sigmas_raw[R]
-        sig = np.abs(raw_sig) if slacked else np.zeros_like(raw_sig)
-        fr = state.relation_vectors[R]
-        op = np.add if row.shift > 0 else np.subtract
-        t = op(fc, fr, out=fr)
-        t -= fd
-    else:
-        t, sig = fc - fd, None
-    squares = np.empty_like(f)
-    dist = row_norms(t, squares[:n])
-    operands = (dist, r[:n], r[n:], sig, gamma)
-    h = operands[row.first]
-    for op, index in row.steps:
-        h = op(h, operands[index])
+    n = at.n
+    pairs = slice(at.pair, at.pair + n)
+    r = q.r[at.rad:at.rad + 2 * n]
+    sig = q.sig[pairs] if row.shift else None
+    operands = (q.dist[pairs], r[:n], r[n:], sig, q.gamma)
+    h = q.h[pairs]
+    (op, index), *steps = row.steps
+    op(operands[row.first], operands[index], out=h)
+    for op, index in steps:
+        op(h, operands[index], out=h)
     hinge = np.maximum(h, 0.0)
-    p, p_grad = _unit_penalty(f, squares)  # C's rows, then D's
-    values = (hinge + p[:n]) + p[n:]
-    if slacked and row.regularized:
-        values = values + sigma_reg * sig
-    if acc is not None:
-        active = (h > 0.0).astype(float)
-        g = _safe_unit(t, dist)
-        g *= (row.sign[_DIST] * active)[:, None]
-        p_grad[:n] += g
-        p_grad[n:] -= g
-        _add_rows(acc, "class_centers", CD, p_grad)
-        if row.shift:
-            _add_rows(acc, "relation_vectors", R,
-                      g if row.shift > 0 else np.negative(g, out=g))
-        radius = np.sign(raw_r)
-        radius[:n] *= row.sign[_RC] * active
-        radius[n:] *= row.sign[_RD] * active
-        np.add.at(acc.class_radii_raw, CD, radius)
-        if slacked:
-            slack = row.sign[_SIGMA] * active
-            if row.regularized:
-                slack = sigma_reg + slack
-            np.add.at(acc.relation_sigmas_raw, R, slack * np.sign(raw_sig))
+    p = q.p[at.cls:at.cls + 2 * n]  # C's rows, then D's
+    values = hinge + p[:n]
+    values += p[n:]
+    if q.slacked and row.regularized:
+        values += q.sigma_reg * sig
     return values, hinge
 
 
@@ -329,64 +339,184 @@ disjoint_batch = functools.partial(_two_ball, "disjoint")
 nf3_negative_batch = functools.partial(_two_ball, "nf3_negative")
 
 
-def nf2_batch(state, ids, gamma, variant, acc=None, sigma_reg=1.0):
-    """C and D <= E: C,D overlap and E's center lies in both balls."""
-    C, D, E = ids
-    n = len(C)
-    CDE = np.concatenate((C, D, E))
-    f = state.class_centers[CDE]
-    fc, fd, fe = f[:n], f[n:2 * n], f[2 * n:]
-    raw_r = state.class_radii_raw[CDE[:2 * n]]
-    r = np.abs(raw_r)
-    rc, rd = r[:n], r[n:]
-    u1 = fc - fd
-    u2 = fc - fe
-    u3 = fd - fe
-    squares = np.empty_like(f)
-    scratch = squares[:n]
-    d1 = row_norms(u1, scratch)
-    d2 = row_norms(u2, scratch)
-    d3 = row_norms(u3, scratch)
-    h1 = d1 - rc - rd - gamma
-    h2 = d2 - rc - gamma
-    h3 = d3 - rd - gamma
-    hinge = np.maximum(h1, 0.0) + np.maximum(h2, 0.0) + np.maximum(h3, 0.0)
-    p, p_grad = _unit_penalty(f, squares)  # C's rows, then D's, then E's
-    values = ((hinge + p[:n]) + p[n:2 * n]) + p[2 * n:]
-    if acc is not None:
-        a1 = (h1 > 0.0).astype(float)
-        a2 = (h2 > 0.0).astype(float)
-        a3 = (h3 > 0.0).astype(float)
-        # g_i = a_i * unit(u_i) in place; the row sums add their terms in the
-        # order of (g1 + g2) + pc_grad, (-g1 + g3) + pd_grad and
-        # (-g2 - g3) + pe_grad, with scratch rows of squares
-        g1 = _safe_unit(u1, d1)
-        g1 *= a1[:, None]
-        g2 = _safe_unit(u2, d2)
-        g2 *= a2[:, None]
-        g3 = _safe_unit(u3, d3)
-        g3 *= a3[:, None]
-        p_grad[:n] += np.add(g1, g2, out=scratch)
-        p_grad[n:2 * n] += np.add(np.negative(g1, out=scratch), g3,
-                                  out=scratch)
-        p_grad[2 * n:] += np.subtract(np.negative(g2, out=scratch), g3,
-                                      out=scratch)
-        _add_rows(acc, "class_centers", CDE, p_grad)
-        radius = np.sign(raw_r)
-        radius[:n] *= -(a1 + a2)
-        radius[n:] *= -(a1 + a3)
-        np.add.at(acc.class_radii_raw, CDE[:2 * n], radius)
+def nf2_batch(q: _Pass, at: _Rows):
+    """C and D <= E: C,D overlap and E's center lies in both balls.  The
+    pair rows hold ||c-d||, then ||c-e||, then ||d-e||."""
+    n = at.n
+    d = q.dist[at.pair:at.pair + 3 * n]
+    h = q.h[at.pair:at.pair + 3 * n]
+    r = q.r[at.rad:at.rad + 2 * n]  # rc, then rd
+    h1 = np.subtract(d[:n], r[:n], out=h[:n])  # d1 - rc - rd - gamma
+    h1 -= r[n:]
+    h1 -= q.gamma
+    np.subtract(d[n:], r, out=h[n:])  # d2 - rc - gamma, d3 - rd - gamma
+    h[n:] -= q.gamma
+    parts = np.maximum(h, 0.0)
+    hinge = parts[:n] + parts[n:2 * n]
+    hinge += parts[2 * n:]
+    p = q.p[at.cls:at.cls + 3 * n]  # C's rows, then D's, then E's
+    values = hinge + p[:n]
+    values += p[n:2 * n]
+    values += p[2 * n:]
     return values, hinge
 
 
-def bottom_batch(state, ids, gamma, variant, acc=None, sigma_reg=1.0):
+def _nf2_gradient(at: _Rows, g, active, p_grad, radius) -> None:
+    """Add nf2's distance gradients g_i = a_i * unit(u_i) to its class rows
+    of *p_grad* as (g1 + g2), (-g1 + g3) and (-g2 - g3), and scale its
+    radius rows by -(a1 + a2) and -(a1 + a3).  Negation is exact, so g3 - g1
+    and -(g2 + g3) give those sums bit for bit."""
+    n = at.n
+    g1, g2, g3 = (g[at.pair + i * n:at.pair + (i + 1) * n] for i in range(3))
+    pc, pd, pe = (p_grad[at.cls + i * n:at.cls + (i + 1) * n]
+                  for i in range(3))
+    scratch = np.empty_like(g1)
+    pc += np.add(g1, g2, out=scratch)
+    pd += np.subtract(g3, g1, out=scratch)
+    pe -= np.add(g2, g3, out=scratch)
+    a = active[at.pair:at.pair + 3 * n]
+    factor = a[n:].reshape(2, n) + a[:n]  # a2 + a1, then a3 + a1
+    radius[at.rad:at.rad + 2 * n] *= np.negative(factor, out=factor).ravel()
+
+
+def bottom_batch(q: _Pass, at: _Rows):
     """C <= nothing: the radius itself is the loss, driving the ball to a point."""
-    (C,) = ids
-    raw = state.class_radii_raw[C]
-    values = np.abs(raw)
-    if acc is not None:
-        np.add.at(acc.class_radii_raw, C, np.sign(raw))
+    values = q.r[at.rad:at.rad + at.n]
     return values, np.zeros_like(values)
+
+
+def _stack(parts: list) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=int)
+
+
+def batch_terms(
+    state: EmbeddingState,
+    terms,
+    gamma: float,
+    variant: Variant,
+    acc: Optional[GradientAccumulator] = None,
+    sigma_reg: float = 1.0,
+) -> list:
+    """Values and hinges of every term of a batch, in one stacked pass, with
+    the gradients added to *acc*; returns one ``(values, hinges)`` per term.
+
+    *terms* is ``[(key, columns), ...]`` in the order the terms are summed:
+    *columns* holds one id array per field of the shape, in the order of
+    ``normalize.SHAPES`` (nf3_negative's as nf3's).  The pass stacks the
+    class ids of all terms in that order (each term's C's, then D's, then
+    nf2's E's), gathers the centers and the raw radii once, and runs
+    ``_unit_penalty`` once.  Every distance is a row of one pair stack,
+    shifted two-ball terms first, so that its head is aligned with the
+    relation rows; the norms, unit residuals, active masks and gradient
+    signs are computed over the whole pair stack.  Per term run only the
+    operations on its slices: its residuals ``t = c + shift * r - d``, the
+    hinge chain of its shape in the step ``<key>_batch`` (looked up on the
+    module at each call, so a wrapper set on the module attribute sees
+    every term), nf2's three-way sums, and the adds of its distance
+    gradients into its class rows.  Each parameter block is then scattered
+    once, its rows in term order: every cell receives the same additions in
+    the same sequence as one pass per term gave.
+    """
+    slacked = variant is Variant.EMEL_VAR
+    cls_ids, rad_ids, rel_ids = [], [], []
+    placed = []  # (key, rows, first class row, first radius row) per term
+    cls = rad = 0
+    for key, columns in terms:
+        n = len(columns[0])
+        placed.append((key, n, cls, rad))
+        if key == "bottom":
+            rad_ids.append(columns[0])
+            rad += n
+            continue
+        if key == "nf2":
+            C, D, E = columns
+            cls_ids += (C, D, E)
+        elif key in _SHIFTED:
+            C, R, D = columns
+            cls_ids += (C, D)
+            rel_ids.append(R)
+        else:
+            C, D = columns
+            cls_ids += (C, D)
+        rad_ids += (C, D)
+        cls += (3 if key == "nf2" else 2) * n
+        rad += 2 * n
+    # the pair stack holds the shifted terms first, in term order, so that
+    # its head is aligned with the relation rows
+    rows = [_Rows(n, at_cls, at_rad, 0) for _, n, at_cls, at_rad in placed]
+    pair_terms = []  # (key, _Rows) in pair-stack order
+    pair = 0
+    for i in sorted((i for i, at in enumerate(placed) if at[0] != "bottom"),
+                    key=lambda i: placed[i][0] not in _SHIFTED):
+        key, n, at_cls, at_rad = placed[i]
+        rows[i] = _Rows(n, at_cls, at_rad, pair)
+        pair_terms.append((key, rows[i]))
+        pair += 3 * n if key == "nf2" else n
+
+    CC, RR, R = _stack(cls_ids), _stack(rad_ids), _stack(rel_ids)
+    f = state.class_centers.take(CC, axis=0)
+    raw_r = state.class_radii_raw.take(RR)
+    raw_sig = state.relation_sigmas_raw.take(R)
+    sig = np.abs(raw_sig) if slacked else np.zeros_like(raw_sig)
+    fr = state.relation_vectors.take(R, axis=0)
+    t = np.empty((pair, state.dim))
+    for key, at in pair_terms:
+        n = at.n
+        fc, fd = f[at.cls:at.cls + n], f[at.cls + n:at.cls + 2 * n]
+        out = t[at.pair:at.pair + n]
+        if key == "nf2":
+            fe = f[at.cls + 2 * n:at.cls + 3 * n]
+            np.subtract(fc, fd, out=out)
+            np.subtract(fc, fe, out=t[at.pair + n:at.pair + 2 * n])
+            np.subtract(fd, fe, out=t[at.pair + 2 * n:at.pair + 3 * n])
+        elif key in _SHIFTED:
+            op = np.add if _TWO_BALL[key].shift > 0 else np.subtract
+            op(fc, fr[at.pair:at.pair + n], out=out)
+            out -= fd
+        else:
+            np.subtract(fc, fd, out=out)
+    squares = np.empty_like(f)
+    dist = row_norms(t, squares[:pair])
+    p, p_grad = _unit_penalty(f, squares)
+    del squares, fr
+    q = _Pass(dist, np.empty(pair), np.abs(raw_r), sig, p, gamma, slacked,
+              sigma_reg)
+    results = [globals()[f"{key}_batch"](q, at)
+               for (key, *_), at in zip(placed, rows)]
+    if acc is None:
+        return results
+
+    # one row each for dist, r_C, r_D and sigma: per pair row, the operand's
+    # sign in the hinge times the active mask
+    coef = np.repeat(_PAIR_SIGNS[:, [_PAIR_KEYS[key] for key, _ in pair_terms]],
+                     [3 * at.n if key == "nf2" else at.n
+                      for key, at in pair_terms], axis=1)
+    coef *= q.h > 0.0
+    g = _safe_unit(t, dist, coef[_DIST])
+    radius = np.sign(raw_r)
+    for key, at in pair_terms:
+        n = at.n
+        pairs = slice(at.pair, at.pair + n)
+        if key == "nf2":
+            _nf2_gradient(at, g, coef[_DIST], p_grad, radius)
+            continue
+        p_grad[at.cls:at.cls + n] += g[pairs]
+        p_grad[at.cls + n:at.cls + 2 * n] -= g[pairs]
+        both = radius[at.rad:at.rad + 2 * n].reshape(2, n)  # C's, then D's
+        both *= coef[_RC:_RD + 1, pairs]
+        if _TWO_BALL[key].shift < 0:
+            np.negative(g[pairs], out=g[pairs])
+    _add_rows(acc, "class_centers", CC, p_grad)
+    np.add.at(acc.class_radii_raw, RR, radius)
+    if len(R):
+        _add_rows(acc, "relation_vectors", R, g[:len(R)])
+        if slacked:
+            slack = coef[_SIGMA, :len(R)]
+            for key, at in pair_terms:
+                if key in _REGULARIZED:
+                    slack[at.pair:at.pair + at.n] += sigma_reg
+            np.add.at(acc.relation_sigmas_raw, R, slack * np.sign(raw_sig))
+    return results
 
 
 def term_batch(
@@ -398,14 +528,10 @@ def term_batch(
     acc: Optional[GradientAccumulator] = None,
     sigma_reg: float = 1.0,
 ):
-    """Run the kernel ``<key>_batch`` over id *columns*, in the order of the
-    shape's fields in ``normalize.SHAPES``; returns ``(values, hinges)``.
-
-    The kernel is looked up on the module at each call, so a wrapper set on
-    the module attribute sees every call.
-    """
-    return globals()[f"{key}_batch"](state, columns, gamma, variant, acc,
-                                     sigma_reg)
+    """``batch_terms`` over the one term *key* on id *columns*; returns its
+    ``(values, hinges)``."""
+    return batch_terms(state, [(key, columns)], gamma, variant, acc,
+                       sigma_reg)[0]
 
 
 # --- persistence ---------------------------------------------------------

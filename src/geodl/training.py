@@ -2,11 +2,12 @@
 
 One epoch loop, ``_fit``, trains the ball model and the baselines; each
 model hands it a batch function and a step.  All randomness flows from the
-config seed through one generator, and every ball batch accumulates its
-terms in one fixed order (the shapes in ``normalize.SHAPES`` order, then the
-negatives, then the nominal term), so a run is bit-reproducible.  One
-gradient accumulator is reused for every batch, and the steps update the
-flat parameter buffer in place (see ``model._FlatBlocks``).
+config seed through one generator, and every ball batch runs its terms in
+one stacked pass (``model.batch_terms``) in one fixed order (the shapes in
+``normalize.SHAPES`` order, then the negatives, then the nominal term), so a
+run is bit-reproducible.  One gradient accumulator is reused for every
+batch, and the steps update the flat parameter buffer in place (see
+``model._FlatBlocks``).
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ class TrainConfig:
     sigma_reg: float = 1.0
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed}")
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
@@ -126,6 +130,9 @@ class SplitSpec:
     seed: int = 42
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed}")
         fracs = (self.train_frac, self.valid_frac, self.test_frac)
         if not all(math.isfinite(f) for f in fracs):
             raise ValueError("split fractions must be finite")
@@ -391,8 +398,9 @@ def _batch_gradient(
     sigma_reg: float = 1.0,
 ):
     """Gradient and per-bucket loss sums/counts for one mini-batch: the
-    buckets' terms, then the negatives, then the nominal term.  Every id
-    array has one row per term and one column per kernel field.
+    buckets' terms, then the negatives, then the nominal term, in one
+    ``model.batch_terms`` pass.  Every id array has one row per term and one
+    column per kernel field.
 
     Each term sum is checked once: a non-finite one raises
     ``NumericalError`` naming the key and, when a term itself is not
@@ -403,11 +411,11 @@ def _batch_gradient(
     terms = [(key, key, arrays.rows[key][local])
              for key, local in buckets.items()]
     terms += [("neg", "nf3_negative", negatives), ("nominal", "bottom", nominals)]
-    for key, kernel, rows in terms:
-        if rows is None or not len(rows):
-            continue
-        values, _ = gm.term_batch(
-            kernel, state, rows.T, gamma, variant, acc, sigma_reg)
+    terms = [term for term in terms if term[2] is not None and len(term[2])]
+    results = gm.batch_terms(
+        state, [(kernel, rows.T) for _, kernel, rows in terms], gamma,
+        variant, acc, sigma_reg)
+    for (key, _, rows), (values, _) in zip(terms, results):
         total = float(values.sum())
         if not math.isfinite(total):
             bad = ~np.isfinite(values)
@@ -430,9 +438,10 @@ def _fit(config: TrainConfig, rng: np.random.Generator, state, terms: int,
     gradient's scale; *last* marks the epoch's final batch.  The batch
     function checks each loss sum it makes and raises ``NumericalError`` on
     a non-finite one; the loop adds the epoch, the batch and the advice to
-    the message.  Unless the scale is None, the gradient is scaled and
-    ``step(state, grad)`` moves the parameters; a non-finite parameter
-    raises ``NumericalError``.  With ``valid(state) -> Hits@10``, validates
+    the message: a smaller learning rate, or, before the first step, the
+    margin and the initial parameters.  Unless the scale is None, the
+    gradient is scaled and ``step(state, grad)`` moves the parameters; a
+    non-finite parameter raises ``NumericalError``.  With ``valid(state) -> Hits@10``, validates
     every ``VALIDATION_INTERVAL`` epochs, keeps the best checkpoint and
     stops once ``patience`` evaluations pass without improvement.
     """
@@ -441,6 +450,7 @@ def _fit(config: TrainConfig, rng: np.random.Generator, state, terms: int,
     best_state = None
     best_hits = -1.0
     evals_since_best = 0
+    stepped = False
     n_batches = math.ceil(terms / config.batch_size)
     with np.errstate(all="ignore"):  # non-finite values raise below
         for epoch in range(config.epochs):
@@ -453,10 +463,14 @@ def _fit(config: TrainConfig, rng: np.random.Generator, state, terms: int,
                 try:
                     sums, counts, scale = batch(idx, b == n_batches - 1, grad)
                 except NumericalError as exc:
+                    if not stepped:  # the learning rate has not acted yet
+                        where = (f"epoch {epoch} batch {b}; no step has run: "
+                                 f"check the margin and the initial parameters")
                     raise NumericalError(f"{exc} in {where}") from None
                 if scale is not None:
                     grad.flat *= scale
                     step(state, grad)
+                    stepped = True
                     if not state.all_finite():
                         raise NumericalError(
                             f"non-finite parameter after {where}")

@@ -12,11 +12,24 @@
   read back to the same config.
 * The one-mask-per-bucket split of a training batch that
   ``training._AxiomArrays.bucket_of`` replaced with one stable sort.
+* The ball loss kernels as one call per term, each gathering, penalizing and
+  scattering its own rows with ``np.add.at`` on the named blocks, which
+  ``geodl.model.batch_terms`` replaced with one stacked pass per batch.
 """
 
 import numpy as np
 
-from geodl.model import NumericalError, Variant, row_norms
+from geodl.model import (
+    _DIST,
+    _RC,
+    _RD,
+    _SIGMA,
+    _TWO_BALL,
+    NumericalError,
+    Variant,
+    _safe_unit,
+    row_norms,
+)
 from geodl.parser import (
     BOTTOM,
     TOP,
@@ -329,3 +342,120 @@ def bucket_of(offsets, global_idx):
         if mask.any():
             out[key] = global_idx[mask] - lo
     return out
+
+
+# --- ball kernels, one call per term ------------------------------------------
+
+
+def unit_penalty(centers):
+    """P = | ||x|| - 1 | per row and its gradient rows (which overwrite
+    *centers*): the unit rows, then a multiply by sign(||x|| - 1)."""
+    norms = row_norms(centers, np.empty_like(centers))
+    excess = norms - 1.0
+    grads = _safe_unit(centers, norms)
+    grads *= np.sign(excess)[:, None]
+    return np.abs(excess), grads
+
+
+def two_ball(key, state, ids, gamma, variant, acc=None, sigma_reg=1.0):
+    """The hinge ``_TWO_BALL[key]`` plus both unit-sphere penalties over id
+    columns ``(C, R, D)`` or ``(C, D)``, gradients added to *acc*."""
+    row = _TWO_BALL[key]
+    C, R, D = ids if row.shift else (ids[0], None, ids[1])
+    n = len(C)
+    CD = np.concatenate((C, D))
+    f = state.class_centers[CD]
+    fc, fd = f[:n], f[n:]
+    raw_r = state.class_radii_raw[CD]
+    r = np.abs(raw_r)
+    slacked = bool(row.shift) and variant is Variant.EMEL_VAR
+    if row.shift:
+        raw_sig = state.relation_sigmas_raw[R]
+        sig = np.abs(raw_sig) if slacked else np.zeros_like(raw_sig)
+        fr = state.relation_vectors[R]
+        t = fc + fr if row.shift > 0 else fc - fr
+        t -= fd
+    else:
+        t, sig = fc - fd, None
+    dist = row_norms(t, np.empty_like(t))
+    operands = (dist, r[:n], r[n:], sig, gamma)
+    h = operands[row.first]
+    for op, index in row.steps:
+        h = op(h, operands[index])
+    hinge = np.maximum(h, 0.0)
+    p, p_grad = unit_penalty(f)  # C's rows, then D's
+    values = (hinge + p[:n]) + p[n:]
+    if slacked and row.regularized:
+        values = values + sigma_reg * sig
+    if acc is not None:
+        active = (h > 0.0).astype(float)
+        g = _safe_unit(t, dist)
+        g *= (row.sign[_DIST] * active)[:, None]
+        p_grad[:n] += g
+        p_grad[n:] -= g
+        np.add.at(acc.class_centers, CD, p_grad)
+        if row.shift:
+            np.add.at(acc.relation_vectors, R, g if row.shift > 0 else -g)
+        radius = np.sign(raw_r)
+        radius[:n] *= row.sign[_RC] * active
+        radius[n:] *= row.sign[_RD] * active
+        np.add.at(acc.class_radii_raw, CD, radius)
+        if slacked:
+            slack = row.sign[_SIGMA] * active
+            if row.regularized:
+                slack = sigma_reg + slack
+            np.add.at(acc.relation_sigmas_raw, R, slack * np.sign(raw_sig))
+    return values, hinge
+
+
+def nf2_kernel(state, ids, gamma, variant, acc=None, sigma_reg=1.0):
+    """C and D <= E over id columns ``(C, D, E)``."""
+    C, D, E = ids
+    n = len(C)
+    CDE = np.concatenate((C, D, E))
+    f = state.class_centers[CDE]
+    fc, fd, fe = f[:n], f[n:2 * n], f[2 * n:]
+    raw_r = state.class_radii_raw[CDE[:2 * n]]
+    r = np.abs(raw_r)
+    rc, rd = r[:n], r[n:]
+    u1, u2, u3 = fc - fd, fc - fe, fd - fe
+    d1, d2, d3 = (row_norms(u, np.empty_like(u)) for u in (u1, u2, u3))
+    h1 = d1 - rc - rd - gamma
+    h2 = d2 - rc - gamma
+    h3 = d3 - rd - gamma
+    hinge = np.maximum(h1, 0.0) + np.maximum(h2, 0.0) + np.maximum(h3, 0.0)
+    p, p_grad = unit_penalty(f)  # C's rows, then D's, then E's
+    values = ((hinge + p[:n]) + p[n:2 * n]) + p[2 * n:]
+    if acc is not None:
+        a1, a2, a3 = ((h > 0.0).astype(float) for h in (h1, h2, h3))
+        g1 = _safe_unit(u1, d1) * a1[:, None]
+        g2 = _safe_unit(u2, d2) * a2[:, None]
+        g3 = _safe_unit(u3, d3) * a3[:, None]
+        p_grad[:n] += g1 + g2
+        p_grad[n:2 * n] += -g1 + g3
+        p_grad[2 * n:] += -g2 - g3
+        np.add.at(acc.class_centers, CDE, p_grad)
+        radius = np.sign(raw_r)
+        radius[:n] *= -(a1 + a2)
+        radius[n:] *= -(a1 + a3)
+        np.add.at(acc.class_radii_raw, CDE[:2 * n], radius)
+    return values, hinge
+
+
+def bottom_kernel(state, ids, gamma, variant, acc=None, sigma_reg=1.0):
+    """C <= nothing over the id column ``(C,)``: the radius is the loss."""
+    (C,) = ids
+    raw = state.class_radii_raw[C]
+    if acc is not None:
+        np.add.at(acc.class_radii_raw, C, np.sign(raw))
+    return np.abs(raw), np.zeros(len(C))
+
+
+def kernel(key, state, ids, gamma, variant, acc=None, sigma_reg=1.0):
+    """One term's kernel call: ``(values, hinges)``, gradients added to
+    *acc* by ``np.add.at`` on each block it touches."""
+    if key == "nf2":
+        return nf2_kernel(state, ids, gamma, variant, acc, sigma_reg)
+    if key == "bottom":
+        return bottom_kernel(state, ids, gamma, variant, acc, sigma_reg)
+    return two_ball(key, state, ids, gamma, variant, acc, sigma_reg)

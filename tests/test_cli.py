@@ -261,6 +261,40 @@ def test_split_nan_fraction_exits_1(tmp_path, fixture_file, capsys):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("command", ["split", "train", "config"])
+def test_negative_seed_exits_1_naming_it(tmp_path, fixture_file, capsys,
+                                         command):
+    # numpy's own "expected non-negative integer" used to be the message
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=4\nepochs=2\nseed=-3\n")
+    argv, seed = {
+        "split": (["split", fixture_file, out, "--seed", "-1"], -1),
+        "train": (["train", fixture_file, out, "--seed", "-1"], -1),
+        "config": (["train", "--config", str(cfg), fixture_file, out], -3),
+    }[command]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"geodl: error: seed must be a non-negative integer, got {seed}"]
+    assert not Path(out).exists()
+
+
+def test_divergence_before_any_step_names_the_margin(tmp_path, fixture_file,
+                                                     capsys):
+    # the first batch's loss overflows on the initial parameters: the
+    # learning rate has not acted yet, so the advice names the margin
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=4\nepochs=2\nmargin=1e308\n")
+    out = tmp_path / "m.tsv"
+    assert run(["train", "--config", str(cfg), fixture_file, str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "non-finite" in err[0]
+    assert " in epoch 0 batch 0; " in err[0]
+    assert err[0].endswith(
+        "; no step has run: check the margin and the initial parameters")
+    assert not out.exists()
+
+
 def test_eval_unknown_direction_exits_1(tmp_path, capsys):
     assert run(["eval", "--direction", "up", str(tmp_path / "m.tsv"),
                 str(tmp_path / "t.el"), str(tmp_path / "r.tsv")]) == 1

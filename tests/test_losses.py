@@ -389,8 +389,8 @@ def test_blocks_are_views_of_flat_in_order(rng):
             block = getattr(obj, name)
             assert block.base is obj.flat
             assert block.ravel()[0] == obj.base[name]
-            if block.ndim == 2:  # the flat offsets of the first row
-                assert obj.columns[name].tolist() == block[0].tolist()
+            # the offset table holds each cell's index in flat
+            assert obj.cells(name).tolist() == block.tolist()
 
 
 def test_copy_shares_no_memory(rng):
@@ -465,8 +465,8 @@ POSITIVE_ROWS = np.array([
 def test_safe_unit_and_unit_penalty_edge_rows():
     """Zero, underflowing, unit, signed-zero and NaN rows, and a block whose
     norms are all > 0 (the fast path), give, byte for byte, what the masked
-    divide gave: rows whose norm is not > 0 become +0.0, and the penalty
-    gradient is sign(||x|| - 1) times that."""
+    divide gave: rows whose norm is not > 0 become +0.0, the penalty
+    gradient is sign(||x|| - 1) times that, and so is a scaled unit row."""
     for rows in (EDGE_ROWS, POSITIVE_ROWS):
         norms = np.linalg.norm(rows, axis=1)
         unit = _safe_unit(rows.copy(), norms)
@@ -476,6 +476,13 @@ def test_safe_unit_and_unit_penalty_edge_rows():
         assert unit.tobytes() == _masked_unit(rows, norms).tobytes()
         assert values.tobytes() == np.abs(norms - 1.0).tobytes()
         assert grads.tobytes() == expected_grads.tobytes()
+        # a per-row scale of +-1 or +-0.0 folded into the divide gives the
+        # unit rows times the scale, zero signs included
+        for pattern in ([1.0], [-1.0], [0.0], [-0.0], [1.0, -0.0, -1.0, 0.0]):
+            scale = np.resize(pattern, len(rows))
+            scaled = _safe_unit(rows.copy(), norms, scale)
+            want = _masked_unit(rows, norms) * scale[:, None]
+            assert scaled.tobytes() == want.tobytes()
         if rows is EDGE_ROWS:  # -1 * +0.0: the row is below the sphere
             assert np.signbit(grads[1]).all()
         else:

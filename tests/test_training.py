@@ -9,8 +9,14 @@ import oracles
 from conftest import make_state, one_term
 import reference
 from reference import config_to_text
-from geodl.model import EmbeddingState, GradientAccumulator, Variant, term_batch
-from geodl.normalize import NF1, SHAPES, normalize
+from geodl.model import (
+    EmbeddingState,
+    GradientAccumulator,
+    Variant,
+    batch_terms,
+    term_batch,
+)
+from geodl.normalize import NF1, NF2, NF3, SHAPES, normalize
 from geodl.parser import parse_ontology
 from geodl.ranking import DIRECTIONS, is_fresh_name, is_nominal_name, unrankable
 from geodl.synthetic import random_raw_lines, surrogate_lines
@@ -24,6 +30,7 @@ from geodl.training import (
     _ADAM_BLOCK,
     _Adam,
     _AxiomArrays,
+    _batch_gradient,
     split,
     train,
     write_log,
@@ -368,7 +375,7 @@ def test_non_finite_loss_aborts_with_diagnostic():
 def test_overflowing_loss_sum_raises_the_loop_message(monkeypatch):
     """Two finite nf1 terms near the largest float sum to infinity: the
     batch stops with the loop's message, which names no axiom because no
-    term is at fault."""
+    term is at fault, and, as no step has run, not the learning rate."""
     onto = norm_lines(["subClassOf(A,B)", "subClassOf(A,C)"])
     assert not onto.relations
     centers = np.zeros((len(onto.classes), 4))
@@ -381,7 +388,8 @@ def test_overflowing_loss_sum_raises_the_loop_message(monkeypatch):
     with pytest.raises(NumericalError) as raised:
         train(onto, tiny_config())
     assert str(raised.value) == ("non-finite nf1 loss in epoch 0 batch 0; "
-                                 "try a smaller learning rate")
+                                 "no step has run: check the margin and "
+                                 "the initial parameters")
 
 
 @given(st.lists(st.integers(0, 30), min_size=len(SHAPES),
@@ -410,6 +418,110 @@ def test_bucket_of_matches_the_mask_reference(sizes, batch_size, seed):
         for key, local in want.items():
             assert got[key].dtype == local.dtype
             assert got[key].tolist() == local.tolist()
+
+
+# finite parameters with repeated values and both zeros, so that coincident
+# centers, zero radii and slacks, unit norms and the addition order show in
+# the output bytes
+BALL_PARAMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 0.1]),
+    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def ball_batch(state, axioms, order, negatives, nominals):
+    """The arguments ``_batch_gradient`` takes for the batch of *axioms*
+    picked by the global indices *order*, plus the negatives and the
+    nominal term, each a list of id rows or None."""
+    arrays = _AxiomArrays.build(axioms, state.num_classes, state.num_relations)
+    buckets = arrays.bucket_of(np.array(order, dtype=int))
+    extra = [None if rows is None else np.array(rows, dtype=int).reshape(
+        len(rows), width) for rows, width in ((negatives, 3), (nominals, 1))]
+    return (state, arrays, buckets, *extra)
+
+
+@st.composite
+def ball_batches(draw):
+    classes = draw(st.integers(1, 5))
+    relations = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
+
+    def block(*shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(BALL_PARAMS, min_size=size,
+                                      max_size=size))).reshape(shape)
+
+    state = EmbeddingState(block(classes, dim), block(classes),
+                           block(relations, dim), block(relations))
+    ids = {False: st.integers(0, classes - 1),
+           True: st.integers(0, relations - 1)}
+    axioms = [kind(**{f: draw(ids[f in shape.relations]) for f in shape.fields})
+              for kind, shape in SHAPES.items()
+              for _ in range(draw(st.integers(0, 4)))]
+    order = draw(st.permutations(range(len(axioms))))
+    order = order[:draw(st.integers(0, len(order)))]
+    negatives = draw(st.none() | st.lists(
+        st.tuples(ids[False], ids[True], ids[False]), min_size=1, max_size=4))
+    nominals = draw(st.none() | st.lists(
+        st.tuples(ids[False]), min_size=1, max_size=3))
+    return ball_batch(state, axioms, order, negatives, nominals)
+
+
+def reference_batch(state, arrays, buckets, negatives, nominals, gamma,
+                    variant, sigma_reg):
+    """The per-term kernels of ``reference`` in term order onto a zeroed
+    accumulator: per-key sums and counts, the accumulator, and each term's
+    values and hinges."""
+    acc = GradientAccumulator.zeros_like(state)
+    terms = [(key, key, arrays.rows[key][local])
+             for key, local in buckets.items()]
+    terms += [("neg", "nf3_negative", negatives), ("nominal", "bottom", nominals)]
+    sums, counts, outputs = {}, {}, []
+    for key, kernel, rows in terms:
+        if rows is None or not len(rows):
+            continue
+        values, hinges = reference.kernel(kernel, state, rows.T, gamma,
+                                          variant, acc, sigma_reg)
+        sums[key] = float(values.sum())
+        counts[key] = len(values)
+        outputs.append((kernel, rows, values, hinges))
+    return sums, counts, acc, outputs
+
+
+# class 0 is nf1's D, nf2's C, one nf3's C and another's D, one negative's
+# C and another's D, and a nominal: its cells receive contributions from
+# several terms, in an order that the one scatter per block must keep
+SHARED_CLASS_BATCH = ball_batch(
+    make_state(np.random.default_rng(3), num_classes=3, num_relations=2,
+               dim=3),
+    [NF1(1, 0), NF2(0, 1, 2), NF3(0, 1, 1), NF3(2, 0, 0)], [0, 1, 2, 3],
+    [(0, 1, 1), (1, 1, 0)], [(0,), (2,)])
+
+
+@given(ball_batches(), st.sampled_from([Variant.EMEL, Variant.EMEL_VAR]),
+       st.sampled_from([1.0, 0.25]), st.sampled_from([0.0, 0.1]))
+@example(SHARED_CLASS_BATCH, Variant.EMEL_VAR, 0.25, 0.1)
+@example(SHARED_CLASS_BATCH, Variant.EMEL, 1.0, 0.0)
+def test_batch_gradient_matches_the_per_term_kernels(batch, variant,
+                                                     sigma_reg, gamma):
+    """One stacked pass gives, byte for byte, what one kernel call per term
+    in term order gave onto a zeroed accumulator: the per-key sums and
+    counts, every gradient cell, and each term's values and hinges."""
+    state, arrays, buckets, negatives, nominals = batch
+    want_sums, want_counts, want_acc, outputs = reference_batch(
+        state, arrays, buckets, negatives, nominals, gamma, variant,
+        sigma_reg)
+    acc = GradientAccumulator.zeros_like(state)
+    sums, counts = _batch_gradient(state, arrays, buckets, negatives,
+                                   nominals, gamma, variant, acc, sigma_reg)
+    assert sums == want_sums
+    assert counts == want_counts
+    assert acc.flat.tobytes() == want_acc.flat.tobytes()
+    got = batch_terms(state, [(kernel, rows.T) for kernel, rows, *_ in outputs],
+                      gamma, variant, None, sigma_reg)
+    for (values, hinges), (_, _, want_values, want_hinges) in zip(got, outputs):
+        assert values.tobytes() == want_values.tobytes()
+        assert hinges.tobytes() == want_hinges.tobytes()
 
 
 def test_log_columns_written(tmp_path):
@@ -504,32 +616,35 @@ def test_bench_optimizer_step_2k(benchmark, rng):
     assert state.all_finite()
 
 
-# the ball-kernel terms of one train-2k batch (512 axioms, EmElVar)
-KERNEL_MIX_2K = {"nf1": 349, "nf3": 153, "nf3_negative": 153, "disjoint": 7,
-                 "nf2": 2, "nf4": 1}
+# the terms of one train-2k batch (512 axioms, EmElVar) by shape, and the
+# negatives drawn for its nf3 terms
+KERNEL_MIX_2K = {"nf1": 349, "nf2": 2, "nf3": 153, "nf4": 1, "disjoint": 7}
 
 
 def test_bench_kernel_batch_2k(benchmark, rng):
-    """One batch of the train-2k kernel mix through ``term_batch`` over 2000
-    classes and 10 relations at dim 50, gradients into one accumulator."""
+    """One ``_batch_gradient`` over the train-2k mix of one batch, its nf3
+    negatives included, over 2000 classes and 10 relations at dim 50, onto
+    a zeroed accumulator."""
     state = EmbeddingState.initialize(2000, 10, 50, rng)
-    shapes = {shape.key: shape for shape in SHAPES.values()}
-    shapes["nf3_negative"] = shapes["nf3"]
-    columns = {
-        key: tuple(rng.integers(0, 10 if f in shapes[key].relations else 2000,
-                                size=rows)
-                   for f in shapes[key].fields)
-        for key, rows in KERNEL_MIX_2K.items()}
+    axioms = [kind(**{f: int(rng.integers(0, 10 if f in shape.relations
+                                          else 2000))
+                      for f in shape.fields})
+              for kind, shape in SHAPES.items()
+              for _ in range(KERNEL_MIX_2K.get(shape.key, 0))]
+    arrays = _AxiomArrays.build(axioms, 2000, 10)
+    buckets = arrays.bucket_of(rng.permutation(arrays.total))
+    nf3 = arrays.rows["nf3"][buckets["nf3"]]  # in batch order, as training
+    negatives = np.column_stack((nf3[:, :2], rng.integers(0, 2000, len(nf3))))
     acc = GradientAccumulator.zeros_like(state)
 
     def batch():
         acc.flat.fill(0.0)
-        return [term_batch(key, state, ids, 0.1, Variant.EMEL_VAR, acc)[0]
-                for key, ids in columns.items()]
+        return _batch_gradient(state, arrays, buckets, negatives, None, 0.1,
+                               Variant.EMEL_VAR, acc)
 
-    values = benchmark.pedantic(batch, rounds=50, iterations=1)
-    assert [len(v) for v in values] == list(KERNEL_MIX_2K.values())
-    assert all(np.isfinite(v).all() for v in values)
+    sums, counts = benchmark.pedantic(batch, rounds=50, iterations=1)
+    assert counts == {**KERNEL_MIX_2K, "neg": len(nf3)}
+    assert all(math.isfinite(total) for total in sums.values())
     assert np.isfinite(acc.flat).all()
 
 
