@@ -11,21 +11,44 @@ One axiom per line, ``#`` starts a comment, blank lines are ignored::
 NAME is a run of characters excluding whitespace, parentheses, commas and
 ``#``.  Whitespace between tokens is not significant.  ``top`` and ``bottom``
 are reserved: they always parse to the distinguished variants, never to a
-named class.  ``disjointWith(C,D)`` is sugar for
-``subClassOf(and(C,D),bottom)`` and is desugared while parsing, so the
+named class.  ``and``, ``some`` and ``nominal`` are keywords only when a
+``(`` follows; otherwise they are names.  ``disjointWith(C,D)`` is sugar
+for ``subClassOf(and(C,D),bottom)`` and is desugared while parsing, so the
 in-memory representation has a single canonical form for disjointness.
+
+Two paths read a line of a file (``parse_ontology``):
+
+* A flat line, ``head(A,B)`` or ``head(A,some(R,B))`` for any of the three
+  heads, written with no whitespace and no comment, is one regex match
+  (``_FLAT``), and its tree is built from the match's groups.  Most
+  normal-form files are almost all flat lines.  Such a line is valid by
+  construction, so this path cannot fail.  It runs only when the depth
+  limit is above 2, the depth of a ``some`` filler; under a smaller limit
+  the cursor raises the nesting error.
+* Every other line (nested, spaced or commented, and every malformed one)
+  goes through ``_Cursor``, a recursive descent over the line's tokens.
+  The cursor is the only source of ``ParseError``: a line the regex misses
+  pays one failed match and is then read exactly as before, so messages
+  and columns do not depend on which lines are flat.
+
+Both paths share one ``Atomic`` per distinct class name within a call.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 DEFAULT_MAX_DEPTH = 64
 
 # A name, or one character of punctuation; whitespace separates tokens.
 _TOKEN = re.compile(r"[^\s(),#]+|\S")
+# A flat line, head(A,B) or head(A,some(R,B)), with no whitespace and no
+# comment; groups: head, A, then R and B of some(R,B), or B.
+_NAME = r"([^\s(),#]+)"
+_FLAT = re.compile(rf"(subClassOf|equivalentClasses|disjointWith)\({_NAME},"
+                   rf"(?:some\({_NAME},{_NAME}\)|{_NAME})\)")
 _NAME_BREAK = re.compile(r"[\s(),#]")
 _NOT_NAMES = frozenset(("(", ")", ",", "#", ""))
 _RESERVED = ("top", "bottom")
@@ -137,15 +160,29 @@ def concept_to_text(c: Concept) -> str:
     raise TypeError(f"not a concept: {c!r}")
 
 
+class _Atoms(dict):
+    """Class name -> its one concept: ``TOP``, ``BOTTOM``, or an ``Atomic``
+    built (and its name checked) the first time the name is asked for."""
+
+    def __init__(self):
+        super().__init__(top=TOP, bottom=BOTTOM)
+
+    def __missing__(self, name: str) -> Concept:
+        atom = self[name] = Atomic(name)
+        return atom
+
+
 class _Cursor:
     """Recursive descent over one line's tokens; columns are found on error."""
 
-    def __init__(self, text: str, line: int, max_depth: int):
+    def __init__(self, text: str, line: int, max_depth: int,
+                 atoms: Optional[_Atoms] = None):
         self.text = text
         self.tokens = _TOKEN.findall(text) + [""]  # "" marks the end of the line
         self.i = 0
         self.line = line
         self.max_depth = max_depth
+        self.atoms = _Atoms() if atoms is None else atoms
 
     def offset(self, after: bool = False) -> int:
         """Where the next token starts, or where the previous one ends; an
@@ -185,10 +222,6 @@ class _Cursor:
             raise self.error(f"nesting deeper than the limit of {self.max_depth}",
                              after=True)
         tok = self.name()
-        if tok == "top":
-            return TOP
-        if tok == "bottom":
-            return BOTTOM
         # Keyword heads are only special when a '(' follows; otherwise they
         # are ordinary names.
         if self.tokens[self.i] == "(" and tok in ("and", "some", "nominal"):
@@ -208,7 +241,7 @@ class _Cursor:
             right = self.concept(depth + 1)
             self.expect(")")
             return Intersection(left, right)
-        return Atomic(tok)
+        return self.atoms[tok]
 
     def axiom(self) -> RawAxiom:
         head = self.name()
@@ -222,11 +255,15 @@ class _Cursor:
         self.expect(",")
         second = self.concept(1)
         self.expect(")")
-        if head == "subClassOf":
-            return SubClassOf(first, second)
-        if head == "equivalentClasses":
-            return EquivalentClasses(first, second)
-        return SubClassOf(Intersection(first, second), BOTTOM)
+        return _axiom(head, first, second)
+
+
+def _axiom(head: str, first: Concept, second: Concept) -> RawAxiom:
+    if head == "subClassOf":
+        return SubClassOf(first, second)
+    if head == "equivalentClasses":
+        return EquivalentClasses(first, second)
+    return SubClassOf(Intersection(first, second), BOTTOM)
 
 
 def parse_concept(text: str, max_depth: int = DEFAULT_MAX_DEPTH, line: int = 1) -> Concept:
@@ -274,11 +311,22 @@ def parse_ontology(
     """Parse a whole axiom file; the first syntax error aborts the run.
 
     Returns axioms in file order plus counts of distinct classes, relations
-    and individuals seen anywhere in them.
+    and individuals seen anywhere in them.  Each class name is one
+    ``Atomic`` object throughout the result.
     """
     axioms: list[RawAxiom] = []
+    atoms = _Atoms()
+    flat = max_depth > 2  # a some(R,B) filler sits at depth 2
+    fullmatch = _FLAT.fullmatch
     for lineno, raw in enumerate(lines, start=1):
+        match = fullmatch(raw) if flat else None
+        if match is not None:
+            head, a, role, filler, b = match.groups()
+            second = atoms[b] if role is None else Existential(role, atoms[filler])
+            axioms.append(_axiom(head, atoms[a], second))
+            continue
         text = raw.split("#", 1)[0]
         if text.strip():
-            axioms.append(parse_axiom(text, max_depth=max_depth, line=lineno))
+            cur = _Cursor(text, lineno, max_depth, atoms)
+            axioms.append(cur.end(cur.axiom()))
     return axioms, compute_stats(axioms)

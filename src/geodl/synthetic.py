@@ -8,8 +8,9 @@ Two generators:
   canonical many-to-many stress case.
 
 * ``surrogate_lines`` - a connected ~2000-class subclass hierarchy with a
-  handful of relations used in hub patterns (few sources, shared target
-  pools), standing in for a large biomedical ontology when none is bundled.
+  handful of relations, each leading many sources into one small shared
+  target pool, standing in for a large biomedical ontology when none is
+  bundled.
 """
 
 from __future__ import annotations
@@ -51,9 +52,11 @@ def surrogate_lines(n_classes: int = 2000, seed: int = 0) -> list[str]:
     ``MAX_SHORTCUTS`` extra subclass edges to strict ancestors, so held-out
     subclass pairs usually stay derivable from surviving chains, as in real
     biomedical hierarchies.  Most classes also get one existential role edge
-    into a small per-relation target pool, giving every relation the
-    many-target pressure that separates the variance-aware variant from the
-    base model.  No axiom line is emitted twice.
+    into a small per-relation target pool.  A class has at most one role
+    edge, so a relation gives each of its heads one tail, while each pool
+    class is the tail of several heads: by TransH's categories every
+    relation is N-to-1 (on data seed 3, 1.00 tails per head and 5.3-7.2
+    heads per tail), not many-to-many.  No axiom line is emitted twice.
     """
     rng = np.random.default_rng(seed)
     names = [f"c{i:04d}" for i in range(n_classes)]

@@ -388,8 +388,7 @@ class TrainResult:
 
 def _batch_gradient(
     state: EmbeddingState,
-    arrays: _AxiomArrays,
-    buckets: dict,
+    rows: dict,
     negatives: Optional[np.ndarray],
     nominals: Optional[np.ndarray],
     gamma: float,
@@ -398,9 +397,10 @@ def _batch_gradient(
     sigma_reg: float = 1.0,
 ):
     """Gradient and per-bucket loss sums/counts for one mini-batch: the
-    buckets' terms, then the negatives, then the nominal term, in one
-    ``model.batch_terms`` pass.  Every id array has one row per term and one
-    column per kernel field.
+    buckets' terms (*rows*: shape key -> the batch's id rows of that shape),
+    then the negatives, then the nominal term, in one ``model.batch_terms``
+    pass.  Every id array has one row per term and one column per kernel
+    field.
 
     Each term sum is checked once: a non-finite one raises
     ``NumericalError`` naming the key and, when a term itself is not
@@ -408,20 +408,19 @@ def _batch_gradient(
     terms, so the terms are tested only then)."""
     sums: dict = {}
     counts: dict = {}
-    terms = [(key, key, arrays.rows[key][local])
-             for key, local in buckets.items()]
+    terms = [(key, key, ids) for key, ids in rows.items()]
     terms += [("neg", "nf3_negative", negatives), ("nominal", "bottom", nominals)]
     terms = [term for term in terms if term[2] is not None and len(term[2])]
     results = gm.batch_terms(
-        state, [(kernel, rows.T) for _, kernel, rows in terms], gamma,
+        state, [(kernel, ids.T) for _, kernel, ids in terms], gamma,
         variant, acc, sigma_reg)
-    for (key, _, rows), (values, _) in zip(terms, results):
+    for (key, _, ids), (values, _) in zip(terms, results):
         total = float(values.sum())
         if not math.isfinite(total):
             bad = ~np.isfinite(values)
-            ids = (f" for axiom with ids {rows[bad.argmax()].tolist()}"
-                   if bad.any() else "")
-            raise NumericalError(f"non-finite {key} loss{ids}")
+            where = (f" for axiom with ids {ids[bad.argmax()].tolist()}"
+                     if bad.any() else "")
+            raise NumericalError(f"non-finite {key} loss{where}")
         sums[key] = total
         counts[key] = len(values)
     return sums, counts
@@ -555,17 +554,17 @@ def train(
     num_classes = len(onto.classes)
 
     def batch(idx, last, acc):
-        buckets = arrays.bucket_of(idx)
+        rows = {key: arrays.rows[key][local]
+                for key, local in arrays.bucket_of(idx).items()}
         negatives = None
-        if config.negatives and "nf3" in buckets and num_classes > 1:
-            rows = arrays.rows["nf3"][buckets["nf3"]]
+        if config.negatives and "nf3" in rows and num_classes > 1:
+            negatives = rows["nf3"].copy()
             # uniform over all classes except the true tail
-            repl = rng.integers(0, num_classes - 1, size=len(rows))
-            corrupted = repl + (repl >= rows[:, 2])
-            negatives = np.column_stack((rows[:, 0], rows[:, 1], corrupted))
+            repl = rng.integers(0, num_classes - 1, size=len(negatives))
+            negatives[:, 2] = repl + (repl >= negatives[:, 2])
         acc.flat.fill(0.0)
         sums, counts = _batch_gradient(
-            state, arrays, buckets, negatives, nominal_ids if last else None,
+            state, rows, negatives, nominal_ids if last else None,
             config.margin, config.variant, acc, config.sigma_reg,
         )
         return sums, counts, 1.0 / sum(counts.values())

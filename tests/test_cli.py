@@ -4,6 +4,8 @@ import importlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -832,6 +834,52 @@ def test_baseline_output_bytes_are_pinned(tmp_path, fixture_file, model):
     assert digests(out) + (
         hashlib.sha256(report.read_bytes()).hexdigest(),
     ) == GOLDEN_BASELINE[model]
+
+
+# split, an emel-var train with one validation ranking, and a filtered eval
+# in one interpreter; prints the process's thread count when /proc shows it
+BLAS_PIPELINE = """
+import os, sys
+from geodl.cli import main
+for argv in ("split input.el split --seed 3",
+             "train split/train.el model.tsv --config train.cfg"
+             " --variant emel-var --seed 3",
+             "eval model.tsv split/test.el eval.tsv --filtered split/train.el"):
+    if main(argv.split()):
+        sys.exit(f"geodl {argv} failed")
+task = "/proc/self/task"
+print(len(os.listdir(task)) if os.path.isdir(task) else 0)
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """The pipeline above writes the same bytes into every output file with
+    OpenBLAS at one thread and at two, each in a fresh interpreter: ranking
+    proves its ranks independent of the block product's summation order,
+    and nothing else may depend on it either."""
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    outputs, threads = {}, {}
+    for n in ("1", "2"):
+        work = tmp_path / f"threads{n}"
+        work.mkdir()
+        (work / "input.el").write_text(
+            "\n".join(surrogate_lines(n_classes=300, seed=1)) + "\n")
+        (work / "train.cfg").write_text("epochs=25\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": n,
+               "PYTHONPATH": os.pathsep.join(
+                   [src_dir, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", BLAS_PIPELINE], cwd=work,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        threads[n] = int(done.stdout.split()[-1])
+        outputs[n] = {str(p.relative_to(work)): p.read_bytes()
+                      for p in sorted(work.rglob("*")) if p.is_file()}
+    assert {"model.tsv", "model.tsv.log.tsv", "eval.tsv",
+            "split/train.el", "split/valid.el", "split/test.el"} <= set(outputs["1"])
+    assert outputs["2"] == outputs["1"]
+    if threads["1"] and len(os.sched_getaffinity(0)) >= 2:
+        assert threads["2"] > threads["1"]  # the setting took effect
 
 
 def bench_tracing(monkeypatch):

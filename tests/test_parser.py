@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from geodl.normalize import normalize
@@ -261,6 +261,22 @@ def _lines(draw):
     return "".join(sep + tok for sep, tok in zip(seps, toks)) + seps[-1]
 
 
+# the flat lines' names: the reserved words and the keywords are names too,
+# in class and in role positions
+_FLAT_NAMES = st.sampled_from(["A", "Cat", "\u00e9t\u00e9", "\u732b", "top",
+                               "bottom", "and", "some", "nominal"])
+
+
+@st.composite
+def _flat_lines(draw):
+    """``head(A,B)`` or ``head(A,some(R,B))`` with no separators, the lines
+    ``parse_ontology`` reads with one regex match."""
+    head, first, second = draw(_HEADS), draw(_FLAT_NAMES), draw(_FLAT_NAMES)
+    if draw(st.booleans()):
+        second = f"some({draw(_FLAT_NAMES)},{second})"
+    return f"{head}({first},{second})"
+
+
 def _outcome(parse, text, **kwargs):
     try:
         return parse(text, **kwargs)
@@ -273,28 +289,34 @@ def _first_axiom(raw, max_depth):
 
 
 @settings(max_examples=400)
-@given(_lines(), st.one_of(st.integers(0, 6), st.just(64)),
+@given(st.one_of(_lines(), _flat_lines()),
+       st.one_of(st.integers(0, 6), st.just(64)),
        st.sampled_from(["", "  ", "\u3000"]), st.sampled_from(["", " # note", "#"]))
+@example("subClassOf(A,some(R,B))", 2, "", "")  # the filler is too deep
+@example("disjointWith(top,some(bottom,nominal))", 64, "", "")
 def test_token_cursor_matches_character_cursor(line, max_depth, indent, comment):
-    """On stripped text both cursors give equal trees or equal errors; in a
-    file, an error column is the stripped text's column plus the indent."""
+    """On stripped text both cursors give equal trees or equal errors.  In a
+    file, the line is read as drawn and again with the indent and comment,
+    and an error column is the stripped text's column plus the leading
+    whitespace; a flat line as drawn takes ``parse_ontology``'s regex path,
+    whose trees must be the cursor's at every depth limit."""
     text = line.strip()
     for ours, theirs in ((parse_axiom, reference.parse_axiom),
                          (parse_concept, reference.parse_concept)):
         expected = _outcome(theirs, text, max_depth=max_depth, line=3)
         assert _outcome(ours, text, max_depth=max_depth, line=3) == expected
-    raw = indent + line + comment
-    cut = raw.split("#", 1)[0]
-    if not cut.strip() or max_depth == 0:
-        return
-    lead = len(cut) - len(cut.lstrip())
-    expected = _outcome(reference.parse_axiom, cut.strip(), max_depth=max_depth)
-    got = _outcome(_first_axiom, raw, max_depth=max_depth)
-    if isinstance(expected, tuple):
-        message = expected[0].split(": ", 1)[1]
-        col = expected[2] + lead
-        expected = (f"line 1, col {col}: {message}", 1, col)
-    assert got == expected
+    for raw in (line, indent + line + comment):
+        cut = raw.split("#", 1)[0]
+        if not cut.strip() or max_depth == 0:
+            continue
+        lead = len(cut) - len(cut.lstrip())
+        expected = _outcome(reference.parse_axiom, cut.strip(), max_depth=max_depth)
+        got = _outcome(_first_axiom, raw, max_depth=max_depth)
+        if isinstance(expected, tuple):
+            message = expected[0].split(": ", 1)[1]
+            col = expected[2] + lead
+            expected = (f"line 1, col {col}: {message}", 1, col)
+        assert got == expected
 
 
 @settings(max_examples=300)

@@ -431,13 +431,15 @@ BALL_PARAMS = st.one_of(
 
 def ball_batch(state, axioms, order, negatives, nominals):
     """The arguments ``_batch_gradient`` takes for the batch of *axioms*
-    picked by the global indices *order*, plus the negatives and the
-    nominal term, each a list of id rows or None."""
+    picked by the global indices *order* (their id rows, per shape key, as
+    training gathers them), plus the negatives and the nominal term, each a
+    list of id rows or None."""
     arrays = _AxiomArrays.build(axioms, state.num_classes, state.num_relations)
-    buckets = arrays.bucket_of(np.array(order, dtype=int))
+    batch_rows = {key: arrays.rows[key][local] for key, local
+                  in arrays.bucket_of(np.array(order, dtype=int)).items()}
     extra = [None if rows is None else np.array(rows, dtype=int).reshape(
         len(rows), width) for rows, width in ((negatives, 3), (nominals, 1))]
-    return (state, arrays, buckets, *extra)
+    return (state, batch_rows, *extra)
 
 
 @st.composite
@@ -467,14 +469,13 @@ def ball_batches(draw):
     return ball_batch(state, axioms, order, negatives, nominals)
 
 
-def reference_batch(state, arrays, buckets, negatives, nominals, gamma,
-                    variant, sigma_reg):
+def reference_batch(state, batch_rows, negatives, nominals, gamma, variant,
+                    sigma_reg):
     """The per-term kernels of ``reference`` in term order onto a zeroed
     accumulator: per-key sums and counts, the accumulator, and each term's
     values and hinges."""
     acc = GradientAccumulator.zeros_like(state)
-    terms = [(key, key, arrays.rows[key][local])
-             for key, local in buckets.items()]
+    terms = [(key, key, rows) for key, rows in batch_rows.items()]
     terms += [("neg", "nf3_negative", negatives), ("nominal", "bottom", nominals)]
     sums, counts, outputs = {}, {}, []
     for key, kernel, rows in terms:
@@ -507,13 +508,12 @@ def test_batch_gradient_matches_the_per_term_kernels(batch, variant,
     """One stacked pass gives, byte for byte, what one kernel call per term
     in term order gave onto a zeroed accumulator: the per-key sums and
     counts, every gradient cell, and each term's values and hinges."""
-    state, arrays, buckets, negatives, nominals = batch
+    state, batch_rows, negatives, nominals = batch
     want_sums, want_counts, want_acc, outputs = reference_batch(
-        state, arrays, buckets, negatives, nominals, gamma, variant,
-        sigma_reg)
+        state, batch_rows, negatives, nominals, gamma, variant, sigma_reg)
     acc = GradientAccumulator.zeros_like(state)
-    sums, counts = _batch_gradient(state, arrays, buckets, negatives,
-                                   nominals, gamma, variant, acc, sigma_reg)
+    sums, counts = _batch_gradient(state, batch_rows, negatives, nominals,
+                                   gamma, variant, acc, sigma_reg)
     assert sums == want_sums
     assert counts == want_counts
     assert acc.flat.tobytes() == want_acc.flat.tobytes()
@@ -632,14 +632,15 @@ def test_bench_kernel_batch_2k(benchmark, rng):
               for kind, shape in SHAPES.items()
               for _ in range(KERNEL_MIX_2K.get(shape.key, 0))]
     arrays = _AxiomArrays.build(axioms, 2000, 10)
-    buckets = arrays.bucket_of(rng.permutation(arrays.total))
-    nf3 = arrays.rows["nf3"][buckets["nf3"]]  # in batch order, as training
+    batch_rows = {key: arrays.rows[key][local] for key, local
+                  in arrays.bucket_of(rng.permutation(arrays.total)).items()}
+    nf3 = batch_rows["nf3"]  # in batch order, as training
     negatives = np.column_stack((nf3[:, :2], rng.integers(0, 2000, len(nf3))))
     acc = GradientAccumulator.zeros_like(state)
 
     def batch():
         acc.flat.fill(0.0)
-        return _batch_gradient(state, arrays, buckets, negatives, None, 0.1,
+        return _batch_gradient(state, batch_rows, negatives, None, 0.1,
                                Variant.EMEL_VAR, acc)
 
     sums, counts = benchmark.pedantic(batch, rounds=50, iterations=1)
