@@ -353,6 +353,9 @@ def main(argv: Optional[list] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"geodl: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. a config dim too large to allocate
+        print(f"geodl: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -129,7 +129,8 @@ class NormalizedOntology:
 
     @property
     def fresh_count(self) -> int:
-        return sum(1 for name in self.classes if name.startswith(FRESH_PREFIX))
+        """Helpers this normalization made, not ``__nf_*`` names it read."""
+        return len(self.fresh_definitions)
 
 
 def _is_basic(c: Concept) -> bool:

@@ -31,7 +31,9 @@ Two paths read a line of a file (``parse_ontology``):
   pays one failed match and is then read exactly as before, so messages
   and columns do not depend on which lines are flat.
 
-Both paths share one ``Atomic`` per distinct class name within a call.
+Both paths take every name from one ``_Names`` per call, so each class
+name is one ``Atomic`` and each individual one ``Nominal`` in the result,
+and the sizes of its tables are the call's ``OntologyStats``.
 """
 
 from __future__ import annotations
@@ -160,29 +162,44 @@ def concept_to_text(c: Concept) -> str:
     raise TypeError(f"not a concept: {c!r}")
 
 
-class _Atoms(dict):
-    """Class name -> its one concept: ``TOP``, ``BOTTOM``, or an ``Atomic``
-    built (and its name checked) the first time the name is asked for."""
+class _Table(dict):
+    """Name -> its one object, built by *make* (which checks the name) the
+    first time the name is asked for."""
+
+    def __init__(self, make, **preset):
+        super().__init__(preset)
+        self.make = make
+
+    def __missing__(self, name: str):
+        made = self[name] = self.make(name)
+        return made
+
+
+class _Names:
+    """The class, role and individual names of one parse; ``top`` and
+    ``bottom`` are preloaded, so they are never counted as classes."""
 
     def __init__(self):
-        super().__init__(top=TOP, bottom=BOTTOM)
+        self.classes = _Table(Atomic, top=TOP, bottom=BOTTOM)
+        self.roles = _Table(str)  # Existential checks the name
+        self.individuals = _Table(Nominal)
 
-    def __missing__(self, name: str) -> Concept:
-        atom = self[name] = Atomic(name)
-        return atom
+    def stats(self, axiom_count: int) -> OntologyStats:
+        return OntologyStats(axiom_count, len(self.classes) - len(_RESERVED),
+                             len(self.roles), len(self.individuals))
 
 
 class _Cursor:
     """Recursive descent over one line's tokens; columns are found on error."""
 
     def __init__(self, text: str, line: int, max_depth: int,
-                 atoms: Optional[_Atoms] = None):
+                 names: Optional[_Names] = None):
         self.text = text
         self.tokens = _TOKEN.findall(text) + [""]  # "" marks the end of the line
         self.i = 0
         self.line = line
         self.max_depth = max_depth
-        self.atoms = _Atoms() if atoms is None else atoms
+        self.names = _Names() if names is None else names
 
     def offset(self, after: bool = False) -> int:
         """Where the next token starts, or where the previous one ends; an
@@ -227,11 +244,11 @@ class _Cursor:
         if self.tokens[self.i] == "(" and tok in ("and", "some", "nominal"):
             self.i += 1
             if tok == "nominal":
-                individual = self.name()
+                individual = self.names.individuals[self.name()]
                 self.expect(")")
-                return Nominal(individual)
+                return individual
             if tok == "some":
-                role = self.name()
+                role = self.names.roles[self.name()]
                 self.expect(",")
                 filler = self.concept(depth + 1)
                 self.expect(")")
@@ -241,7 +258,7 @@ class _Cursor:
             right = self.concept(depth + 1)
             self.expect(")")
             return Intersection(left, right)
-        return self.atoms[tok]
+        return self.names.classes[tok]
 
     def axiom(self) -> RawAxiom:
         head = self.name()
@@ -276,35 +293,6 @@ def parse_axiom(text: str, max_depth: int = DEFAULT_MAX_DEPTH, line: int = 1) ->
     return cur.end(cur.axiom())
 
 
-def _collect_names(c: Concept, classes: set, relations: set, individuals: set) -> None:
-    if isinstance(c, Atomic):
-        classes.add(c.name)
-    elif isinstance(c, Nominal):
-        individuals.add(c.individual)
-    elif isinstance(c, Intersection):
-        _collect_names(c.left, classes, relations, individuals)
-        _collect_names(c.right, classes, relations, individuals)
-    elif isinstance(c, Existential):
-        relations.add(c.role)
-        _collect_names(c.filler, classes, relations, individuals)
-
-
-def compute_stats(axioms: list) -> OntologyStats:
-    classes: set = set()
-    relations: set = set()
-    individuals: set = set()
-    for ax in axioms:
-        pair = (ax.sub, ax.sup) if isinstance(ax, SubClassOf) else (ax.a, ax.b)
-        for c in pair:
-            _collect_names(c, classes, relations, individuals)
-    return OntologyStats(
-        axiom_count=len(axioms),
-        class_count=len(classes),
-        relation_count=len(relations),
-        individual_count=len(individuals),
-    )
-
-
 def parse_ontology(
     lines: Iterable[str], max_depth: int = DEFAULT_MAX_DEPTH
 ) -> tuple[list[RawAxiom], OntologyStats]:
@@ -315,18 +303,19 @@ def parse_ontology(
     ``Atomic`` object throughout the result.
     """
     axioms: list[RawAxiom] = []
-    atoms = _Atoms()
+    names = _Names()
+    atoms, roles = names.classes, names.roles
     flat = max_depth > 2  # a some(R,B) filler sits at depth 2
     fullmatch = _FLAT.fullmatch
     for lineno, raw in enumerate(lines, start=1):
         match = fullmatch(raw) if flat else None
         if match is not None:
             head, a, role, filler, b = match.groups()
-            second = atoms[b] if role is None else Existential(role, atoms[filler])
+            second = atoms[b] if role is None else Existential(roles[role], atoms[filler])
             axioms.append(_axiom(head, atoms[a], second))
             continue
         text = raw.split("#", 1)[0]
         if text.strip():
-            cur = _Cursor(text, lineno, max_depth, atoms)
+            cur = _Cursor(text, lineno, max_depth, names)
             axioms.append(cur.end(cur.axiom()))
-    return axioms, compute_stats(axioms)
+    return axioms, names.stats(len(axioms))

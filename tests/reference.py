@@ -8,6 +8,9 @@
   with one tokenizer pass per line, and its name-character rule.  The
   parser's ASTs and error messages are checked against these.
 * The parser's round-trip printer and expression-size helper.
+* A plain recursive walk over each read line's tree that counts a file's
+  distinct classes, relations and individuals; ``parse_ontology`` counts
+  them in its name tables while it reads.
 * The training configuration's printer, whose text ``parse_config`` must
   read back to the same config.
 * The one-mask-per-bucket split of a training batch that
@@ -286,6 +289,36 @@ def parse_concept(text, max_depth=64, line=1):
 
 def parse_axiom(text, max_depth=64, line=1):
     return _parse_whole(text, max_depth, line, Cursor.axiom)
+
+
+def ontology_counts(lines):
+    """(axioms, classes, relations, individuals) of a file: each line cut at
+    ``#``, read by the character cursor unless blank, and its names
+    collected by a walk over the tree."""
+    classes, relations, individuals = set(), set(), set()
+
+    def walk(c):
+        if isinstance(c, Atomic):
+            classes.add(c.name)
+        elif isinstance(c, Nominal):
+            individuals.add(c.individual)
+        elif isinstance(c, Intersection):
+            walk(c.left)
+            walk(c.right)
+        elif isinstance(c, Existential):
+            relations.add(c.role)
+            walk(c.filler)
+
+    axioms = 0
+    for line in lines:
+        text = line.split("#", 1)[0]
+        if not text.strip():
+            continue
+        ax = parse_axiom(text)
+        axioms += 1
+        for c in (ax.sub, ax.sup) if isinstance(ax, SubClassOf) else (ax.a, ax.b):
+            walk(c)
+    return axioms, len(classes), len(relations), len(individuals)
 
 
 # --- parser text helpers ------------------------------------------------------

@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from geodl.cli import main
 from geodl.model import load_model
 from geodl.normalize import normalize
@@ -51,15 +53,40 @@ def run(args):
     return main(args)
 
 
-def test_stats_matches_parse_ontology(fixture_file, capsys):
-    assert run(["stats", fixture_file]) == 0
+def stats_rows(path, capsys):
+    """``geodl stats``'s lines as a name -> count dict."""
+    assert run(["stats", path]) == 0
     out = capsys.readouterr().out
-    rows = dict(line.split("\t") for line in out.strip().splitlines())
+    return {name: int(n) for name, n in
+            (line.split("\t") for line in out.strip().splitlines())}
+
+
+def test_stats_matches_parse_ontology(fixture_file, capsys):
+    """The printed counts are parse_ontology's and those of a walk over the
+    trees, which the parser's name tables replaced."""
+    rows = stats_rows(fixture_file, capsys)
     _, stats = parse_ontology(GALEN_ISH)
-    assert int(rows["axioms"]) == stats.axiom_count
-    assert int(rows["classes"]) == stats.class_count
-    assert int(rows["relations"]) == stats.relation_count
-    assert int(rows["individuals"]) == stats.individual_count
+    printed = (rows["axioms"], rows["classes"], rows["relations"],
+               rows["individuals"])
+    assert printed == astuple(stats) == reference.ontology_counts(GALEN_ISH)
+
+
+@pytest.mark.parametrize("lines, fresh", [
+    (["subClassOf(__nf_0,B)", "subClassOf(A,B)"], 0),
+    (["subClassOf(__nf_0,B)", "subClassOf(some(R,and(A,B)),C)"], 1),
+], ids=["literal", "literal-and-helper"])
+def test_fresh_classes_counts_only_this_files_helpers(tmp_path, capsys, lines,
+                                                       fresh):
+    """A ``__nf_*`` name read from the file is a class like any other: stats,
+    the normalize header and its sidecar count only the helpers made."""
+    src = tmp_path / "in.el"
+    src.write_text("\n".join(lines) + "\n")
+    assert stats_rows(str(src), capsys)["fresh_classes"] == fresh
+    out = tmp_path / "out.el"
+    assert run(["normalize", str(src), str(out)]) == 0
+    assert out.read_text().splitlines()[1].endswith(f" fresh_classes={fresh}")
+    sidecar = (tmp_path / "out.el.fresh.tsv").read_text().splitlines()
+    assert len(sidecar) == 1 + fresh
 
 
 def test_normalize_idempotent_on_normal_input(tmp_path, fixture_file):
@@ -673,6 +700,23 @@ def test_rejected_config_value_exits_1(tmp_path, fixture_file, capsys, line):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--model", "transh"]],
+                         ids=["ball", "transh"])
+def test_unallocatable_dim_exits_1(tmp_path, capsys, flags):
+    """Arrays of 3 x 2**45 float64 (768 TiB, above the 128 TiB user address
+    space) fail to allocate at once: one error line, no model, no log."""
+    src = tmp_path / "in.el"
+    src.write_text("subClassOf(A,B)\nsubClassOf(B,C)\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"dim={2**45}\n")
+    model = tmp_path / "m.tsv"
+    assert run(["train", *flags, "--config", str(cfg), str(src), str(model)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("geodl: error: ")
+    assert not model.exists()
+    assert not (tmp_path / "m.tsv.log.tsv").exists()
+
+
 def test_sigma_reg_config_key_lets_the_slack_grow(tmp_path):
     """With sigma_reg=0.25 in the config file, emel-var's slack grows from its
     initial 0.01 and the hub's containment hinge ends at most half of
@@ -836,15 +880,23 @@ def test_baseline_output_bytes_are_pinned(tmp_path, fixture_file, model):
     ) == GOLDEN_BASELINE[model]
 
 
-# split, an emel-var train with one validation ranking, and a filtered eval
-# in one interpreter; prints the process's thread count when /proc shows it
+# split, an emel-var train with one validation ranking, a filtered sub eval
+# and a radius-adjusted sup eval of it, and a TransH train with a filtered
+# eval, in one interpreter; prints the process's thread count when /proc
+# shows it
 BLAS_PIPELINE = """
 import os, sys
 from geodl.cli import main
 for argv in ("split input.el split --seed 3",
              "train split/train.el model.tsv --config train.cfg"
              " --variant emel-var --seed 3",
-             "eval model.tsv split/test.el eval.tsv --filtered split/train.el"):
+             "eval model.tsv split/test.el eval.tsv --filtered split/train.el",
+             "eval model.tsv split/test.el sup.tsv --direction sup"
+             " --radius-adjusted",
+             "train split/train.el transh.tsv --config train.cfg"
+             " --model transh --seed 3",
+             "eval transh.tsv split/test.el transh_eval.tsv"
+             " --filtered split/train.el"):
     if main(argv.split()):
         sys.exit(f"geodl {argv} failed")
 task = "/proc/self/task"
@@ -875,7 +927,8 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         threads[n] = int(done.stdout.split()[-1])
         outputs[n] = {str(p.relative_to(work)): p.read_bytes()
                       for p in sorted(work.rglob("*")) if p.is_file()}
-    assert {"model.tsv", "model.tsv.log.tsv", "eval.tsv",
+    assert {"model.tsv", "model.tsv.log.tsv", "eval.tsv", "sup.tsv",
+            "transh.tsv", "transh.tsv.log.tsv", "transh_eval.tsv",
             "split/train.el", "split/valid.el", "split/test.el"} <= set(outputs["1"])
     assert outputs["2"] == outputs["1"]
     if threads["1"] and len(os.sched_getaffinity(0)) >= 2:

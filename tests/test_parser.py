@@ -1,3 +1,6 @@
+from dataclasses import astuple
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,13 +18,12 @@ from geodl.parser import (
     SubClassOf,
     TOP,
     _check_name,
-    compute_stats,
     concept_to_text,
     parse_axiom,
     parse_concept,
     parse_ontology,
 )
-from geodl.synthetic import surrogate_lines
+from geodl.synthetic import random_raw_lines, surrogate_lines
 from reference import axiom_to_text, concept_size
 
 
@@ -187,10 +189,9 @@ def test_concept_size_counts_nodes(concept):
 
 
 def test_stats_counts_distinct_entities():
-    axioms, _ = parse_ontology(
+    _, stats = parse_ontology(
         ["subClassOf(A,some(R,A))", "subClassOf(A,some(R,B))"]
     )
-    stats = compute_stats(axioms)
     assert stats.class_count == 2
     assert stats.relation_count == 1
 
@@ -330,6 +331,54 @@ def test_parse_ontology_raises_only_parse_error(lines, max_depth):
         assert 1 <= exc.line <= len(lines) and exc.col >= 1
     else:
         assert stats.axiom_count == len(axioms) <= len(lines)
+
+
+# --- the name tables' counts against a walk over the trees --------------------
+
+
+@st.composite
+def _axiom_lines(draw):
+    """A well-formed axiom over the keyword-laden trees, its tokens joined
+    by whitespace runs that may be empty, maybe with a comment."""
+    toks = [draw(_HEADS), "(", *_tokens(draw(_TREES)), ",",
+            *_tokens(draw(_TREES)), ")"]
+    seps = draw(st.lists(_SEPARATORS, min_size=len(toks) + 1, max_size=len(toks) + 1))
+    return ("".join(sep + tok for sep, tok in zip(seps, toks)) + seps[-1]
+            + draw(st.sampled_from(["", " # note", "#"])))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.one_of(_axiom_lines(), _flat_lines(),
+                          st.sampled_from(["", "  ", "# only a comment"])),
+                max_size=8))
+def test_stats_match_a_name_walk(seed, extra):
+    """Every production, top, bottom and nominals (``random_raw_lines``),
+    keywords and reserved words used as names on flat lines and on spaced or
+    commented ones: the counts are those of a walk over the trees."""
+    lines = random_raw_lines(np.random.default_rng(seed), n_axioms=20) + extra
+    _, stats = parse_ontology(lines)
+    assert astuple(stats) == reference.ontology_counts(lines)
+
+
+@pytest.mark.parametrize("lines, counts", [
+    (["subClassOf(some,and)"], (1, 2, 0, 0)),
+    (["subClassOf(nominal,some(some,nominal))"], (1, 1, 1, 0)),
+    (["subClassOf( and , some( and , nominal ) )"], (1, 2, 1, 0)),
+    (["disjointWith(nominal(some),and(and,some))"], (1, 2, 0, 1)),
+    (["subClassOf(top,some(top,bottom))", "equivalentClasses(nominal(top),bottom)",
+      "subClassOf(nominal(nominal),some(nominal,nominal))"], (3, 1, 2, 2)),
+], ids=["flat", "flat-some", "spaced", "nominal", "reserved"])
+def test_stats_count_keywords_without_paren_as_names(lines, counts):
+    _, stats = parse_ontology(lines)
+    assert astuple(stats) == counts == reference.ontology_counts(lines)
+
+
+def test_stats_match_a_name_walk_on_the_surrogate():
+    lines = surrogate_lines(2000, seed=0)
+    _, stats = parse_ontology(lines)
+    assert astuple(stats) == reference.ontology_counts(lines)
+    assert stats.class_count >= 2000
 
 
 def test_check_name_rejects_exactly_the_old_rule():
