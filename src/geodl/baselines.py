@@ -296,14 +296,13 @@ def _hinge_gradient(state: BaselineState, grad: GradientAccumulator,
 def _batch_hinge(state: BaselineState, grad: GradientAccumulator,
                  h, r, t, hn, tn, margin: float) -> np.ndarray:
     """The hinge max(margin - score(h, r, t) + score(hn, r, tn), 0) of each
-    triple of a batch, scoring each side once.  When a hinge is active,
-    *grad* is overwritten with the gradient of their sum."""
+    triple of a batch, scoring each side once.  The gradient of their sum
+    is added into *grad*, which the caller has zeroed."""
     s_pos, pos = _scores_batch(state, h, r, t)
     s_neg, neg = _scores_batch(state, hn, r, tn)
     hinge = np.maximum(margin - s_pos + s_neg, 0.0)
     active = hinge > 0.0
     if active.any():
-        grad.flat.fill(0.0)
         _hinge_gradient(state, grad, pos, neg, active)
     return hinge
 

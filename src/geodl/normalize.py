@@ -10,13 +10,21 @@ classes (``__nf_<k>``) for complex sub-expressions:
     Disjoint(c, d)   C and D <= nothing
     BottomSub(c)     C <= nothing
 
+``_norm`` rewrites ``sub <= sup`` by the first rule that fits (basic: a
+class name, ``top`` or a nominal; complex: a conjunction or an existential):
+split a conjunction on the right; drop ``nothing`` on the left; a basic left
+gives BottomSub, NF1 or NF3; a complex left under an existential goes through
+a fresh middle class; a conjunction on the left gives Disjoint or NF2; an
+existential on the left gives BottomSub of a fresh helper, or NF4.  A
+complex conjunct or filler becomes a fresh class, and one that is ``nothing``
+drops the axiom (or, on the right, makes it BottomSub).
+
 The class and relation tables are lists of names in id order.  ``top``
 becomes an ordinary class; a nominal becomes a class named by its canonical
 ``nominal(x)`` text, which no atomic name can spell, so the name alone says
 what a class is (``ranking.is_fresh_name`` and ``ranking.is_nominal_name``)
 and survives a round trip through the axiom format.  Identical complex
 sub-expressions share one fresh class, memoized by canonical text.
-Tautologies with an empty left-hand side are dropped.
 
 ``SHAPES`` is the one table of the six shapes; every per-shape rule in the
 package (printing, checking, training buckets, kernel dispatch) reads it.
@@ -133,8 +141,8 @@ class NormalizedOntology:
         return len(self.fresh_definitions)
 
 
-def _is_basic(c: Concept) -> bool:
-    return isinstance(c, (Atomic, Top, Nominal))
+# Concepts that name one class; every other concept needs a rule.
+_BASIC = (Atomic, Top, Nominal)
 
 
 class _Normalizer:
@@ -168,7 +176,7 @@ class _Normalizer:
         return idx
 
     def _register_concept(self, c: Concept) -> None:
-        if _is_basic(c):
+        if isinstance(c, _BASIC):
             self.class_id(c)
         elif isinstance(c, Intersection):
             self._register_concept(c.left)
@@ -202,74 +210,55 @@ class _Normalizer:
                 self._norm(ref, expr)
         return ref
 
+    def _atom(self, c: Concept, side: str) -> int:
+        """Class id of *c*, through a fresh class unless *c* is basic."""
+        if not isinstance(c, _BASIC):
+            c = self._fresh_for(c, side)
+        return self.class_id(c)
+
     def _norm(self, sub: Concept, sup: Concept) -> None:
-        # Conjunction on the right splits into independent axioms.
-        if isinstance(sup, Intersection):
+        """Emit the normal forms of ``sub <= sup``, one rule per branch."""
+        if isinstance(sup, Intersection):  # split into independent axioms
             self._norm(sub, sup.left)
             self._norm(sub, sup.right)
-            return
-        if _is_basic(sub) or isinstance(sub, Bottom):
-            self._norm_basic_left(sub, sup)
-        else:
-            self._norm_complex_left(sub, sup)
-
-    def _norm_basic_left(self, sub: Concept, sup: Concept) -> None:
-        if isinstance(sub, Bottom):
+        elif isinstance(sub, Bottom):
             return  # nothing <= X holds vacuously
-        c = self.class_id(sub)
-        if isinstance(sup, Bottom):
-            self.out.append(BottomSub(c))
-        elif _is_basic(sup):
-            self.out.append(NF1(c, self.class_id(sup)))
-        elif isinstance(sup, Existential):
-            r = self.relation_id(sup.role)
-            filler = sup.filler
-            if isinstance(filler, Bottom):
+        elif isinstance(sub, _BASIC):
+            c = self.class_id(sub)
+            if isinstance(sup, Bottom):
+                self.out.append(BottomSub(c))
+            elif isinstance(sup, _BASIC):
+                self.out.append(NF1(c, self.class_id(sup)))
+            elif isinstance(sup.filler, Bottom):
                 # some R. nothing is empty, so the axiom collapses
                 self.out.append(BottomSub(c))
-                return
-            if not _is_basic(filler):
-                filler = self._fresh_for(filler, side="right")
-            self.out.append(NF3(c, r, self.class_id(filler)))
-        else:  # pragma: no cover - Intersection handled by caller
-            raise AssertionError("conjunction on the right must be split first")
-
-    def _norm_complex_left(self, sub: Concept, sup: Concept) -> None:
-        if not (_is_basic(sup) or isinstance(sup, Bottom)):
+            else:
+                r = self.relation_id(sup.role)
+                self.out.append(NF3(c, r, self._atom(sup.filler, "right")))
+        elif isinstance(sup, Existential):
             # Both sides complex: route through a fresh middle class.
-            mid = self._fresh_for(sub, side="left")
-            self._norm(mid, sup)
-            return
-        if isinstance(sub, Intersection):
-            conjuncts = []
+            self._norm(self._fresh_for(sub, "left"), sup)
+        elif isinstance(sub, Intersection):
+            parts = []
             for part in (sub.left, sub.right):
                 if isinstance(part, Bottom):
                     return  # the left side is empty; the axiom is vacuous
-                if not _is_basic(part):
-                    part = self._fresh_for(part, side="left")
-                conjuncts.append(self.class_id(part))
-            c, d = conjuncts
+                parts.append(self._atom(part, "left"))
             if isinstance(sup, Bottom):
-                self.out.append(Disjoint(c, d))
+                self.out.append(Disjoint(*parts))
             else:
-                self.out.append(NF2(c, d, self.class_id(sup)))
-            return
-        # sub is an existential
-        assert isinstance(sub, Existential)
-        filler = sub.filler
-        if isinstance(filler, Bottom):
+                self.out.append(NF2(*parts, self.class_id(sup)))
+        elif isinstance(sub.filler, Bottom):
             return  # some R. nothing is empty; the axiom is vacuous
-        if not _is_basic(filler):
-            filler = self._fresh_for(filler, side="left")
-        r = self.relation_id(sub.role)
-        f = self.class_id(filler)
-        if isinstance(sup, Bottom):
-            # some R. F <= nothing, folded through a fresh name so the
-            # bottom form stays unary
-            helper = self._fresh_for(sub, side="left")
-            self.out.append(BottomSub(self.class_id(helper)))
         else:
-            self.out.append(NF4(f, r, self.class_id(sup)))
+            f = self._atom(sub.filler, "left")
+            if isinstance(sup, Bottom):
+                # some R. F <= nothing, folded through a fresh helper so the
+                # bottom form stays unary
+                self.out.append(BottomSub(self._atom(sub, "left")))
+            else:
+                r = self.relation_id(sub.role)
+                self.out.append(NF4(f, r, self.class_id(sup)))
 
 
 def normalize(axioms: list[RawAxiom]) -> NormalizedOntology:

@@ -431,18 +431,19 @@ def _fit(config: TrainConfig, rng: np.random.Generator, state, terms: int,
     """The epoch loop every model trains in.
 
     Each epoch shuffles the *terms* training items with *rng* and cuts the
-    permutation into ``batch_size`` slices.  ``batch(idx, last, grad)``
-    draws what else it needs from *rng*, overwrites *grad* with the batch's
-    summed gradient and returns its per-key loss sums, term counts and the
-    gradient's scale; *last* marks the epoch's final batch.  The batch
-    function checks each loss sum it makes and raises ``NumericalError`` on
-    a non-finite one; the loop adds the epoch, the batch and the advice to
-    the message: a smaller learning rate, or, before the first step, the
-    margin and the initial parameters.  Unless the scale is None, the
-    gradient is scaled and ``step(state, grad)`` moves the parameters; a
-    non-finite parameter raises ``NumericalError``.  With ``valid(state) -> Hits@10``, validates
-    every ``VALIDATION_INTERVAL`` epochs, keeps the best checkpoint and
-    stops once ``patience`` evaluations pass without improvement.
+    permutation into ``batch_size`` slices.  The loop zeroes *grad*, then
+    ``batch(idx, last, grad)`` draws what else it needs from *rng*, adds the
+    batch's summed gradient into *grad* and returns its per-key loss sums,
+    term counts and the gradient's scale; *last* marks the epoch's final
+    batch.  The batch function checks each loss sum it makes and raises
+    ``NumericalError`` on a non-finite one; the loop adds the epoch, the
+    batch and the advice to the message: a smaller learning rate, or,
+    before the first step, the margin and the initial parameters.  Unless
+    the scale is None, the gradient is scaled and ``step(state, grad)``
+    moves the parameters; a non-finite parameter raises ``NumericalError``.
+    With ``valid(state) -> Hits@10``, validates every
+    ``VALIDATION_INTERVAL`` epochs, keeps the best checkpoint and stops once
+    ``patience`` evaluations pass without improvement.
     """
     grad = GradientAccumulator.zeros_like(state)
     log: list[LogRow] = []
@@ -459,6 +460,7 @@ def _fit(config: TrainConfig, rng: np.random.Generator, state, terms: int,
             for b in range(n_batches):
                 idx = order[b * config.batch_size:(b + 1) * config.batch_size]
                 where = f"epoch {epoch} batch {b}; try a smaller learning rate"
+                grad.flat.fill(0.0)
                 try:
                     sums, counts, scale = batch(idx, b == n_batches - 1, grad)
                 except NumericalError as exc:
@@ -562,7 +564,6 @@ def train(
             # uniform over all classes except the true tail
             repl = rng.integers(0, num_classes - 1, size=len(negatives))
             negatives[:, 2] = repl + (repl >= negatives[:, 2])
-        acc.flat.fill(0.0)
         sums, counts = _batch_gradient(
             state, rows, negatives, nominal_ids if last else None,
             config.margin, config.variant, acc, config.sigma_reg,

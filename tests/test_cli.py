@@ -19,7 +19,7 @@ from geodl.cli import main
 from geodl.model import load_model
 from geodl.normalize import normalize
 from geodl.parser import parse_ontology
-from geodl.synthetic import hub_spoke_lines, surrogate_lines
+from geodl.synthetic import hub_spoke_lines, random_raw_lines, surrogate_lines
 from geodl.training import mean_hinge
 
 GALEN_ISH = [
@@ -101,6 +101,28 @@ def test_normalize_idempotent_on_normal_input(tmp_path, fixture_file):
 
     assert axiom_lines(out1) == axiom_lines(out2)
     assert os.path.exists(out1 + ".fresh.tsv")
+
+
+# sha256 of the axiom file and of its .fresh.tsv that `geodl normalize`
+# writes for nested input: every production, top, bottom and nominals, so
+# every rule runs, and the pin covers fresh-class numbering and axiom order.
+GOLDEN_NORMALIZE_NESTED = (
+    "6bd65382cb0987968e086fe277362e3680880e89bd16c91245f0231766e2fe4b",
+    "9bc5ea234f49739eaa83561d07c7dd7ec2e7cd1f4b6eef9ad8c8f64883409a3f",
+)
+
+
+def test_normalize_output_bytes_are_pinned_on_nested_input(tmp_path):
+    src = tmp_path / "nested.el"
+    src.write_text("\n".join(
+        line for s in range(10)
+        for line in random_raw_lines(np.random.default_rng(s), 60)) + "\n")
+    out = tmp_path / "nested.norm.el"
+    assert run(["normalize", str(src), str(out)]) == 0
+    assert tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (out, tmp_path / "nested.norm.el.fresh.tsv")
+    ) == GOLDEN_NORMALIZE_NESTED
 
 
 def test_normalize_refuses_to_overwrite_input(fixture_file):

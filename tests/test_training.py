@@ -31,6 +31,7 @@ from geodl.training import (
     _Adam,
     _AxiomArrays,
     _batch_gradient,
+    _fit,
     split,
     train,
     write_log,
@@ -390,6 +391,28 @@ def test_overflowing_loss_sum_raises_the_loop_message(monkeypatch):
     assert str(raised.value) == ("non-finite nf1 loss in epoch 0 batch 0; "
                                  "no step has run: check the margin and "
                                  "the initial parameters")
+
+
+def test_fit_hands_every_batch_a_zeroed_gradient(rng):
+    """The loop zeroes the gradient before each batch, whether or not the
+    previous batch stepped: 5 terms in batches of 2 make 3 batches per
+    epoch, and the middle one returns scale None (no step)."""
+    state = make_state(rng)
+    start = state.flat.copy()
+    calls = []
+
+    def batch(idx, last, grad):
+        assert not grad.flat.any()
+        grad.flat += rng.normal(size=grad.flat.size)
+        calls.append(last)
+        scale = None if len(calls) % 3 == 2 else 1.0 / len(idx)
+        return {"nf1": 1.0}, {"nf1": len(idx)}, scale
+
+    result = _fit(tiny_config(epochs=2, batch_size=2), rng, state, 5, batch,
+                  _Adam(0.01, state).step)
+    assert calls == [False, False, True] * 2
+    assert len(result.log) == 2
+    assert not np.array_equal(state.flat, start)
 
 
 @given(st.lists(st.integers(0, 30), min_size=len(SHAPES),
