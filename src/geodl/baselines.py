@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,9 +35,7 @@ from .model import (
     _unit_rows, read_model_file, row_norms, write_rows,
 )
 from .normalize import NF1, NF3, NF4, NormalizedOntology
-
-if TYPE_CHECKING:  # training imports ranking, which imports this module
-    from .training import TrainConfig, TrainResult
+from .training import TrainConfig, TrainResult, _fit
 
 SUBCLASS_RELATION = "__subClassOf__"
 
@@ -209,7 +207,13 @@ class _Model(NamedTuple):
     name: str
     scores: Callable  # (state, H, R, T) -> (score per triple, pieces kept)
     grads: Callable  # (state, h, r, t, pieces, active, sign) -> see _score_grads
-    sides: Callable  # see ranking_sides
+    # (state, r, candidates, sources, as_head) -> (moving, fixed, product)
+    # for ranking: one row per candidate and one per source, such that the
+    # score of (X, r, source) when as_head, else of (source, r, X), is
+    # moving . fixed when product and minus ||moving - fixed|| otherwise
+    # (see ranking._Scorer).  Each row depends only on its own class, not on
+    # which others are asked for.  New arrays.
+    sides: Callable
     normals: bool  # carries one hyperplane normal per relation
 
 
@@ -226,19 +230,6 @@ def _spec(model: str) -> _Model:
     if model not in _MODELS:
         raise ValueError(f"unknown baseline model {model!r}")
     return _MODELS[model]
-
-
-def ranking_sides(
-    state: BaselineState, r: int, candidates: np.ndarray, sources: np.ndarray,
-    as_head: bool,
-) -> tuple:
-    """``(moving, fixed, product)`` for ranking: one row per candidate and
-    one per source, such that the score of (X, r, source) when *as_head*,
-    else of (source, r, X), is moving . fixed when *product* and minus
-    ||moving - fixed|| otherwise (see ``ranking._Scorer``).  Each row depends
-    only on its own class, not on which others are asked for.  New arrays.
-    """
-    return state.spec.sides(state, r, candidates, sources, as_head)
 
 
 def _scores_batch(state: BaselineState, H, R, T) -> tuple:
@@ -316,7 +307,6 @@ def train_baseline(
     the validated *config* it reads ``dim``, ``margin``, ``lr``, ``epochs``,
     ``batch_size`` and ``seed``.  Each log row's ``total_loss`` is the
     epoch's mean hinge per triple."""
-    from .training import _fit  # training imports ranking, which imports this
     if len(triples) == 0:
         raise ValueError("cannot train a baseline on an empty triple list")
     config.validate()

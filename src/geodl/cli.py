@@ -10,6 +10,7 @@ output paths before it writes any of them.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
@@ -259,9 +260,18 @@ def cmd_eval(args) -> int:
         if args.radius_adjusted:
             raise _CliError(f"--radius-adjusted needs ball radii; {args.model_in} "
                             f"is a {saved.state.model} baseline")
+        try:
+            sub_rel = saved.relation_names.index(baselines.SUBCLASS_RELATION)
+        except ValueError:
+            raise _CliError(
+                f"baseline file lacks the {baselines.SUBCLASS_RELATION} relation"
+            ) from None
+        rank = functools.partial(ranking.baseline_evaluate, sub_relation=sub_rel)
     elif header.startswith(gm.MODEL_HEADER_PREFIX):
         saved = gm.load_model(args.model_in)
         names = saved.class_names
+        rank = functools.partial(ranking.evaluate,
+                                 adjust_radius=args.radius_adjusted)
     else:
         raise _CliError(f"{args.model_in}: not a geodl model or baseline file")
     name_to_id = {name: i for i, name in enumerate(names)}
@@ -270,22 +280,8 @@ def cmd_eval(args) -> int:
     known = None
     if args.filtered:
         known = [ax for _, _, ax in _subclass_pairs(args.filtered, name_to_id) if ax]
-    if isinstance(saved, gm.SavedModel):
-        report = ranking.evaluate(
-            tests, saved.state, candidates, direction=args.direction,
-            adjust_radius=args.radius_adjusted, filter_known=known,
-        )
-    else:
-        try:
-            sub_rel = saved.relation_names.index(baselines.SUBCLASS_RELATION)
-        except ValueError:
-            raise _CliError(
-                f"baseline file lacks the {baselines.SUBCLASS_RELATION} relation"
-            ) from None
-        report = ranking.baseline_evaluate(
-            tests, saved.state, candidates, direction=args.direction,
-            filter_known=known, sub_relation=sub_rel,
-        )
+    report = rank(tests, saved.state, candidates, direction=args.direction,
+                  filter_known=known)
     ranking.write_report(args.report_out, report)
     print(f"wrote {args.report_out} ({len(report.ranks)} tests, "
           f"{report.candidate_count} candidates)")

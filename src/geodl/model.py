@@ -21,9 +21,9 @@ the adds of its distance gradients into its class rows.  Five of the seven
 shapes are one two-ball hinge that differs only in the signs and order of
 its terms; their steps are ``_two_ball`` bound to one row each of the
 ``_TWO_BALL`` table, from which the gradient signs are read as well.
-``term_batch`` is the same pass over one term; training maps axioms to id
-columns (``training._AxiomArrays``).  Every arithmetic step is row by row,
-so the stacks give what one call per term gave, bit for bit.
+Training maps axioms to id columns (``training._AxiomArrays``).  Every
+arithmetic step is row by row, so the stacks give what one call per term
+gave, bit for bit.
 
 Parameters and gradients live in one contiguous float64 buffer each, with
 the named blocks as views into it (``_FlatBlocks``, which the baselines
@@ -517,21 +517,6 @@ def batch_terms(
                     slack[at.pair:at.pair + at.n] += sigma_reg
             np.add.at(acc.relation_sigmas_raw, R, slack * np.sign(raw_sig))
     return results
-
-
-def term_batch(
-    key: str,
-    state: EmbeddingState,
-    columns,
-    gamma: float,
-    variant: Variant,
-    acc: Optional[GradientAccumulator] = None,
-    sigma_reg: float = 1.0,
-):
-    """``batch_terms`` over the one term *key* on id *columns*; returns its
-    ``(values, hinges)``."""
-    return batch_terms(state, [(key, columns)], gamma, variant, acc,
-                       sigma_reg)[0]
 
 
 # --- persistence ---------------------------------------------------------

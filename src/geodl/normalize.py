@@ -12,12 +12,13 @@ classes (``__nf_<k>``) for complex sub-expressions:
 
 ``_norm`` rewrites ``sub <= sup`` by the first rule that fits (basic: a
 class name, ``top`` or a nominal; complex: a conjunction or an existential):
-split a conjunction on the right; drop ``nothing`` on the left; a basic left
-gives BottomSub, NF1 or NF3; a complex left under an existential goes through
-a fresh middle class; a conjunction on the left gives Disjoint or NF2; an
+split a conjunction on the right; drop an empty left side (``nothing``, or
+a conjunction or existential built over it, ``_empty``); a basic left gives
+BottomSub, NF1 or NF3; a complex left under an existential goes through a
+fresh middle class; a conjunction on the left gives Disjoint or NF2; an
 existential on the left gives BottomSub of a fresh helper, or NF4.  A
-complex conjunct or filler becomes a fresh class, and one that is ``nothing``
-drops the axiom (or, on the right, makes it BottomSub).
+complex conjunct or filler becomes a fresh class; a ``nothing`` filler on
+the right makes the axiom BottomSub.
 
 The class and relation tables are lists of names in id order.  ``top``
 becomes an ordinary class; a nominal becomes a class named by its canonical
@@ -145,6 +146,16 @@ class NormalizedOntology:
 _BASIC = (Atomic, Top, Nominal)
 
 
+def _empty(c: Concept) -> bool:
+    """Whether *c* is empty in every model: ``nothing``, a conjunction with
+    an empty part, or an existential with an empty filler."""
+    if isinstance(c, Intersection):
+        return _empty(c.left) or _empty(c.right)
+    if isinstance(c, Existential):
+        return _empty(c.filler)
+    return isinstance(c, Bottom)
+
+
 class _Normalizer:
     def __init__(self):
         self.classes: list[str] = []
@@ -221,8 +232,8 @@ class _Normalizer:
         if isinstance(sup, Intersection):  # split into independent axioms
             self._norm(sub, sup.left)
             self._norm(sub, sup.right)
-        elif isinstance(sub, Bottom):
-            return  # nothing <= X holds vacuously
+        elif _empty(sub):
+            return  # an empty left side makes the axiom hold vacuously
         elif isinstance(sub, _BASIC):
             c = self.class_id(sub)
             if isinstance(sup, Bottom):
@@ -239,17 +250,11 @@ class _Normalizer:
             # Both sides complex: route through a fresh middle class.
             self._norm(self._fresh_for(sub, "left"), sup)
         elif isinstance(sub, Intersection):
-            parts = []
-            for part in (sub.left, sub.right):
-                if isinstance(part, Bottom):
-                    return  # the left side is empty; the axiom is vacuous
-                parts.append(self._atom(part, "left"))
+            parts = [self._atom(part, "left") for part in (sub.left, sub.right)]
             if isinstance(sup, Bottom):
                 self.out.append(Disjoint(*parts))
             else:
                 self.out.append(NF2(*parts, self.class_id(sup)))
-        elif isinstance(sub.filler, Bottom):
-            return  # some R. nothing is empty; the axiom is vacuous
         else:
             f = self._atom(sub.filler, "left")
             if isinstance(sup, Bottom):

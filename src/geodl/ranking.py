@@ -73,13 +73,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import baselines
 from .model import EmbeddingState, NumericalError, row_norms
 from .normalize import NF1, FRESH_PREFIX
+
+if TYPE_CHECKING:
+    from .baselines import BaselineState
 
 _NOMINAL_NAME = re.compile(r"^nominal\([^(),#\s]+\)$")
 
@@ -384,7 +386,7 @@ def _ball_scorer(state: EmbeddingState, ids: np.ndarray, sources: np.ndarray,
 
 def baseline_evaluate(
     tests: Sequence[NF1],
-    state: baselines.BaselineState,
+    state: BaselineState,
     candidate_universe: np.ndarray,
     direction: str = "sub",
     filter_known: Optional[Iterable[NF1]] = None,
@@ -403,11 +405,11 @@ def baseline_evaluate(
     )
 
 
-def _baseline_scorer(state: baselines.BaselineState, r: int, ids: np.ndarray,
+def _baseline_scorer(state: BaselineState, r: int, ids: np.ndarray,
                      sources: np.ndarray, as_head: bool) -> _Scorer:
     """Scores of (X, r, source) for every candidate X when *as_head*, else
     of (source, r, X)."""
-    return _Scorer(*baselines.ranking_sides(state, r, ids, sources, as_head))
+    return _Scorer(*state.spec.sides(state, r, ids, sources, as_head))
 
 
 # --- report output ---------------------------------------------------------

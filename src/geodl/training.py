@@ -588,5 +588,5 @@ def mean_hinge(
         axioms, state.num_classes, state.num_relations).rows[key]
     if not len(rows):
         return 0.0
-    _, hinges = gm.term_batch(key, state, rows.T, gamma, variant)
+    _, hinges = gm.batch_terms(state, [(key, rows.T)], gamma, variant)[0]
     return float(hinges.mean())

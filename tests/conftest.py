@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from geodl.model import EmbeddingState, GradientAccumulator, Variant, term_batch
+from geodl.model import EmbeddingState, GradientAccumulator, Variant, batch_terms
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -37,12 +37,13 @@ class Term(NamedTuple):
 
 
 def one_term(key, state, ids, gamma=0.0, variant=Variant.EMEL, sigma_reg=1.0):
-    """``term_batch`` on one row: *ids* in the kernel's column order, e.g.
-    ``(c, r, d)`` for nf3, nf4 and nf3_negative.  Returns ``(value, hinge,
-    acc)``."""
+    """``batch_terms`` over one term of one row: *ids* in the kernel's
+    column order, e.g. ``(c, r, d)`` for nf3, nf4 and nf3_negative.
+    Returns ``(value, hinge, acc)``."""
     acc = GradientAccumulator.zeros_like(state)
-    values, hinges = term_batch(key, state, [np.array([i]) for i in ids],
-                                gamma, variant, acc, sigma_reg)
+    [(values, hinges)] = batch_terms(
+        state, [(key, [np.array([i]) for i in ids])], gamma, variant, acc,
+        sigma_reg)
     return Term(float(values[0]), float(hinges[0]), acc)
 
 

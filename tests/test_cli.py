@@ -106,9 +106,11 @@ def test_normalize_idempotent_on_normal_input(tmp_path, fixture_file):
 # sha256 of the axiom file and of its .fresh.tsv that `geodl normalize`
 # writes for nested input: every production, top, bottom and nominals, so
 # every rule runs, and the pin covers fresh-class numbering and axiom order.
+# Re-recorded when a left side with a nested bottom (and(bottom,A),
+# some(R,bottom), ...) came to be dropped whole, with no helper class.
 GOLDEN_NORMALIZE_NESTED = (
-    "6bd65382cb0987968e086fe277362e3680880e89bd16c91245f0231766e2fe4b",
-    "9bc5ea234f49739eaa83561d07c7dd7ec2e7cd1f4b6eef9ad8c8f64883409a3f",
+    "837b7a75f728d6ae185146102741df9f2f0d4c29c92e1e93101a8b4ceec09a84",
+    "03c34a2a5b0308b837020bb3a8b00de2c02ca937e4c2971e4c937171cc198e0b",
 )
 
 
@@ -310,6 +312,41 @@ def test_split_nan_fraction_exits_1(tmp_path, fixture_file, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "geodl: error: split fractions must be finite"]
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("fractions, message", [
+    ("0.5,0.5", "--fractions expects three comma-separated numbers"),
+    ("a,b,c", "bad --fractions value 'a,b,c'"),
+])
+def test_split_malformed_fractions_exit_1(tmp_path, fixture_file, capsys,
+                                          fractions, message):
+    assert run(["split", fixture_file, str(tmp_path / "s"),
+                "--fractions", fractions]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"geodl: error: {message}"]
+    assert not (tmp_path / "s").exists()
+
+
+def test_eval_on_a_split_with_an_empty_test_part_exits_1(tmp_path, capsys):
+    """Each X_i occurs in one axiom only, so split moves every held-out pair
+    back to training and writes an empty test.el; eval refuses it."""
+    src = tmp_path / "in.el"
+    src.write_text("".join(f"subClassOf(X{i},Y)\n" for i in range(12)))
+    out = tmp_path / "s"
+    assert run(["split", str(src), str(out), "--seed", "0"]) == 0
+    report = dict(line.split("\t") for line in
+                  (out / "split.tsv").read_text().splitlines())
+    assert (report["valid_axioms"], report["test_axioms"],
+            report["swaps"]) == ("0", "0", "3")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=2\nepochs=1\n")
+    model = str(tmp_path / "m.tsv")
+    assert run(["train", "--config", str(cfg), str(out / "train.el"),
+                model]) == 0
+    capsys.readouterr()
+    assert run(["eval", model, str(out / "test.el"),
+                str(tmp_path / "r.tsv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"geodl: error: no subclass test axioms found in {out / 'test.el'}"]
 
 
 @pytest.mark.parametrize("command", ["split", "train", "config"])
@@ -675,6 +712,23 @@ def test_eval_filtered_skips_the_known_files_own_helpers(tmp_path, kind):
                     "--direction", "sup", *extra]) == 0
         ranks.append(Path(f"{report}.ranks").read_text())
     assert ranks[0] == ranks[1]
+
+
+@pytest.mark.parametrize("test_file", ["present", "missing"])
+def test_eval_baseline_without_subclass_relation_exits_1(tmp_path, capsys,
+                                                         test_file):
+    """A TransH file with no __subClassOf__ R (and W) row cannot rank
+    subclass pairs; it is refused before the test file is read."""
+    lines, test = write_eval_inputs(tmp_path, "transh")
+    model = tmp_path / "m.tsv"
+    model.write_text("\n".join(
+        line for line in lines if "\t__subClassOf__\t" not in line) + "\n")
+    if test_file == "missing":
+        os.remove(test)
+    assert run(["eval", str(model), test, str(tmp_path / "r.tsv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "geodl: error: baseline file lacks the __subClassOf__ relation"]
+    assert not (tmp_path / "r.tsv").exists()
 
 
 @pytest.mark.parametrize("model", ["transe", "transh", "distmult"])

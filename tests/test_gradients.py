@@ -3,7 +3,7 @@
 Each loss is piecewise smooth; points are resampled until they are at least
 a margin away from every hinge boundary, absolute-value kink, zero distance
 and zero center norm, where the derivative is well defined.  Every term runs
-through ``term_batch``, the entry point training uses, with ids in each
+through ``batch_terms``, the entry point training uses, with ids in each
 kernel's column order.
 """
 
@@ -21,7 +21,7 @@ from geodl.model import (
     GradientAccumulator,
     Variant,
     _add_rows,
-    term_batch,
+    batch_terms,
 )
 from geodl.normalize import NF1, NF2, NF3, NF4, BottomSub
 from geodl.training import mean_hinge, train
@@ -65,7 +65,7 @@ def value_of(key, ids, gamma, variant=EMEL):
     accumulating gradients."""
     columns = [np.array([i]) for i in ids]
     return lambda state: float(
-        term_batch(key, state, columns, gamma, variant)[0][0])
+        batch_terms(state, [(key, columns)], gamma, variant)[0][0][0])
 
 
 def check_gradients(key, state, ids, gamma, variant=EMEL, tol=1e-5):
@@ -228,8 +228,8 @@ def test_empty_batch_is_zero_accumulator(rng):
         empty = [np.array([], dtype=int)] * len(columns)
         for variant, sigma_reg in KERNEL_SETTINGS:
             acc = GradientAccumulator.zeros_like(state)
-            values, hinges = term_batch(key, state, empty, 0.1, variant, acc,
-                                        sigma_reg)
+            [(values, hinges)] = batch_terms(
+                state, [(key, empty)], 0.1, variant, acc, sigma_reg)
             assert values.shape == hinges.shape == (0,)
             assert not acc.flat.any()
 
@@ -241,8 +241,8 @@ def test_batch_gradients_sum_per_term_gradients():
         for variant, sigma_reg in KERNEL_SETTINGS:
             state = _kernel_state()
             acc = GradientAccumulator.zeros_like(state)
-            values, hinges = term_batch(key, state, columns, 0.1, variant,
-                                        acc, sigma_reg)
+            [(values, hinges)] = batch_terms(
+                state, [(key, columns)], 0.1, variant, acc, sigma_reg)
             expected = np.zeros_like(acc.flat)
             for i, ids in enumerate(zip(*columns)):
                 term = one_term(key, state, ids, 0.1, variant, sigma_reg)
@@ -406,8 +406,8 @@ def _kernel_digest(key):
     for variant, sigma_reg in KERNEL_SETTINGS:
         state = _kernel_state()
         acc = GradientAccumulator.zeros_like(state)
-        values, hinges = term_batch(key, state, KERNEL_COLUMNS[key], 0.1,
-                                    variant, acc, sigma_reg)
+        [(values, hinges)] = batch_terms(
+            state, [(key, KERNEL_COLUMNS[key])], 0.1, variant, acc, sigma_reg)
         for array in (values, hinges, acc.flat):
             digest.update(array.tobytes())
     return digest.hexdigest()

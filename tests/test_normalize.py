@@ -102,6 +102,22 @@ def test_existential_bottom_filler_collapses():
     assert onto.axioms == []
 
 
+@pytest.mark.parametrize("line, classes, relations", [
+    ("subClassOf(and(bottom,A),some(R,B))", ["A", "B"], ["R"]),
+    ("subClassOf(some(R,bottom),some(S,B))", ["B"], ["R", "S"]),
+    ("subClassOf(and(and(bottom,A),C),D)", ["A", "C", "D"], []),
+    ("subClassOf(some(R,and(bottom,A)),D)", ["A", "D"], ["R"]),
+])
+def test_empty_left_side_writes_no_axiom_and_no_helper(line, classes,
+                                                       relations):
+    """A left side that is empty however deep its ``bottom`` sits makes the
+    axiom vacuous: no axiom and no helper class, whose definition would be
+    empty, and the names stay in the tables."""
+    onto = norm_lines([line])
+    assert onto.axioms == [] and onto.fresh_definitions == {}
+    assert onto.classes == classes and onto.relations == relations
+
+
 def test_top_is_an_ordinary_class():
     onto = norm_lines(["subClassOf(A,top)", "subClassOf(top,B)"])
     assert ("NF1", "A", "top") in shapes(onto)

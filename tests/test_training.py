@@ -9,12 +9,12 @@ import oracles
 from conftest import make_state, one_term
 import reference
 from reference import config_to_text
+from geodl.baselines import initialize_baseline
 from geodl.model import (
     EmbeddingState,
     GradientAccumulator,
     Variant,
     batch_terms,
-    term_batch,
 )
 from geodl.normalize import NF1, NF2, NF3, SHAPES, normalize
 from geodl.parser import parse_ontology
@@ -32,6 +32,7 @@ from geodl.training import (
     _AxiomArrays,
     _batch_gradient,
     _fit,
+    _Sgd,
     split,
     train,
     write_log,
@@ -194,6 +195,18 @@ def test_split_valid_test_classes_covered_in_train():
             seen.update(class_ids(ax))
         for ax in result.valid + result.test:
             assert ax.c in seen and ax.d in seen
+
+
+def test_split_shrinks_when_no_replacement_is_safe():
+    """Each X_i occurs in one axiom only, so a held-out pair leaves its
+    subclass out of training and no training pair could replace it: every
+    held-out pair goes back to training, and valid and test come back
+    empty."""
+    onto = norm_lines([f"subClassOf(X{i},Y)" for i in range(12)])
+    result = split(onto, SplitSpec(seed=0))
+    assert result.valid == [] and result.test == []
+    assert result.swaps == 3
+    assert sorted(map(str, result.train)) == sorted(map(str, onto.axioms))
 
 
 def test_split_excludes_fresh_and_nominal_pairs():
@@ -413,6 +426,24 @@ def test_fit_hands_every_batch_a_zeroed_gradient(rng):
     assert calls == [False, False, True] * 2
     assert len(result.log) == 2
     assert not np.array_equal(state.flat, start)
+
+
+@pytest.mark.parametrize("kind", ["ball", "transh"])
+def test_fit_refuses_a_non_finite_parameter_after_a_step(rng, kind):
+    """A finite gradient that the SGD step overflows leaves an infinite
+    parameter: the loop stops right after that step, naming the epoch, the
+    batch and the advice."""
+    state = (make_state(rng) if kind == "ball"
+             else initialize_baseline(kind, 3, 2, 4, rng))
+
+    def batch(idx, last, grad):
+        grad.flat[0] = 1e300
+        return {"nf1": 1.0}, {"nf1": len(idx)}, 1.0
+
+    with pytest.raises(NumericalError) as raised:
+        _fit(tiny_config(), rng, state, 4, batch, _Sgd(1e10).step)
+    assert str(raised.value) == ("non-finite parameter after epoch 0 batch 0; "
+                                 "try a smaller learning rate")
 
 
 @given(st.lists(st.integers(0, 30), min_size=len(SHAPES),
@@ -674,15 +705,15 @@ def test_bench_kernel_batch_2k(benchmark, rng):
 
 @pytest.mark.parametrize("key", ["nf1", "nf2", "nf3"])
 def test_bench_kernel_one_row_2k(benchmark, rng, key):
-    """One single-row call of a kernel through ``term_batch`` over 2000
+    """One single-row call of a kernel through ``batch_terms`` over 2000
     classes and 10 relations at dim 50, gradients into one accumulator:
     the fixed cost each kernel call pays before its rows."""
     state = EmbeddingState.initialize(2000, 10, 50, rng)
     shape = next(s for s in SHAPES.values() if s.key == key)
     ids = tuple(np.array([i + 1]) for i in range(len(shape.fields)))
     acc = GradientAccumulator.zeros_like(state)
-    values, _ = benchmark.pedantic(
-        term_batch, args=(key, state, ids, 0.1, Variant.EMEL_VAR, acc),
+    [(values, _)] = benchmark.pedantic(
+        batch_terms, args=(state, [(key, ids)], 0.1, Variant.EMEL_VAR, acc),
         rounds=200, iterations=5)
     assert len(values) == 1 and np.isfinite(values).all()
     assert np.isfinite(acc.flat).all()
