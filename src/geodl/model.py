@@ -599,6 +599,10 @@ def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
     before the dim-wide vector.  Values must be finite and names distinct
     within a kind.  Returns the converted header fields and a ``ModelRows``
     per kind; any violation raises ``ValueError`` naming ``path:line``.
+
+    Each row is converted on its own into a float64 array, so no Python
+    float outlives its line, and each kind's rows are stacked once at the
+    end: about 8 bytes per value plus one small array object per row.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -644,13 +648,14 @@ def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
                 )
             seen[kind][name] = lineno
             try:
-                rows[kind].append(list(map(float, parts[2:])))
+                rows[kind].append(
+                    np.fromiter(map(float, parts[2:]), float, width - 2))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     parsed = {}
     for kind, scalars in kinds.items():
-        values = np.array(rows[kind], dtype=float).reshape(
-            len(rows[kind]), scalars + dim)
+        values = (np.stack(rows[kind]) if rows[kind]
+                  else np.empty((0, scalars + dim)))
         lines = list(seen[kind].values())
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():

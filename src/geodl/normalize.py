@@ -17,8 +17,8 @@ a conjunction or existential built over it, ``_empty``); a basic left gives
 BottomSub, NF1 or NF3; a complex left under an existential goes through a
 fresh middle class; a conjunction on the left gives Disjoint or NF2; an
 existential on the left gives BottomSub of a fresh helper, or NF4.  A
-complex conjunct or filler becomes a fresh class; a ``nothing`` filler on
-the right makes the axiom BottomSub.
+complex conjunct or filler becomes a fresh class; an empty filler on the
+right makes the axiom BottomSub.
 
 The class and relation tables are lists of names in id order.  ``top``
 becomes an ordinary class; a nominal becomes a class named by its canonical
@@ -236,13 +236,10 @@ class _Normalizer:
             return  # an empty left side makes the axiom hold vacuously
         elif isinstance(sub, _BASIC):
             c = self.class_id(sub)
-            if isinstance(sup, Bottom):
+            if _empty(sup):  # nothing, or some R. F over an empty F
                 self.out.append(BottomSub(c))
             elif isinstance(sup, _BASIC):
                 self.out.append(NF1(c, self.class_id(sup)))
-            elif isinstance(sup.filler, Bottom):
-                # some R. nothing is empty, so the axiom collapses
-                self.out.append(BottomSub(c))
             else:
                 r = self.relation_id(sup.role)
                 self.out.append(NF3(c, r, self._atom(sup.filler, "right")))

@@ -18,6 +18,10 @@
 * The ball loss kernels as one call per term, each gathering, penalizing and
   scattering its own rows with ``np.add.at`` on the named blocks, which
   ``geodl.model.batch_terms`` replaced with one stacked pass per batch.
+* The model file reader that keeps a list of Python floats per row until one
+  ``np.array`` at the end; ``geodl.model.read_model_file`` converts each row
+  into a float64 array as it reads, and its fields, names, line numbers,
+  arrays and error messages are checked against this one.
 """
 
 import numpy as np
@@ -492,3 +496,68 @@ def kernel(key, state, ids, gamma, variant, acc=None, sigma_reg=1.0):
     if key == "bottom":
         return bottom_kernel(state, ids, gamma, variant, acc, sigma_reg)
     return two_ball(key, state, ids, gamma, variant, acc, sigma_reg)
+
+
+# --- model file reader, one Python float per value ----------------------------
+
+
+def read_model_file(path, prefix, fields, kinds):
+    """``geodl.model.read_model_file``'s checks, in its order, over rows kept
+    as lists of Python floats and converted by one ``np.array`` per kind."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if not header.startswith(prefix):
+            raise ValueError(f"{path}:1: header does not start with {prefix!r}")
+        found = {}
+        for part in header[len(prefix):].split():
+            key, eq, value = part.partition("=")
+            if not eq or key not in fields:
+                raise ValueError(f"{path}:1: unknown header field {part!r}")
+            if key in found:
+                raise ValueError(f"{path}:1: header field {key!r} repeated")
+            try:
+                found[key] = fields[key](value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:1: bad header value {part!r}"
+                ) from None
+        missing = [key for key in fields if key not in found]
+        if missing:
+            raise ValueError(f"{path}:1: header lacks {', '.join(missing)}")
+        dim = found["dim"]
+        if dim < 1:
+            raise ValueError(f"{path}:1: dim must be at least 1, got {dim}")
+        rows = {kind: [] for kind in kinds}
+        seen = {kind: {} for kind in kinds}
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            kind = parts[0]
+            if kind not in kinds:
+                raise ValueError(f"{path}:{lineno}: unknown row kind {kind!r}")
+            width = 2 + kinds[kind] + dim
+            if len(parts) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} columns")
+            name = parts[1]
+            if name in seen[kind]:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate {kind} row {name!r} "
+                    f"(first on line {seen[kind][name]})"
+                )
+            seen[kind][name] = lineno
+            try:
+                rows[kind].append(list(map(float, parts[2:])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    parsed = {}
+    for kind, scalars in kinds.items():
+        values = np.array(rows[kind], dtype=float).reshape(
+            len(rows[kind]), scalars + dim)
+        lines = list(seen[kind].values())
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{path}:{lines[finite.argmin()]}: non-finite value")
+        parsed[kind] = (list(seen[kind]), lines, values)
+    return found, parsed

@@ -107,10 +107,12 @@ def test_normalize_idempotent_on_normal_input(tmp_path, fixture_file):
 # writes for nested input: every production, top, bottom and nominals, so
 # every rule runs, and the pin covers fresh-class numbering and axiom order.
 # Re-recorded when a left side with a nested bottom (and(bottom,A),
-# some(R,bottom), ...) came to be dropped whole, with no helper class.
+# some(R,bottom), ...) came to be dropped whole, with no helper class, and
+# again when A <= some(R,F) with F empty however deep its bottom sits came to
+# give subClassOf(A,bottom) with no helper for F.
 GOLDEN_NORMALIZE_NESTED = (
-    "837b7a75f728d6ae185146102741df9f2f0d4c29c92e1e93101a8b4ceec09a84",
-    "03c34a2a5b0308b837020bb3a8b00de2c02ca937e4c2971e4c937171cc198e0b",
+    "becc4d886006527c1743a240c62a73c56826659ec64c9fc1f5940483ffdbf779",
+    "39a83230f7805787a0dfc11032a427b2ddf3910713cb3e040165aa4591e9fb50",
 )
 
 
@@ -523,41 +525,78 @@ def test_eval_hand_made_models_exit_0(tmp_path):
         assert eval_edited(tmp_path, kind, lambda lines: lines) == 0
 
 
+def _last_value(line, text):
+    """*line* with its last tab-separated value replaced by *text*."""
+    return line.rsplit("\t", 1)[0] + "\t" + text
+
+
 MALFORMED = {
-    # name: (model kind, edit of the model file's lines, 1-based bad line)
+    # name: (model kind, edit of the model file's lines, 1-based bad line,
+    #        start of the message after "path:line: ")
     "ball_header_without_variant": (
-        "ball", lambda l: ["#geodl v1 dim=2 margin=0.1"] + l[1:], 1),
+        "ball", lambda l: ["#geodl v1 dim=2 margin=0.1"] + l[1:], 1,
+        "header lacks variant"),
     "ball_unknown_header_field": (
-        "ball", lambda l: [l[0] + " seed=3"] + l[1:], 1),
+        "ball", lambda l: [l[0] + " seed=3"] + l[1:], 1,
+        "unknown header field 'seed=3'"),
     "ball_malformed_header_field": (
-        "ball", lambda l: [l[0] + " dim"] + l[1:], 1),
+        "ball", lambda l: [l[0] + " dim"] + l[1:], 1,
+        "unknown header field 'dim'"),
     "ball_dim_zero": (
-        "ball", lambda l: ["#geodl v1 dim=0 variant=EmEl margin=0.1"], 1),
-    "ball_duplicate_class": ("ball", lambda l: l[:2] + l[1:], 3),
-    "ball_duplicate_relation": ("ball", lambda l: l + l[-1:], 7),
+        "ball", lambda l: ["#geodl v1 dim=0 variant=EmEl margin=0.1"], 1,
+        "dim must be at least 1"),
+    "ball_duplicate_class": (
+        "ball", lambda l: l[:2] + l[1:], 3,
+        "duplicate C row 'Cat' (first on line 2)"),
+    "ball_duplicate_relation": (
+        "ball", lambda l: l + l[-1:], 7,
+        "duplicate R row 'eats' (first on line 6)"),
     "ball_nan_parameter": (
-        "ball", lambda l: l[:2] + [l[2].rsplit("\t", 1)[0] + "\tnan"] + l[3:], 3),
+        "ball", lambda l: l[:2] + [_last_value(l[2], "nan")] + l[3:], 3,
+        "non-finite value"),
+    "ball_non_numeric_parameter": (
+        "ball", lambda l: l[:2] + [_last_value(l[2], "2,5")] + l[3:], 3,
+        "could not convert string to float: '2,5'"),
+    "ball_row_one_column_short": (
+        "ball", lambda l: l[:2] + [l[2].rsplit("\t", 1)[0]] + l[3:], 3,
+        "expected 5 columns"),
+    "ball_bad_value_before_duplicate": (
+        # the first fault in file order wins, not the first kind of check
+        "ball", lambda l: l[:2] + [_last_value(l[2], "x")] + l[3:] + l[1:2], 3,
+        "could not convert string to float: 'x'"),
     "baseline_without_model": (
-        "transe", lambda l: ["#geodl-baseline v1 dim=2"] + l[1:], 1),
+        "transe", lambda l: ["#geodl-baseline v1 dim=2"] + l[1:], 1,
+        "header lacks model"),
     "baseline_without_dim": (
-        "transe", lambda l: ["#geodl-baseline v1 model=transe"] + l[1:], 1),
+        "transe", lambda l: ["#geodl-baseline v1 model=transe"] + l[1:], 1,
+        "header lacks dim"),
     "baseline_unknown_model": (
-        "transe", lambda l: ["#geodl-baseline v1 model=rotate dim=2"] + l[1:], 1),
-    "baseline_duplicate_entity": ("distmult", lambda l: l[:3] + l[2:], 4),
+        "transe", lambda l: ["#geodl-baseline v1 model=rotate dim=2"] + l[1:],
+        1, "bad header value 'model=rotate'"),
+    "baseline_unknown_row_kind": (
+        "transe", lambda l: l[:2] + ["C" + l[2][1:]] + l[3:], 3,
+        "unknown row kind 'C'"),
+    "baseline_duplicate_entity": (
+        "distmult", lambda l: l[:3] + l[2:], 4,
+        "duplicate E row 'Mammal' (first on line 3)"),
     "baseline_inf_parameter": (
-        "transe", lambda l: l[:1] + [l[1].rsplit("\t", 1)[0] + "\tinf"] + l[2:], 2),
-    "transh_missing_w_row": ("transh", lambda l: l[:-1], 7),
+        "transe", lambda l: l[:1] + [_last_value(l[1], "inf")] + l[2:], 2,
+        "non-finite value"),
+    "transh_missing_w_row": (
+        "transh", lambda l: l[:-1], 7,
+        "relation '__subClassOf__' has no W row"),
     "transe_with_w_row": (
-        "transe", lambda l: l + ["W\teats\t1\t0"], 8),
+        "transe", lambda l: l + ["W\teats\t1\t0"], 8,
+        "W rows belong to transh models only"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_eval_malformed_model_exits_1_with_line(tmp_path, capsys, case):
-    kind, edit, line = MALFORMED[case]
+    kind, edit, line, message = MALFORMED[case]
     assert eval_edited(tmp_path, kind, edit) == 1
     err = capsys.readouterr().err
-    assert f"m.tsv:{line}:" in err
+    assert f"m.tsv:{line}: {message}" in err
     assert "Traceback" not in err
 
 

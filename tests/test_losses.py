@@ -1,20 +1,34 @@
 import io
 import math
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st_hyp
+from hypothesis import given, settings, strategies as st_hyp
 
 import oracles
+import reference
 from conftest import make_state, one_term
-from geodl.baselines import MODELS, initialize_baseline
+from geodl.baselines import (
+    BASELINE_HEADER_PREFIX,
+    MODELS,
+    _spec,
+    initialize_baseline,
+    load_baseline,
+    save_baseline,
+)
 from geodl.model import (
+    MODEL_HEADER_PREFIX,
     EmbeddingState,
     GradientAccumulator,
     Variant,
+    _finite_float,
     _safe_unit,
     _unit_penalty,
     load_model,
+    read_model_file,
     save_model,
     write_rows,
 )
@@ -538,3 +552,154 @@ def test_load_rejects_other_files(tmp_path):
     path.write_text("not a model\n")
     with pytest.raises(ValueError):
         load_model(path)
+
+
+# (header prefix, header fields, row kinds) of each model file, as
+# ``load_model`` and ``load_baseline`` hand them to ``read_model_file``
+FORMATS = {
+    "ball": (MODEL_HEADER_PREFIX,
+             {"dim": int, "variant": Variant, "margin": _finite_float},
+             {"C": 1, "R": 1}),
+    "baseline": (BASELINE_HEADER_PREFIX, {"model": _spec, "dim": int},
+                 {"E": 0, "R": 0, "W": 0}),
+}
+HEADERS = {"ball": "variant=EmEl margin=0.1", "baseline": "model=transh"}
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               -2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 1.0, -7.0, 0.1]
+VALUE_TEXTS = st_hyp.one_of(
+    st_hyp.tuples(
+        st_hyp.sampled_from(EDGE_VALUES)
+        | st_hyp.floats(allow_nan=False, allow_infinity=False),
+        st_hyp.sampled_from(["%.17g".__mod__, repr, "{:.6E}".format]),
+    ).map(lambda t: t[1](t[0])),
+    st_hyp.integers(-10**20, 10**20).map(str),
+)
+BAD_TOKENS = ["x", "", "nan", "-inf", "1e400", "1,5", "0x1p3", " "]
+
+
+@st_hyp.composite
+def model_texts(draw):
+    """``(format, lines)`` of a valid ball or baseline model file: every row
+    kind with 0-4 rows, kinds interleaved, blank lines among them, values
+    written as ``%.17g``, ``repr``, ``E`` exponents and integers."""
+    fmt = draw(st_hyp.sampled_from(sorted(FORMATS)))
+    prefix, _, kinds = FORMATS[fmt]
+    dim = draw(st_hyp.integers(1, 4))
+    rows = [
+        (kind, name) for kind in kinds
+        for name in draw(st_hyp.lists(st_hyp.text("aB_%", min_size=1,
+                                                  max_size=3),
+                                      unique=True, max_size=4))
+    ]
+    lines = [f"{prefix} dim={dim} {HEADERS[fmt]}"]
+    for kind, name in draw(st_hyp.permutations(rows)):
+        width = kinds[kind] + dim
+        values = draw(st_hyp.lists(VALUE_TEXTS, min_size=width,
+                                   max_size=width))
+        lines += [""] * draw(st_hyp.integers(0, 1))
+        lines.append("\t".join([kind, name, *values]))
+    return fmt, lines
+
+
+def read_both(fmt, lines):
+    """What ``read_model_file`` and the list-based reference make of
+    *lines*: the header fields and, per kind, the names, the line numbers
+    and the values' shape, dtype and bytes; or the error message."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "m.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        for reader in (read_model_file, reference.read_model_file):
+            try:
+                found, rows = reader(path, *FORMATS[fmt])
+            except ValueError as exc:
+                outcomes.append(str(exc))
+                continue
+            outcomes.append((found, {
+                kind: (names, numbers, values.shape, values.dtype,
+                       values.tobytes())
+                for kind, (names, numbers, values) in rows.items()}))
+    return outcomes
+
+
+@settings(max_examples=150)
+@given(model_texts())
+def test_reader_matches_the_list_reference_bit_for_bit(case):
+    got, want = read_both(*case)
+    assert not isinstance(want, str), want
+    assert got == want
+
+
+@st_hyp.composite
+def faulty_model_texts(draw):
+    """A ``model_texts`` file with one to three faults on its row lines: a
+    value that is not a finite float, a column too few, another or an
+    unknown row kind, or a copy of a row further down (a duplicate name)."""
+    fmt, lines = draw(model_texts())
+    for _ in range(draw(st_hyp.integers(1, 3))):
+        rows = [i for i, line in enumerate(lines)
+                if i and line.count("\t") >= 2]
+        if not rows:
+            break
+        at = draw(st_hyp.sampled_from(rows))
+        parts = lines[at].split("\t")
+        fault = draw(st_hyp.sampled_from(["value", "short", "kind", "copy"]))
+        if fault == "value":
+            cell = draw(st_hyp.integers(2, len(parts) - 1))
+            parts[cell] = draw(st_hyp.sampled_from(BAD_TOKENS))
+        elif fault == "short":
+            parts.pop()
+        elif fault == "kind":
+            parts[0] = draw(st_hyp.sampled_from(["C", "E", "W", "Q", ""]))
+        else:
+            lines.insert(draw(st_hyp.integers(at + 1, len(lines))), lines[at])
+        lines[at] = "\t".join(parts)
+    return fmt, lines
+
+
+@settings(max_examples=150)
+@given(faulty_model_texts())
+def test_reader_faults_match_the_list_reference(case):
+    """The same message from the same line, whichever fault comes first."""
+    got, want = read_both(*case)
+    assert got == want
+
+
+def saved_2k(tmp_path, kind):
+    """A 2000 x 50 model of *kind* ("ball" or "transh") saved in *tmp_path*:
+    ``(path, state, loader)``."""
+    rng = np.random.default_rng(3)
+    names = [f"C{i}" for i in range(2000)]
+    relations = ["r0", "r1", "r2"]
+    path = tmp_path / "m.tsv"
+    if kind == "ball":
+        state = make_state(rng, num_classes=2000, num_relations=3, dim=50)
+        save_model(path, state, names, relations, VAR, 0.1)
+        return path, state, load_model
+    state = initialize_baseline(kind, 2000, 3, 50, rng)
+    save_baseline(path, state, names, relations)
+    return path, state, load_baseline
+
+
+@pytest.mark.parametrize("kind", ["ball", "transh"])
+def test_loading_a_2k_model_peaks_below_3_5x_its_parameters(tmp_path, kind):
+    """Rows are read one at a time into float64: about 8 bytes per value,
+    where a Python float per value made the traced peak 5.6x the state."""
+    path, state, load = saved_2k(tmp_path, kind)
+    tracemalloc.start()
+    try:
+        loaded = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.state.flat.tobytes() == state.flat.tobytes()
+    assert peak < 3.5 * state.flat.nbytes, peak / state.flat.nbytes
+
+
+def test_bench_load_model_2k(benchmark, tmp_path):
+    path, state, _ = saved_2k(tmp_path, "ball")
+    loaded = benchmark.pedantic(load_model, args=(path,), rounds=3,
+                                iterations=1)
+    assert loaded.state.flat.tobytes() == state.flat.tobytes()

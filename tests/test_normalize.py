@@ -102,6 +102,16 @@ def test_existential_bottom_filler_collapses():
     assert onto.axioms == []
 
 
+def test_empty_filler_on_the_right_collapses_with_no_helper():
+    """``A <= some R. F`` with F empty however deep its ``bottom`` sits makes
+    A empty: BottomSub(A), and no helper class for F, which would be empty."""
+    onto = norm_lines(["subClassOf(A,some(R,and(bottom,B)))",
+                       "subClassOf(C,some(R,bottom))"])
+    assert shapes(onto) == [("BottomSub", "A"), ("BottomSub", "C")]
+    assert onto.fresh_definitions == {}
+    assert onto.classes == ["A", "B", "C"] and onto.relations == ["R"]
+
+
 @pytest.mark.parametrize("line, classes, relations", [
     ("subClassOf(and(bottom,A),some(R,B))", ["A", "B"], ["R"]),
     ("subClassOf(some(R,bottom),some(S,B))", ["B"], ["R", "S"]),
