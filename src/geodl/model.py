@@ -10,20 +10,9 @@ Loss terms are hinges on ball containment/overlap plus a soft unit-sphere
 penalty P(x) = | ||center(x)|| - 1 | on every class mentioned.  Components are
 summed in a fixed order (hinges, then penalties in argument order, then the
 slack regularizer) so results are bit-reproducible.  ``batch_terms`` runs
-every term of a training batch in one stacked pass: the terms' class ids
-go in one stack in term order (each term's C's, then D's, then nf2's E's),
-whose centers and raw radii are gathered once and whose unit penalties are
-computed once; every distance is a row of one pair stack, over which the
-norms, unit residuals, active masks and gradient signs are computed once.
-Per term run only the operations on its slices: its residuals, the hinge
-chain of its shape in the step ``<key>_batch``, nf2's three-way sums and
-the adds of its distance gradients into its class rows.  Five of the seven
-shapes are one two-ball hinge that differs only in the signs and order of
-its terms; their steps are ``_two_ball`` bound to one row each of the
-``_TWO_BALL`` table, from which the gradient signs are read as well.
-Training maps axioms to id columns (``training._AxiomArrays``).  Every
-arithmetic step is row by row, so the stacks give what one call per term
-gave, bit for bit.
+every term of a training batch in one stacked pass; its docstring gives the
+layout of the stacks.  Five of the seven shapes are one two-ball hinge,
+``_two_ball`` bound to one row each of the ``_TWO_BALL`` table.
 
 Parameters and gradients live in one contiguous float64 buffer each, with
 the named blocks as views into it (``_FlatBlocks``, which the baselines
@@ -266,17 +255,13 @@ _TWO_BALL = {
     "nf3_negative": _two_ball_row("+r_C +r_D +sigma +gamma -dist", 1, False),
 }
 
-# The signs of dist, r_C, r_D and sigma on a pair row, one column per
-# kernel key (column _PAIR_KEYS[key]): a two-ball row's are its hinge's;
-# nf2's three distances each enter their hinge with +1, and nf2 forms its
-# radius gradients itself.
-_PAIR_KEYS = {key: i for i, key in enumerate(("nf2", *_TWO_BALL))}
-_PAIR_SIGNS = np.array([(1, 0, 0, 0)] + [row.sign[:_GAMMA]
-                                         for row in _TWO_BALL.values()],
-                       dtype=float).T
+# The signs of dist, r_C, r_D and sigma on a term's pair rows, one column
+# per kernel key: a two-ball row's are its hinge's; nf2's three distances
+# each enter their hinge with +1, and nf2 forms its radius gradients itself.
+_PAIR_SIGNS = {key: np.array(row.sign[:_GAMMA], dtype=float)[:, None]
+               for key, row in _TWO_BALL.items()}
+_PAIR_SIGNS["nf2"] = np.array([[1.0], [0.0], [0.0], [0.0]])
 _SHIFTED = {key for key, row in _TWO_BALL.items() if row.shift}
-_REGULARIZED = {key for key, row in _TWO_BALL.items() if row.regularized}
-
 
 class _Rows(NamedTuple):
     """Where one term's rows sit in the stacks of a pass."""
@@ -391,7 +376,7 @@ def _stack(parts: list) -> np.ndarray:
 
 def batch_terms(
     state: EmbeddingState,
-    terms,
+    terms: list,
     gamma: float,
     variant: Variant,
     acc: Optional[GradientAccumulator] = None,
@@ -402,56 +387,52 @@ def batch_terms(
 
     *terms* is ``[(key, columns), ...]`` in the order the terms are summed:
     *columns* holds one id array per field of the shape, in the order of
-    ``normalize.SHAPES`` (nf3_negative's as nf3's).  The pass stacks the
-    class ids of all terms in that order (each term's C's, then D's, then
-    nf2's E's), gathers the centers and the raw radii once, and runs
-    ``_unit_penalty`` once.  Every distance is a row of one pair stack,
-    shifted two-ball terms first, so that its head is aligned with the
-    relation rows; the norms, unit residuals, active masks and gradient
-    signs are computed over the whole pair stack.  Per term run only the
-    operations on its slices: its residuals ``t = c + shift * r - d``, the
+    ``normalize.SHAPES`` (nf3_negative's as nf3's).
+
+    One loop over *terms* gives each term its ``_Rows``.  The class stack
+    holds each term's C's, then D's, then nf2's E's; the radius stack its
+    C's, then D's (bottom's C's only); the pair stack one row per distance
+    (nf2 has three, bottom none).  Shifted terms (nf3, nf4, nf3_negative)
+    take pair rows from 0 and the others from the shifted total, each in
+    term order, so that the pair stack's head lines up with the relation
+    rows, which only the shifted terms have.  Centers, raw radii and unit
+    penalties are taken once over the class and radius stacks; norms, unit
+    residuals, active masks and gradient signs once over the pair stack.
+
+    Per term run only the operations on its slices, which no other term
+    writes: its residuals ``t = c + shift * r - d`` and operand signs, the
     hinge chain of its shape in the step ``<key>_batch`` (looked up on the
     module at each call, so a wrapper set on the module attribute sees
-    every term), nf2's three-way sums, and the adds of its distance
-    gradients into its class rows.  Each parameter block is then scattered
-    once, its rows in term order: every cell receives the same additions in
-    the same sequence as one pass per term gave.
+    every term), nf2's three-way sums, and its gradient rows.  Each
+    parameter block is then scattered once, its rows in term order, so
+    every cell receives the same additions in the same sequence as one pass
+    per term gave, bit for bit.
     """
     slacked = variant is Variant.EMEL_VAR
-    cls_ids, rad_ids, rel_ids = [], [], []
-    placed = []  # (key, rows, first class row, first radius row) per term
-    cls = rad = 0
+    cls_ids, rad_ids, rel_ids, rows = [], [], [], []
+    cls = rad = head = 0  # head: the next pair row of a shifted term
+    pair = sum(len(columns[0]) for key, columns in terms if key in _SHIFTED)
     for key, columns in terms:
         n = len(columns[0])
-        placed.append((key, n, cls, rad))
         if key == "bottom":
+            rows.append(_Rows(n, cls, rad, 0))
             rad_ids.append(columns[0])
             rad += n
             continue
-        if key == "nf2":
-            C, D, E = columns
-            cls_ids += (C, D, E)
-        elif key in _SHIFTED:
+        if key in _SHIFTED:
             C, R, D = columns
-            cls_ids += (C, D)
             rel_ids.append(R)
-        else:
-            C, D = columns
+            rows.append(_Rows(n, cls, rad, head))
+            head += n
             cls_ids += (C, D)
+        else:
+            C, D, *E = columns  # nf2's E
+            rows.append(_Rows(n, cls, rad, pair))
+            pair += 3 * n if key == "nf2" else n
+            cls_ids += (C, D, *E)
         rad_ids += (C, D)
         cls += (3 if key == "nf2" else 2) * n
         rad += 2 * n
-    # the pair stack holds the shifted terms first, in term order, so that
-    # its head is aligned with the relation rows
-    rows = [_Rows(n, at_cls, at_rad, 0) for _, n, at_cls, at_rad in placed]
-    pair_terms = []  # (key, _Rows) in pair-stack order
-    pair = 0
-    for i in sorted((i for i, at in enumerate(placed) if at[0] != "bottom"),
-                    key=lambda i: placed[i][0] not in _SHIFTED):
-        key, n, at_cls, at_rad = placed[i]
-        rows[i] = _Rows(n, at_cls, at_rad, pair)
-        pair_terms.append((key, rows[i]))
-        pair += 3 * n if key == "nf2" else n
 
     CC, RR, R = _stack(cls_ids), _stack(rad_ids), _stack(rel_ids)
     f = state.class_centers.take(CC, axis=0)
@@ -460,8 +441,13 @@ def batch_terms(
     sig = np.abs(raw_sig) if slacked else np.zeros_like(raw_sig)
     fr = state.relation_vectors.take(R, axis=0)
     t = np.empty((pair, state.dim))
-    for key, at in pair_terms:
+    coef = np.empty((_GAMMA, pair))  # the signs of dist, r_C, r_D and sigma
+    for (key, _), at in zip(terms, rows):
         n = at.n
+        if key == "bottom":
+            continue
+        span = 3 * n if key == "nf2" else n
+        coef[:, at.pair:at.pair + span] = _PAIR_SIGNS[key]
         fc, fd = f[at.cls:at.cls + n], f[at.cls + n:at.cls + 2 * n]
         out = t[at.pair:at.pair + n]
         if key == "nf2":
@@ -482,40 +468,37 @@ def batch_terms(
     q = _Pass(dist, np.empty(pair), np.abs(raw_r), sig, p, gamma, slacked,
               sigma_reg)
     results = [globals()[f"{key}_batch"](q, at)
-               for (key, *_), at in zip(placed, rows)]
+               for (key, _), at in zip(terms, rows)]
     if acc is None:
         return results
 
-    # one row each for dist, r_C, r_D and sigma: per pair row, the operand's
-    # sign in the hinge times the active mask
-    coef = np.repeat(_PAIR_SIGNS[:, [_PAIR_KEYS[key] for key, _ in pair_terms]],
-                     [3 * at.n if key == "nf2" else at.n
-                      for key, at in pair_terms], axis=1)
-    coef *= q.h > 0.0
+    coef *= q.h > 0.0  # each operand's sign times the active mask
     g = _safe_unit(t, dist, coef[_DIST])
     radius = np.sign(raw_r)
-    for key, at in pair_terms:
+    for (key, _), at in zip(terms, rows):
         n = at.n
-        pairs = slice(at.pair, at.pair + n)
+        if key == "bottom":
+            continue
         if key == "nf2":
             _nf2_gradient(at, g, coef[_DIST], p_grad, radius)
             continue
+        pairs = slice(at.pair, at.pair + n)
         p_grad[at.cls:at.cls + n] += g[pairs]
         p_grad[at.cls + n:at.cls + 2 * n] -= g[pairs]
         both = radius[at.rad:at.rad + 2 * n].reshape(2, n)  # C's, then D's
         both *= coef[_RC:_RD + 1, pairs]
-        if _TWO_BALL[key].shift < 0:
+        row = _TWO_BALL[key]
+        if row.shift < 0:
             np.negative(g[pairs], out=g[pairs])
+        if slacked and row.regularized:
+            coef[_SIGMA, pairs] += sigma_reg
     _add_rows(acc, "class_centers", CC, p_grad)
     np.add.at(acc.class_radii_raw, RR, radius)
     if len(R):
         _add_rows(acc, "relation_vectors", R, g[:len(R)])
         if slacked:
-            slack = coef[_SIGMA, :len(R)]
-            for key, at in pair_terms:
-                if key in _REGULARIZED:
-                    slack[at.pair:at.pair + at.n] += sigma_reg
-            np.add.at(acc.relation_sigmas_raw, R, slack * np.sign(raw_sig))
+            np.add.at(acc.relation_sigmas_raw, R,
+                      coef[_SIGMA, :len(R)] * np.sign(raw_sig))
     return results
 
 
@@ -598,13 +581,15 @@ def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
     separators, where *kinds* maps each allowed kind to its count of scalars
     before the dim-wide vector.  Values must be finite and names distinct
     within a kind.  Returns the converted header fields and a ``ModelRows``
-    per kind; any violation raises ``ValueError`` naming ``path:line``.
+    per kind; a violation raises ``ValueError`` naming ``path:line`` of the
+    first faulty line in file order.
 
     Each row is converted on its own into a float64 array, so no Python
     float outlives its line, and each kind's rows are stacked once at the
     end: about 8 bytes per value plus one small array object per row.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    # a row's sum of squares may overflow; it is tested, not warned of
+    with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
         header = fh.readline().rstrip("\n")
         if not header.startswith(prefix):
             raise ValueError(f"{path}:1: header does not start with {prefix!r}")
@@ -648,19 +633,21 @@ def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
                 )
             seen[kind][name] = lineno
             try:
-                rows[kind].append(
-                    np.fromiter(map(float, parts[2:]), float, width - 2))
+                row = np.fromiter(map(float, parts[2:]), float, width - 2)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            # a finite sum of squares has only finite terms; an infinite one
+            # may be an overflow of finite terms, so only then are the terms
+            # tested (one dot product per row costs less than a sum)
+            if not math.isfinite(row.dot(row)) and not np.isfinite(row).all():
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            rows[kind].append(row)
     parsed = {}
     for kind, scalars in kinds.items():
         values = (np.stack(rows[kind]) if rows[kind]
                   else np.empty((0, scalars + dim)))
-        lines = list(seen[kind].values())
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"{path}:{lines[finite.argmin()]}: non-finite value")
-        parsed[kind] = ModelRows(list(seen[kind]), lines, values)
+        parsed[kind] = ModelRows(list(seen[kind]), list(seen[kind].values()),
+                                 values)
     return found, parsed
 
 

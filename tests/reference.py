@@ -19,10 +19,13 @@
   scattering its own rows with ``np.add.at`` on the named blocks, which
   ``geodl.model.batch_terms`` replaced with one stacked pass per batch.
 * The model file reader that keeps a list of Python floats per row until one
-  ``np.array`` at the end; ``geodl.model.read_model_file`` converts each row
-  into a float64 array as it reads, and its fields, names, line numbers,
-  arrays and error messages are checked against this one.
+  ``np.array`` at the end, testing each float for finiteness;
+  ``geodl.model.read_model_file`` converts each row into a float64 array as
+  it reads, and its fields, names, line numbers, arrays and error messages
+  are checked against this one.
 """
+
+import math
 
 import numpy as np
 
@@ -548,16 +551,15 @@ def read_model_file(path, prefix, fields, kinds):
                 )
             seen[kind][name] = lineno
             try:
-                rows[kind].append(list(map(float, parts[2:])))
+                row = list(map(float, parts[2:]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            rows[kind].append(row)
     parsed = {}
     for kind, scalars in kinds.items():
         values = np.array(rows[kind], dtype=float).reshape(
             len(rows[kind]), scalars + dim)
-        lines = list(seen[kind].values())
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"{path}:{lines[finite.argmin()]}: non-finite value")
-        parsed[kind] = (list(seen[kind]), lines, values)
+        parsed[kind] = (list(seen[kind]), list(seen[kind].values()), values)
     return found, parsed

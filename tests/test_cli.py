@@ -564,6 +564,9 @@ MALFORMED = {
         # the first fault in file order wins, not the first kind of check
         "ball", lambda l: l[:2] + [_last_value(l[2], "x")] + l[3:] + l[1:2], 3,
         "could not convert string to float: 'x'"),
+    "ball_nan_before_duplicate": (
+        "ball", lambda l: l[:2] + [_last_value(l[2], "nan")] + l[3:] + l[1:2],
+        3, "non-finite value"),
     "baseline_without_model": (
         "transe", lambda l: ["#geodl-baseline v1 dim=2"] + l[1:], 1,
         "header lacks model"),
@@ -926,6 +929,21 @@ def test_sgd_output_bytes_are_pinned(tmp_path):
         tmp_path, "emel-var",
         "dim=6\nepochs=20\nbatch_size=8\nseed=3\noptimizer=sgd\nlr=0.05\n")
     assert digests(model) == GOLDEN_SGD
+
+
+GOLDEN_SIGMA_REG = (
+    "34748aea1d9064524b5a37d214eeea2e9a658911fdd1167fbc5f0810936377f0",
+    "a125185ee1be4a8868fc783e44ae4838f1193b289575528e4d7f57233ed0771e",
+)
+
+
+def test_sigma_reg_output_bytes_are_pinned(tmp_path):
+    """The emel-var run with a slack regularizer weight below 1, the weight
+    every experiment uses, writes the recorded bytes."""
+    model = train_every_shape(
+        tmp_path, "emel-var",
+        "dim=6\nepochs=20\nbatch_size=8\nseed=3\nsigma_reg=0.25\n")
+    assert digests(model) == GOLDEN_SIGMA_REG
 
 
 GOLDEN_EARLY_STOP = (

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import numpy as np
@@ -554,14 +555,18 @@ SHARED_CLASS_BATCH = ball_batch(
 
 
 @given(ball_batches(), st.sampled_from([Variant.EMEL, Variant.EMEL_VAR]),
-       st.sampled_from([1.0, 0.25]), st.sampled_from([0.0, 0.1]))
-@example(SHARED_CLASS_BATCH, Variant.EMEL_VAR, 0.25, 0.1)
-@example(SHARED_CLASS_BATCH, Variant.EMEL, 1.0, 0.0)
+       st.sampled_from([1.0, 0.25]), st.sampled_from([0.0, 0.1]),
+       st.randoms(use_true_random=False))
+@example(SHARED_CLASS_BATCH, Variant.EMEL_VAR, 0.25, 0.1, random.Random(0))
+@example(SHARED_CLASS_BATCH, Variant.EMEL, 1.0, 0.0, random.Random(1))
 def test_batch_gradient_matches_the_per_term_kernels(batch, variant,
-                                                     sigma_reg, gamma):
+                                                     sigma_reg, gamma, rng):
     """One stacked pass gives, byte for byte, what one kernel call per term
     in term order gave onto a zeroed accumulator: the per-key sums and
-    counts, every gradient cell, and each term's values and hinges."""
+    counts, every gradient cell, and each term's values and hinges.  The
+    same holds for the batch's terms in an order drawn with *rng*, with one
+    term of at least two rows split in two, so that keys repeat and shifted
+    terms sit between the others."""
     state, batch_rows, negatives, nominals = batch
     want_sums, want_counts, want_acc, outputs = reference_batch(
         state, batch_rows, negatives, nominals, gamma, variant, sigma_reg)
@@ -576,6 +581,25 @@ def test_batch_gradient_matches_the_per_term_kernels(batch, variant,
     for (values, hinges), (_, _, want_values, want_hinges) in zip(got, outputs):
         assert values.tobytes() == want_values.tobytes()
         assert hinges.tobytes() == want_hinges.tobytes()
+
+    terms = [(kernel, rows) for kernel, rows, *_ in outputs]
+    long = [i for i, (_, rows) in enumerate(terms) if len(rows) > 1]
+    if long:
+        i = rng.choice(long)
+        kernel, rows = terms[i]
+        cut = rng.randrange(1, len(rows))
+        terms[i:i + 1] = [(kernel, rows[:cut]), (kernel, rows[cut:])]
+    rng.shuffle(terms)
+    acc = GradientAccumulator.zeros_like(state)
+    want_acc = GradientAccumulator.zeros_like(state)
+    got = batch_terms(state, [(kernel, rows.T) for kernel, rows in terms],
+                      gamma, variant, acc, sigma_reg)
+    for (kernel, rows), (values, hinges) in zip(terms, got):
+        want_values, want_hinges = reference.kernel(
+            kernel, state, rows.T, gamma, variant, want_acc, sigma_reg)
+        assert values.tobytes() == want_values.tobytes()
+        assert hinges.tobytes() == want_hinges.tobytes()
+    assert acc.flat.tobytes() == want_acc.flat.tobytes()
 
 
 def test_log_columns_written(tmp_path):
