@@ -9,30 +9,31 @@ one contiguous buffer laid out by the ball model's ``_FlatBlocks``, and the
 gradient rows are added with ``_add_rows`` into a ``GradientAccumulator`` of
 the same layout.
 
-A training batch is one pass through the model.  Scoring a side of the
-batch keeps what its gradient needs (TransE: the residual and its norms;
-TransH: the residual, its norms and the head and tail projections on the
-normal; DistMult: only the ids), and the gradient works from those pieces on
-the triples whose hinge is active, re-gathering any other rows.  The norm
-that gives a score is the norm its gradient divides by.  The arithmetic runs
-in the arrays that hold the terms.  Training runs in the epoch loop every
-model shares, ``training._fit``: it scales the gradient buffer, and the SGD
-step subtracts it from the parameters in place, each one pass; every value
-sees the same IEEE operations in the same order as when each step made new
-arrays, so the outputs are byte-identical to that.
+A training batch is one pass through the model; its two sides share one
+gather of the relation rows.  Scoring a side keeps what its gradient needs
+(TransE: the residual and its norms; TransH: the residual, its norms and the
+head and tail projections on the normal; DistMult: only the ids), and the
+gradient works from those pieces on the active triples (one index array),
+re-gathering other rows.  The norm that gives a score is the norm its
+gradient divides by.  The arithmetic runs in the arrays that hold the terms.
+Training runs in the epoch loop every model shares, ``training._fit``: it
+scales the gradient buffer, and the SGD step subtracts it from the
+parameters in place, each one pass; every value sees the same IEEE
+operations in the same order as when each step made new arrays, so the
+outputs are byte-identical to that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .model import (
-    GradientAccumulator, NumericalError, _add_rows, _FlatBlocks, _safe_unit,
-    _unit_rows, read_model_file, row_norms, write_rows,
+    GradientAccumulator, NumericalError, _add_rows, _all_finite, _FlatBlocks,
+    _safe_unit, _unit_rows, read_model_file, row_norms, write_rows,
 )
 from .normalize import NF1, NF3, NF4, NormalizedOntology
 from .training import TrainConfig, TrainResult, _fit
@@ -64,7 +65,8 @@ class BaselineState(_FlatBlocks):
         super().__init__(**blocks)
 
     def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
+        with np.errstate(over="ignore"):
+            return _all_finite(self.flat)
 
 
 def baseline_relation_names(onto: NormalizedOntology) -> list:
@@ -84,60 +86,60 @@ def extract_triples(onto: NormalizedOntology) -> np.ndarray:
 # --- the models --------------------------------------------------------------
 
 
-def _transe_scores(state, H, R, T):
+def _transe_scores(state, H, rel, T):
     e = state.entity_embeddings
-    u = e[H]
-    u += state.relation_embeddings[R]
-    tail = e[T]
+    u = e.take(H, axis=0)
+    u += rel[0]
+    tail = e.take(T, axis=0)
     u -= tail
     norms = row_norms(u, tail)
     return -norms, (u, norms)
 
 
-def _transe_grads(state, h, r, t, pieces, active, sign):
+def _transe_grads(state, h, t, rows, pieces, active, sign):
     """d score / d (head, relation, tail) is (-uhat, -uhat, uhat), with uhat
     the unit residual."""
     u, norms = pieces
-    uhat = _safe_unit(u[active], norms[active])
+    uhat = _safe_unit(u.take(active, axis=0), norms.take(active))
     flipped = np.negative(uhat)
     return (uhat, uhat, flipped, None) if sign < 0 else (
         flipped, flipped, uhat, None)
 
 
-def _transh_scores(state, H, R, T):
+def _transh_scores(state, H, rel, T):
     """Minus the norm of the translation residual u between the hyperplane
     projections of head and tail; kept: u, its norms and the projections
     ``wh``, ``wt`` of head and tail on the normal."""
     e = state.entity_embeddings
-    w = state.normals[R]
-    u = e[H]
-    tail = e[T]
+    vectors, w = rel
+    u = e.take(H, axis=0)
+    tail = e.take(T, axis=0)
     scratch = w * u
     wh = np.add.reduce(scratch, axis=1, keepdims=True)
     wt = np.add.reduce(np.multiply(w, tail, out=scratch), axis=1, keepdims=True)
     u -= np.multiply(wh, w, out=scratch)
-    u += state.relation_embeddings[R]
+    u += vectors
     tail -= np.multiply(wt, w, out=scratch)
     u -= tail
     norms = row_norms(u, scratch)
     return -norms, (u, norms, wh, wt)
 
 
-def _transh_grads(state, h, r, t, pieces, active, sign):
+def _transh_grads(state, h, t, w, pieces, active, sign):
     """d score / d (head, relation, tail, normal) is (-g_t, -uhat, g_t, -g_w),
     with uhat the unit residual, g_t = uhat - (uhat.w) w and
     g_w = (uhat.w) (tail - head) + (wt - wh) uhat."""
     u, norms, wh, wt = pieces
-    uhat = _safe_unit(u[active], norms[active])
+    uhat = _safe_unit(u.take(active, axis=0), norms.take(active))
     e = state.entity_embeddings
-    w = state.normals[r]
     g_t = uhat * w
     uw = np.add.reduce(g_t, axis=1, keepdims=True)
     np.subtract(uhat, np.multiply(uw, w, out=g_t), out=g_t)
-    g_w = e[t]
-    g_w -= e[h]
+    head = e.take(h, axis=0)
+    g_w = e.take(t, axis=0)
+    g_w -= head
     g_w *= uw
-    g_w += np.multiply(wt[active] - wh[active], uhat, out=w)
+    g_w += np.multiply((wt - wh).take(active, axis=0), uhat, out=head)
     flipped = np.negative(g_t)
     if sign < 0:
         return g_t, uhat, flipped, g_w
@@ -145,23 +147,23 @@ def _transh_grads(state, h, r, t, pieces, active, sign):
             np.negative(g_w, out=g_w))
 
 
-def _distmult_scores(state, H, R, T):
+def _distmult_scores(state, H, rel, T):
     e = state.entity_embeddings
-    x = e[H]
-    x *= state.relation_embeddings[R]
-    x *= e[T]
+    x = e.take(H, axis=0)
+    x *= rel[0]
+    x *= e.take(T, axis=0)
     return np.add.reduce(x, axis=1), None
 
 
-def _distmult_grads(state, h, r, t, pieces, active, sign):
+def _distmult_grads(state, h, t, rel, pieces, active, sign):
     """d score / d (head, relation, tail) is (rel * tail, head * tail,
     head * rel); negating one factor negates a product exactly."""
     e = state.entity_embeddings
-    head, rel, tail = e[h], state.relation_embeddings[r], e[t]
+    head, tail = e.take(h, axis=0), e.take(t, axis=0)
     if sign < 0:
-        np.negative(rel, out=rel)
+        rel = np.negative(rel)
     g_h = rel * tail
-    g_t = np.multiply(head, rel, out=rel)
+    g_t = head * rel
     if sign < 0:
         np.negative(head, out=head)
     return g_h, np.multiply(head, tail, out=tail), g_t, None
@@ -205,8 +207,8 @@ def _distmult_sides(state, r, candidates, sources, as_head):
 
 class _Model(NamedTuple):
     name: str
-    scores: Callable  # (state, H, R, T) -> (score per triple, pieces kept)
-    grads: Callable  # (state, h, r, t, pieces, active, sign) -> see _score_grads
+    scores: Callable  # (state, H, rel, T) -> (score per triple, pieces kept)
+    grads: Callable  # (state, h, t, rows, pieces, active, sign) -> see _score_grads
     # (state, r, candidates, sources, as_head) -> (moving, fixed, product)
     # for ranking: one row per candidate and one per source, such that the
     # score of (X, r, source) when as_head, else of (source, r, X), is
@@ -215,12 +217,15 @@ class _Model(NamedTuple):
     # which others are asked for.  New arrays.
     sides: Callable
     normals: bool  # carries one hyperplane normal per relation
+    reads: Optional[str]  # the relation block whose rows the gradient reads
 
 
 _MODELS = {spec.name: spec for spec in (
-    _Model("transe", _transe_scores, _transe_grads, _transe_sides, False),
-    _Model("transh", _transh_scores, _transh_grads, _transh_sides, True),
-    _Model("distmult", _distmult_scores, _distmult_grads, _distmult_sides, False),
+    _Model("transe", _transe_scores, _transe_grads, _transe_sides, False, None),
+    _Model("transh", _transh_scores, _transh_grads, _transh_sides, True,
+           "normals"),
+    _Model("distmult", _distmult_scores, _distmult_grads, _distmult_sides, False,
+           "relation_embeddings"),
 )}
 
 MODELS = tuple(_MODELS)
@@ -232,21 +237,22 @@ def _spec(model: str) -> _Model:
     return _MODELS[model]
 
 
-def _scores_batch(state: BaselineState, H, R, T) -> tuple:
-    """The score of each triple, and what its gradient needs: the ids and
-    the pieces the model keeps from scoring."""
-    scores, pieces = state.spec.scores(state, H, R, T)
-    return scores, (H, R, T, pieces)
+def _scores_batch(state: BaselineState, H, rel, T) -> tuple:
+    """The score of each triple, and what its gradient needs: the entity ids
+    and the pieces the model keeps.  *rel* holds the triples' rows of each
+    relation block after the entities (vectors, then TransH's normals)."""
+    scores, pieces = state.spec.scores(state, H, rel, T)
+    return scores, (H, T, pieces)
 
 
-def _score_grads(state: BaselineState, kept, active: np.ndarray, sign: float):
-    """*sign* times the gradient of each active triple's score wrt its head,
-    relation and tail rows (and its normal, for TransH), from what
-    ``_scores_batch`` kept.  Returns ``(g_h, g_r, g_t, g_w or None)``, one
-    row per active triple; two parts may be one array."""
-    H, R, T, pieces = kept
-    return state.spec.grads(state, H[active], R[active], T[active], pieces,
-                            active, sign)
+def _score_grads(state: BaselineState, kept, rows, active, sign: float):
+    """*sign* times the gradient of each *active* triple's score wrt its
+    head, relation and tail rows (and its normal, for TransH), from what
+    ``_scores_batch`` kept and their *rows* of block ``_Model.reads``.
+    Returns ``(g_h, g_r, g_t, g_w or None)``; two parts may be one array."""
+    H, T, pieces = kept
+    return state.spec.grads(state, H.take(active), T.take(active), rows,
+                            pieces, active, sign)
 
 
 # --- training ----------------------------------------------------------------
@@ -267,34 +273,29 @@ def initialize_baseline(
     return state
 
 
-def _hinge_gradient(state: BaselineState, grad: GradientAccumulator,
-                    pos, neg, active: np.ndarray) -> None:
-    """Add the gradient of sum(score(negative) - score(positive)) over the
-    active triples to *grad*, which is laid out as *state*; *pos* and *neg*
-    are what ``_scores_batch`` kept for the two sides."""
-    ph, pr, pt, pw = _score_grads(state, pos, active, -1.0)
-    nh, nr, nt, nw = _score_grads(state, neg, active, 1.0)
-    (H, R, T, _), (Hn, _, Tn, _) = pos, neg
-    for rows, part in ((H, ph), (T, pt), (Hn, nh), (Tn, nt)):
-        _add_rows(grad, "entity_embeddings", rows[active], part)
-    # after the entity parts: a relation part may share their array
-    r = R[active]
-    _add_rows(grad, "relation_embeddings", r, np.add(pr, nr, out=pr))
-    if pw is not None:
-        _add_rows(grad, "normals", r, np.add(pw, nw, out=pw))
-
-
 def _batch_hinge(state: BaselineState, grad: GradientAccumulator,
                  h, r, t, hn, tn, margin: float) -> np.ndarray:
     """The hinge max(margin - score(h, r, t) + score(hn, r, tn), 0) of each
     triple of a batch, scoring each side once.  The gradient of their sum
     is added into *grad*, which the caller has zeroed."""
-    s_pos, pos = _scores_batch(state, h, r, t)
-    s_neg, neg = _scores_batch(state, hn, r, tn)
+    rel = [getattr(state, b).take(r, axis=0) for b in list(state.base)[1:]]
+    s_pos, pos = _scores_batch(state, h, rel, t)
+    s_neg, neg = _scores_batch(state, hn, rel, tn)
+    del rel  # from here on only the active triples' rows are read
     hinge = np.maximum(margin - s_pos + s_neg, 0.0)
-    active = hinge > 0.0
-    if active.any():
-        _hinge_gradient(state, grad, pos, neg, active)
+    active = np.flatnonzero(hinge > 0.0)
+    if not len(active):
+        return hinge
+    r_active, reads = r.take(active), state.spec.reads
+    rows = getattr(state, reads).take(r_active, axis=0) if reads else None
+    ph, pr, pt, pw = _score_grads(state, pos, rows, active, -1.0)
+    nh, nr, nt, nw = _score_grads(state, neg, rows, active, 1.0)
+    for ids, part in ((h, ph), (t, pt), (hn, nh), (tn, nt)):
+        _add_rows(grad, "entity_embeddings", ids.take(active), part)
+    # after the entity parts: a relation part may share their array
+    _add_rows(grad, "relation_embeddings", r_active, np.add(pr, nr, out=pr))
+    if pw is not None:
+        _add_rows(grad, "normals", r_active, np.add(pw, nw, out=pw))
     return hinge
 
 

@@ -18,9 +18,9 @@ Parameters and gradients live in one contiguous float64 buffer each, with
 the named blocks as views into it (``_FlatBlocks``, which the baselines
 share), so zeroing, scaling, copying, the finiteness check and the SGD step
 are each one pass over the buffer; the Adam step walks it in cache-sized
-slices (``training._Adam``).  A pass adds its row contributions into the
-gradient buffer with one ``_add_rows`` or ``np.add.at`` call per block, its
-rows in term order, so every cell sees the same additions in the same
+slices (``training._Adam``).  A pass adds its rows, in term order, into the
+gradient buffer with one ``np.add.at`` or ``_add_rows`` (flat offsets, no
+table) call per block, so every cell sees the same additions in the same
 sequence as one call per term and per block gave, onto a zeroed buffer, and
 outputs are byte-identical to per-block storage.
 """
@@ -87,7 +87,6 @@ class _FlatBlocks:
         sizes = [math.prod(np.shape(array)) for array in blocks.values()]
         self.flat = np.empty(sum(sizes))
         self.base = {}
-        self._cells = {}
         start = 0
         for (name, array), size in zip(blocks.items(), sizes):
             self.base[name] = start
@@ -95,16 +94,6 @@ class _FlatBlocks:
             view[...] = array
             setattr(self, name, view)
             start += size
-
-    def cells(self, name: str) -> np.ndarray:
-        """The offset in ``flat`` of every cell of block *name*, as an int
-        array of the block's shape; built on first use and kept."""
-        table = self._cells.get(name)
-        if table is None:
-            shape = getattr(self, name).shape
-            table = self.base[name] + np.arange(math.prod(shape)).reshape(shape)
-            self._cells[name] = table
-        return table
 
 
 class EmbeddingState(_FlatBlocks):
@@ -135,7 +124,8 @@ class EmbeddingState(_FlatBlocks):
                               self.relation_vectors, self.relation_sigmas_raw)
 
     def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
+        with np.errstate(over="ignore"):
+            return _all_finite(self.flat)
 
     @staticmethod
     def initialize(
@@ -161,18 +151,29 @@ class GradientAccumulator(_FlatBlocks):
             name: np.zeros_like(getattr(state, name)) for name in state.base})
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether the 1-D *values* are all finite, under the caller's
+    ``np.errstate(over="ignore")``: a finite sum of squares has only finite
+    terms, and only an infinite one, maybe an overflow of finite terms, has
+    its terms tested (a dot product is cheaper and makes no bool array)."""
+    return math.isfinite(values.dot(values)) or bool(np.isfinite(values).all())
+
+
 def _add_rows(acc: _FlatBlocks, block: str, rows: np.ndarray,
               values: np.ndarray) -> None:
     """``np.add.at(acc.<block>, rows, values)`` for a row block, through
-    numpy's faster 1-D indexed loop over ``acc.flat``.
-
-    The flat index is the rows of the block's offset table
-    (``_FlatBlocks.cells``), taken i-major, so each cell receives its
-    contributions in the order ``np.add.at`` on the block adds them and the
-    sums are bit-identical.  A row past the end of the block raises
-    IndexError; a negative row wraps, as in ``np.add.at``.
+    numpy's faster 1-D indexed loop over ``acc.flat``: row i's cells are at
+    ``base + i * width + arange(width)``, listed row by row, so each cell
+    receives its contributions in ``np.add.at``'s order, bit for bit.  As
+    there, a row past the block's end raises IndexError and a negative row
+    wraps within the block (bare offsets would reach a neighbouring block).
     """
-    index = acc.cells(block).take(rows, axis=0)
+    count, width = getattr(acc, block).shape
+    lo, hi = (rows.min(), rows.max()) if len(rows) else (0, 0)
+    if lo < -count or hi >= count:
+        raise IndexError(f"a row is outside block {block!r} of {count} rows")
+    offsets = (rows % count if lo < 0 else rows) * width
+    index = np.add.outer(offsets, acc.base[block] + np.arange(width))
     np.add.at(acc.flat, index.ravel(), values.ravel())
 
 
@@ -636,10 +637,7 @@ def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
                 row = np.fromiter(map(float, parts[2:]), float, width - 2)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            # a finite sum of squares has only finite terms; an infinite one
-            # may be an overflow of finite terms, so only then are the terms
-            # tested (one dot product per row costs less than a sum)
-            if not math.isfinite(row.dot(row)) and not np.isfinite(row).all():
+            if not _all_finite(row):
                 raise ValueError(f"{path}:{lineno}: non-finite value")
             rows[kind].append(row)
     parsed = {}

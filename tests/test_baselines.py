@@ -43,10 +43,16 @@ def ranking_scores(state, r, candidates, source, as_head):
     return scorer.exact(0, np.arange(len(candidates)))
 
 
+def relation_rows(state, R):
+    """The rows of *R* in each relation block, as ``_scores_batch`` takes
+    them."""
+    return [getattr(state, b)[R] for b in list(state.base)[1:]]
+
+
 def score(h, r, t, state):
     """The training score of one triple."""
-    scores, _ = _scores_batch(state, np.array([h]), np.array([r]),
-                              np.array([t]))
+    scores, _ = _scores_batch(state, np.array([h]),
+                              relation_rows(state, np.array([r])), np.array([t]))
     return float(scores[0])
 
 
@@ -166,7 +172,7 @@ def test_scores_match_independent_oracle(model, rng):
     for _ in range(300):
         state = make_baseline(rng, model)
         H, R, T = rng.integers(0, 5, 6), rng.integers(0, 3, 6), rng.integers(0, 5, 6)
-        got, _ = _scores_batch(state, H, R, T)
+        got, _ = _scores_batch(state, H, relation_rows(state, R), T)
         for i in range(6):
             assert got[i] == oracle_score(H[i], R[i], T[i], state)
 
@@ -185,8 +191,8 @@ def test_vectorized_scoring_matches_scalar(model, rng):
     for i, t in enumerate(everyone):
         assert got[i] == pytest.approx(score(2, 1, t, state), rel=1e-12)
         assert got[i] == pytest.approx(oracle_score(2, 1, t, state), rel=1e-12)
-    got, _ = _scores_batch(state, np.array([0, 1]), np.array([1, 2]),
-                           np.array([3, 4]))
+    got, _ = _scores_batch(state, np.array([0, 1]),
+                           relation_rows(state, np.array([1, 2])), np.array([3, 4]))
     assert got[0] == pytest.approx(score(0, 1, 3, state), rel=1e-12)
     assert got[1] == pytest.approx(score(1, 2, 4, state), rel=1e-12)
 
@@ -261,8 +267,9 @@ Hn = np.array([3, 0, 1, 3]); Tn = np.array([2, 1, 3, 1])
 
 
 def batch_hinges(state, margin):
-    pos, _ = _scores_batch(state, H, R, T)
-    neg, _ = _scores_batch(state, Hn, R, Tn)
+    rel = relation_rows(state, R)
+    pos, _ = _scores_batch(state, H, rel, T)
+    neg, _ = _scores_batch(state, Hn, rel, Tn)
     return margin - pos + neg
 
 

@@ -328,7 +328,9 @@ def scatter_cases(draw):
     for _ in range(draw(st.integers(1, 3))):
         name = draw(st.sampled_from(row_blocks))
         bound, dim = getattr(state, name).shape
-        rows = draw(st.lists(st.integers(0, bound - 1), max_size=6))
+        # rows counted from the end too, which np.add.at wraps
+        rows = draw(st.lists(st.one_of(st.integers(0, bound - 1),
+                                       st.integers(-bound, -1)), max_size=6))
         values = draw(st.lists(SCATTER_VALUES, min_size=len(rows) * dim,
                                max_size=len(rows) * dim))
         calls.append((name, np.array(rows, dtype=int),
@@ -341,8 +343,9 @@ def scatter_cases(draw):
     ("class_centers", np.array([0, 0]), np.array([[-1e300], [1.0]]))]))
 def test_add_rows_is_bitwise_2d_add_at(case):
     """The flat 1-D scatter adds to every cell in np.add.at's order, over
-    repeated rows, empty batches and signed zeros, in every row block of the
-    ball layout and of each baseline layout (TransH normals included)."""
+    repeated rows, negative rows, empty batches and signed zeros, in every
+    row block of the ball layout and of each baseline layout (TransH normals
+    included)."""
     state, start, calls = case
     acc = GradientAccumulator.zeros_like(state)
     expected = GradientAccumulator.zeros_like(state)
@@ -352,6 +355,20 @@ def test_add_rows_is_bitwise_2d_add_at(case):
         _add_rows(acc, name, rows, values)
         np.add.at(getattr(expected, name), rows, values)
     assert acc.flat.tobytes() == expected.flat.tobytes()
+
+
+@pytest.mark.parametrize("name, row", [
+    ("class_centers", 2), ("class_centers", -3), ("relation_vectors", 1)])
+def test_add_rows_refuses_a_row_outside_its_block(name, row):
+    """Row 2 of a 2-row block has offsets inside the next block; like
+    np.add.at, the scatter raises IndexError and adds nothing."""
+    acc = GradientAccumulator.zeros_like(zero_state("ball", 2, 1, 3))
+    rows, values = np.array([0, row]), np.ones((2, 3))
+    with pytest.raises(IndexError):
+        np.add.at(getattr(acc, name), rows, values)
+    with pytest.raises(IndexError):
+        _add_rows(acc, name, rows, values)
+    assert not acc.flat.any()
 
 
 # --- kernel-level golden digests -------------------------------------------------

@@ -403,8 +403,6 @@ def test_blocks_are_views_of_flat_in_order(rng):
             block = getattr(obj, name)
             assert block.base is obj.flat
             assert block.ravel()[0] == obj.base[name]
-            # the offset table holds each cell's index in flat
-            assert obj.cells(name).tolist() == block.tolist()
 
 
 def test_copy_shares_no_memory(rng):
