@@ -71,14 +71,16 @@ def _subclass_pairs(path: str, name_to_id: dict):
     a name is not in *name_to_id*.  A pair through a helper that normalizing
     *path* made is skipped: the name means nothing outside the file."""
     onto = _load_normalized(path)
+    names, fresh = onto.classes, onto.fresh_definitions
+    # each class id of the file -> its id in name_to_id, None, or "helper"
+    ids = ["helper" if name in fresh else name_to_id.get(name) for name in names]
     for ax in onto.axioms:
-        if not isinstance(ax, NF1):
+        if type(ax) is not NF1:
             continue
-        c, d = onto.classes[ax.c], onto.classes[ax.d]
-        if c in onto.fresh_definitions or d in onto.fresh_definitions:
+        c, d = ids[ax.c], ids[ax.d]
+        if c == "helper" or d == "helper":
             continue
-        ids = (name_to_id.get(c), name_to_id.get(d))
-        yield c, d, None if None in ids else NF1(*ids)
+        yield names[ax.c], names[ax.d], None if c is None or d is None else NF1(c, d)
 
 
 def _write_axiom_file(path: str, header: list, lines: list) -> None:

@@ -40,7 +40,6 @@ from .parser import (
     Atomic,
     Bottom,
     Concept,
-    EquivalentClasses,
     Existential,
     Intersection,
     Nominal,
@@ -142,18 +141,20 @@ class NormalizedOntology:
         return len(self.fresh_definitions)
 
 
-# Concepts that name one class; every other concept needs a rule.
-_BASIC = (Atomic, Top, Nominal)
+# Concept types that name one class; every other concept needs a rule.  The
+# rules test a concept's exact type: the parser makes no subclasses.
+_BASIC = frozenset((Atomic, Top, Nominal))
 
 
 def _empty(c: Concept) -> bool:
     """Whether *c* is empty in every model: ``nothing``, a conjunction with
     an empty part, or an existential with an empty filler."""
-    if isinstance(c, Intersection):
+    kind = type(c)
+    if kind is Intersection:
         return _empty(c.left) or _empty(c.right)
-    if isinstance(c, Existential):
+    if kind is Existential:
         return _empty(c.filler)
-    return isinstance(c, Bottom)
+    return kind is Bottom
 
 
 class _Normalizer:
@@ -170,30 +171,26 @@ class _Normalizer:
         self._defined: set[tuple[str, str]] = set()
 
     def class_id(self, c: Concept) -> int:
-        key = c.name if type(c) is Atomic else concept_to_text(c)
-        idx = self.class_index.get(key)
-        if idx is None:
-            idx = len(self.classes)
-            self.class_index[key] = idx
-            self.classes.append(key)
-        return idx
-
-    def relation_id(self, name: str) -> int:
-        idx = self.relation_index.get(name)
-        if idx is None:
-            idx = len(self.relations)
-            self.relation_index[name] = idx
-            self.relations.append(name)
-        return idx
+        """Id of the class a basic concept names.  Every class and relation
+        has its id before a rule asks for it (``_register_concept`` gives
+        the input's, ``_fresh_for`` each helper's), so this is one lookup."""
+        return self.class_index[c.name if type(c) is Atomic else concept_to_text(c)]
 
     def _register_concept(self, c: Concept) -> None:
-        if isinstance(c, _BASIC):
-            self.class_id(c)
-        elif isinstance(c, Intersection):
+        """Give each class and relation *c* names an id, in reading order."""
+        kind = type(c)
+        if kind in _BASIC:
+            key = c.name if kind is Atomic else concept_to_text(c)
+            if key not in self.class_index:
+                self.class_index[key] = len(self.classes)
+                self.classes.append(key)
+        elif kind is Intersection:
             self._register_concept(c.left)
             self._register_concept(c.right)
-        elif isinstance(c, Existential):
-            self.relation_id(c.role)
+        elif kind is Existential:
+            if c.role not in self.relation_index:
+                self.relation_index[c.role] = len(self.relations)
+                self.relations.append(c.role)
             self._register_concept(c.filler)
 
     def _fresh_for(self, expr: Concept, side: str) -> Atomic:
@@ -223,43 +220,44 @@ class _Normalizer:
 
     def _atom(self, c: Concept, side: str) -> int:
         """Class id of *c*, through a fresh class unless *c* is basic."""
-        if not isinstance(c, _BASIC):
+        if type(c) not in _BASIC:
             c = self._fresh_for(c, side)
         return self.class_id(c)
 
     def _norm(self, sub: Concept, sup: Concept) -> None:
         """Emit the normal forms of ``sub <= sup``, one rule per branch."""
-        if isinstance(sup, Intersection):  # split into independent axioms
+        basic = type(sub) in _BASIC  # a basic concept is never empty
+        if type(sup) is Intersection:  # split into independent axioms
             self._norm(sub, sup.left)
             self._norm(sub, sup.right)
-        elif _empty(sub):
+        elif not basic and _empty(sub):
             return  # an empty left side makes the axiom hold vacuously
-        elif isinstance(sub, _BASIC):
+        elif basic:
             c = self.class_id(sub)
-            if _empty(sup):  # nothing, or some R. F over an empty F
-                self.out.append(BottomSub(c))
-            elif isinstance(sup, _BASIC):
+            if type(sup) in _BASIC:
                 self.out.append(NF1(c, self.class_id(sup)))
+            elif _empty(sup):  # nothing, or some R. F over an empty F
+                self.out.append(BottomSub(c))
             else:
-                r = self.relation_id(sup.role)
+                r = self.relation_index[sup.role]
                 self.out.append(NF3(c, r, self._atom(sup.filler, "right")))
-        elif isinstance(sup, Existential):
+        elif type(sup) is Existential:
             # Both sides complex: route through a fresh middle class.
             self._norm(self._fresh_for(sub, "left"), sup)
-        elif isinstance(sub, Intersection):
+        elif type(sub) is Intersection:
             parts = [self._atom(part, "left") for part in (sub.left, sub.right)]
-            if isinstance(sup, Bottom):
+            if type(sup) is Bottom:
                 self.out.append(Disjoint(*parts))
             else:
                 self.out.append(NF2(*parts, self.class_id(sup)))
         else:
             f = self._atom(sub.filler, "left")
-            if isinstance(sup, Bottom):
+            if type(sup) is Bottom:
                 # some R. F <= nothing, folded through a fresh helper so the
                 # bottom form stays unary
                 self.out.append(BottomSub(self._atom(sub, "left")))
             else:
-                r = self.relation_id(sub.role)
+                r = self.relation_index[sub.role]
                 self.out.append(NF4(f, r, self.class_id(sup)))
 
 
@@ -268,16 +266,20 @@ def normalize(axioms: list[RawAxiom]) -> NormalizedOntology:
     norm = _Normalizer()
     # Register every original name first so dropped tautologies still leave
     # their classes and relations in the tables.
+    register, rewrite = norm._register_concept, norm._norm
     for ax in axioms:
-        pair = (ax.sub, ax.sup) if isinstance(ax, SubClassOf) else (ax.a, ax.b)
-        for side in pair:
-            norm._register_concept(side)
-    for ax in axioms:
-        if isinstance(ax, EquivalentClasses):
-            norm._norm(ax.a, ax.b)
-            norm._norm(ax.b, ax.a)
+        if type(ax) is SubClassOf:
+            register(ax.sub)
+            register(ax.sup)
         else:
-            norm._norm(ax.sub, ax.sup)
+            register(ax.a)
+            register(ax.b)
+    for ax in axioms:
+        if type(ax) is SubClassOf:
+            rewrite(ax.sub, ax.sup)
+        else:
+            rewrite(ax.a, ax.b)
+            rewrite(ax.b, ax.a)
     return NormalizedOntology(
         axioms=norm.out,
         classes=norm.classes,

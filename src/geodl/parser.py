@@ -24,7 +24,8 @@ Two paths read a line of a file (``parse_ontology``):
   normal-form files are almost all flat lines.  Such a line is valid by
   construction, so this path cannot fail.  It runs only when the depth
   limit is above 2, the depth of a ``some`` filler; under a smaller limit
-  the cursor raises the nesting error.
+  the cursor raises the nesting error.  Each distinct ``some(R,B)`` of
+  these lines is one ``Existential`` in the result.
 * Every other line (nested, spaced or commented, and every malformed one)
   goes through ``_Cursor``, a recursive descent over the line's tokens.
   The cursor is the only source of ``ParseError``: a line the regex misses
@@ -163,15 +164,15 @@ def concept_to_text(c: Concept) -> str:
 
 
 class _Table(dict):
-    """Name -> its one object, built by *make* (which checks the name) the
-    first time the name is asked for."""
+    """Key -> its one object, built by *make* (which checks the key's names)
+    the first time the key is asked for."""
 
     def __init__(self, make, **preset):
         super().__init__(preset)
         self.make = make
 
-    def __missing__(self, name: str):
-        made = self[name] = self.make(name)
+    def __missing__(self, key):
+        made = self[key] = self.make(key)
         return made
 
 
@@ -300,19 +301,24 @@ def parse_ontology(
 
     Returns axioms in file order plus counts of distinct classes, relations
     and individuals seen anywhere in them.  Each class name is one
-    ``Atomic`` object throughout the result.
+    ``Atomic`` object throughout the result, and each ``some(R,B)`` of the
+    flat lines one ``Existential``.
     """
     axioms: list[RawAxiom] = []
     names = _Names()
     atoms, roles = names.classes, names.roles
+    somes = _Table(lambda key: Existential(roles[key[0]], atoms[key[1]]))
     flat = max_depth > 2  # a some(R,B) filler sits at depth 2
     fullmatch = _FLAT.fullmatch
     for lineno, raw in enumerate(lines, start=1):
         match = fullmatch(raw) if flat else None
         if match is not None:
             head, a, role, filler, b = match.groups()
-            second = atoms[b] if role is None else Existential(roles[role], atoms[filler])
-            axioms.append(_axiom(head, atoms[a], second))
+            second = atoms[b] if role is None else somes[role, filler]
+            if head == "subClassOf":
+                axioms.append(SubClassOf(atoms[a], second))
+            else:
+                axioms.append(_axiom(head, atoms[a], second))
             continue
         text = raw.split("#", 1)[0]
         if text.strip():

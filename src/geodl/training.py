@@ -234,7 +234,9 @@ class _Sgd:
         self.lr = lr
 
     def step(self, state: EmbeddingState, grad: GradientAccumulator) -> None:
-        state.flat -= self.lr * grad.flat
+        """``x -= lr*g`` in place, with no temporary; leaves *grad* as scratch."""
+        grad.flat *= self.lr
+        state.flat -= grad.flat
 
 
 ADAM_BETA1 = 0.9

@@ -116,17 +116,36 @@ GOLDEN_NORMALIZE_NESTED = (
 )
 
 
+def nested_lines():
+    return [line for s in range(10)
+            for line in random_raw_lines(np.random.default_rng(s), 60)]
+
+
 def test_normalize_output_bytes_are_pinned_on_nested_input(tmp_path):
     src = tmp_path / "nested.el"
-    src.write_text("\n".join(
-        line for s in range(10)
-        for line in random_raw_lines(np.random.default_rng(s), 60)) + "\n")
+    src.write_text("\n".join(nested_lines()) + "\n")
     out = tmp_path / "nested.norm.el"
     assert run(["normalize", str(src), str(out)]) == 0
     assert tuple(
         hashlib.sha256(path.read_bytes()).hexdigest()
         for path in (out, tmp_path / "nested.norm.el.fresh.tsv")
     ) == GOLDEN_NORMALIZE_NESTED
+
+
+# sha256 of normalize's id tables on the same input, in id order: the class
+# names, the relation names, then each class_index key with its id.  The
+# files above print names, so they cannot see which id a class has.
+GOLDEN_NORMALIZE_NESTED_TABLES = (
+    "e2a78effc7ea88f6c956602602e43a9905fdd4c958244f4d61b054024f912f61")
+
+
+def test_normalize_id_tables_are_pinned_on_nested_input():
+    onto = normalize(parse_ontology(nested_lines())[0])
+    index = sorted(onto.class_index.items(), key=lambda kv: (kv[1], kv[0]))
+    text = "\n".join([*onto.classes, "", *onto.relations, "",
+                      *(f"{i}\t{key}" for key, i in index)])
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == GOLDEN_NORMALIZE_NESTED_TABLES)
 
 
 def test_normalize_refuses_to_overwrite_input(fixture_file):

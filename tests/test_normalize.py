@@ -14,9 +14,9 @@ from geodl.normalize import (
     normalize,
     verify_normal,
 )
-from geodl.parser import parse_ontology, SubClassOf
+from geodl.parser import parse_axiom, parse_ontology, SubClassOf
 from geodl.ranking import is_fresh_name, is_nominal_name
-from geodl.synthetic import random_raw_lines
+from geodl.synthetic import random_raw_lines, surrogate_lines
 from reference import concept_size
 
 
@@ -217,6 +217,16 @@ def test_random_ontologies_normalize_cleanly(seed):
     # idempotence: re-normalizing the printed output allocates nothing new
     assert len(again.fresh_definitions) == 0
     assert verify_normal(again)
+
+
+def test_shared_existentials_normalize_like_separate_ones():
+    """The flat lines' shared ``Existential`` objects give the same ids,
+    tables and axioms as one fresh tree per line."""
+    lines = surrogate_lines(300, seed=1)
+    shared = normalize(parse_ontology(lines)[0])
+    separate = normalize([parse_axiom(line) for line in lines
+                          if line and not line.startswith("#")])
+    assert shared == separate
 
 
 def test_idempotence_keeps_axiom_shapes():

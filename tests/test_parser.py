@@ -134,6 +134,24 @@ def test_parse_ontology_error_carries_line_number():
     assert err.value.line == 2
 
 
+def test_flat_lines_share_one_existential_per_role_and_filler():
+    lines = ["subClassOf(A,some(R,B))", "disjointWith(C,some(R,B))",
+             "equivalentClasses(D,some(R,B))", "subClassOf(A,some(R,C))",
+             "subClassOf(A,some(S,B))"]
+    axioms, stats = parse_ontology(lines)
+    shared = axioms[0].sup
+    assert axioms[1].sub.right is shared and axioms[2].b is shared
+    assert axioms[3].sup is not shared and axioms[4].sup is not shared
+    assert axioms == [parse_axiom(line) for line in lines]
+    assert astuple(stats) == reference.ontology_counts(lines)
+
+
+def test_existential_still_checks_its_role():
+    for role in ("", "a b", "r,s", "r(", "r#"):
+        with pytest.raises(ValueError, match="role name"):
+            Existential(role, Atomic("B"))
+
+
 def test_parse_is_pure():
     text = "subClassOf(and(A,B),some(R,C))"
     assert parse_axiom(text) == parse_axiom(text)

@@ -22,6 +22,7 @@ from geodl.normalize import NF1, NF2, NF3, SHAPES, normalize
 from geodl.parser import parse_ontology
 from geodl.ranking import DIRECTIONS, is_fresh_name, is_nominal_name, unrankable
 from geodl.synthetic import random_raw_lines, surrogate_lines
+from geodl import training
 from geodl.training import (
     CONFIG_KEYS,
     NumericalError,
@@ -349,6 +350,95 @@ def test_validation_early_stopping_and_best_checkpoint():
     assert result.best_hits10 == max(row.valid_hits10 for row in evaluated)
 
 
+# --- the loop's rules, checked by behaviour rather than by pinned bytes -------
+
+
+def spy_on_batches(monkeypatch):
+    """The arguments of every ``_batch_gradient`` call ``train`` makes."""
+    calls = []
+    real = training._batch_gradient
+
+    def spy(state, rows, negatives, nominals, *args):
+        calls.append((rows, negatives, nominals))
+        return real(state, rows, negatives, nominals, *args)
+
+    monkeypatch.setattr(training, "_batch_gradient", spy)
+    return calls
+
+
+def test_no_corrupted_tail_equals_its_positive_tail(monkeypatch):
+    """A negative keeps its nf3 axiom's head and role and takes another
+    class as tail, never the true one: on three classes a draw without the
+    skip would hit it about every other time."""
+    calls = spy_on_batches(monkeypatch)
+    onto = norm_lines(["subClassOf(A,some(R,B))", "subClassOf(B,some(R,C))",
+                       "subClassOf(C,some(R,A))"])
+    train(onto, tiny_config(epochs=30, batch_size=2))
+    assert len(calls) == 60
+    for rows, negatives, _ in calls:
+        positives = rows["nf3"]
+        assert np.array_equal(negatives[:, :2], positives[:, :2])
+        assert (negatives[:, 2] != positives[:, 2]).all()
+        assert ((negatives[:, 2] >= 0) & (negatives[:, 2] < 3)).all()
+
+
+def test_nominal_term_enters_only_on_each_epochs_last_batch(monkeypatch):
+    calls = spy_on_batches(monkeypatch)
+    onto = norm_lines(["subClassOf(nominal(x),B)", "subClassOf(A,B)",
+                       "subClassOf(B,C)", "subClassOf(C,nominal(y))",
+                       "subClassOf(D,E)"])
+    nominal_ids = [onto.class_index[n] for n in ("nominal(x)", "nominal(y)")]
+    train(onto, tiny_config(epochs=3, batch_size=2))  # 3 batches an epoch
+    assert [nominals is not None for _, _, nominals in calls] == [
+        False, False, True] * 3
+    for _, _, nominals in calls[2::3]:
+        assert nominals.ravel().tolist() == nominal_ids
+
+
+def test_validation_runs_on_every_25th_epoch_only():
+    """valid_hits10 is a number on epochs 25, 50, ... (counted from 1), the
+    interval the README states, and nan on every other epoch."""
+    onto = norm_lines(chain_lines(30))
+    parts = split(onto, SplitSpec(seed=0))
+    result = train(onto, tiny_config(epochs=110, patience=100),
+                   train_axioms=parts.train, valid_nf1=parts.valid)
+    assert len(result.log) == 110
+    assert [row.epoch + 1 for row in result.log
+            if not math.isnan(row.valid_hits10)] == [25, 50, 75, 100]
+
+
+@pytest.mark.parametrize("hits, patience, evaluations", [
+    ([0.5, 0.4, 0.4, 0.4, 0.4], 1, 2),
+    ([0.5, 0.4, 0.4, 0.4, 0.4], 3, 4),
+    ([0.5, 0.5, 0.5, 0.5], 2, 3),  # a tie is no improvement
+    ([0.1, 0.2, 0.1, 0.3, 0.2, 0.2, 0.9, 0.9], 2, 6),
+])
+def test_training_stops_after_exactly_patience_evaluations_without_gain(
+        rng, hits, patience, evaluations):
+    """With scripted validation scores, the loop stops on the evaluation
+    that makes *patience* in a row without a new best, and returns the
+    best checkpoint."""
+    state = make_state(rng)
+    scores = iter(hits)
+    snapshots = []
+
+    def batch(idx, last, grad):
+        grad.flat += 1.0
+        return {"nf1": 1.0}, {"nf1": len(idx)}, 1.0
+
+    def valid(state):
+        snapshots.append(state.flat.copy())
+        return next(scores)
+
+    result = _fit(tiny_config(epochs=25 * len(hits), patience=patience), rng,
+                  state, 4, batch, _Sgd(0.01).step, valid)
+    assert len(result.log) == 25 * evaluations
+    assert [row.valid_hits10 for row in result.log
+            if not math.isnan(row.valid_hits10)] == hits[:evaluations]
+    best = max(range(evaluations), key=lambda i: (hits[i], -i))
+    assert np.array_equal(result.state.flat, snapshots[best])
+
+
 @pytest.mark.parametrize("pair, message", [
     (("__nf_0", "B"), "'__nf_0' is a normalization helper or a nominal"),
     (("nominal(x)", "B"), "'nominal(x)' is a normalization helper or a nominal"),
@@ -665,6 +755,25 @@ def test_blocked_adam_matches_textbook_across_blocks(rng):
         grad.flat[...] = g
         optimizer.step(state, grad)
     expected = oracles.adam(start, [g.tolist() for g in steps], lr=0.05)
+    assert np.array_equal(state.flat, expected)
+
+
+def test_sgd_step_is_in_place_and_textbook(rng):
+    """One SGD step on a 2000 x 50 state allocates nothing parameter-sized
+    (a ``lr * g`` temporary peaked at 1.0x the parameter bytes) and gives
+    ``x - lr*g`` bit for bit."""
+    state = make_state(rng, num_classes=2000, num_relations=10, dim=50)
+    grad = GradientAccumulator.zeros_like(state)
+    grad.flat[...] = rng.normal(size=grad.flat.size)
+    expected = state.flat - 0.05 * grad.flat
+    step = _Sgd(0.05).step
+    tracemalloc.start()
+    try:
+        step(state, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * state.flat.nbytes, peak / state.flat.nbytes
     assert np.array_equal(state.flat, expected)
 
 
