@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 input/validation error, 2 numerical failure.
 All randomness flows from ``--seed`` (default 42); two runs of any
 subcommand with the same inputs write byte-identical outputs.  No subcommand
-writes over its inputs or names one output file twice; each checks its
-output paths before it writes any of them.
+writes over its inputs or names one output file twice, also through a
+symlink; each checks its output paths before it writes any of them.
 """
 
 from __future__ import annotations
@@ -35,17 +35,23 @@ def _read_lines(path: str) -> list[str]:
     if not os.path.isfile(path):
         raise _CliError(f"input file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+        # physical lines: splitlines() would also break at \x0c, \x1c-\x1e,
+        # \x85, \u2028 and \u2029, which sit inside one line in an editor
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the piece after a final newline
+    return lines
 
 
 def _check_distinct(inputs, outputs) -> None:
-    """Refuse outputs that name an input, or the same file twice."""
-    taken = {os.path.abspath(p) for p in inputs if p}
+    """Refuse outputs that name an input, or the same file twice, also
+    through a symlink."""
+    taken = {os.path.realpath(p) for p in inputs if p}
     written: set = set()
     for out in outputs:
         if not out:
             continue
-        path = os.path.abspath(out)
+        path = os.path.realpath(out)
         if path in taken:
             raise _CliError(f"refusing to overwrite input file: {out}")
         if path in written:

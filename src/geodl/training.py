@@ -23,7 +23,6 @@ from . import ranking
 from .model import EmbeddingState, GradientAccumulator, NumericalError, Variant
 from .normalize import (
     NF1,
-    NF3,
     SHAPES,
     NormalAxiom,
     NormalizedOntology,
@@ -102,7 +101,7 @@ class TrainConfig:
 def parse_config(text: str) -> TrainConfig:
     """Flat key=value lines; '#' comments and blank lines ignored."""
     cfg = TrainConfig()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -573,22 +572,3 @@ def train(
         return sums, counts, 1.0 / sum(counts.values())
 
     return _fit(config, rng, state, arrays.total, batch, optimizer.step, valid)
-
-
-def mean_hinge(
-    state: EmbeddingState,
-    axioms: Sequence[NormalAxiom],
-    gamma: float,
-    variant: Variant,
-    kind=NF3,
-) -> float:
-    """Mean hinge component over the axioms of one shape, for diagnostics."""
-    if kind not in SHAPES:
-        raise ValueError(f"not a normal-form shape: {kind!r}")
-    key = SHAPES[kind].key
-    rows = _AxiomArrays.build(
-        axioms, state.num_classes, state.num_relations).rows[key]
-    if not len(rows):
-        return 0.0
-    _, hinges = gm.batch_terms(state, [(key, rows.T)], gamma, variant)[0]
-    return float(hinges.mean())

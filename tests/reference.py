@@ -23,23 +23,29 @@
   ``geodl.model.read_model_file`` converts each row into a float64 array as
   it reads, and its fields, names, line numbers, arrays and error messages
   are checked against this one.
+* The mean hinge of one axiom shape over a trained state, a diagnostic that
+  no command prints; acceptance criterion 4's hub experiment reads it.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
 
+from geodl import model as gm
 from geodl.model import (
     _DIST,
     _RC,
     _RD,
     _SIGMA,
     _TWO_BALL,
+    EmbeddingState,
     NumericalError,
     Variant,
     _safe_unit,
     row_norms,
 )
+from geodl.normalize import NF3, SHAPES, NormalAxiom
 from geodl.parser import (
     BOTTOM,
     TOP,
@@ -52,6 +58,7 @@ from geodl.parser import (
     SubClassOf,
     concept_to_text,
 )
+from geodl.training import _AxiomArrays
 
 
 # --- full score rows ----------------------------------------------------------
@@ -563,3 +570,25 @@ def read_model_file(path, prefix, fields, kinds):
             len(rows[kind]), scalars + dim)
         parsed[kind] = (list(seen[kind]), list(seen[kind].values()), values)
     return found, parsed
+
+
+# --- mean hinge of one shape ---------------------------------------------------
+
+
+def mean_hinge(
+    state: EmbeddingState,
+    axioms: Sequence[NormalAxiom],
+    gamma: float,
+    variant: Variant,
+    kind=NF3,
+) -> float:
+    """Mean hinge component over the axioms of one shape, for diagnostics."""
+    if kind not in SHAPES:
+        raise ValueError(f"not a normal-form shape: {kind!r}")
+    key = SHAPES[kind].key
+    rows = _AxiomArrays.build(
+        axioms, state.num_classes, state.num_relations).rows[key]
+    if not len(rows):
+        return 0.0
+    _, hinges = gm.batch_terms(state, [(key, rows.T)], gamma, variant)[0]
+    return float(hinges.mean())

@@ -20,7 +20,7 @@ from geodl.model import load_model
 from geodl.normalize import normalize
 from geodl.parser import parse_ontology
 from geodl.synthetic import hub_spoke_lines, random_raw_lines, surrogate_lines
-from geodl.training import mean_hinge
+from reference import mean_hinge
 
 GALEN_ISH = [
     "# tiny fixture",
@@ -280,6 +280,38 @@ def test_syntax_error_exits_1_with_line(tmp_path, capsys):
     assert f"geodl: parse error: {bad}: line 2" in err
 
 
+def test_form_feed_in_a_comment_does_not_end_the_line(tmp_path, capsys):
+    """A form feed sits inside one physical line: the comment's tail after
+    it is not read as a line of its own, and line 2's own error is the one
+    reported."""
+    bad = tmp_path / "bad.el"
+    bad.write_text("subClassOf(A,B) # a\x0cb\nsubClassOf(B,C\n")
+    assert run(["stats", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: line 2, col 15: expected ')', found end of line" in err
+
+
+@pytest.mark.parametrize("separator", ["\x1d", "\x1e", "\x85", "\u2028"])
+def test_unicode_line_separators_do_not_split_an_axiom_line(tmp_path, capsys,
+                                                            separator):
+    """Only \\n ends a line: two axioms joined by a group separator (or
+    another character that ``str.splitlines`` breaks at) are one line with
+    trailing input, not two axioms."""
+    bad = tmp_path / "bad.el"
+    bad.write_text(f"subClassOf(A,B){separator}subClassOf(B,C)\n")
+    assert run(["stats", str(bad)]) == 1
+    assert "line 1, col 17: trailing input 'subClassOf(B,C)'" in (
+        capsys.readouterr().err)
+
+
+def test_config_comment_with_a_form_feed_parses(tmp_path, fixture_file):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=4  # four\x0cdimensions\nepochs=2\n")
+    model = tmp_path / "m.tsv"
+    assert run(["train", "--config", str(cfg), fixture_file, str(model)]) == 0
+    assert load_model(str(model)).state.class_centers.shape[1] == 4
+
+
 @pytest.mark.parametrize("broken", ["valid.el", "test.el", "known.el"],
                          ids=["sibling-valid", "eval-test", "filtered"])
 def test_parse_error_names_its_file(tmp_path, capsys, broken):
@@ -458,6 +490,31 @@ def test_split_refuses_input_among_outputs_before_writing(tmp_path, name,
     assert "refusing to overwrite input file" in capsys.readouterr().err
     assert sorted(p.name for p in out_dir.iterdir()) == [name]
     assert source.read_text() == "\n".join(GALEN_ISH) + "\n"
+
+
+def test_normalize_refuses_a_symlink_to_its_input(tmp_path, capsys):
+    """An output path that is a symlink to the input is the input: writing
+    through it would replace the file being read."""
+    source = tmp_path / "in.el"
+    source.write_text("\n".join(GALEN_ISH) + "\n")
+    before = source.read_bytes()
+    link = tmp_path / "out.el"
+    link.symlink_to(source)
+    assert run(["normalize", str(source), str(link)]) == 1
+    assert "refusing to overwrite input file" in capsys.readouterr().err
+    assert source.read_bytes() == before
+    assert not (tmp_path / "out.el.fresh.tsv").exists()
+
+
+def test_train_refuses_two_symlinks_to_one_output(tmp_path, fixture_file,
+                                                  capsys):
+    target = tmp_path / "target.tsv"
+    model, log = tmp_path / "m.tsv", tmp_path / "log.tsv"
+    model.symlink_to(target)
+    log.symlink_to(target)
+    assert run(["train", fixture_file, str(model), str(log)]) == 1
+    assert "output file given twice" in capsys.readouterr().err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--model", "transe"]],
@@ -1099,8 +1156,13 @@ def bench_tracing(monkeypatch):
 def test_bench_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
     """Every function the benchmark's tracer wraps is still where the tracer
     looks it up, training reaches every kernel through the wrapped module
-    attribute, and uninstalling puts each original back."""
+    attribute, tracing changes no output byte, and uninstalling puts each
+    original back."""
     tracing, modules = bench_tracing(monkeypatch)
+    config = "dim=6\nepochs=20\nbatch_size=8\nseed=3\n"
+    traced_dir, plain_dir = tmp_path / "traced", tmp_path / "plain"
+    traced_dir.mkdir()
+    plain_dir.mkdir()
 
     def lookup(module, path):
         owner = modules[module]
@@ -1114,16 +1176,16 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
     try:
         tracer.install(modules)
         wrapped = [lookup(module, path) for module, path, _ in tracing.TRACED]
-        model = train_every_shape(
-            tmp_path, "emel", "dim=6\nepochs=20\nbatch_size=8\nseed=3\n")
+        model = train_every_shape(traced_dir, "emel", config)
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics(None)
     assert all(metrics[f"model.{key}_rows"] > 0 for key in tracing.KERNELS)
-    axioms, _ = parse_ontology((tmp_path / "in.el").read_text().splitlines())
+    axioms, _ = parse_ontology((traced_dir / "in.el").read_text().splitlines())
     batches = 20 * math.ceil(len(normalize(axioms).axioms) / 8)
     assert metrics["training.batches"] == batches
-    assert digests(model) == GOLDEN["emel"]  # tracing changes no output
+    plain = train_every_shape(plain_dir, "emel", config)
+    assert digests(model) == digests(plain)
     assert len(tracing.TRACED) == 26
     assert all(new is not old for new, old in zip(wrapped, originals))
     assert all(lookup(module, path) is old
@@ -1133,24 +1195,29 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
 def test_bench_tracer_times_baseline_training(monkeypatch, tmp_path,
                                               fixture_file):
     """A traced TransH run reaches the baseline's training, scoring and
-    gradient through the wrapped names, and writes the pinned bytes."""
+    gradient through the wrapped names, and writes the bytes of the same run
+    untraced."""
     tracing, modules = bench_tracing(monkeypatch)
     parts = tmp_path / "s"
     assert run(["split", fixture_file, str(parts), "--seed", "7"]) == 0
     cfg = tmp_path / "c.cfg"
     cfg.write_text("dim=6\nepochs=30\nbatch_size=4\nseed=3\n")
-    out = tmp_path / "m.tsv"
+    argv = ["train", "--model", "transh", "--config", str(cfg),
+            str(parts / "train.el")]
+    traced_dir, plain_dir = tmp_path / "traced", tmp_path / "plain"
+    traced_dir.mkdir()
+    plain_dir.mkdir()
     tracer = tracing.Tracer()
     try:
         tracer.install(modules)
-        assert run(["train", "--model", "transh", "--config", str(cfg),
-                    str(parts / "train.el"), str(out)]) == 0
+        assert run(argv + [str(traced_dir / "m.tsv")]) == 0
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics(None)
     assert all(metrics[f"baselines.{name}_s"] > 0.0
                for name in ("train_baseline", "scores_batch", "score_grads"))
-    assert digests(out) == GOLDEN_BASELINE["transh"][:2]
+    assert run(argv + [str(plain_dir / "m.tsv")]) == 0
+    assert digests(traced_dir / "m.tsv") == digests(plain_dir / "m.tsv")
 
 
 # --- fuzzing through main: every input exits 0, 1 or 2 -------------------------

@@ -24,7 +24,8 @@ from geodl.model import (
     batch_terms,
 )
 from geodl.normalize import NF1, NF2, NF3, NF4, BottomSub
-from geodl.training import mean_hinge, train
+from geodl.training import train
+from reference import mean_hinge
 from test_training import norm_lines, tiny_config
 
 EMEL = Variant.EMEL

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 import oracles
 from conftest import make_state, one_term
 import reference
-from reference import config_to_text
+from reference import config_to_text, mean_hinge
 from geodl.baselines import extract_triples, initialize_baseline, train_baseline
 from geodl.model import (
     EmbeddingState,
@@ -28,7 +28,6 @@ from geodl.training import (
     NumericalError,
     SplitSpec,
     TrainConfig,
-    mean_hinge,
     parse_config,
     _ADAM_BLOCK,
     _Adam,
