@@ -71,6 +71,22 @@ MUTANTS = [
      "path = os.path.realpath(out)",
      "path = os.path.abspath(out)",
      "an output symlinked to an input or to another output is written"),
+    ("src/geodl/model.py",
+     "comments=None, ",
+     "",
+     "model-file values cut at '#' by np.loadtxt's default comments"),
+    ("src/geodl/model.py",
+     "        _convert_rows(path, queued, blocks)\n        return",
+     "        _convert_rows(path, {kind: queued[kind]}, blocks)\n        return",
+     "a model-file block's fallback re-reads only the failing kind"),
+    ("src/geodl/model.py",
+     "            _convert_rows(path, queued, blocks)\n            raise",
+     "            raise",
+     "a structural fault raised before an earlier line's value fault"),
+    ("src/geodl/model.py",
+     '_SEPARATORS = ("\\x1c", "\\x1d", "\\x1e", "\\x1f")',
+     "_SEPARATORS = ()",
+     "model-file values padded by \\x1c-\\x1f taken as np.loadtxt takes them"),
 ]
 
 # fails on every mutant by design: it checks that each old text is present

@@ -573,6 +573,68 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# rows of one kind converted by one ``np.loadtxt`` call
+_BLOCK_ROWS = 512
+# ASCII separators that ``np.loadtxt`` strips around a value as whitespace
+# and ``float()`` refuses
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _load_block(texts: list, width: int) -> Optional[np.ndarray]:
+    """The ``[len(texts), width]`` float64 values of the tab-separated
+    *texts* by one ``np.loadtxt``, or None when the per-row conversion must
+    decide: a text is empty (loadtxt skips it) or holds a separator,
+    loadtxt raises, the shape differs or a value is not finite.  Every value
+    loadtxt takes here, ``float()`` takes with the same bits."""
+    if "" in texts or any(sep in text for text in texts
+                          for sep in _SEPARATORS):
+        return None
+    try:
+        values = np.loadtxt(texts, delimiter="\t", comments=None, dtype=float,
+                            ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(texts), width) or not _all_finite(values.ravel()):
+        return None
+    return values
+
+
+def _convert_rows(path, queued: dict, blocks: dict) -> None:
+    """Convert the queued rows of every kind one at a time, in file order,
+    by ``float()`` per value, and append each kind's rows to its *blocks*
+    as one array; the first value ``float()`` refuses or that is not finite
+    raises ``ValueError`` naming its line."""
+    rows = {kind: [] for kind in queued}
+    for lineno, kind, text in sorted(
+            (lineno, kind, text) for kind, (numbers, texts) in queued.items()
+            for lineno, text in zip(numbers, texts)):
+        try:
+            row = np.fromiter(map(float, text.split("\t")), float)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not _all_finite(row):
+            raise ValueError(f"{path}:{lineno}: non-finite value")
+        rows[kind].append(row)
+    for kind, (numbers, texts) in queued.items():
+        if rows[kind]:
+            blocks[kind].append(np.stack(rows[kind]))
+        numbers.clear()
+        texts.clear()
+
+
+def _flush(path, kind: str, queued: dict, blocks: dict, width: int) -> None:
+    """Convert the queued rows of *kind* into one block, or, when
+    ``_load_block`` declines them, every kind's queued rows one at a time."""
+    numbers, texts = queued[kind]
+    values = _load_block(texts, width)
+    if values is None:
+        _convert_rows(path, queued, blocks)
+        return
+    blocks[kind].append(values)
+    numbers.clear()
+    texts.clear()
+
+
 def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
     """Strict reader shared by the ball and the baseline model files.
 
@@ -585,9 +647,16 @@ def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
     per kind; a violation raises ``ValueError`` naming ``path:line`` of the
     first faulty line in file order.
 
-    Each row is converted on its own into a float64 array, so no Python
-    float outlives its line, and each kind's rows are stacked once at the
-    end: about 8 bytes per value plus one small array object per row.
+    Each line's kind, column count and name are checked as it is read, and
+    its values text is queued under its kind.  Every ``_BLOCK_ROWS`` queued
+    rows of a kind, and each kind's rest at the end, are converted by one
+    ``np.loadtxt`` (``_load_block``) into a float64 block, and each kind's
+    blocks are concatenated once at the end: about 8 bytes per value plus
+    one block of text per kind.  Where a block does not convert, and before
+    a line's structural fault is raised, the queued rows of every kind are
+    converted one at a time in file order by ``float()`` (``_convert_rows``),
+    which names the first faulty line and takes what ``float()`` takes and
+    loadtxt refuses (``1_0``, non-ASCII digits).
     """
     # a row's sum of squares may overflow; it is tested, not warned of
     with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
@@ -613,37 +682,42 @@ def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
         dim = found["dim"]
         if dim < 1:
             raise ValueError(f"{path}:1: dim must be at least 1, got {dim}")
-        rows: dict = {kind: [] for kind in kinds}
+        widths = {kind: scalars + dim for kind, scalars in kinds.items()}
         seen: dict = {kind: {} for kind in kinds}  # name -> line, in file order
+        # (line numbers, values texts) of the rows not yet converted
+        queued: dict = {kind: ([], []) for kind in kinds}
+        blocks: dict = {kind: [] for kind in kinds}
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split("\t")
+            parts = line.split("\t", 2)
             kind = parts[0]
             if kind not in kinds:
-                raise ValueError(f"{path}:{lineno}: unknown row kind {kind!r}")
-            width = 2 + kinds[kind] + dim
-            if len(parts) != width:
-                raise ValueError(f"{path}:{lineno}: expected {width} columns")
-            name = parts[1]
-            if name in seen[kind]:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate {kind} row {name!r} "
-                    f"(first on line {seen[kind][name]})"
-                )
-            seen[kind][name] = lineno
-            try:
-                row = np.fromiter(map(float, parts[2:]), float, width - 2)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not _all_finite(row):
-                raise ValueError(f"{path}:{lineno}: non-finite value")
-            rows[kind].append(row)
+                fault = f"unknown row kind {kind!r}"
+            elif len(parts) < 3 or parts[2].count("\t") != widths[kind] - 1:
+                fault = f"expected {2 + widths[kind]} columns"
+            elif parts[1] in seen[kind]:
+                fault = (f"duplicate {kind} row {parts[1]!r} "
+                         f"(first on line {seen[kind][parts[1]]})")
+            else:
+                seen[kind][parts[1]] = lineno
+                numbers, texts = queued[kind]
+                numbers.append(lineno)
+                texts.append(parts[2])
+                if len(texts) == _BLOCK_ROWS:
+                    _flush(path, kind, queued, blocks, widths[kind])
+                continue
+            # a value fault on an earlier line comes first
+            _convert_rows(path, queued, blocks)
+            raise ValueError(f"{path}:{lineno}: {fault}")
+        for kind in kinds:
+            if queued[kind][1]:
+                _flush(path, kind, queued, blocks, widths[kind])
     parsed = {}
-    for kind, scalars in kinds.items():
-        values = (np.stack(rows[kind]) if rows[kind]
-                  else np.empty((0, scalars + dim)))
+    for kind, width in widths.items():
+        values = (np.concatenate(blocks[kind]) if blocks[kind]
+                  else np.empty((0, width)))
         parsed[kind] = ModelRows(list(seen[kind]), list(seen[kind].values()),
                                  values)
     return found, parsed

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st_hyp
 import oracles
 import reference
 from conftest import make_state, one_term
+from geodl import model as gm
 from geodl.baselines import (
     BASELINE_HEADER_PREFIX,
     MODELS,
@@ -572,8 +573,10 @@ VALUE_TEXTS = st_hyp.one_of(
         st_hyp.sampled_from(["%.17g".__mod__, repr, "{:.6E}".format]),
     ).map(lambda t: t[1](t[0])),
     st_hyp.integers(-10**20, 10**20).map(str),
+    st_hyp.sampled_from(["1_0", " 1.5"]),
 )
-BAD_TOKENS = ["x", "", "nan", "-inf", "1e400", "1,5", "0x1p3", " "]
+BAD_TOKENS = ["x", "", "nan", "-inf", "1e400", "1,5", "0x1p3", " ", "1#2",
+              '"1"', "\x1e1"]
 
 
 @st_hyp.composite
@@ -665,6 +668,64 @@ def test_reader_faults_match_the_list_reference(case):
     assert got == want
 
 
+def read_rows(fmt, dim, rows):
+    """``read_both`` of the *rows* under a *fmt* header of width *dim*."""
+    prefix = FORMATS[fmt][0]
+    return read_both(fmt, [f"{prefix} dim={dim} {HEADERS[fmt]}", *rows])
+
+
+def test_a_value_fault_in_another_kind_on_an_earlier_line_comes_first():
+    got, want = read_rows("ball", 1, ["C\tA\t0\t1", "R\tr\t0\tx",
+                                      "C\tB\t0\ty"])
+    assert got == want
+    assert got.endswith("m.tsv:3: could not convert string to float: 'x'")
+
+
+@pytest.mark.parametrize("token, message", [
+    ("z", "could not convert string to float: 'z'"),
+    ("inf", "non-finite value"),
+])
+def test_a_fault_past_the_first_block_names_its_line(token, message):
+    """Row 600 of 700 rows of one kind, past a first block of rows."""
+    rows = [f"C\tA{i}\t0\t{token if i == 599 else i}" for i in range(700)]
+    got, want = read_rows("ball", 1, rows + ["R\tr\t0\t1"])
+    assert got == want
+    assert got.endswith(f"m.tsv:601: {message}")
+
+
+@pytest.mark.parametrize("token", ["", " "])
+def test_a_blank_value_at_dim_1_is_refused(token):
+    """``np.loadtxt`` would skip an empty values text, not refuse it."""
+    for rows in ([f"W\tB\t{token}"],
+                 ["E\tA\t1", f"W\tB\t{token}", "E\tC\t2"]):
+        got, want = read_rows("baseline", 1, rows)
+        assert got == want
+        assert f"could not convert string to float: {token!r}" in got
+
+
+@pytest.mark.parametrize("token", ["1_0", "\uff11", " 1.5", "\x0c1"])
+def test_values_that_float_takes_load_as_the_reference(token):
+    """``1_0`` and a fullwidth digit are refused by ``np.loadtxt`` and
+    taken by ``float()``; leading whitespace is taken by both."""
+    for dim in (1, 2):
+        got, want = read_rows("baseline", dim,
+                              ["E\tA" + "\t1.25" * (dim - 1) + f"\t{token}"])
+        assert not isinstance(want, str), want
+        assert got == want
+
+
+@pytest.mark.parametrize("token", ["1#2", '"1"', "\x1c1", "1\x1f"])
+def test_values_that_float_refuses_are_refused(token):
+    """A comment or quote character, and the ASCII separators that
+    ``np.loadtxt`` strips as whitespace, each in the last column."""
+    for dim in (1, 2):
+        got, want = read_rows("baseline", dim,
+                              ["E\tA" + "\t1.25" * (dim - 1) + f"\t{token}"])
+        assert got == want
+        assert got.endswith(
+            f"m.tsv:2: could not convert string to float: {token!r}")
+
+
 def saved_2k(tmp_path, kind):
     """A 2000 x 50 model of *kind* ("ball" or "transh") saved in *tmp_path*:
     ``(path, state, loader)``."""
@@ -694,6 +755,30 @@ def test_loading_a_2k_model_peaks_below_3_5x_its_parameters(tmp_path, kind):
         tracemalloc.stop()
     assert loaded.state.flat.tobytes() == state.flat.tobytes()
     assert peak < 3.5 * state.flat.nbytes, peak / state.flat.nbytes
+
+
+@pytest.mark.parametrize("kind", ["ball", "transh"])
+def test_a_valid_2k_model_loads_by_blocks_alone(tmp_path, monkeypatch, kind):
+    """One ``np.loadtxt`` call per block of rows of a kind, and no row
+    converted on its own."""
+    path, state, load = saved_2k(tmp_path, kind)
+    calls = []
+    real_loadtxt = np.loadtxt
+
+    def loadtxt(texts, *args, **kwargs):
+        calls.append(len(texts))
+        return real_loadtxt(texts, *args, **kwargs)
+
+    def convert_rows(*args):
+        raise AssertionError("a row was converted on its own")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(gm, "_convert_rows", convert_rows)
+    loaded = load(path)
+    assert loaded.state.flat.tobytes() == state.flat.tobytes()
+    # 2000 classes, then the 3 relations (and the 3 TransH normals)
+    relation_kinds = 2 if kind == "transh" else 1
+    assert calls == [512, 512, 512, 464] + [3] * relation_kinds
 
 
 def test_bench_load_model_2k(benchmark, tmp_path):
