@@ -87,6 +87,14 @@ MUTANTS = [
      '_SEPARATORS = ("\\x1c", "\\x1d", "\\x1e", "\\x1f")',
      "_SEPARATORS = ()",
      "model-file values padded by \\x1c-\\x1f taken as np.loadtxt takes them"),
+    ("src/geodl/normalize.py",
+     "add((b, a))",
+     "pass",
+     "a flat equivalentClasses line gives no reverse subclass pair"),
+    ("src/geodl/normalize.py",
+     ' and "bottom" not in (a, b)',
+     "",
+     "a flat line's bottom taken as a class of a subclass pair"),
 ]
 
 # fails on every mutant by design: it checks that each old text is present

@@ -17,7 +17,8 @@ from typing import Optional
 
 from . import baselines, model as gm, ranking, training
 from .model import NumericalError
-from .normalize import NF1, NormalizedOntology, normal_axiom_to_text, normalize
+from .normalize import (NF1, NormalizedOntology, normal_axiom_to_text, normalize,
+                        subclass_pairs)
 from .parser import ParseError, parse_ontology
 from .training import SplitSpec, TrainConfig
 
@@ -34,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_lines(path: str) -> list[str]:
     if not os.path.isfile(path):
         raise _CliError(f"input file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with gm.open_text(path) as fh:
         # physical lines: splitlines() would also break at \x0c, \x1c-\x1e,
         # \x85, \u2028 and \u2029, which sit inside one line in an editor
         lines = fh.read().split("\n")
@@ -59,34 +60,29 @@ def _check_distinct(inputs, outputs) -> None:
         written.add(path)
 
 
-def _parse(path: str):
+def _parse(path: str, read):
+    """*read* (``parse_ontology`` or ``subclass_pairs``) over the lines of
+    *path*; a parse error names the file."""
     try:
-        return parse_ontology(_read_lines(path))
+        return read(_read_lines(path))
     except ParseError as exc:
         exc.args = (f"{path}: {exc}",)  # which of the inputs is broken
         raise
 
 
 def _load_normalized(path: str) -> NormalizedOntology:
-    return normalize(_parse(path)[0])
+    return normalize(_parse(path, parse_ontology)[0])
 
 
 def _subclass_pairs(path: str, name_to_id: dict):
     """``(sub name, super name, NF1 of their ids in name_to_id)`` for each
-    normalized subclass axiom of *path*, in file order; the NF1 is None when
-    a name is not in *name_to_id*.  A pair through a helper that normalizing
-    *path* made is skipped: the name means nothing outside the file."""
-    onto = _load_normalized(path)
-    names, fresh = onto.classes, onto.fresh_definitions
-    # each class id of the file -> its id in name_to_id, None, or "helper"
-    ids = ["helper" if name in fresh else name_to_id.get(name) for name in names]
-    for ax in onto.axioms:
-        if type(ax) is not NF1:
-            continue
-        c, d = ids[ax.c], ids[ax.d]
-        if c == "helper" or d == "helper":
-            continue
-        yield names[ax.c], names[ax.d], None if c is None or d is None else NF1(c, d)
+    subclass axiom that normalizing *path* gives, in file order; the NF1 is
+    None when a name is not in *name_to_id*.  A pair through a helper that
+    normalizing *path* would make is left out: the name means nothing
+    outside the file.  The whole file is read before the first pair."""
+    for sub, sup in _parse(path, subclass_pairs):
+        c, d = name_to_id.get(sub), name_to_id.get(sup)
+        yield sub, sup, None if c is None or d is None else NF1(c, d)
 
 
 def _write_axiom_file(path: str, header: list, lines: list) -> None:
@@ -98,7 +94,7 @@ def _write_axiom_file(path: str, header: list, lines: list) -> None:
 
 
 def cmd_stats(args) -> int:
-    axioms, stats = _parse(args.input)
+    axioms, stats = _parse(args.input, parse_ontology)
     onto = normalize(axioms)
     print(f"axioms\t{stats.axiom_count}")
     print(f"classes\t{stats.class_count}")
@@ -175,7 +171,7 @@ def cmd_split(args) -> int:
 
 def _build_config(args) -> TrainConfig:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with gm.open_text(args.config) as fh:
             cfg = training.parse_config(fh.read())
     else:
         cfg = TrainConfig()
@@ -260,7 +256,7 @@ def cmd_eval(args) -> int:
         [args.model_in, args.test_file, args.filtered],
         [args.report_out, f"{args.report_out}.ranks"],
     )
-    with open(args.model_in, "r", encoding="utf-8") as fh:
+    with gm.open_text(args.model_in) as fh:
         header = fh.readline()
     if header.startswith(baselines.BASELINE_HEADER_PREFIX):
         saved = baselines.load_baseline(args.model_in)

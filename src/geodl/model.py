@@ -27,6 +27,7 @@ outputs are byte-identical to per-block storage.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import math
@@ -635,6 +636,26 @@ def _flush(path, kind: str, queued: dict, blocks: dict, width: int) -> None:
     texts.clear()
 
 
+@contextlib.contextmanager
+def open_text(path):
+    """*path* open for reading as UTF-8 text with universal newlines.  A
+    byte that does not decode raises ``ValueError`` naming *path* and the
+    line that holds it, counted as the reader counts lines."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = data[:exc.start].decode("utf-8")
+            line = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+            raise ValueError(f"{path}: line {line} is not UTF-8 text") from None
+        raise
+
+
 def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
     """Strict reader shared by the ball and the baseline model files.
 
@@ -659,7 +680,7 @@ def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
     loadtxt refuses (``1_0``, non-ASCII digits).
     """
     # a row's sum of squares may overflow; it is tested, not warned of
-    with open(path, "r", encoding="utf-8") as fh, np.errstate(over="ignore"):
+    with open_text(path) as fh, np.errstate(over="ignore"):
         header = fh.readline().rstrip("\n")
         if not header.startswith(prefix):
             raise ValueError(f"{path}:1: header does not start with {prefix!r}")

@@ -35,6 +35,10 @@ Two paths read a line of a file (``parse_ontology``):
 Both paths take every name from one ``_Names`` per call, so each class
 name is one ``Atomic`` and each individual one ``Nominal`` in the result,
 and the sizes of its tables are the call's ``OntologyStats``.
+
+``normalize.subclass_pairs`` is the second reader of ``_FLAT``: it takes a
+flat line's subclass pairs from the match's groups with no tree, and sends
+every other line through ``parse_axiom``, so its errors are these too.
 """
 
 from __future__ import annotations

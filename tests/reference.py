@@ -25,6 +25,10 @@
   are checked against this one.
 * The mean hinge of one axiom shape over a trained state, a diagnostic that
   no command prints; acceptance criterion 4's hub experiment reads it.
+* The subclass pairs of a pair file found by parsing and normalizing the
+  whole file and skipping the NF1s through its own helpers;
+  ``geodl.normalize.subclass_pairs`` finds them from the lines alone, and
+  its pairs and parse errors are checked against these.
 """
 
 import math
@@ -45,7 +49,7 @@ from geodl.model import (
     _safe_unit,
     row_norms,
 )
-from geodl.normalize import NF3, SHAPES, NormalAxiom
+from geodl.normalize import NF1, NF3, SHAPES, NormalAxiom, normalize
 from geodl.parser import (
     BOTTOM,
     TOP,
@@ -57,6 +61,7 @@ from geodl.parser import (
     ParseError,
     SubClassOf,
     concept_to_text,
+    parse_ontology,
 )
 from geodl.training import _AxiomArrays
 
@@ -592,3 +597,27 @@ def mean_hinge(
         return 0.0
     _, hinges = gm.batch_terms(state, [(key, rows.T)], gamma, variant)[0]
     return float(hinges.mean())
+
+
+# --- subclass pairs of a pair file, by normalizing it --------------------------
+
+
+def subclass_pairs(lines, name_to_id):
+    """``(sub name, super name, NF1 of their ids in name_to_id)`` for each
+    NF1 that normalizing *lines* emits, in order; the NF1 is None when a
+    name is not in *name_to_id*, and a pair through a helper that this
+    normalization made is skipped."""
+    onto = normalize(parse_ontology(lines)[0])
+    names, fresh = onto.classes, onto.fresh_definitions
+    # each class id of the file -> its id in name_to_id, None, or "helper"
+    ids = ["helper" if name in fresh else name_to_id.get(name) for name in names]
+    pairs = []
+    for ax in onto.axioms:
+        if type(ax) is not NF1:
+            continue
+        c, d = ids[ax.c], ids[ax.d]
+        if c == "helper" or d == "helper":
+            continue
+        pairs.append((names[ax.c], names[ax.d],
+                      None if c is None or d is None else NF1(c, d)))
+    return pairs

@@ -358,6 +358,91 @@ def test_parse_error_column_is_position_in_file_line(tmp_path, capsys):
         f"geodl: parse error: {known}: line 2, col 19: expected a name, found '('"]
 
 
+@pytest.mark.parametrize("pair_file", ["test", "valid"])
+def test_parse_error_in_a_pair_file_comes_before_its_pair_errors(tmp_path, capsys,
+                                                                 pair_file):
+    """The whole pair file is read before its pairs are checked: a first
+    pair naming a class absent from the model (or from training) loses to a
+    malformed last line."""
+    work = tmp_path / "w"
+    work.mkdir()
+    train_file = work / "train.el"
+    train_file.write_text("\n".join(GALEN_ISH) + "\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=4\nepochs=2\n")
+    model = str(tmp_path / "m.tsv")
+    broken = work / f"{pair_file}.el"
+    if pair_file == "test":
+        assert run(["train", "--config", str(cfg), str(train_file), model]) == 0
+    broken.write_text("subClassOf(Unicorn,Mammal)\nsubClassOf(nominal(tom),Cat)\n"
+                      "subClassOf(Cat,Mammal)\nsubClassOf(Cat,(Dog))\n")
+    if pair_file == "test":
+        code = run(["eval", model, str(broken), str(tmp_path / "r.tsv")])
+    else:
+        code = run(["train", "--config", str(cfg), str(train_file), model])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"geodl: parse error: {broken}: line 4, col 16: expected a name, found '('"]
+
+
+def test_pair_reader_matches_normalizing_the_file(tmp_path):
+    """``cli._subclass_pairs`` gives the names and NF1s of normalizing the
+    whole file (``reference``), also for names the id map lacks."""
+    from geodl.cli import _subclass_pairs
+
+    path = tmp_path / "pairs.el"
+    for seed in range(20):
+        lines = random_raw_lines(np.random.default_rng(seed), n_axioms=30)
+        lines += ["subClassOf(__nf_0,A1)", "  equivalentClasses( A2 , top ) # x",
+                  "subClassOf(A3,and(A4,nominal(ind0)))", ""]
+        path.write_text("\n".join(lines) + "\n")
+        named = {name for c, d, _ in reference.subclass_pairs(lines, {})
+                 for name in (c, d)}
+        # every other name has an id
+        name_to_id = {name: i for i, name in enumerate(sorted(named)[::2])}
+        assert (list(_subclass_pairs(str(path), name_to_id))
+                == reference.subclass_pairs(lines, name_to_id))
+
+
+# --- a byte that is not UTF-8 names its file and line -------------------------
+
+
+@pytest.mark.parametrize("reader", ["model-header", "model-rows", "axioms",
+                                    "config", "filtered"])
+def test_non_utf8_input_names_its_file_and_line(tmp_path, capsys, fixture_file,
+                                                reader):
+    """Each reader reports a byte that does not decode by the file and line
+    that hold it; the codec's message named neither.  A model file's byte is
+    met by eval's header read when it sits in the first block of text, and
+    by the row reader past it."""
+    names = ZOO + [f"C{i}" for i in range(1500)] if reader == "model-rows" else ZOO
+    lines, test = write_eval_inputs(tmp_path, "ball", names=names)
+    model = tmp_path / "m.tsv"
+    report = str(tmp_path / "r.tsv")
+    argv = ["eval", str(model), test, report]
+    if reader.startswith("model"):
+        bad, line = model, 3 if reader == "model-header" else len(lines)
+        model.write_bytes("\n".join(lines[:line]).encode() + b"\xff\n"
+                          + "\n".join(lines[line:]).encode())
+        # eval's header read decodes less than the first 32 KiB
+        assert (model.read_bytes().index(b"\xff") > 2**15) == (reader == "model-rows")
+    elif reader == "axioms":
+        bad, line = tmp_path / "in.el", 2
+        bad.write_bytes(b"subClassOf(A,B)\r\nsubClassOf(B,\xffC)\r\n")
+        argv = ["normalize", str(bad), str(tmp_path / "out.el")]
+    elif reader == "config":
+        bad, line = tmp_path / "c.cfg", 2
+        bad.write_bytes(b"dim=4\r# \xff\repochs=2\r")
+        argv = ["train", "--config", str(bad), fixture_file, str(model)]
+    else:
+        bad, line = tmp_path / "known.el", 2
+        bad.write_bytes(b"subClassOf(Cat,Mammal)\n\xfe\n")
+        argv += ["--filtered", str(bad)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"geodl: error: {bad}: line {line} is not UTF-8 text"]
+
+
 def test_split_nan_fraction_exits_1(tmp_path, fixture_file, capsys):
     # NaN passed every comparison in the checks, then failed in the split
     assert run(["split", fixture_file, str(tmp_path / "s"),

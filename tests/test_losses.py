@@ -744,8 +744,9 @@ def saved_2k(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["ball", "transh"])
 def test_loading_a_2k_model_peaks_below_3_5x_its_parameters(tmp_path, kind):
-    """Rows are read one at a time into float64: about 8 bytes per value,
-    where a Python float per value made the traced peak 5.6x the state."""
+    """Rows are converted into float64 by blocks of 512 rows of a kind:
+    about 8 bytes per value plus one block of text, where a Python float
+    per value made the traced peak 5.6x the state."""
     path, state, load = saved_2k(tmp_path, kind)
     tracemalloc.start()
     try:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geodl.normalize import (
     NF1,
@@ -12,12 +12,15 @@ from geodl.normalize import (
     Disjoint,
     normal_axiom_to_text,
     normalize,
+    subclass_pairs,
     verify_normal,
 )
-from geodl.parser import parse_axiom, parse_ontology, SubClassOf
+from geodl.parser import ParseError, parse_axiom, parse_ontology, SubClassOf
 from geodl.ranking import is_fresh_name, is_nominal_name
 from geodl.synthetic import random_raw_lines, surrogate_lines
+import reference
 from reference import concept_size
+from test_parser import _flat_lines, _lines
 
 
 def norm_lines(lines):
@@ -316,3 +319,84 @@ def test_normalize_is_total_and_verified(specs):
     assert verify_normal(onto)
     assert onto.fresh_count <= count_subexpressions(lines)
     assert len(reparse(onto).fresh_definitions) == 0
+
+
+# --- subclass pairs from the lines alone --------------------------------------
+
+
+def normalized_pairs(lines):
+    """The pair names that normalizing *lines* gives (``reference``)."""
+    return [(c, d) for c, d, _ in reference.subclass_pairs(lines, {})]
+
+
+@pytest.mark.parametrize("line, pairs", [
+    ("subClassOf(A,B)", [("A", "B")]),
+    ("subClassOf(A,A)", [("A", "A")]),
+    ("equivalentClasses(A,B)", [("A", "B"), ("B", "A")]),
+    ("equivalentClasses( A , B )", [("A", "B"), ("B", "A")]),
+    ("subClassOf(top,B)", [("top", "B")]),
+    ("subClassOf(A,bottom)", []),
+    ("subClassOf(bottom,A)", []),
+    ("equivalentClasses(A,bottom)", []),
+    ("equivalentClasses(bottom,A) # note", []),
+    ("subClassOf(A,some(R,B))", []),
+    ("equivalentClasses(A,some(R,B))", []),
+    ("disjointWith(A,B)", []),
+    ("subClassOf(and(A,B),C)", []),
+    ("subClassOf(some(R,A),C)", []),
+    ("subClassOf(__nf_0,B)", [("__nf_0", "B")]),
+    ("subClassOf(nominal(x),and(B,and(some(R,C),and(top,bottom))))",
+     [("nominal(x)", "B"), ("nominal(x)", "top")]),
+    ("equivalentClasses(and(A,B),C)", [("C", "A"), ("C", "B")]),
+    ("subClassOf(and,some)", [("and", "some")]),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_subclass_pairs_of_one_line(line, pairs):
+    """A basic left side gives one pair per basic conjunct on the right;
+    bottom, existentials, a complex left side and disjointness give none."""
+    assert subclass_pairs([line]) == pairs == normalized_pairs([line])
+
+
+_PAIR_FILE_EXTRAS = st.one_of(
+    _flat_lines(),
+    _flat_lines().map(lambda line: line.replace(",", " , ", 1)),
+    _flat_lines().map(lambda line: f"  {line}  # note"),
+    st.sampled_from(["", "  ", "# only a comment", "subClassOf(__nf_0,A0)",
+                     "equivalentClasses(__nf_1,and(A1,some(r0,A2)))",
+                     "subClassOf(A3,and(__nf_0,__nf_2))"]),
+)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.lists(_PAIR_FILE_EXTRAS, max_size=10),
+       st.randoms(use_true_random=False))
+def test_subclass_pairs_match_normalizing_the_file(seed, extra, rnd):
+    """Every production (``random_raw_lines``), flat lines over keywords and
+    reserved words, spaced, commented and blank lines, literal ``__nf_k``
+    names and repeated lines, in any order: the pairs and their order are
+    those of normalizing the whole file."""
+    lines = random_raw_lines(np.random.default_rng(seed), n_axioms=20) + extra
+    lines += rnd.sample(lines, min(3, len(lines)))
+    rnd.shuffle(lines)
+    assert subclass_pairs(lines) == normalized_pairs(lines)
+
+
+def _outcome(read, lines):
+    try:
+        return read(lines)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 19), _lines())
+@example(0, 3, "subClassOf(A,(B))")
+def test_subclass_pairs_raise_the_parse_error_of_the_file(seed, at, corrupt):
+    """A file with one corrupted line: the same error text, line and column
+    as reading it with ``parse_ontology``, or the same pairs if it parses."""
+    lines = random_raw_lines(np.random.default_rng(seed), n_axioms=20)
+    lines[at] = corrupt
+    expected = _outcome(normalized_pairs, lines)
+    assert _outcome(subclass_pairs, lines) == expected
+    if isinstance(expected, tuple):
+        assert expected == _outcome(parse_ontology, lines)
+

@@ -419,3 +419,20 @@ def test_bench_parse_normalize_2k(benchmark):
     onto = benchmark.pedantic(lambda: normalize(parse_ontology(lines)[0]),
                               rounds=5, iterations=1)
     assert len(onto.classes) >= 2000
+
+
+def test_bench_subclass_pairs_2k(benchmark, tmp_path):
+    """The ``--filtered`` read of the 2000-class surrogate's split
+    ``train.el``: its subclass pairs by the pair rule, with their NF1s."""
+    from geodl.cli import _subclass_pairs, main
+
+    source = tmp_path / "in.el"
+    source.write_text("\n".join(surrogate_lines(2000, seed=0)) + "\n")
+    assert main(["split", str(source), str(tmp_path / "split")]) == 0
+    train = tmp_path / "split" / "train.el"
+    name_to_id = normalize(parse_ontology(
+        train.read_text().splitlines())[0]).class_index
+    pairs = benchmark.pedantic(
+        lambda: [ax for _, _, ax in _subclass_pairs(str(train), name_to_id) if ax],
+        rounds=5, iterations=1)
+    assert len(pairs) >= 3000
