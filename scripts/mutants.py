@@ -76,11 +76,11 @@ MUTANTS = [
      "",
      "model-file values cut at '#' by np.loadtxt's default comments"),
     ("src/geodl/model.py",
-     "        _convert_rows(path, queued, blocks)\n        return",
-     "        _convert_rows(path, {kind: queued[kind]}, blocks)\n        return",
-     "a model-file block's fallback re-reads only the failing kind"),
+     "kept.append(values[rows])",
+     "kept.append(values)",
+     "every row of a mixed model-file block handed to each kind in it"),
     ("src/geodl/model.py",
-     "            _convert_rows(path, queued, blocks)\n            raise",
+     "            _convert(path, queued, width, blocks)\n            raise",
      "            raise",
      "a structural fault raised before an earlier line's value fault"),
     ("src/geodl/model.py",

@@ -366,7 +366,7 @@ class SavedBaseline:
 def load_baseline(path) -> SavedBaseline:
     fields, rows = read_model_file(
         path, BASELINE_HEADER_PREFIX, {"model": _spec, "dim": int},
-        {"E": 0, "R": 0, "W": 0},
+        ("E", "R", "W"), 0,
     )
     spec = fields["model"]
     relations, normal_rows = rows["R"], rows["W"]

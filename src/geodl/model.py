@@ -574,7 +574,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# rows of one kind converted by one ``np.loadtxt`` call
+# rows converted by one ``np.loadtxt`` call
 _BLOCK_ROWS = 512
 # ASCII separators that ``np.loadtxt`` strips around a value as whitespace
 # and ``float()`` refuses
@@ -600,40 +600,37 @@ def _load_block(texts: list, width: int) -> Optional[np.ndarray]:
     return values
 
 
-def _convert_rows(path, queued: dict, blocks: dict) -> None:
-    """Convert the queued rows of every kind one at a time, in file order,
-    by ``float()`` per value, and append each kind's rows to its *blocks*
-    as one array; the first value ``float()`` refuses or that is not finite
-    raises ``ValueError`` naming its line."""
-    rows = {kind: [] for kind in queued}
-    for lineno, kind, text in sorted(
-            (lineno, kind, text) for kind, (numbers, texts) in queued.items()
-            for lineno, text in zip(numbers, texts)):
+def _convert_rows(path, queued: list) -> np.ndarray:
+    """The values of the *queued* ``(line, kind, values text)`` rows,
+    converted one row at a time in file order by ``float()`` per value; the
+    first value ``float()`` refuses or that is not finite raises
+    ``ValueError`` naming its line."""
+    rows = []
+    for lineno, _, text in queued:
         try:
             row = np.fromiter(map(float, text.split("\t")), float)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not _all_finite(row):
             raise ValueError(f"{path}:{lineno}: non-finite value")
-        rows[kind].append(row)
-    for kind, (numbers, texts) in queued.items():
-        if rows[kind]:
-            blocks[kind].append(np.stack(rows[kind]))
-        numbers.clear()
-        texts.clear()
+        rows.append(row)
+    return np.stack(rows)
 
 
-def _flush(path, kind: str, queued: dict, blocks: dict, width: int) -> None:
-    """Convert the queued rows of *kind* into one block, or, when
-    ``_load_block`` declines them, every kind's queued rows one at a time."""
-    numbers, texts = queued[kind]
-    values = _load_block(texts, width)
-    if values is None:
-        _convert_rows(path, queued, blocks)
+def _convert(path, queued: list, width: int, blocks: dict) -> None:
+    """Convert the *queued* rows by one ``_load_block``, or by
+    ``_convert_rows`` when it declines them, append each kind's rows to its
+    *blocks* and empty the queue."""
+    if not queued:
         return
-    blocks[kind].append(values)
-    numbers.clear()
-    texts.clear()
+    values = _load_block([text for _, _, text in queued], width)
+    if values is None:
+        values = _convert_rows(path, queued)
+    for kind, kept in blocks.items():
+        rows = [i for i, (_, of, _) in enumerate(queued) if of == kind]
+        if rows:
+            kept.append(values[rows])
+    queued.clear()
 
 
 @contextlib.contextmanager
@@ -656,28 +653,29 @@ def open_text(path):
         raise
 
 
-def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
+def read_model_file(path, prefix: str, fields: dict, kinds: tuple,
+                    scalars: int) -> tuple:
     """Strict reader shared by the ball and the baseline model files.
 
     Line 1 is *prefix* followed by exactly the ``key=value`` fields named in
     *fields*, each converted by its function; ``dim`` must be at least 1.
     Every other non-empty line is ``kind name v_1 ... v_m`` with tab
-    separators, where *kinds* maps each allowed kind to its count of scalars
-    before the dim-wide vector.  Values must be finite and names distinct
-    within a kind.  Returns the converted header fields and a ``ModelRows``
-    per kind; a violation raises ``ValueError`` naming ``path:line`` of the
-    first faulty line in file order.
+    separators, where the kind is one of *kinds* and every row holds
+    *scalars* values before its dim-wide vector.  Values must be finite and
+    names distinct within a kind.  Returns the converted header fields and
+    a ``ModelRows`` per kind; a violation raises ``ValueError`` naming
+    ``path:line`` of the first faulty line in file order.
 
     Each line's kind, column count and name are checked as it is read, and
-    its values text is queued under its kind.  Every ``_BLOCK_ROWS`` queued
-    rows of a kind, and each kind's rest at the end, are converted by one
-    ``np.loadtxt`` (``_load_block``) into a float64 block, and each kind's
-    blocks are concatenated once at the end: about 8 bytes per value plus
-    one block of text per kind.  Where a block does not convert, and before
-    a line's structural fault is raised, the queued rows of every kind are
-    converted one at a time in file order by ``float()`` (``_convert_rows``),
-    which names the first faulty line and takes what ``float()`` takes and
-    loadtxt refuses (``1_0``, non-ASCII digits).
+    its values text joins one queue of rows in file order.  Every
+    ``_BLOCK_ROWS`` queued rows, and the rest at the end, are converted by
+    one ``np.loadtxt`` (``_load_block``) into a float64 block whose rows go
+    to their kinds, and each kind's blocks are concatenated once at the end:
+    about 8 bytes per value plus one block of text.  Where a block does not
+    convert, and before a line's structural fault is raised, the queue is
+    converted one row at a time in file order by ``float()``
+    (``_convert_rows``), which names the first faulty line and takes what
+    ``float()`` takes and loadtxt refuses (``1_0``, non-ASCII digits).
     """
     # a row's sum of squares may overflow; it is tested, not warned of
     with open_text(path) as fh, np.errstate(over="ignore"):
@@ -703,10 +701,9 @@ def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
         dim = found["dim"]
         if dim < 1:
             raise ValueError(f"{path}:1: dim must be at least 1, got {dim}")
-        widths = {kind: scalars + dim for kind, scalars in kinds.items()}
+        width = scalars + dim
         seen: dict = {kind: {} for kind in kinds}  # name -> line, in file order
-        # (line numbers, values texts) of the rows not yet converted
-        queued: dict = {kind: ([], []) for kind in kinds}
+        queued: list = []  # (line, kind, values text) of unconverted rows
         blocks: dict = {kind: [] for kind in kinds}
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -716,27 +713,23 @@ def read_model_file(path, prefix: str, fields: dict, kinds: dict) -> tuple:
             kind = parts[0]
             if kind not in kinds:
                 fault = f"unknown row kind {kind!r}"
-            elif len(parts) < 3 or parts[2].count("\t") != widths[kind] - 1:
-                fault = f"expected {2 + widths[kind]} columns"
+            elif len(parts) < 3 or parts[2].count("\t") != width - 1:
+                fault = f"expected {2 + width} columns"
             elif parts[1] in seen[kind]:
                 fault = (f"duplicate {kind} row {parts[1]!r} "
                          f"(first on line {seen[kind][parts[1]]})")
             else:
                 seen[kind][parts[1]] = lineno
-                numbers, texts = queued[kind]
-                numbers.append(lineno)
-                texts.append(parts[2])
-                if len(texts) == _BLOCK_ROWS:
-                    _flush(path, kind, queued, blocks, widths[kind])
+                queued.append((lineno, kind, parts[2]))
+                if len(queued) == _BLOCK_ROWS:
+                    _convert(path, queued, width, blocks)
                 continue
             # a value fault on an earlier line comes first
-            _convert_rows(path, queued, blocks)
+            _convert(path, queued, width, blocks)
             raise ValueError(f"{path}:{lineno}: {fault}")
-        for kind in kinds:
-            if queued[kind][1]:
-                _flush(path, kind, queued, blocks, widths[kind])
+        _convert(path, queued, width, blocks)
     parsed = {}
-    for kind, width in widths.items():
+    for kind in kinds:
         values = (np.concatenate(blocks[kind]) if blocks[kind]
                   else np.empty((0, width)))
         parsed[kind] = ModelRows(list(seen[kind]), list(seen[kind].values()),
@@ -748,7 +741,7 @@ def load_model(path) -> SavedModel:
     fields, rows = read_model_file(
         path, MODEL_HEADER_PREFIX,
         {"dim": int, "variant": Variant, "margin": _finite_float},
-        {"C": 1, "R": 1},
+        ("C", "R"), 1,
     )
     classes, relations = rows["C"].values, rows["R"].values
     state = EmbeddingState(

@@ -99,8 +99,10 @@ class TrainConfig:
 
 
 def parse_config(text: str) -> TrainConfig:
-    """Flat key=value lines; '#' comments and blank lines ignored."""
+    """Flat key=value lines, each key at most once; '#' comments and blank
+    lines ignored."""
     cfg = TrainConfig()
+    first: dict = {}  # key -> line that set it
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -110,6 +112,10 @@ def parse_config(text: str) -> TrainConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in first:
+            raise ValueError(f"config line {lineno}: key {key!r} repeated "
+                             f"(first on line {first[key]})")
+        first[key] = lineno
         try:
             setattr(cfg, key, _CONFIG_PARSERS[key](value))
         except ValueError as exc:

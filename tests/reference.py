@@ -516,7 +516,7 @@ def kernel(key, state, ids, gamma, variant, acc=None, sigma_reg=1.0):
 # --- model file reader, one Python float per value ----------------------------
 
 
-def read_model_file(path, prefix, fields, kinds):
+def read_model_file(path, prefix, fields, kinds, scalars):
     """``geodl.model.read_model_file``'s checks, in its order, over rows kept
     as lists of Python floats and converted by one ``np.array`` per kind."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -552,7 +552,7 @@ def read_model_file(path, prefix, fields, kinds):
             kind = parts[0]
             if kind not in kinds:
                 raise ValueError(f"{path}:{lineno}: unknown row kind {kind!r}")
-            width = 2 + kinds[kind] + dim
+            width = 2 + scalars + dim
             if len(parts) != width:
                 raise ValueError(f"{path}:{lineno}: expected {width} columns")
             name = parts[1]
@@ -570,7 +570,7 @@ def read_model_file(path, prefix, fields, kinds):
                 raise ValueError(f"{path}:{lineno}: non-finite value")
             rows[kind].append(row)
     parsed = {}
-    for kind, scalars in kinds.items():
+    for kind in kinds:
         values = np.array(rows[kind], dtype=float).reshape(
             len(rows[kind]), scalars + dim)
         parsed[kind] = (list(seen[kind]), list(seen[kind].values()), values)

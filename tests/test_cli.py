@@ -443,6 +443,17 @@ def test_non_utf8_input_names_its_file_and_line(tmp_path, capsys, fixture_file,
         f"geodl: error: {bad}: line {line} is not UTF-8 text"]
 
 
+def test_train_refuses_a_repeated_config_key(tmp_path, fixture_file, capsys):
+    """``variant=emel`` then ``variant=emel-var`` trained EmElVar."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("dim=4\nvariant=emel\nepochs=2\nvariant=emel-var\n")
+    model = tmp_path / "m.tsv"
+    assert run(["train", "--config", str(cfg), fixture_file, str(model)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "geodl: error: config line 4: key 'variant' repeated (first on line 2)"]
+    assert not model.exists() and not (tmp_path / "m.tsv.log.tsv").exists()
+
+
 def test_split_nan_fraction_exits_1(tmp_path, fixture_file, capsys):
     # NaN passed every comparison in the checks, then failed in the split
     assert run(["split", fixture_file, str(tmp_path / "s"),

@@ -553,14 +553,15 @@ def test_load_rejects_other_files(tmp_path):
         load_model(path)
 
 
-# (header prefix, header fields, row kinds) of each model file, as
-# ``load_model`` and ``load_baseline`` hand them to ``read_model_file``
+# (header prefix, header fields, row kinds, scalars per row) of each model
+# file, as ``load_model`` and ``load_baseline`` hand them to
+# ``read_model_file``
 FORMATS = {
     "ball": (MODEL_HEADER_PREFIX,
              {"dim": int, "variant": Variant, "margin": _finite_float},
-             {"C": 1, "R": 1}),
+             ("C", "R"), 1),
     "baseline": (BASELINE_HEADER_PREFIX, {"model": _spec, "dim": int},
-                 {"E": 0, "R": 0, "W": 0}),
+                 ("E", "R", "W"), 0),
 }
 HEADERS = {"ball": "variant=EmEl margin=0.1", "baseline": "model=transh"}
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
@@ -585,7 +586,7 @@ def model_texts(draw):
     kind with 0-4 rows, kinds interleaved, blank lines among them, values
     written as ``%.17g``, ``repr``, ``E`` exponents and integers."""
     fmt = draw(st_hyp.sampled_from(sorted(FORMATS)))
-    prefix, _, kinds = FORMATS[fmt]
+    prefix, _, kinds, scalars = FORMATS[fmt]
     dim = draw(st_hyp.integers(1, 4))
     rows = [
         (kind, name) for kind in kinds
@@ -595,7 +596,7 @@ def model_texts(draw):
     ]
     lines = [f"{prefix} dim={dim} {HEADERS[fmt]}"]
     for kind, name in draw(st_hyp.permutations(rows)):
-        width = kinds[kind] + dim
+        width = scalars + dim
         values = draw(st_hyp.lists(VALUE_TEXTS, min_size=width,
                                    max_size=width))
         lines += [""] * draw(st_hyp.integers(0, 1))
@@ -726,6 +727,47 @@ def test_values_that_float_refuses_are_refused(token):
             f"m.tsv:2: could not convert string to float: {token!r}")
 
 
+def mixed_lines(fmt, token=None):
+    """A *fmt* file of 600 rows of every kind, interleaved: every seventh
+    row is of a minority kind, and a blank line follows every 97th row, so
+    that the first block of 512 rows ends past line 513 and both blocks mix
+    kinds.  *token*, when given, is the last value of the first
+    minority-kind row of the second block.  Returns ``(lines, line of that
+    row)``."""
+    prefix, _, kinds, scalars = FORMATS[fmt]
+    dim = 3
+    rng = np.random.default_rng(7)
+    lines = [f"{prefix} dim={dim} {HEADERS[fmt]}"]
+    at = None
+    for i in range(600):
+        kind = kinds[0] if i % 7 != 6 else kinds[1 + i // 7 % (len(kinds) - 1)]
+        values = ["%.17g" % x for x in rng.standard_normal(scalars + dim)]
+        if kind != kinds[0] and i >= 512 and at is None:
+            values[-1] = token or values[-1]
+            at = len(lines) + 1
+        lines.append("\t".join([kind, f"{kind}{i}", *values]))
+        if i % 97 == 96:
+            lines.append("")
+    return lines, at
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_mixed_kind_blocks_load_as_the_reference(fmt):
+    """Two blocks of interleaved kinds, converted by ``np.loadtxt``; with
+    ``1_0`` in a minority-kind row of the second block, which loadtxt
+    refuses and ``float()`` takes, converted row by row; with ``x`` there,
+    refused on that row's line."""
+    for token in (None, "1_0"):
+        got, want = read_both(fmt, mixed_lines(fmt, token)[0])
+        assert not isinstance(want, str), want
+        assert got == want
+    lines, at = mixed_lines(fmt, "x")
+    assert at > 513
+    got, want = read_both(fmt, lines)
+    assert got == want
+    assert got.endswith(f"m.tsv:{at}: could not convert string to float: 'x'")
+
+
 def saved_2k(tmp_path, kind):
     """A 2000 x 50 model of *kind* ("ball" or "transh") saved in *tmp_path*:
     ``(path, state, loader)``."""
@@ -744,7 +786,7 @@ def saved_2k(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["ball", "transh"])
 def test_loading_a_2k_model_peaks_below_3_5x_its_parameters(tmp_path, kind):
-    """Rows are converted into float64 by blocks of 512 rows of a kind:
+    """Rows are converted into float64 by blocks of 512 rows in file order:
     about 8 bytes per value plus one block of text, where a Python float
     per value made the traced peak 5.6x the state."""
     path, state, load = saved_2k(tmp_path, kind)
@@ -760,7 +802,7 @@ def test_loading_a_2k_model_peaks_below_3_5x_its_parameters(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["ball", "transh"])
 def test_a_valid_2k_model_loads_by_blocks_alone(tmp_path, monkeypatch, kind):
-    """One ``np.loadtxt`` call per block of rows of a kind, and no row
+    """One ``np.loadtxt`` call per block of rows in file order, and no row
     converted on its own."""
     path, state, load = saved_2k(tmp_path, kind)
     calls = []
@@ -777,9 +819,10 @@ def test_a_valid_2k_model_loads_by_blocks_alone(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(gm, "_convert_rows", convert_rows)
     loaded = load(path)
     assert loaded.state.flat.tobytes() == state.flat.tobytes()
-    # 2000 classes, then the 3 relations (and the 3 TransH normals)
-    relation_kinds = 2 if kind == "transh" else 1
-    assert calls == [512, 512, 512, 464] + [3] * relation_kinds
+    # 2000 classes, then the 3 relations (and the 3 TransH normals), the
+    # last block holding rows of every kind
+    last = 470 if kind == "transh" else 467
+    assert calls == [512, 512, 512, last]
 
 
 def test_bench_load_model_2k(benchmark, tmp_path):

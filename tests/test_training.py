@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -5,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import make_state, one_term
@@ -94,6 +95,19 @@ def test_config_parse_values():
 def test_config_rejects_unknown_key():
     with pytest.raises(ValueError, match="unknown key"):
         parse_config("learning_rate=1")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("epochs=5\nepochs=10", "config line 2: key 'epochs' repeated (first on line 1)"),
+    ("variant=emel\n# comment\n\n variant = emel-var",
+     "config line 4: key 'variant' repeated (first on line 1)"),
+    ("dim=4\nlr=0.1\ndim=4", "config line 3: key 'dim' repeated (first on line 1)"),
+], ids=["epochs", "variant", "dim"])
+def test_config_rejects_a_repeated_key(text, message):
+    """The last value used to win, even where the two lines disagree."""
+    with pytest.raises(ValueError) as caught:
+        parse_config(text)
+    assert str(caught.value) == message
 
 
 def test_config_rejects_bad_values():
@@ -251,6 +265,56 @@ def test_split_non_nf1_always_trains():
     assert any(isinstance(ax, Disjoint) for ax in result.train)
     assert any(isinstance(ax, NF3) for ax in result.train)
     assert all(isinstance(ax, NF1) for ax in result.valid + result.test)
+
+
+_SURROGATE_200 = norm_lines(surrogate_lines(200, seed=0))
+
+
+def _split_input(shape, seed, size):
+    """A normalized ontology of *shape*: ``random_raw_lines`` (helpers,
+    nominals, few mentions per class, so that pairs are swapped), the
+    200-class surrogate, or a star of ``X_i`` under a few hubs where only
+    every third ``X_i`` has a second superclass (so that parts shrink)."""
+    if shape == "random":
+        return norm_lines(random_raw_lines(np.random.default_rng(seed), size))
+    if shape == "surrogate":
+        return _SURROGATE_200
+    hubs = 1 + seed % 4
+    return norm_lines([f"subClassOf(X{i},Y{i % hubs})" for i in range(size)]
+                      + [f"subClassOf(X{i},Z)" for i in range(0, size, 3)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["random", "surrogate", "star"]),
+       st.integers(0, 2**32 - 1), st.integers(8, 120), st.integers(0, 45),
+       st.integers(0, 45))
+def test_split_matches_the_plain_oracle(shape, seed, size, test_pct,
+                                        valid_pct):
+    """``split`` against ``oracles.split`` across ontology shapes, seeds and
+    fractions: the same parts in the same order and the same counts, or
+    both too few pairs to split."""
+    onto = _split_input(shape, seed, size)
+    spec = SplitSpec(train_frac=1 - (test_pct + valid_pct) / 100,
+                     valid_frac=valid_pct / 100, test_frac=test_pct / 100,
+                     seed=seed)
+    plain = [(type(ax) is NF1, tuple(getattr(ax, f.name)
+                                     for f in dataclasses.fields(ax)
+                                     if f.name != "r"))
+             for ax in onto.axioms]
+    try:
+        want = oracles.split(plain, onto.classes, seed, spec.valid_frac,
+                             spec.test_frac)
+    except ValueError:
+        with pytest.raises(ValueError, match="at least 10 eligible"):
+            split(onto, spec)
+        return
+    train_ids, valid_ids, test_ids, swaps, eligible, candidates = want
+    got = split(onto, spec)
+    assert got.train == [onto.axioms[i] for i in train_ids]
+    assert got.valid == [onto.axioms[i] for i in valid_ids]
+    assert got.test == [onto.axioms[i] for i in test_ids]
+    assert (got.swaps, got.eligible_count, got.candidate_count) == (
+        swaps, eligible, candidates)
 
 
 # --- training -------------------------------------------------------------------
