@@ -95,6 +95,10 @@ MUTANTS = [
      ' and "bottom" not in (a, b)',
      "",
      "a flat line's bottom taken as a class of a subclass pair"),
+    ("src/geodl/normalize.py",
+     "if sub not in fresh and sup not in fresh:",
+     "if True:",
+     "a nested pair line's pairs through its fresh helpers kept"),
 ]
 
 # fails on every mutant by design: it checks that each old text is present

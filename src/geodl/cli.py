@@ -33,8 +33,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_lines(path: str) -> list[str]:
-    if not os.path.isfile(path):
+    if not os.path.exists(path):
         raise _CliError(f"input file not found: {path}")
+    if not os.path.isfile(path):
+        raise _CliError(f"input is not a regular file: {path}")
     with gm.open_text(path) as fh:
         # physical lines: splitlines() would also break at \x0c, \x1c-\x1e,
         # \x85, \u2028 and \u2029, which sit inside one line in an editor
@@ -76,10 +78,9 @@ def _load_normalized(path: str) -> NormalizedOntology:
 
 def _subclass_pairs(path: str, name_to_id: dict):
     """``(sub name, super name, NF1 of their ids in name_to_id)`` for each
-    subclass axiom that normalizing *path* gives, in file order; the NF1 is
-    None when a name is not in *name_to_id*.  A pair through a helper that
-    normalizing *path* would make is left out: the name means nothing
-    outside the file.  The whole file is read before the first pair."""
+    pair ``normalize.subclass_pairs`` finds in *path*, in order; the NF1 is
+    None when a name is not in *name_to_id*.  The whole file is read before
+    the first pair."""
     for sub, sup in _parse(path, subclass_pairs):
         c, d = name_to_id.get(sub), name_to_id.get(sup)
         yield sub, sup, None if c is None or d is None else NF1(c, d)

@@ -30,9 +30,9 @@ sub-expressions share one fresh class, memoized by canonical text.
 ``SHAPES`` is the one table of the six shapes; every per-shape rule in the
 package (printing, checking, training buckets, kernel dispatch) reads it.
 
-``subclass_pairs`` gives the NF1 pairs between the input's own classes that
-normalizing a file would emit, from its lines alone; the CLI reads pair
-files (eval's test and ``--filtered`` files, train's ``valid.el``) by it.
+``subclass_pairs`` gives a file's NF1 pairs between its own classes, each
+nested line normalized alone; the CLI reads pair files (eval's test and
+``--filtered`` files, train's ``valid.el``) by it.
 """
 
 from __future__ import annotations
@@ -267,46 +267,18 @@ class _Normalizer:
                 self.out.append(NF4(f, r, self.class_id(sup)))
 
 
-def _conjunct_pairs(sub: str, sup: Concept, add) -> None:
-    """``(sub, name)`` for each basic conjunct of *sup*, left to right."""
-    kind = type(sup)
-    if kind is Intersection:
-        _conjunct_pairs(sub, sup.left, add)
-        _conjunct_pairs(sub, sup.right, add)
-    elif kind in _BASIC:
-        add((sub, sup.name if kind is Atomic else concept_to_text(sup)))
-
-
-def _direction_pairs(sub: Concept, sup: Concept, add) -> None:
-    kind = type(sub)
-    if kind in _BASIC:
-        _conjunct_pairs(sub.name if kind is Atomic else concept_to_text(sub),
-                        sup, add)
-
-
 def subclass_pairs(lines: Iterable[str]) -> list[tuple[str, str]]:
     """The (sub name, sup name) of each NF1 that normalizing *lines* emits
     between two classes the normalization did not create, in emission
-    order, duplicates and self-pairs kept; no ontology is built.
+    order, duplicates and self-pairs kept.
 
-    Why this is all of them: ``_norm`` emits NF1 only in its basic-left
-    branch, with the left side it was called with as the sub.  A conjunction
-    on the right is split with that left side kept.  Every other call that
-    can reach the branch passes a fresh helper as the left side:
-    ``_fresh_for`` rewrites ``helper <= expr`` for a right-side helper, and
-    two complex sides go through a fresh middle class.  The input's left
-    sides reach ``_norm`` only from ``normalize``'s loop, once per direction
-    (a ``subClassOf``, or each side of an ``equivalentClasses``, a <= b then
-    b <= a).  So a pair of the input's classes comes from a direction with a
-    basic left (a class name, ``top`` or a nominal), one per basic conjunct
-    of its right side, left to right; a ``bottom`` or existential conjunct
-    gives BottomSub or NF3, and a ``disjointWith``, desugared to a left
-    conjunction, gives none.
-
-    A flat line (``parser._FLAT``) is decided from its match groups; every
-    other line is cut at ``#``, skipped if blank and read by ``parse_axiom``
-    as ``parse_ontology`` reads it, so a ``ParseError`` is the same.  The
-    whole input is read before the list is returned.
+    A flat line (``parser._FLAT``) gives its pairs from its match groups.
+    Every other line is cut at ``#``, skipped if blank, read by
+    ``parse_axiom`` as ``parse_ontology`` reads it (so a ``ParseError`` is
+    the same) and normalized alone.  That gives the file's pairs, because
+    lines share only fresh helpers and no NF1 between two input classes
+    passes through a helper.  The whole input is read before the list is
+    returned.
     """
     pairs: list[tuple[str, str]] = []
     add = pairs.append
@@ -323,12 +295,13 @@ def subclass_pairs(lines: Iterable[str]) -> list[tuple[str, str]]:
         text = raw.split("#", 1)[0]
         if not text.strip():
             continue
-        ax = parse_axiom(text, line=lineno)
-        if type(ax) is SubClassOf:
-            _direction_pairs(ax.sub, ax.sup, add)
-        else:
-            _direction_pairs(ax.a, ax.b, add)
-            _direction_pairs(ax.b, ax.a, add)
+        onto = normalize([parse_axiom(text, line=lineno)])
+        names, fresh = onto.classes, onto.fresh_definitions
+        for ax in onto.axioms:
+            if type(ax) is NF1:
+                sub, sup = names[ax.c], names[ax.d]
+                if sub not in fresh and sup not in fresh:
+                    add((sub, sup))
     return pairs
 
 

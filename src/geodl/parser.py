@@ -36,9 +36,9 @@ Both paths take every name from one ``_Names`` per call, so each class
 name is one ``Atomic`` and each individual one ``Nominal`` in the result,
 and the sizes of its tables are the call's ``OntologyStats``.
 
-``normalize.subclass_pairs`` is the second reader of ``_FLAT``: it takes a
-flat line's subclass pairs from the match's groups with no tree, and sends
-every other line through ``parse_axiom``, so its errors are these too.
+``normalize.subclass_pairs`` is the second reader of ``_FLAT``: a flat
+line's pairs come from the match's groups; every other line is read by
+``parse_axiom``, so its errors are these too, and normalized alone.
 """
 
 from __future__ import annotations

@@ -271,6 +271,12 @@ def test_missing_file_exits_1(tmp_path, capsys):
     assert "not found" in err
 
 
+def test_directory_input_exits_1(tmp_path, capsys):
+    assert run(["stats", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"geodl: error: input is not a regular file: {tmp_path}\n"
+
+
 def test_syntax_error_exits_1_with_line(tmp_path, capsys):
     bad = tmp_path / "bad.el"
     bad.write_text("subClassOf(A,B)\nsubClassOf(A,\n")

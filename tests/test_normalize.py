@@ -349,6 +349,8 @@ def normalized_pairs(lines):
      [("nominal(x)", "B"), ("nominal(x)", "top")]),
     ("equivalentClasses(and(A,B),C)", [("C", "A"), ("C", "B")]),
     ("subClassOf(and,some)", [("and", "some")]),
+    ("subClassOf(A,some(R,and(B,C)))", []),
+    ("equivalentClasses(A,and(B,some(R,and(C,D))))", [("A", "B")]),
 ], ids=lambda value: value if isinstance(value, str) else None)
 def test_subclass_pairs_of_one_line(line, pairs):
     """A basic left side gives one pair per basic conjunct on the right;

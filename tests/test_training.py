@@ -25,6 +25,8 @@ from geodl.ranking import DIRECTIONS, is_fresh_name, is_nominal_name, unrankable
 from geodl.synthetic import random_raw_lines, surrogate_lines
 from geodl import training
 from geodl.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     CONFIG_KEYS,
     NumericalError,
     SplitSpec,
@@ -819,6 +821,31 @@ def test_blocked_adam_matches_textbook_across_blocks(rng):
         optimizer.step(state, grad)
     expected = oracles.adam(start, [g.tolist() for g in steps], lr=0.05)
     assert np.array_equal(state.flat, expected)
+
+
+def test_adam_zero_gradient_cells_only_decay_their_moments(rng):
+    """Cells whose gradient is +0.0 or -0.0 get exactly ``b1*m`` and
+    ``b2*v``, and no step leaves a -0.0 in ``m`` or ``v``: the moment
+    updates of an untouched row are the decay alone."""
+    state = make_state(rng, num_classes=40, num_relations=4, dim=5)
+    optimizer = _Adam(0.05, state)
+    for step in range(6):
+        grad = GradientAccumulator.zeros_like(state)
+        grad.flat[...] = rng.normal(size=grad.flat.size)
+        rows = rng.choice(40, size=24, replace=False)
+        for sign, half in ((0.0, rows[:12]), (-0.0, rows[12:])):
+            grad.class_centers[half] = sign
+            grad.class_radii_raw[half] = sign
+        grad.relation_vectors[step % 4] = -0.0
+        zero = grad.flat == 0.0
+        assert zero.sum() == 24 * 6 + 5
+        decayed_m = ADAM_BETA1 * optimizer.m[zero]
+        decayed_v = ADAM_BETA2 * optimizer.v[zero]
+        optimizer.step(state, grad)
+        for moment, decayed in ((optimizer.m, decayed_m), (optimizer.v, decayed_v)):
+            assert np.array_equal(moment[zero].view(np.uint64),
+                                  decayed.view(np.uint64)), step
+            assert not np.any(np.signbit(moment) & (moment == 0.0)), step
 
 
 def test_sgd_step_is_in_place_and_textbook(rng):
