@@ -99,6 +99,14 @@ MUTANTS = [
      "if sub not in fresh and sup not in fresh:",
      "if True:",
      "a nested pair line's pairs through its fresh helpers kept"),
+    ("src/geodl/parser.py",
+     "if depth >= MAX_DEPTH:",
+     "if depth > MAX_DEPTH:",
+     "concepts nested one level past the limit"),
+    ("src/geodl/model.py",
+     "if not os.path.isfile(path):",
+     "if False:",
+     "a directory given as an input opened as a file"),
 ]
 
 # fails on every mutant by design: it checks that each old text is present

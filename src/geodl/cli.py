@@ -23,7 +23,7 @@ from .parser import ParseError, parse_ontology
 from .training import SplitSpec, TrainConfig
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     pass
 
 
@@ -33,10 +33,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_lines(path: str) -> list[str]:
-    if not os.path.exists(path):
-        raise _CliError(f"input file not found: {path}")
-    if not os.path.isfile(path):
-        raise _CliError(f"input is not a regular file: {path}")
     with gm.open_text(path) as fh:
         # physical lines: splitlines() would also break at \x0c, \x1c-\x1e,
         # \x85, \u2028 and \u2029, which sit inside one line in an editor
@@ -342,9 +338,6 @@ def main(argv: Optional[list] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"geodl: error: {exc}", file=sys.stderr)
-        return 1
     except ParseError as exc:
         print(f"geodl: parse error: {exc}", file=sys.stderr)
         return 1

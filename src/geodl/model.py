@@ -31,6 +31,7 @@ import contextlib
 import enum
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -199,13 +200,9 @@ def _safe_unit(vectors: np.ndarray, norms: np.ndarray,
     return vectors
 
 
-def _unit_penalty(centers: np.ndarray,
-                  squares: Optional[np.ndarray] = None):
+def _unit_penalty(centers: np.ndarray, squares: np.ndarray):
     """P = | ||x|| - 1 | per row, with its gradient rows, which overwrite
-    *centers*; *squares* is scratch of the same shape (a new array by
-    default)."""
-    if squares is None:
-        squares = np.empty_like(centers)
+    *centers*; *squares* is scratch of the same shape."""
     norms = row_norms(centers, squares)
     excess = norms - 1.0
     grads = _safe_unit(centers, norms, np.sign(excess))
@@ -518,10 +515,6 @@ class SavedModel:
     margin: float
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_model(
     path,
     state: EmbeddingState,
@@ -531,10 +524,8 @@ def save_model(
     margin: float,
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"{MODEL_HEADER_PREFIX} dim={state.dim} variant={variant.value} "
-            f"margin={_fmt(margin)}\n"
-        )
+        fh.write("%s dim=%s variant=%s margin=%.17g\n"
+                 % (MODEL_HEADER_PREFIX, state.dim, variant.value, margin))
         write_rows(fh, "C", class_names, state.class_centers,
                    state.class_radii_raw)
         write_rows(fh, "R", relation_names, state.relation_vectors,
@@ -546,9 +537,9 @@ def write_rows(fh, kind: str, names: list, vectors: np.ndarray,
     """One ``kind name [scalar] v_1 ... v_dim`` line per name, tab-separated,
     for the ball and the baseline model files.
 
-    Each row is formatted by one ``%`` over its values, converted row by row
-    (one whole-array ``tolist`` costs resident memory); ``"%.17g" % x`` is
-    ``format(x, ".17g")``, ``_fmt``'s format, for every float.
+    Each row is formatted by one ``%`` over its values, every float as
+    ``%.17g`` like the ball model header's margin, converted row by row (one
+    whole-array ``tolist`` costs resident memory).
     """
     width = vectors.shape[1] + (scalars is not None)
     template = "\t".join(["%s", "%s"] + ["%.17g"] * width) + "\n"
@@ -636,8 +627,13 @@ def _convert(path, queued: list, width: int, blocks: dict) -> None:
 @contextlib.contextmanager
 def open_text(path):
     """*path* open for reading as UTF-8 text with universal newlines.  A
-    byte that does not decode raises ``ValueError`` naming *path* and the
+    path that does not exist or is not a regular file, or a byte that does
+    not decode, raises ``ValueError`` naming *path*; for the byte, also the
     line that holds it, counted as the reader counts lines."""
+    if not os.path.exists(path):
+        raise ValueError(f"input file not found: {path}")
+    if not os.path.isfile(path):
+        raise ValueError(f"input is not a regular file: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             yield fh

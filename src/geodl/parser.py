@@ -22,9 +22,7 @@ Two paths read a line of a file (``parse_ontology``):
   heads, written with no whitespace and no comment, is one regex match
   (``_FLAT``), and its tree is built from the match's groups.  Most
   normal-form files are almost all flat lines.  Such a line is valid by
-  construction, so this path cannot fail.  It runs only when the depth
-  limit is above 2, the depth of a ``some`` filler; under a smaller limit
-  the cursor raises the nesting error.  Each distinct ``some(R,B)`` of
+  construction, so this path cannot fail.  Each distinct ``some(R,B)`` of
   these lines is one ``Existential`` in the result.
 * Every other line (nested, spaced or commented, and every malformed one)
   goes through ``_Cursor``, a recursive descent over the line's tokens.
@@ -47,7 +45,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-DEFAULT_MAX_DEPTH = 64
+# A concept read at this depth raises the nesting error.  parse_concept's
+# concept is at depth 0, an axiom's two operands at depth 1, and each
+# and/some argument one deeper than its head.
+MAX_DEPTH = 64
 
 # A name, or one character of punctuation; whitespace separates tokens.
 _TOKEN = re.compile(r"[^\s(),#]+|\S")
@@ -197,13 +198,11 @@ class _Names:
 class _Cursor:
     """Recursive descent over one line's tokens; columns are found on error."""
 
-    def __init__(self, text: str, line: int, max_depth: int,
-                 names: Optional[_Names] = None):
+    def __init__(self, text: str, line: int, names: Optional[_Names] = None):
         self.text = text
         self.tokens = _TOKEN.findall(text) + [""]  # "" marks the end of the line
         self.i = 0
         self.line = line
-        self.max_depth = max_depth
         self.names = _Names() if names is None else names
 
     def offset(self, after: bool = False) -> int:
@@ -240,8 +239,8 @@ class _Cursor:
         return parsed
 
     def concept(self, depth: int = 0) -> Concept:
-        if depth >= self.max_depth:
-            raise self.error(f"nesting deeper than the limit of {self.max_depth}",
+        if depth >= MAX_DEPTH:
+            raise self.error(f"nesting deeper than the limit of {MAX_DEPTH}",
                              after=True)
         tok = self.name()
         # Keyword heads are only special when a '(' follows; otherwise they
@@ -288,19 +287,17 @@ def _axiom(head: str, first: Concept, second: Concept) -> RawAxiom:
     return SubClassOf(Intersection(first, second), BOTTOM)
 
 
-def parse_concept(text: str, max_depth: int = DEFAULT_MAX_DEPTH, line: int = 1) -> Concept:
-    cur = _Cursor(text, line, max_depth)
+def parse_concept(text: str, line: int = 1) -> Concept:
+    cur = _Cursor(text, line)
     return cur.end(cur.concept())
 
 
-def parse_axiom(text: str, max_depth: int = DEFAULT_MAX_DEPTH, line: int = 1) -> RawAxiom:
-    cur = _Cursor(text, line, max_depth)
+def parse_axiom(text: str, line: int = 1) -> RawAxiom:
+    cur = _Cursor(text, line)
     return cur.end(cur.axiom())
 
 
-def parse_ontology(
-    lines: Iterable[str], max_depth: int = DEFAULT_MAX_DEPTH
-) -> tuple[list[RawAxiom], OntologyStats]:
+def parse_ontology(lines: Iterable[str]) -> tuple[list[RawAxiom], OntologyStats]:
     """Parse a whole axiom file; the first syntax error aborts the run.
 
     Returns axioms in file order plus counts of distinct classes, relations
@@ -312,10 +309,9 @@ def parse_ontology(
     names = _Names()
     atoms, roles = names.classes, names.roles
     somes = _Table(lambda key: Existential(roles[key[0]], atoms[key[1]]))
-    flat = max_depth > 2  # a some(R,B) filler sits at depth 2
     fullmatch = _FLAT.fullmatch
     for lineno, raw in enumerate(lines, start=1):
-        match = fullmatch(raw) if flat else None
+        match = fullmatch(raw)
         if match is not None:
             head, a, role, filler, b = match.groups()
             second = atoms[b] if role is None else somes[role, filler]
@@ -326,6 +322,6 @@ def parse_ontology(
             continue
         text = raw.split("#", 1)[0]
         if text.strip():
-            cur = _Cursor(text, lineno, max_depth, names)
+            cur = _Cursor(text, lineno, names)
             axioms.append(cur.end(cur.axiom()))
     return axioms, names.stats(len(axioms))

@@ -517,10 +517,10 @@ def _fit(config: TrainConfig, rng: np.random.Generator, state, terms: int,
 def train(
     onto: NormalizedOntology,
     config: TrainConfig,
-    train_axioms: Optional[Sequence[NormalAxiom]] = None,
     valid_nf1: Optional[Sequence[NF1]] = None,
 ) -> TrainResult:
-    """Optimize ball embeddings over the training axioms with ``_fit``.
+    """Optimize ball embeddings over ``onto.axioms`` with ``_fit``; to train
+    on one part of a split, pass ``dataclasses.replace(onto, axioms=part)``.
 
     With a validation list, early-stops on its Hits@10 and returns the best
     checkpoint; otherwise runs all epochs and returns the final state.  A
@@ -528,10 +528,9 @@ def train(
     epoch.
     """
     config.validate()
-    axioms = list(train_axioms) if train_axioms is not None else list(onto.axioms)
-    if not axioms:
+    if not onto.axioms:
         raise ValueError("no training axioms")
-    arrays = _AxiomArrays.build(axioms, len(onto.classes), len(onto.relations))
+    arrays = _AxiomArrays.build(onto.axioms, len(onto.classes), len(onto.relations))
     rng = np.random.default_rng(config.seed)
     state = EmbeddingState.initialize(
         len(onto.classes), len(onto.relations), config.dim, rng

@@ -5,6 +5,7 @@ lines.  Criteria 4 and 8 train small models and take a couple of minutes;
 everything else is fast.
 """
 
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -264,7 +265,7 @@ def test_criterion_8_surrogate_ranking_trend():
         for variant in (EMEL, VAR):
             cfg = TrainConfig(dim=25, epochs=800, seed=seed, patience=6,
                               variant=variant, sigma_reg=0.25)
-            result = train(onto, cfg, train_axioms=parts.train,
+            result = train(dataclasses.replace(onto, axioms=parts.train), cfg,
                            valid_nf1=parts.valid)
             rep = evaluate(parts.test, result.state, candidates)
             medians[variant] = rep.median_rank

@@ -277,6 +277,23 @@ def test_directory_input_exits_1(tmp_path, capsys):
     assert err == f"geodl: error: input is not a regular file: {tmp_path}\n"
 
 
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_config_and_model_paths_follow_the_input_rule(tmp_path, fixture_file,
+                                                      capsys, command, missing):
+    """A ``--config`` or eval model path that does not exist, or is not a
+    regular file, is refused in one line as every other input is, before any
+    output is written."""
+    path = str(tmp_path / "nope") if missing else str(tmp_path)
+    out = str(tmp_path / "out.tsv")
+    argv = (["train", "--config", path, fixture_file, out] if command == "train"
+            else ["eval", path, fixture_file, out])
+    assert run(argv) == 1
+    why = "input file not found" if missing else "input is not a regular file"
+    assert capsys.readouterr().err == f"geodl: error: {why}: {path}\n"
+    assert not os.path.exists(out)
+
+
 def test_syntax_error_exits_1_with_line(tmp_path, capsys):
     bad = tmp_path / "bad.el"
     bad.write_text("subClassOf(A,B)\nsubClassOf(A,\n")

@@ -7,6 +7,7 @@ through ``batch_terms``, the entry point training uses, with ids in each
 kernel's column order.
 """
 
+import dataclasses
 import hashlib
 import re
 
@@ -269,7 +270,7 @@ def test_single_term_rejects_ids_out_of_range(rng, axiom, message):
     onto = norm_lines(["subClassOf(A,some(R,B))", "subClassOf(C,some(S,A))"])
     assert (len(onto.classes), len(onto.relations)) == (3, 2)
     with pytest.raises(ValueError, match=re.escape(message)):
-        train(onto, tiny_config(epochs=1), train_axioms=[axiom])
+        train(dataclasses.replace(onto, axioms=[axiom]), tiny_config(epochs=1))
     state = make_state(rng, num_classes=3, num_relations=2, dim=2)
     with pytest.raises(ValueError, match=re.escape(message)):
         mean_hinge(state, [axiom], 0.1, VAR, kind=type(axiom))

@@ -483,7 +483,7 @@ def test_safe_unit_and_unit_penalty_edge_rows():
     for rows in (EDGE_ROWS, POSITIVE_ROWS):
         norms = np.linalg.norm(rows, axis=1)
         unit = _safe_unit(rows.copy(), norms)
-        values, grads = _unit_penalty(rows.copy())
+        values, grads = _unit_penalty(rows.copy(), np.empty_like(rows))
         expected_grads = (np.sign(norms - 1.0)[:, None]
                           * _masked_unit(rows, norms))
         assert unit.tobytes() == _masked_unit(rows, norms).tobytes()

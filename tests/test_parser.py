@@ -79,7 +79,32 @@ def test_recursion_limit():
     deep = "and(A," * 70 + "B" + ")" * 70
     with pytest.raises(ParseError, match="nesting"):
         parse_concept(deep)
-    assert parse_concept(deep, max_depth=128)
+
+
+def _nested(levels):
+    return "and(A," * levels + "B" + ")" * levels
+
+
+def test_nesting_limit_boundary():
+    """A concept nests 63 levels below its root and no deeper; an axiom's
+    operands start one level down, so it holds 62.  Every refusal is the
+    nesting error at the character cursor's line and column."""
+    message = "nesting deeper than the limit of 64"
+    assert parse_concept(_nested(63)) == reference.parse_concept(_nested(63),
+                                                                 max_depth=64)
+    expected = _outcome(reference.parse_concept, _nested(64), max_depth=64,
+                        line=5)
+    assert message in expected[0]
+    assert _outcome(parse_concept, _nested(64), line=5) == expected
+    ok, deep = (f"subClassOf(X,{_nested(n)})" for n in (62, 63))
+    assert parse_axiom(ok) == reference.parse_axiom(ok, max_depth=64)
+    assert parse_ontology(["subClassOf(A,B)", ok])[0][1] == parse_axiom(ok)
+    expected = _outcome(reference.parse_axiom, deep, max_depth=64, line=2)
+    assert message in expected[0]
+    assert _outcome(parse_axiom, deep, line=2) == expected
+    assert _outcome(parse_ontology, ["subClassOf(A,B)", deep]) == expected
+    # far past the limit, the refusal comes before Python's recursion limit
+    assert message in _outcome(parse_concept, _nested(1500))[0]
 
 
 def test_trailing_garbage_rejected():
@@ -262,14 +287,29 @@ def _tokens(c):
 
 
 @st.composite
-def _lines(draw):
-    """An axiom's tokens with a few dropped or inserted, or a token soup,
-    joined by whitespace runs that may be empty."""
+def _deep_trees(draw):
+    """A tree inside 58 to 66 levels of ``and`` and ``some``, so that its
+    nesting ends on either side of the parser's limit of 64 levels."""
+    tree = draw(_TREES)
+    for _ in range(draw(st.integers(58, 66))):
+        name = draw(_NAMES)
+        tree = draw(st.sampled_from([Intersection(Atomic(name), tree),
+                                     Intersection(tree, Atomic(name)),
+                                     Existential(name, tree)]))
+    return tree
+
+
+@st.composite
+def _lines(draw, trees=_TREES, concept=False):
+    """An axiom's tokens over *trees*, or a *concept*'s, with a few dropped
+    or inserted, or a token soup, joined by whitespace runs that may be
+    empty."""
     if draw(st.integers(0, 3)) == 0:
         toks = draw(st.lists(_WORDS, max_size=12))
     else:
-        toks = [draw(_HEADS), "(", *_tokens(draw(_TREES)), ",",
-                *_tokens(draw(_TREES)), ")"]
+        toks = (_tokens(draw(trees)) if concept else
+                [draw(_HEADS), "(", *_tokens(draw(trees)), ",",
+                 *_tokens(draw(trees)), ")"])
         for _ in range(draw(st.integers(0, 2))):
             k = draw(st.integers(0, len(toks)))
             if k < len(toks) and draw(st.booleans()):
@@ -303,34 +343,37 @@ def _outcome(parse, text, **kwargs):
         return str(exc), exc.line, exc.col
 
 
-def _first_axiom(raw, max_depth):
-    return parse_ontology([raw], max_depth=max_depth)[0][0]
+def _first_axiom(raw):
+    return parse_ontology([raw])[0][0]
+
+
+# lines whose nesting ends on either side of the limit, at varied columns
+_DEEP_LINES = st.one_of(_lines(_deep_trees()), _lines(_deep_trees(), concept=True))
 
 
 @settings(max_examples=400)
-@given(st.one_of(_lines(), _flat_lines()),
-       st.one_of(st.integers(0, 6), st.just(64)),
+@given(st.one_of(_lines(), _flat_lines(), _DEEP_LINES),
        st.sampled_from(["", "  ", "\u3000"]), st.sampled_from(["", " # note", "#"]))
-@example("subClassOf(A,some(R,B))", 2, "", "")  # the filler is too deep
-@example("disjointWith(top,some(bottom,nominal))", 64, "", "")
-def test_token_cursor_matches_character_cursor(line, max_depth, indent, comment):
-    """On stripped text both cursors give equal trees or equal errors.  In a
-    file, the line is read as drawn and again with the indent and comment,
-    and an error column is the stripped text's column plus the leading
-    whitespace; a flat line as drawn takes ``parse_ontology``'s regex path,
-    whose trees must be the cursor's at every depth limit."""
+@example("disjointWith(top,some(bottom,nominal))", "", "")
+def test_token_cursor_matches_character_cursor(line, indent, comment):
+    """On stripped text both cursors give equal trees or equal errors, the
+    character cursor at the limit of 64 levels.  In a file, the line is read
+    as drawn and again with the indent and comment, and an error column is
+    the stripped text's column plus the leading whitespace; a flat line as
+    drawn takes ``parse_ontology``'s regex path, whose trees must be the
+    cursor's."""
     text = line.strip()
     for ours, theirs in ((parse_axiom, reference.parse_axiom),
                          (parse_concept, reference.parse_concept)):
-        expected = _outcome(theirs, text, max_depth=max_depth, line=3)
-        assert _outcome(ours, text, max_depth=max_depth, line=3) == expected
+        expected = _outcome(theirs, text, max_depth=64, line=3)
+        assert _outcome(ours, text, line=3) == expected
     for raw in (line, indent + line + comment):
         cut = raw.split("#", 1)[0]
-        if not cut.strip() or max_depth == 0:
+        if not cut.strip():
             continue
         lead = len(cut) - len(cut.lstrip())
-        expected = _outcome(reference.parse_axiom, cut.strip(), max_depth=max_depth)
-        got = _outcome(_first_axiom, raw, max_depth=max_depth)
+        expected = _outcome(reference.parse_axiom, cut.strip(), max_depth=64)
+        got = _outcome(_first_axiom, raw)
         if isinstance(expected, tuple):
             message = expected[0].split(": ", 1)[1]
             col = expected[2] + lead
@@ -339,12 +382,12 @@ def test_token_cursor_matches_character_cursor(line, max_depth, indent, comment)
 
 
 @settings(max_examples=300)
-@given(st.lists(st.one_of(st.text(st.characters(exclude_categories=())), _lines()),
-                max_size=4),
-       st.integers(0, 8))
-def test_parse_ontology_raises_only_parse_error(lines, max_depth):
+@given(st.lists(st.one_of(st.text(st.characters(exclude_categories=())), _lines(),
+                          _DEEP_LINES),
+                max_size=4))
+def test_parse_ontology_raises_only_parse_error(lines):
     try:
-        axioms, stats = parse_ontology(lines, max_depth=max_depth)
+        axioms, stats = parse_ontology(lines)
     except ParseError as exc:
         assert 1 <= exc.line <= len(lines) and exc.col >= 1
     else:

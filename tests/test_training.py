@@ -407,7 +407,7 @@ def test_validation_early_stopping_and_best_checkpoint():
     onto = norm_lines(chain_lines(30))
     result_split = split(onto, SplitSpec(seed=0))
     cfg = tiny_config(epochs=600, patience=2)
-    result = train(onto, cfg, train_axioms=result_split.train,
+    result = train(dataclasses.replace(onto, axioms=result_split.train), cfg,
                    valid_nf1=result_split.valid)
     assert result.stopped_epoch <= 600
     evaluated = [row for row in result.log if not np.isnan(row.valid_hits10)]
@@ -465,8 +465,8 @@ def test_validation_runs_on_every_25th_epoch_only():
     interval the README states, and nan on every other epoch."""
     onto = norm_lines(chain_lines(30))
     parts = split(onto, SplitSpec(seed=0))
-    result = train(onto, tiny_config(epochs=110, patience=100),
-                   train_axioms=parts.train, valid_nf1=parts.valid)
+    result = train(dataclasses.replace(onto, axioms=parts.train),
+                   tiny_config(epochs=110, patience=100), valid_nf1=parts.valid)
     assert len(result.log) == 110
     assert [row.epoch + 1 for row in result.log
             if not math.isnan(row.valid_hits10)] == [25, 50, 75, 100]
@@ -877,7 +877,7 @@ def test_bench_train_epochs_2k(benchmark):
     parts = split(onto, SplitSpec(seed=0))
     cfg = TrainConfig(variant=Variant.EMEL_VAR, epochs=3, seed=0)
     result = benchmark.pedantic(
-        train, args=(onto, cfg), kwargs={"train_axioms": parts.train},
+        train, args=(dataclasses.replace(onto, axioms=parts.train), cfg),
         rounds=3, iterations=1,
     )
     assert len(result.log) == 3
