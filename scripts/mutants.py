@@ -107,6 +107,14 @@ MUTANTS = [
      "if not os.path.isfile(path):",
      "if False:",
      "a directory given as an input opened as a file"),
+    ("src/geodl/model.py",
+     " or not np.isfinite(values).all():",
+     ":",
+     "a non-finite model-file block converted as it is"),
+    ("src/geodl/training.py",
+     "if not state.all_finite():",
+     "if False:",
+     "a non-finite parameter after a step trained on"),
 ]
 
 # fails on every mutant by design: it checks that each old text is present

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .model import (
-    GradientAccumulator, NumericalError, _add_rows, _all_finite, _FlatBlocks,
+    GradientAccumulator, NumericalError, _add_rows, _FlatBlocks,
     _safe_unit, _unit_rows, read_model_file, row_norms, write_rows,
 )
 from .normalize import NF1, NF3, NF4, NormalizedOntology
@@ -65,8 +65,7 @@ class BaselineState(_FlatBlocks):
         super().__init__(**blocks)
 
     def all_finite(self) -> bool:
-        with np.errstate(over="ignore"):
-            return _all_finite(self.flat)
+        return bool(np.isfinite(self.flat).all())
 
 
 def baseline_relation_names(onto: NormalizedOntology) -> list:

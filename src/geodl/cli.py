@@ -23,13 +23,9 @@ from .parser import ParseError, parse_ontology
 from .training import SplitSpec, TrainConfig
 
 
-class _CliError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map to 1
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -52,9 +48,9 @@ def _check_distinct(inputs, outputs) -> None:
             continue
         path = os.path.realpath(out)
         if path in taken:
-            raise _CliError(f"refusing to overwrite input file: {out}")
+            raise ValueError(f"refusing to overwrite input file: {out}")
         if path in written:
-            raise _CliError(f"output file given twice: {out}")
+            raise ValueError(f"output file given twice: {out}")
         written.add(path)
 
 
@@ -124,11 +120,11 @@ def cmd_normalize(args) -> int:
 def _parse_fractions(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
-        raise _CliError("--fractions expects three comma-separated numbers")
+        raise ValueError("--fractions expects three comma-separated numbers")
     try:
         return tuple(float(p) for p in parts)
     except ValueError:
-        raise _CliError(f"bad --fractions value {text!r}") from None
+        raise ValueError(f"bad --fractions value {text!r}") from None
 
 
 def cmd_split(args) -> int:
@@ -200,7 +196,7 @@ def _valid_nf1(path: str, onto: NormalizedOntology):
             continue
         why = ranking.unrankable(onto.classes, ax.c, ax.d)
         if why:
-            raise _CliError(f"{path}: validation pair {why}")
+            raise ValueError(f"{path}: validation pair {why}")
         valid.append(ax)
     return valid or None
 
@@ -238,13 +234,13 @@ def _load_tests(path: str, names: list, name_to_id: dict, direction: str) -> lis
     for c, d, ax in _subclass_pairs(path, name_to_id):
         if ax is None:
             missing = c if c not in name_to_id else d
-            raise _CliError(f"test class {missing!r} has no embedding in the model")
+            raise ValueError(f"test class {missing!r} has no embedding in the model")
         why = ranking.unrankable(names, ax.c, ax.d, direction)
         if why:
-            raise _CliError(f"test pair {why}")
+            raise ValueError(f"test pair {why}")
         tests.append(ax)
     if not tests:
-        raise _CliError(f"no subclass test axioms found in {path}")
+        raise ValueError(f"no subclass test axioms found in {path}")
     return tests
 
 
@@ -259,12 +255,12 @@ def cmd_eval(args) -> int:
         saved = baselines.load_baseline(args.model_in)
         names = saved.entity_names
         if args.radius_adjusted:
-            raise _CliError(f"--radius-adjusted needs ball radii; {args.model_in} "
-                            f"is a {saved.state.model} baseline")
+            raise ValueError(f"--radius-adjusted needs ball radii; {args.model_in} "
+                             f"is a {saved.state.model} baseline")
         try:
             sub_rel = saved.relation_names.index(baselines.SUBCLASS_RELATION)
         except ValueError:
-            raise _CliError(
+            raise ValueError(
                 f"baseline file lacks the {baselines.SUBCLASS_RELATION} relation"
             ) from None
         rank = functools.partial(ranking.baseline_evaluate, sub_relation=sub_rel)
@@ -274,7 +270,7 @@ def cmd_eval(args) -> int:
         rank = functools.partial(ranking.evaluate,
                                  adjust_radius=args.radius_adjusted)
     else:
-        raise _CliError(f"{args.model_in}: not a geodl model or baseline file")
+        raise ValueError(f"{args.model_in}: not a geodl model or baseline file")
     name_to_id = {name: i for i, name in enumerate(names)}
     candidates = ranking.eligible_candidates(names)
     tests = _load_tests(args.test_file, names, name_to_id, args.direction)

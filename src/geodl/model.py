@@ -126,8 +126,7 @@ class EmbeddingState(_FlatBlocks):
                               self.relation_vectors, self.relation_sigmas_raw)
 
     def all_finite(self) -> bool:
-        with np.errstate(over="ignore"):
-            return _all_finite(self.flat)
+        return bool(np.isfinite(self.flat).all())
 
     @staticmethod
     def initialize(
@@ -151,14 +150,6 @@ class GradientAccumulator(_FlatBlocks):
         """Zeros in *state*'s blocks, ball model or baseline."""
         return GradientAccumulator(**{
             name: np.zeros_like(getattr(state, name)) for name in state.base})
-
-
-def _all_finite(values: np.ndarray) -> bool:
-    """Whether the 1-D *values* are all finite, under the caller's
-    ``np.errstate(over="ignore")``: a finite sum of squares has only finite
-    terms, and only an infinite one, maybe an overflow of finite terms, has
-    its terms tested (a dot product is cheaper and makes no bool array)."""
-    return math.isfinite(values.dot(values)) or bool(np.isfinite(values).all())
 
 
 def _add_rows(acc: _FlatBlocks, block: str, rows: np.ndarray,
@@ -586,7 +577,7 @@ def _load_block(texts: list, width: int) -> Optional[np.ndarray]:
                             ndmin=2)
     except ValueError:
         return None
-    if values.shape != (len(texts), width) or not _all_finite(values.ravel()):
+    if values.shape != (len(texts), width) or not np.isfinite(values).all():
         return None
     return values
 
@@ -602,7 +593,7 @@ def _convert_rows(path, queued: list) -> np.ndarray:
             row = np.fromiter(map(float, text.split("\t")), float)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if not _all_finite(row):
+        if not np.isfinite(row).all():
             raise ValueError(f"{path}:{lineno}: non-finite value")
         rows.append(row)
     return np.stack(rows)
@@ -673,8 +664,7 @@ def read_model_file(path, prefix: str, fields: dict, kinds: tuple,
     (``_convert_rows``), which names the first faulty line and takes what
     ``float()`` takes and loadtxt refuses (``1_0``, non-ASCII digits).
     """
-    # a row's sum of squares may overflow; it is tested, not warned of
-    with open_text(path) as fh, np.errstate(over="ignore"):
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(prefix):
             raise ValueError(f"{path}:1: header does not start with {prefix!r}")

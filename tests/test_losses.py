@@ -418,12 +418,21 @@ def test_copy_shares_no_memory(rng):
     assert state.class_centers[0, 0] == arrays[0][0, 0]
 
 
+# every block of the ball state and of each baseline state, as the state
+# itself lays them out
+FINITE_BLOCKS = [pytest.param(None, name, id=name) for name in BLOCKS] + [
+    pytest.param(model, name, id=f"{model}-{name}") for model in MODELS
+    for name in initialize_baseline(model, 1, 1, 1,
+                                    np.random.default_rng(0)).base]
+
+
 @pytest.mark.parametrize("cell", [0, -1])
-@pytest.mark.parametrize("name", BLOCKS)
-def test_all_finite_sees_each_block(rng, name, cell):
+@pytest.mark.parametrize("model, name", FINITE_BLOCKS)
+def test_all_finite_sees_each_block(rng, model, name, cell):
     # a NaN or an infinity in the first or last cell of any block: an
     # off-by-one block offset leaves one of them unchecked
-    state = make_state(rng, num_classes=5, num_relations=3, dim=4)
+    state = (make_state(rng, num_classes=5, num_relations=3, dim=4)
+             if model is None else initialize_baseline(model, 5, 3, 4, rng))
     assert state.all_finite()
     block = getattr(state, name)
     for value in (np.nan, np.inf, -np.inf):

@@ -64,7 +64,7 @@ def test_bench_record_writer_on_a_stub_result(tmp_path):
 
 def test_every_mutant_still_applies_to_the_source():
     mutants = load("mutants")
-    assert len(mutants.MUTANTS) == 18
+    assert len(mutants.MUTANTS) == 20
     for path, old, new, reason in mutants.MUTANTS:
         assert (mutants.ROOT / path).read_text().count(old) == 1, (path, old)
         assert new != old and reason
